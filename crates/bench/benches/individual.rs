@@ -1,68 +1,67 @@
 //! Individual (function-centric) optimization hot path: probability
-//! estimation over growing histories, and the per-invocation schedule
-//! construction — PULSE's per-invocation overhead.
+//! estimation over growing histories, the single-gap `Ip` query the global
+//! layer makes for every alive model each minute, and the per-invocation
+//! schedule construction — PULSE's per-invocation overhead.
+//!
+//! Every case goes through `PulseEngine`'s public API and queries three
+//! minutes after the last arrival, inside the keep-alive window where the
+//! engine's own queries land.
+//!
+//! Run with `PULSE_BENCH_JSON=BENCH_individual.json cargo bench --bench individual`
+//! to append machine-readable points to the trajectory file.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::individual::IndividualOptimizer;
-use pulse_core::interarrival::InterArrivalModel;
 use pulse_core::thresholds::SchemeT1;
+use pulse_core::types::{Minute, PulseConfig};
+use pulse_core::PulseEngine;
+use pulse_models::zoo;
 
-fn history(n: usize) -> InterArrivalModel {
-    let mut m = InterArrivalModel::new();
+/// A one-function engine with `n` recorded arrivals at gaps cycling through
+/// 1..=9 minutes, and the minute of its last arrival.
+fn history(n: usize) -> (PulseEngine, Minute) {
+    let mut e = PulseEngine::new(vec![zoo::gpt()], PulseConfig::default());
     let mut t = 0u64;
     for i in 0..n {
         t += 1 + (i % 9) as u64;
-        m.record(t);
+        e.record_invocation(0, t);
     }
-    m
+    (e, t)
 }
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("interarrival_probabilities");
     for &n in &[100usize, 1000, 10_000] {
-        let m = history(n);
-        let now = 1_000_000u64;
+        let (e, last) = history(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| m.probabilities(now, 60, 10))
+            b.iter(|| e.probabilities(0, last + 3))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("invocation_probability_at");
+    for &n in &[1000usize, 10_000] {
+        let (e, last) = history(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| e.invocation_probability_at(0, last + 3))
         });
     }
     group.finish();
 
     c.bench_function("schedule_after_invocation", |b| {
-        let m = history(1000);
-        let probs = m.probabilities(1_000_000, 60, 10);
+        let (e, last) = history(1000);
+        let probs = e.probabilities(0, last);
         let opt = IndividualOptimizer::new(10);
-        b.iter(|| opt.schedule(123, &probs, 3, &SchemeT1))
+        b.iter(|| opt.schedule(last, &probs, 3, &SchemeT1))
     });
 
     c.bench_function("record_invocation", |b| {
         b.iter_batched(
-            || history(1000),
-            |mut m| m.record(10_000_000),
+            || history(1000).0,
+            |mut e| e.record_invocation(0, 10_000_000),
             criterion::BatchSize::SmallInput,
         )
     });
-
-    // The incremental model vs the reference: one record + one probability
-    // query on a long history (the reference rescans; the online model is
-    // O(window)).
-    let mut group = c.benchmark_group("probabilities_reference_vs_online");
-    for &n in &[1000usize, 10_000] {
-        group.bench_with_input(criterion::BenchmarkId::new("reference", n), &n, |b, &n| {
-            let m = history(n);
-            b.iter(|| m.probabilities(10_000_000, 60, 10))
-        });
-        group.bench_with_input(criterion::BenchmarkId::new("online", n), &n, |b, &n| {
-            let mut m = pulse_core::online::OnlineInterArrival::new(10, 60);
-            let mut t = 0u64;
-            for i in 0..n {
-                t += 1 + (i % 9) as u64;
-                m.record(t);
-            }
-            b.iter(|| m.probabilities(10_000_000))
-        });
-    }
-    group.finish();
 }
 
 criterion_group! {

@@ -92,7 +92,7 @@ impl PulseEngine {
         let n = families.len();
         Ok(Self {
             families,
-            arrivals: vec![InterArrivalModel::new(); n],
+            arrivals: vec![InterArrivalModel::new(config.keepalive_minutes); n],
             priority: PriorityStructure::new(n),
             detector: PeakDetector::new(config.km_threshold, window_to_len(config.local_window)),
             optimizer: IndividualOptimizer::new(config.keepalive_minutes),
@@ -176,10 +176,12 @@ impl PulseEngine {
                 counts.len()
             ));
         }
+        let window = self.config.keepalive_minutes;
         let mut models = Vec::with_capacity(n);
         for (f, a) in arrivals.into_iter().enumerate() {
             models.push(
-                InterArrivalModel::from_arrivals(a).map_err(|e| format!("function {f}: {e}"))?,
+                InterArrivalModel::from_arrivals(a, window)
+                    .map_err(|e| format!("function {f}: {e}"))?,
             );
         }
         self.arrivals = models;
@@ -189,7 +191,7 @@ impl PulseEngine {
 
     /// Current combined gap-probability estimate for function `f` at `t`.
     pub fn probabilities(&self, f: FuncId, t: Minute) -> GapProbabilities {
-        self.arrivals[f].probabilities(t, self.config.local_window, self.config.keepalive_minutes)
+        self.arrivals[f].probabilities(t, self.config.local_window)
     }
 
     /// Individual optimization: the variant plan for the keep-alive window
@@ -221,12 +223,12 @@ impl PulseEngine {
     /// `Ip` — the probability that function `f` is invoked at minute `t`,
     /// i.e. the probability of an inter-arrival gap equal to the time since
     /// `f`'s last invocation. Zero when `f` has never been invoked or the
-    /// gap exceeds the keep-alive window.
+    /// gap exceeds the keep-alive window. See
+    /// [`InterArrivalModel::invocation_probability_at`].
     pub fn invocation_probability_at(&self, f: FuncId, t: Minute) -> f64 {
-        match self.arrivals[f].last_arrival() {
-            Some(last) if t > last => self.probabilities(f, t).at(t - last),
-            _ => 0.0,
-        }
+        self.arrivals[f]
+            .invocation_probability_at(t, self.config.local_window)
+            .value()
     }
 
     /// Cross-function optimization for one minute.

@@ -157,11 +157,11 @@ mod tests {
     use crate::thresholds::{SchemeT1, SchemeT2};
 
     fn probs_for(arrivals: &[Minute], now: Minute) -> GapProbabilities {
-        let mut m = InterArrivalModel::new();
+        let mut m = InterArrivalModel::new(10);
         for &t in arrivals {
             m.record(t);
         }
-        m.probabilities(now, 60, 10)
+        m.probabilities(now, 60)
     }
 
     #[test]

@@ -12,11 +12,21 @@
 //! of gap `k` by the total number of gaps — including gaps longer than the
 //! window — so the in-window probabilities need not sum to 1.
 //!
+//! Cost: the full-history side is kept as gap counts bounded by the
+//! keep-alive window (`window + 1` counters plus the in-window and total
+//! gap counts), updated in O(1) per recorded arrival. The local side is
+//! recomputed per query from the slice of the arrival log inside
+//! `[now − local_window, now]`, found by binary search, so a query costs
+//! O(log history + local_window + window) no matter how long the history
+//! grows, and O(log history + local_window) without allocating for a single
+//! gap ([`InterArrivalModel::invocation_probability_at`]). The log itself
+//! is kept because it is the model's checkpoint format.
+//!
 //! Every estimate is carried as the validated [`Probability`] newtype from
 //! the moment it leaves the count ratios, so downstream policy code never
 //! sees an unvalidated float.
 
-use crate::convert::{gap_to_index, len_to_u64, u64_to_f64, window_to_len};
+use crate::convert::{gap_to_index, len_to_u32, len_to_u64, u64_to_f64, window_to_len};
 use crate::probability::Probability;
 use crate::types::Minute;
 use serde::{Deserialize, Serialize};
@@ -35,32 +45,6 @@ impl GapProbabilities {
     pub fn zeros(w: u32) -> Self {
         Self {
             probs: vec![Probability::ZERO; window_to_len(w) + 1],
-        }
-    }
-
-    /// Build from validated per-gap probabilities (crate-internal; the
-    /// reference and incremental models derive them from count ratios, which
-    /// are in `[0, 1]` by construction).
-    pub(crate) fn from_probabilities(probs: Vec<Probability>) -> Self {
-        Self { probs }
-    }
-
-    /// The paper's combination rule shared by the reference and incremental
-    /// models: element-wise average of the local and global distributions,
-    /// falling back to whichever side is informed when the other is not.
-    pub(crate) fn combine(local: &Self, global: &Self, window: u32) -> Self {
-        match (local.is_uninformed(), global.is_uninformed()) {
-            (true, true) => GapProbabilities::zeros(window),
-            (true, false) => global.clone(),
-            (false, true) => local.clone(),
-            (false, false) => GapProbabilities::from_probabilities(
-                local
-                    .probs
-                    .iter()
-                    .zip(global.probs.iter())
-                    .map(|(&l, &g)| l.average(g))
-                    .collect(),
-            ),
         }
     }
 
@@ -98,22 +82,128 @@ impl GapProbabilities {
     }
 }
 
-/// Per-function invocation history with gap-probability estimation.
+/// One gap length's count in a distribution, with the two totals the
+/// estimate needs: the in-window count (zero means the distribution is
+/// uninformed) and the count of all gaps (the denominator).
+#[derive(Debug, Clone, Copy, Default)]
+struct GapTally {
+    count: u64,
+    in_window: u64,
+    total: u64,
+}
+
+impl GapTally {
+    /// Tally gap `k` over consecutive pairs of `arrivals`, counting gaps up
+    /// to `window` as in-window.
+    fn over(arrivals: &[Minute], k: u64, window: u64) -> Self {
+        let mut tally = Self::default();
+        for pair in arrivals.windows(2) {
+            let gap = pair[1] - pair[0];
+            tally.total += 1;
+            if gap <= window {
+                tally.in_window += 1;
+                tally.count += u64::from(gap == k);
+            }
+        }
+        tally
+    }
+
+    /// `count / total`; zero when there are no gaps.
+    fn prob(self) -> Probability {
+        if self.total == 0 {
+            return Probability::ZERO;
+        }
+        // count <= total by construction, so the ratio is a valid probability.
+        Probability::from_invariant(u64_to_f64(self.count) / u64_to_f64(self.total))
+    }
+
+    /// The paper's combination rule: the average of the local and global
+    /// estimates, falling back to whichever side is informed when the other
+    /// is not.
+    fn combine(local: Self, global: Self) -> Probability {
+        match (local.in_window == 0, global.in_window == 0) {
+            (true, true) => Probability::ZERO,
+            (true, false) => global.prob(),
+            (false, true) => local.prob(),
+            (false, false) => local.prob().average(global.prob()),
+        }
+    }
+}
+
+/// Gap counts over a range of arrivals, bounded by the keep-alive window.
+#[derive(Debug, Clone)]
+struct GapCounts {
+    /// `counts[g]` for gaps `g ≤ window`; index 0 unused (gaps are ≥ 1).
+    /// `u32` keeps a model small at fleet scale: a count is at most the
+    /// number of distinct minutes in the log, and 2^32 minutes is 8000 years.
+    counts: Box<[u32]>,
+    /// Gaps inside the window (the sum of `counts`).
+    in_window: u64,
+    /// All gaps, including those longer than the window.
+    total: u64,
+}
+
+impl GapCounts {
+    fn over(arrivals: &[Minute], window: u32) -> Self {
+        let mut counts = Self {
+            counts: vec![0; window_to_len(window) + 1].into_boxed_slice(),
+            in_window: 0,
+            total: 0,
+        };
+        for pair in arrivals.windows(2) {
+            counts.add(pair[1] - pair[0]);
+        }
+        counts
+    }
+
+    fn add(&mut self, gap: u64) {
+        self.total += 1;
+        if let Some(c) = self.counts.get_mut(gap_to_index(gap)) {
+            *c += 1;
+            self.in_window += 1;
+        }
+    }
+
+    fn tally(&self, k: usize) -> GapTally {
+        GapTally {
+            count: u64::from(self.counts[k]),
+            in_window: self.in_window,
+            total: self.total,
+        }
+    }
+
+    fn distribution(&self) -> GapProbabilities {
+        GapProbabilities {
+            probs: (0..self.counts.len())
+                .map(|k| self.tally(k).prob())
+                .collect(),
+        }
+    }
+}
+
+/// Per-function invocation history with gap-probability estimation over a
+/// keep-alive window fixed at construction.
 ///
 /// Timestamps must be recorded in non-decreasing order; multiple invocations
 /// within the same minute are collapsed (a second invocation in the same
 /// minute hits an already-warm container and carries no inter-arrival
 /// information at minute resolution).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterArrivalModel {
     /// Distinct invocation minutes, ascending.
     arrivals: Vec<Minute>,
+    /// Gap counts over the whole of `arrivals`.
+    global: GapCounts,
 }
 
 impl InterArrivalModel {
-    /// Empty history.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty history for a keep-alive window of `window` minutes (the
+    /// largest gap the estimates resolve).
+    pub fn new(window: u32) -> Self {
+        Self {
+            arrivals: Vec::new(),
+            global: GapCounts::over(&[], window),
+        }
     }
 
     /// Record an invocation at minute `t`.
@@ -127,6 +217,7 @@ impl InterArrivalModel {
             if t == last {
                 return; // same-minute duplicate carries no gap information
             }
+            self.global.add(t - last);
         }
         self.arrivals.push(t);
     }
@@ -138,19 +229,21 @@ impl InterArrivalModel {
         &self.arrivals
     }
 
-    /// Rebuild a model from a previously captured [`Self::arrivals`] slice.
+    /// Rebuild a model over a `window`-minute keep-alive window from a
+    /// previously captured [`Self::arrivals`] slice.
     ///
     /// # Errors
     /// Returns a description of the violation when the minutes are not
     /// strictly ascending — the invariant [`Self::record`] maintains.
-    pub fn from_arrivals(arrivals: Vec<Minute>) -> Result<Self, String> {
+    pub fn from_arrivals(arrivals: Vec<Minute>, window: u32) -> Result<Self, String> {
         if let Some(w) = arrivals.windows(2).find(|w| w[1] <= w[0]) {
             return Err(format!(
                 "arrival minutes must be strictly ascending (got {} after {})",
                 w[1], w[0]
             ));
         }
-        Ok(Self { arrivals })
+        let global = GapCounts::over(&arrivals, window);
+        Ok(Self { arrivals, global })
     }
 
     /// Number of distinct invocation minutes recorded.
@@ -168,69 +261,59 @@ impl InterArrivalModel {
         self.arrivals.last().copied()
     }
 
-    /// Empirical gap distribution over arrivals in `[from, to]` (inclusive),
-    /// for gaps up to `window` minutes. Denominator is the total number of
-    /// gaps in the range, including gaps longer than `window`.
-    fn distribution_in(&self, from: Minute, to: Minute, window: u32) -> GapProbabilities {
-        let mut counts = vec![0u64; window_to_len(window) + 1];
-        let mut total = 0u64;
-        let mut prev: Option<Minute> = None;
-        for &a in &self.arrivals {
-            if a < from {
-                continue;
-            }
-            if a > to {
-                break;
-            }
-            if let Some(p) = prev {
-                let gap = a - p;
-                total += 1;
-                if gap <= u64::from(window) {
-                    counts[gap_to_index(gap)] += 1;
-                }
-            }
-            prev = Some(a);
-        }
-        if total == 0 {
-            return GapProbabilities::zeros(window);
-        }
-        // c <= total by construction, so each ratio is a valid probability.
-        GapProbabilities::from_probabilities(
-            counts
-                .iter()
-                .map(|&c| Probability::from_invariant(u64_to_f64(c) / u64_to_f64(total)))
-                .collect(),
-        )
+    /// The keep-alive window (largest resolved gap), minutes.
+    fn window(&self) -> u32 {
+        len_to_u32(self.global.counts.len() - 1)
+    }
+
+    /// The arrivals within the trailing `local_window` minutes ending at
+    /// `now` (inclusive): at most `local_window + 1` of them.
+    fn local_slice(&self, now: Minute, local_window: u32) -> &[Minute] {
+        let from = now.saturating_sub(u64::from(local_window));
+        let upto = &self.arrivals[..self.arrivals.partition_point(|&a| a <= now)];
+        &upto[upto.partition_point(|&a| a < from)..]
     }
 
     /// Empirical gap distribution over the full history.
-    pub fn global_distribution(&self, window: u32) -> GapProbabilities {
-        match (self.arrivals.first(), self.arrivals.last()) {
-            (Some(&a), Some(&b)) => self.distribution_in(a, b, window),
-            _ => GapProbabilities::zeros(window),
-        }
+    pub fn global_distribution(&self) -> GapProbabilities {
+        self.global.distribution()
     }
 
     /// Empirical gap distribution over arrivals within the trailing
     /// `local_window` minutes ending at `now`.
-    pub fn local_distribution(
-        &self,
-        now: Minute,
-        local_window: u32,
-        window: u32,
-    ) -> GapProbabilities {
-        let from = now.saturating_sub(u64::from(local_window));
-        self.distribution_in(from, now, window)
+    pub fn local_distribution(&self, now: Minute, local_window: u32) -> GapProbabilities {
+        GapCounts::over(self.local_slice(now, local_window), self.window()).distribution()
     }
 
     /// The paper's combined estimate at time `now`: the element-wise average
     /// of the local-window distribution and the full-history distribution.
-    /// When one of the two is uninformed (no gaps in range), the other is
-    /// used alone, so sparse functions still get a usable estimate.
-    pub fn probabilities(&self, now: Minute, local_window: u32, window: u32) -> GapProbabilities {
-        let local = self.local_distribution(now, local_window, window);
-        let global = self.global_distribution(window);
-        GapProbabilities::combine(&local, &global, window)
+    /// When one of the two is uninformed (no in-window gaps in range), the
+    /// other is used alone, so sparse functions still get a usable estimate.
+    pub fn probabilities(&self, now: Minute, local_window: u32) -> GapProbabilities {
+        let local = GapCounts::over(self.local_slice(now, local_window), self.window());
+        GapProbabilities {
+            probs: (0..local.counts.len())
+                .map(|k| GapTally::combine(local.tally(k), self.global.tally(k)))
+                .collect(),
+        }
+    }
+
+    /// `Ip` — the probability that the next invocation comes at minute `t`:
+    /// the combined estimate of a gap of `t − last` minutes, where `last` is
+    /// the most recent invocation. Zero when nothing was recorded, when
+    /// `t ≤ last`, or when the gap exceeds the window. Equal bit for bit to
+    /// `self.probabilities(t, local_window).prob(t − last)`, but computes
+    /// only that gap and allocates nothing.
+    pub fn invocation_probability_at(&self, t: Minute, local_window: u32) -> Probability {
+        let window = u64::from(self.window());
+        match self.last_arrival() {
+            Some(last) if t > last && t - last <= window => {
+                let k = t - last;
+                let local = GapTally::over(self.local_slice(t, local_window), k, window);
+                GapTally::combine(local, self.global.tally(gap_to_index(k)))
+            }
+            _ => Probability::ZERO,
+        }
     }
 }
 
@@ -240,7 +323,7 @@ mod tests {
     use super::*;
 
     fn model_with(arrivals: &[Minute]) -> InterArrivalModel {
-        let mut m = InterArrivalModel::new();
+        let mut m = InterArrivalModel::new(10);
         for &t in arrivals {
             m.record(t);
         }
@@ -249,8 +332,8 @@ mod tests {
 
     #[test]
     fn empty_model_is_uninformed() {
-        let m = InterArrivalModel::new();
-        assert!(m.probabilities(100, 60, 10).is_uninformed());
+        let m = InterArrivalModel::new(10);
+        assert!(m.probabilities(100, 60).is_uninformed());
         assert!(m.is_empty());
         assert_eq!(m.last_arrival(), None);
     }
@@ -258,14 +341,14 @@ mod tests {
     #[test]
     fn single_arrival_has_no_gaps() {
         let m = model_with(&[5]);
-        assert!(m.probabilities(100, 60, 10).is_uninformed());
+        assert!(m.probabilities(100, 60).is_uninformed());
     }
 
     #[test]
     fn uniform_cadence_concentrates_probability() {
         // Invocations every 2 minutes: P(gap=2) = 1.
         let m = model_with(&[0, 2, 4, 6, 8, 10]);
-        let p = m.probabilities(10, 60, 10);
+        let p = m.probabilities(10, 60);
         assert!((p.at(2) - 1.0).abs() < 1e-12);
         for k in [1u64, 3, 4, 5, 10] {
             assert!(p.prob(k).is_zero());
@@ -287,7 +370,7 @@ mod tests {
             arrivals.push(t);
         }
         let m = model_with(&arrivals);
-        let g = m.global_distribution(10);
+        let g = m.global_distribution();
         assert!((g.at(2) - 0.5).abs() < 1e-12);
         assert!((g.mass() - 0.5).abs() < 1e-12);
     }
@@ -295,7 +378,7 @@ mod tests {
     #[test]
     fn out_of_window_gaps_dilute_mass() {
         let m = model_with(&[0, 5, 100]); // gaps 5 and 95
-        let g = m.global_distribution(10);
+        let g = m.global_distribution();
         assert!((g.at(5) - 0.5).abs() < 1e-12);
         assert!(g.mass() < 1.0);
     }
@@ -305,7 +388,7 @@ mod tests {
         // History: early phase gap 3, recent phase gap 5.
         // Arrivals: 0,3,6,9 then 100,105,110 (now=110, local window 20).
         let m = model_with(&[0, 3, 6, 9, 100, 105, 110]);
-        let p = m.probabilities(110, 20, 10);
+        let p = m.probabilities(110, 20);
         // Local window [90,110]: arrivals 100,105,110 → gaps {5,5} → P(5)=1.
         // Global: gaps {3,3,3,91,5,5} → P(5)=2/6, P(3)=3/6.
         assert!((p.at(5) - (1.0 + 2.0 / 6.0) / 2.0).abs() < 1e-12);
@@ -316,26 +399,26 @@ mod tests {
     fn uninformed_local_falls_back_to_global() {
         let m = model_with(&[0, 2, 4, 6]);
         // now = 1000: local window is empty → use global alone.
-        let p = m.probabilities(1000, 60, 10);
+        let p = m.probabilities(1000, 60);
         assert!((p.at(2) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn same_minute_duplicates_collapse() {
-        let mut m = InterArrivalModel::new();
+        let mut m = InterArrivalModel::new(10);
         m.record(5);
         m.record(5);
         m.record(5);
         m.record(7);
         assert_eq!(m.len(), 2);
-        let g = m.global_distribution(10);
+        let g = m.global_distribution();
         assert!((g.at(2) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "time order")]
     fn out_of_order_rejected() {
-        let mut m = InterArrivalModel::new();
+        let mut m = InterArrivalModel::new(10);
         m.record(10);
         m.record(9);
     }
@@ -343,13 +426,13 @@ mod tests {
     #[test]
     fn gap_index_zero_is_always_zero() {
         let m = model_with(&[0, 1, 2, 3]);
-        assert!(m.global_distribution(10).prob(0).is_zero());
+        assert!(m.global_distribution().prob(0).is_zero());
     }
 
     #[test]
     fn window_bounds_respected() {
         let m = model_with(&[0, 10]);
-        let g = m.global_distribution(10);
+        let g = m.global_distribution();
         assert!((g.at(10) - 1.0).abs() < 1e-12);
         assert!(g.prob(11).is_zero()); // out of range lookup is 0, not a panic
         assert_eq!(g.window(), 10);
@@ -358,7 +441,7 @@ mod tests {
     #[test]
     fn probabilities_are_a_distribution_over_window() {
         let m = model_with(&[0, 1, 3, 6, 10, 15, 21, 28, 36, 45]);
-        let p = m.probabilities(45, 60, 10);
+        let p = m.probabilities(45, 60);
         for k in 0..=10 {
             let v = p.at(k);
             assert!((0.0..=1.0).contains(&v));
@@ -367,9 +450,22 @@ mod tests {
     }
 
     #[test]
+    fn queries_before_the_last_arrival_see_only_the_past() {
+        // Local window at now=9 holds 0,3,6,9 (gap 3); the later gap-5
+        // phase is excluded locally but stays in the global counts.
+        let m = model_with(&[0, 3, 6, 9, 100, 105, 110]);
+        let p = m.probabilities(9, 20);
+        assert!((p.at(3) - (1.0 + 3.0 / 6.0) / 2.0).abs() < 1e-12);
+        assert!((p.at(5) - (0.0 + 2.0 / 6.0) / 2.0).abs() < 1e-12);
+        // Ip is zero at or before the last arrival.
+        assert!(m.invocation_probability_at(110, 20).is_zero());
+        assert!(m.invocation_probability_at(50, 20).is_zero());
+    }
+
+    #[test]
     fn typed_and_untyped_accessors_agree() {
         let m = model_with(&[0, 2, 4, 6]);
-        let p = m.probabilities(6, 60, 10);
+        let p = m.probabilities(6, 60);
         for k in 0..=10 {
             assert_eq!(p.prob(k).value(), p.at(k));
         }

@@ -48,7 +48,6 @@ pub mod engine;
 pub mod global;
 pub mod individual;
 pub mod interarrival;
-pub mod online;
 pub mod peak;
 pub mod priority;
 pub mod probability;
@@ -60,7 +59,6 @@ pub mod utility;
 pub use engine::{PulseEngine, PulseInitError};
 pub use individual::{IndividualOptimizer, KeepAliveSchedule};
 pub use interarrival::{GapProbabilities, InterArrivalModel};
-pub use online::OnlineInterArrival;
 pub use peak::PeakDetector;
 pub use priority::PriorityStructure;
 pub use probability::{Probability, ProbabilityError};

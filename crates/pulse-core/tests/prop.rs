@@ -118,46 +118,6 @@ proptest! {
         prop_assert!(!d.is_peak(d.flatten_target(prior), prior));
     }
 
-    /// The O(1)-amortized online inter-arrival model is observationally
-    /// identical to the reference model for arbitrary arrival sequences,
-    /// window sizes, and query times.
-    #[test]
-    fn online_model_matches_reference(
-        gaps in proptest::collection::vec(1u64..60, 0..80),
-        local_window in 1u32..100,
-        query_offsets in proptest::collection::vec(0u64..300, 1..5),
-    ) {
-        use pulse_core::interarrival::InterArrivalModel;
-        use pulse_core::online::OnlineInterArrival;
-
-        let mut online = OnlineInterArrival::new(10, local_window);
-        let mut reference = InterArrivalModel::new();
-        let mut t = 0u64;
-        if !gaps.is_empty() {
-            online.record(t);
-            reference.record(t);
-            for &g in &gaps {
-                t += g;
-                online.record(t);
-                reference.record(t);
-            }
-        }
-        let mut offsets = query_offsets;
-        offsets.sort_unstable(); // the online clock is monotone
-        for off in offsets {
-            let now = t + off;
-            let a = online.probabilities(now);
-            let b = reference.probabilities(now, local_window, 10);
-            for k in 0..=10u64 {
-                prop_assert!(
-                    (a.at(k) - b.at(k)).abs() < 1e-12,
-                    "gap {k} at now {now}: online {} vs reference {}",
-                    a.at(k), b.at(k)
-                );
-            }
-        }
-    }
-
     /// `Probability` is closed under its combinators: arbitrary chains of
     /// `average`, `and`, and `complement` over validated inputs never escape
     /// `[0, 1]` (the invariant the policy math relies on everywhere).
@@ -233,4 +193,93 @@ proptest! {
         cuts.extend(rest);
         prop_assert!(CustomThresholds::new(cuts).is_err());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The incremental inter-arrival model reproduces the whole-log oracle
+    /// bit for bit: arbitrary logs (gaps longer than the window included),
+    /// windows, local windows and query times, including queries at or
+    /// before the last arrival. The single-gap `Ip` query equals the full
+    /// estimate at `t − last`, and a model rebuilt from its log equals the
+    /// one recorded arrival by arrival.
+    #[test]
+    fn interarrival_model_matches_whole_log_oracle_bitwise(
+        start in 0u64..400,
+        gaps in proptest::collection::vec(0u64..80, 0..120),
+        window in 1u32..=30,
+        local_window in 1u32..200,
+        queries in proptest::collection::vec((any::<bool>(), 0u64..100_000), 1..10),
+    ) {
+        use pulse_core::interarrival::InterArrivalModel;
+
+        let mut recorded = InterArrivalModel::new(window);
+        let mut t = start;
+        recorded.record(t);
+        for &g in &gaps {
+            t += g; // a zero gap is a same-minute duplicate
+            recorded.record(t);
+        }
+        let log = recorded.arrivals().to_vec();
+        let rebuilt = InterArrivalModel::from_arrivals(log.clone(), window).unwrap();
+        for (near, q) in queries {
+            // Half the queries land in the 40 minutes from the last arrival,
+            // where the single-gap query does its work; the rest anywhere
+            // up to it.
+            let now = if near { t + q % 40 } else { q % (t + 1) };
+            let expect = oracle_probabilities(&log, now, local_window, window);
+            for model in [&recorded, &rebuilt] {
+                let got = model.probabilities(now, local_window);
+                prop_assert_eq!(got.window(), u64::from(window));
+                for (k, &e) in expect.iter().enumerate() {
+                    let g = got.at(k as u64);
+                    prop_assert_eq!(g.to_bits(), e.to_bits(), "gap {} at now {}: {} vs oracle {}", k, now, g, e);
+                }
+                let ip = model.invocation_probability_at(now, local_window).value();
+                let want = if now > t { got.at(now - t) } else { 0.0 };
+                prop_assert_eq!(ip.to_bits(), want.to_bits(), "Ip at now {}", now);
+            }
+        }
+    }
+}
+
+/// Whole-log oracle for the inter-arrival estimate: rescans every arrival
+/// per query and follows the paper's definition literally. Returns the
+/// combined probability of each gap `0..=window` at `now`.
+fn oracle_probabilities(log: &[u64], now: u64, local_window: u32, window: u32) -> Vec<f64> {
+    let from = now.saturating_sub(u64::from(local_window));
+    let local = oracle_distribution(log, from, now, window);
+    let global = oracle_distribution(log, 0, u64::MAX, window);
+    let uninformed = |d: &[f64]| d.iter().all(|&p| p == 0.0);
+    match (uninformed(&local), uninformed(&global)) {
+        (true, true) => vec![0.0; window as usize + 1],
+        (true, false) => global,
+        (false, true) => local,
+        (false, false) => local
+            .iter()
+            .zip(&global)
+            .map(|(l, g)| (l + g) / 2.0)
+            .collect(),
+    }
+}
+
+/// Gap `k`'s share of all gaps between consecutive arrivals in
+/// `[from, to]`, for `k` in `0..=window`.
+fn oracle_distribution(log: &[u64], from: u64, to: u64, window: u32) -> Vec<f64> {
+    let in_range: Vec<u64> = log
+        .iter()
+        .copied()
+        .filter(|&a| from <= a && a <= to)
+        .collect();
+    let gaps: Vec<u64> = in_range.windows(2).map(|w| w[1] - w[0]).collect();
+    (0..=u64::from(window))
+        .map(|k| {
+            if gaps.is_empty() {
+                0.0
+            } else {
+                gaps.iter().filter(|&&g| g == k).count() as f64 / gaps.len() as f64
+            }
+        })
+        .collect()
 }

@@ -94,7 +94,7 @@ impl AblationPolicy {
         Self {
             detector: PeakDetector::new(config.km_threshold, config.local_window as usize),
             optimizer: IndividualOptimizer::new(config.keepalive_minutes),
-            arrivals: vec![InterArrivalModel::new(); n],
+            arrivals: vec![InterArrivalModel::new(config.keepalive_minutes); n],
             priority: PriorityStructure::new(n),
             families,
             config,
@@ -127,11 +127,7 @@ impl KeepAlivePolicy for AblationPolicy {
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
         self.arrivals[f].record(t);
-        let probs = self.arrivals[f].probabilities(
-            t,
-            self.config.local_window,
-            self.config.keepalive_minutes,
-        );
+        let probs = self.arrivals[f].probabilities(t, self.config.local_window);
         self.optimizer
             .schedule(t, &probs, self.families[f].n_variants(), &SchemeT1)
     }
@@ -153,13 +149,9 @@ impl KeepAlivePolicy for AblationPolicy {
             return Vec::new();
         }
         for m in alive.iter_mut() {
-            let ip = match self.arrivals[m.func].last_arrival() {
-                Some(last) if t > last => self.arrivals[m.func]
-                    .probabilities(t, self.config.local_window, self.config.keepalive_minutes)
-                    .at(t - last),
-                _ => 0.0,
-            };
-            m.invocation_probability = ip;
+            m.invocation_probability = self.arrivals[m.func]
+                .invocation_probability_at(t, self.config.local_window)
+                .value();
         }
         let target = self.detector.flatten_target(prior);
         let mode = self.mode;
@@ -255,7 +247,7 @@ impl ProbSourcePolicy {
     pub fn new(families: Vec<ModelFamily>, config: PulseConfig, source: ProbSource) -> Self {
         let n = families.len();
         Self {
-            arrivals: vec![InterArrivalModel::new(); n],
+            arrivals: vec![InterArrivalModel::new(config.keepalive_minutes); n],
             optimizer: IndividualOptimizer::new(config.keepalive_minutes),
             families,
             config,
@@ -275,13 +267,11 @@ impl KeepAlivePolicy for ProbSourcePolicy {
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
         self.arrivals[f].record(t);
-        let w = self.config.keepalive_minutes;
+        let lw = self.config.local_window;
         let probs = match self.source {
-            ProbSource::LocalOnly => {
-                self.arrivals[f].local_distribution(t, self.config.local_window, w)
-            }
-            ProbSource::GlobalOnly => self.arrivals[f].global_distribution(w),
-            ProbSource::Averaged => self.arrivals[f].probabilities(t, self.config.local_window, w),
+            ProbSource::LocalOnly => self.arrivals[f].local_distribution(t, lw),
+            ProbSource::GlobalOnly => self.arrivals[f].global_distribution(),
+            ProbSource::Averaged => self.arrivals[f].probabilities(t, lw),
         };
         self.optimizer
             .schedule(t, &probs, self.families[f].n_variants(), &SchemeT1)

@@ -21,14 +21,14 @@ proptest! {
         gaps in proptest::collection::vec(1u64..200, 0..60),
         local_window in 1u32..200,
     ) {
-        let mut m = InterArrivalModel::new();
+        let mut m = InterArrivalModel::new(10);
         let mut t = 0u64;
         m.record(t);
         for g in gaps {
             t += g;
             m.record(t);
         }
-        let p = m.probabilities(t, local_window, 10);
+        let p = m.probabilities(t, local_window);
         let mut mass = 0.0;
         for k in 0..=10u64 {
             let v = p.at(k);
