@@ -25,16 +25,25 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(HORIZON as u64));
     group.bench_function("single_node_cluster", |b| {
         let cluster = ClusterConfig::unlimited();
-        b.iter(|| rt.run_with_cluster(&mut OpenWhiskFixed::new(&fams), &none, &cluster))
+        b.iter(|| {
+            rt.session(&mut OpenWhiskFixed::new(&fams), &none, cluster)
+                .finish()
+        })
     });
     group.bench_function("three_nodes_nominal", |b| {
         let fleet = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.45));
-        b.iter(|| rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &none, &fleet))
+        b.iter(|| {
+            rt.session(&mut OpenWhiskFixed::new(&fams), &none, fleet.clone())
+                .finish()
+        })
     });
     group.bench_function("three_nodes_rolling_crashes", |b| {
         let fleet = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.45))
             .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, HORIZON as u64));
-        b.iter(|| rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &none, &fleet))
+        b.iter(|| {
+            rt.session(&mut OpenWhiskFixed::new(&fams), &none, fleet.clone())
+                .finish()
+        })
     });
     group.finish();
 }

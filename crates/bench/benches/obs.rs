@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pulse_core::types::PulseConfig;
 use pulse_models::{zoo, ModelFamily};
 use pulse_obs::{JsonlSink, NullSink, ObsEvent, TraceSink};
-use pulse_runtime::{Runtime, RuntimeConfig};
+use pulse_runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::PulsePolicy;
 use pulse_sim::Simulator;
@@ -55,7 +55,8 @@ fn bench(c: &mut Criterion) {
     c.bench_function("runtime_run_null_sink", |b| {
         b.iter(|| {
             let mut p = PulsePolicy::new(fams.clone(), PulseConfig::default());
-            black_box(rt.run_traced(&mut p, &mut NullSink))
+            let session = rt.session(&mut p, &FaultPlan::none(), ClusterConfig::unlimited());
+            black_box(session.traced(&mut NullSink).finish())
         })
     });
 

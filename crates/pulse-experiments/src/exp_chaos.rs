@@ -19,7 +19,7 @@ use crate::common::ExpConfig;
 use crate::report::{fmt, Table};
 use pulse_core::types::PulseConfig;
 use pulse_obs::{JsonlSink, ObsEvent, TraceSink};
-use pulse_runtime::{FaultPlan, Runtime, RuntimeConfig, RuntimeSummary};
+use pulse_runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig, RuntimeSummary};
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{IntelligentOracle, OpenWhiskFixed, PulsePolicy};
 use pulse_sim::KeepAlivePolicy;
@@ -70,15 +70,17 @@ fn run_one(
     for (policy, p) in &mut policies {
         // One labelled segment per traced run: a `run_start` header line,
         // then that run's event stream.
+        let session = rt.session(p.as_mut(), plan, ClusterConfig::unlimited());
         let s = match sink.as_mut() {
             Some(js) => {
                 js.record(&ObsEvent::RunStart {
                     label: format!("chaos/{label}/{policy}"),
                 });
-                rt.run_with_faults_traced(p.as_mut(), plan, js)
+                session.traced(js)
             }
-            None => rt.run_with_faults(p.as_mut(), plan),
-        };
+            None => session,
+        }
+        .finish();
         let policy = *policy;
         table.row(vec![
             label.into(),

@@ -105,15 +105,17 @@ fn run_one(
 
     let mut out = Vec::new();
     for (policy, p) in &mut policies {
+        let session = rt.session(p.as_mut(), &plan, scenario.fleet.clone());
         let s = match sink.as_mut() {
             Some(js) => {
                 js.record(&ObsEvent::RunStart {
                     label: format!("fleet/{}/{policy}", scenario.name),
                 });
-                rt.run_with_fleet_traced(p.as_mut(), &plan, &scenario.fleet, js)
+                session.traced(js)
             }
-            None => rt.run_with_fleet(p.as_mut(), &plan, &scenario.fleet),
-        };
+            None => session,
+        }
+        .finish();
         let policy = *policy;
         let faults = s.node_crashes + s.node_partitions + s.node_stragglers;
         table.row(vec![

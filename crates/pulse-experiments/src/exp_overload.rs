@@ -110,15 +110,17 @@ fn run_policies(
 
     let mut out = Vec::new();
     for (name, policy) in &mut policies {
+        let session = rt.session(policy.as_mut(), &plan, *cluster);
         let s = match sink.as_mut() {
             Some(js) => {
                 js.record(&ObsEvent::RunStart {
                     label: format!("overload/{scenario}/{name}"),
                 });
-                rt.run_with_cluster_traced(policy.as_mut(), &plan, cluster, js)
+                session.traced(js)
             }
-            None => rt.run_with_cluster(policy.as_mut(), &plan, cluster),
-        };
+            None => session,
+        }
+        .finish();
         table.row(vec![
             scenario.into(),
             (*name).into(),

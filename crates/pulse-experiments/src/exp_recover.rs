@@ -89,11 +89,12 @@ fn sim_recover(
     while cur < kill_minute {
         let seg_end = (cur + every).min(kill_minute);
         let mut sess = match &last_ckpt {
-            None => sim.session_traced(&mut policy, &mut journal),
+            None => sim.session(&mut policy),
             Some(snap) => sim
-                .restore_session_traced(&mut policy, snap, &mut journal)
+                .restore(&mut policy, snap)
                 .map_err(|e| format!("sim self-restore at minute {cur}: {e}"))?,
-        };
+        }
+        .traced(&mut journal);
         while sess.next_minute() < seg_end && sess.step_minute().is_some() {}
         if seg_end < kill_minute {
             let snap = sess.snapshot().map_err(|e| e.to_string())?;
@@ -110,15 +111,13 @@ fn sim_recover(
     let mut resume_policy = pulse(fams);
     let mut resume_sink = MemorySink::new();
     let resumed = match &replay.last_checkpoint {
-        Some((_, snap)) => {
-            let mut sess = sim
-                .restore_session_traced(&mut resume_policy, snap, &mut resume_sink)
-                .map_err(|e| format!("recovery restore: {e}"))?;
-            while sess.step_minute().is_some() {}
-            sess.finish()
-        }
-        None => sim.run_traced(&mut resume_policy, &mut resume_sink),
-    };
+        Some((_, snap)) => sim
+            .restore(&mut resume_policy, snap)
+            .map_err(|e| format!("recovery restore: {e}"))?,
+        None => sim.session(&mut resume_policy),
+    }
+    .traced(&mut resume_sink)
+    .finish();
     Ok(Outcome {
         engine: "sim",
         kill_minute,
@@ -163,11 +162,12 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
     while cur < kill_minute {
         let seg_end = (cur + every).min(kill_minute);
         let mut sess = match &last_ckpt {
-            None => rt.fleet_session_traced(&mut policy, plan, fleet.clone(), &mut journal),
+            None => rt.session(&mut policy, plan, fleet.clone()),
             Some(snap) => rt
-                .restore_fleet_session_traced(&mut policy, plan, fleet.clone(), snap, &mut journal)
+                .restore(&mut policy, plan, fleet.clone(), snap)
                 .map_err(|e| format!("{engine} self-restore at minute {cur}: {e}"))?,
-        };
+        }
+        .traced(&mut journal);
         let boundary = seg_end * MS_PER_MINUTE;
         while sess.peek_time().is_some_and(|t| t < boundary) && sess.step().is_some() {}
         if seg_end < kill_minute {
@@ -185,21 +185,13 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
     let mut resume_policy = pulse(fams);
     let mut resume_sink = MemorySink::new();
     let resumed = match &replay.last_checkpoint {
-        Some((_, snap)) => {
-            let mut sess = rt
-                .restore_fleet_session_traced(
-                    &mut resume_policy,
-                    plan,
-                    fleet.clone(),
-                    snap,
-                    &mut resume_sink,
-                )
-                .map_err(|e| format!("recovery restore: {e}"))?;
-            while sess.step().is_some() {}
-            sess.finish()
-        }
-        None => rt.run_with_fleet_traced(&mut resume_policy, plan, fleet, &mut resume_sink),
-    };
+        Some((_, snap)) => rt
+            .restore(&mut resume_policy, plan, fleet.clone(), snap)
+            .map_err(|e| format!("recovery restore: {e}"))?,
+        None => rt.session(&mut resume_policy, plan, fleet.clone()),
+    }
+    .traced(&mut resume_sink)
+    .finish();
     Ok(Outcome {
         engine,
         kill_minute,
@@ -249,8 +241,12 @@ pub fn run(cfg: &ExpConfig) -> String {
         },
     );
     let plan = FaultPlan::uniform(0.05, 0.02, 0.01, cfg.seed ^ 0x7EC0);
-    let single = FleetConfig::from_cluster(ClusterConfig::unlimited());
-    let whole_rt = format!("{:?}", rt.run_with_fleet(&mut pulse(&fams), &plan, &single));
+    let single = FleetConfig::from(ClusterConfig::unlimited());
+    let whole_rt = format!(
+        "{:?}",
+        rt.session(&mut pulse(&fams), &plan, single.clone())
+            .finish()
+    );
     let rt_case = RtCase {
         engine: "rt",
         rt: &rt,
@@ -266,7 +262,10 @@ pub fn run(cfg: &ExpConfig) -> String {
     // Multi-node fleet under a rolling node-crash plan.
     let fleet = FleetConfig::uniform(3, NodeCapacity::gb(6.0))
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, horizon));
-    let whole_fleet = format!("{:?}", rt.run_with_fleet(&mut pulse(&fams), &plan, &fleet));
+    let whole_fleet = format!(
+        "{:?}",
+        rt.session(&mut pulse(&fams), &plan, fleet.clone()).finish()
+    );
     let fleet_case = RtCase {
         engine: "fleet",
         rt: &rt,
@@ -333,11 +332,12 @@ fn fleet_journal(
     while cur < horizon {
         let seg_end = (cur + every).min(horizon);
         let mut sess = match &last_ckpt {
-            None => rt.fleet_session_traced(&mut policy, plan, fleet.clone(), &mut journal),
+            None => rt.session(&mut policy, plan, fleet.clone()),
             Some(snap) => rt
-                .restore_fleet_session_traced(&mut policy, plan, fleet.clone(), snap, &mut journal)
+                .restore(&mut policy, plan, fleet.clone(), snap)
                 .map_err(|e| format!("journal self-restore at minute {cur}: {e}"))?,
-        };
+        }
+        .traced(&mut journal);
         if seg_end < horizon {
             let boundary = seg_end * MS_PER_MINUTE;
             while sess.peek_time().is_some_and(|t| t < boundary) && sess.step().is_some() {}
@@ -346,7 +346,6 @@ fn fleet_journal(
             journal.checkpoint(&snap);
             last_ckpt = Some(snap);
         } else {
-            while sess.step().is_some() {}
             let _ = sess.finish();
         }
         cur = seg_end;

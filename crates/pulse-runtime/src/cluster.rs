@@ -97,8 +97,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Unlimited capacity and unbounded admission: running under this
-    /// configuration is bit-identical to `Runtime::run_with_faults`.
+    /// Unlimited capacity and unbounded admission: neither knob ever acts,
+    /// so a session under this configuration is the plain single-node run.
     pub fn unlimited() -> Self {
         Self::default()
     }

@@ -18,8 +18,8 @@
 //!
 //! **Zero-fault invariant:** every draw is guarded by its rate, so a plan
 //! with all rates at zero ([`FaultPlan::none`]) consumes no randomness and
-//! schedules no extra events — `Runtime::run_with_faults` with such a plan
-//! is bit-identical to `Runtime::run`.
+//! schedules no extra events — a `Runtime::session` under such a plan is
+//! bit-identical to `Runtime::run`.
 
 use pulse_models::VariantId;
 use rand::rngs::SmallRng;

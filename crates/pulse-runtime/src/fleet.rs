@@ -29,10 +29,11 @@
 //!   unbounded, and [`FleetConfig::node_admission`] bounds each node's
 //!   waiting backlog separately.
 //!
-//! The transparency contract mirrors the cluster layer's:
-//! [`FleetConfig::from_cluster`] (one nominal node, no node faults) is
-//! bit-identical to `Runtime::run_with_cluster` — asserted for all policies
-//! in `tests/robustness.rs`.
+//! The transparency contract mirrors the cluster layer's: a
+//! [`ClusterConfig`] converts (`From`) to one nominal node with no node
+//! faults, and `Runtime::session` runs every cluster as exactly that fleet.
+//! An explicitly built one-node fleet is bit-identical to the cluster run —
+//! asserted for all policies in `tests/robustness.rs`.
 
 use crate::cluster::{AdmissionControl, ClusterConfig, NodeCapacity};
 use crate::node::{NodeFaultPlan, NodeSpec};
@@ -71,15 +72,16 @@ pub struct FleetConfig {
     pub migration: MigrationConfig,
 }
 
-impl FleetConfig {
-    /// The single-node fleet equivalent to `cluster`: one nominal node with
-    /// the cluster's capacity, the cluster's admission bound as the global
-    /// front door, no per-node bound, no node faults. Running under this is
-    /// bit-identical to `Runtime::run_with_cluster(policy, plan, &cluster)`.
-    pub fn from_cluster(cluster: ClusterConfig) -> Self {
+/// The single-node fleet equivalent to a cluster: one nominal node with the
+/// cluster's capacity, the cluster's admission bound as the global front
+/// door, no per-node bound, no node faults.
+impl From<ClusterConfig> for FleetConfig {
+    fn from(cluster: ClusterConfig) -> Self {
         Self::single(NodeSpec::nominal("node0", cluster.capacity)).with_admission(cluster.admission)
     }
+}
 
+impl FleetConfig {
     /// A one-node fleet over `spec`.
     pub fn single(spec: NodeSpec) -> Self {
         Self {
@@ -149,12 +151,12 @@ mod tests {
     use crate::node::{NodeFault, NodeFaultKind};
 
     #[test]
-    fn from_cluster_is_one_nominal_node() {
+    fn cluster_converts_to_one_nominal_node() {
         let cluster = ClusterConfig {
             capacity: NodeCapacity::gb(4.0),
             admission: AdmissionControl::bounded(64),
         };
-        let fleet = FleetConfig::from_cluster(cluster);
+        let fleet = FleetConfig::from(cluster);
         assert_eq!(fleet.nodes.len(), 1);
         assert_eq!(fleet.nodes[0].capacity, cluster.capacity);
         assert_eq!(fleet.nodes[0].speed_factor, 1.0);

@@ -26,21 +26,21 @@
 //!    percentiles, cold-start tail behaviour.
 //! 3. **Resilience experiments** — a seeded, deterministic fault-injection
 //!    layer ([`fault`]) with retry/backoff, per-request SLO timeouts, and
-//!    graceful ladder degradation (see `Runtime::run_with_faults` and
-//!    `pulse-exp chaos`).
+//!    graceful ladder degradation (the `FaultPlan` argument of
+//!    `Runtime::session`; see `pulse-exp chaos`).
 //! 4. **Overload-robustness experiments** — a cluster layer ([`cluster`])
 //!    with a hard per-node keep-alive memory cap (overage flattened by
 //!    utility-ordered pressure downgrades), bounded-backlog admission
 //!    control (excess arrivals shed, not queued forever), and support for
-//!    the `pulse_sim::watchdog` policy fallback (see
-//!    `Runtime::run_with_cluster` and `pulse-exp overload`).
+//!    the `pulse_sim::watchdog` policy fallback (a `ClusterConfig` passed to
+//!    `Runtime::session`; see `pulse-exp overload`).
 //! 5. **Fleet-robustness experiments** — a multi-node generalization
 //!    ([`fleet`] + [`node`]): heterogeneous nodes behind a net-utility
 //!    global placer, deterministic node-level faults (crash / straggler /
 //!    partition with heal times), warm-container migration off pressured
-//!    nodes, and two-tier admission (see `Runtime::run_with_fleet` and
-//!    `pulse-exp fleet`). A 1-node fleet with no node faults is
-//!    bit-identical to `run_with_cluster`.
+//!    nodes, and two-tier admission (a `FleetConfig` passed to
+//!    `Runtime::session`; see `pulse-exp fleet`). A 1-node fleet with no
+//!    node faults is bit-identical to the equivalent `ClusterConfig` run.
 //!
 //! ```
 //! use pulse_runtime::{Runtime, RuntimeConfig};

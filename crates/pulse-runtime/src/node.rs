@@ -33,7 +33,7 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// A nominal node (`speed_factor == price_factor == 1.0`) with the given
-    /// capacity — the shape `FleetConfig::from_cluster` builds, and therefore
+    /// capacity — the shape a `ClusterConfig` converts to, and therefore
     /// the shape whose behavior is bit-identical to the single-node engine.
     pub fn nominal(name: impl Into<String>, capacity: crate::cluster::NodeCapacity) -> Self {
         Self {

@@ -3,9 +3,9 @@
 //! The loop is a steppable pipeline: [`Runtime::session`] builds a
 //! [`RuntimeSession`] whose [`RuntimeSession::step`] processes exactly one
 //! event (a minute tick runs observe → adjust → capacity-enforcement →
-//! materialize/bill, in that order), and [`Runtime::run`] /
-//! [`Runtime::run_with_faults`] / [`Runtime::run_with_cluster`] are all the
-//! same `while step()` loop over one implementation. Schedule state lives in
+//! materialize/bill, in that order), and [`RuntimeSession::finish`] drains
+//! whatever is left: [`Runtime::run`] is a default-configured session
+//! finished straight away. Schedule state lives in
 //! the shared [`pulse_core::schedule::ScheduleLedger`] — the same substrate
 //! the minute engine drives — so downgrade application, footprint metering
 //! and billing are defined once for both engines.
@@ -31,8 +31,9 @@
 //!
 //! What this engine adds over the minute engine: millisecond latency
 //! accounting (queueing behind provisioning, optional per-container
-//! concurrency limits), a per-request record stream, and — via
-//! [`Runtime::run_with_faults`] — a fault-injection and resilience layer.
+//! concurrency limits), a per-request record stream, and — via the
+//! [`FaultPlan`] argument of [`Runtime::session`] — a fault-injection and
+//! resilience layer.
 //!
 //! # Fault semantics
 //!
@@ -64,8 +65,7 @@
 //! `RuntimeConfig.stochastic_seed` + `FaultPlan` reproduce identical
 //! failure sequences, retry schedules and summary counters; and
 //! [`FaultPlan::none`] consumes no randomness and schedules no extra
-//! events, making `run_with_faults(policy, &FaultPlan::none())`
-//! bit-identical to [`Runtime::run`].
+//! events, making a session under it bit-identical to [`Runtime::run`].
 
 use crate::cluster::{ClusterConfig, OpsEvent};
 use crate::container::{ContainerState, LiveContainer};
@@ -654,164 +654,37 @@ impl Runtime {
         }
     }
 
-    /// Execute the whole trace under `policy` on a perfectly reliable
-    /// platform (equivalent to [`Self::run_with_faults`] with
-    /// [`FaultPlan::none`]).
+    /// Execute the whole trace under `policy` on a perfectly reliable,
+    /// unlimited single node: [`Self::session`] with [`FaultPlan::none`]
+    /// and [`ClusterConfig::unlimited`], driven to completion.
     pub fn run(&self, policy: &mut dyn KeepAlivePolicy) -> RuntimeSummary {
-        self.run_with_faults(policy, &FaultPlan::none())
+        self.session(policy, &FaultPlan::none(), ClusterConfig::unlimited())
+            .finish()
     }
 
-    /// Execute the whole trace under `policy` with faults injected per
-    /// `plan`. See the module docs for the fault semantics; with
-    /// [`FaultPlan::none`] this is bit-identical to [`Self::run`].
-    pub fn run_with_faults(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-    ) -> RuntimeSummary {
-        self.run_with_cluster(policy, plan, &ClusterConfig::unlimited())
-    }
-
-    /// Execute the whole trace under `policy` with faults per `plan` on a
-    /// *finite* node: keep-alive memory is capped by
-    /// [`ClusterConfig::capacity`] (overage flattened by utility-ordered
-    /// pressure downgrades/evictions) and the pending backlog is bounded by
-    /// [`ClusterConfig::admission`] (excess arrivals shed). With
-    /// [`ClusterConfig::unlimited`] this is bit-identical to
-    /// [`Self::run_with_faults`].
-    pub fn run_with_cluster(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        cluster: &ClusterConfig,
-    ) -> RuntimeSummary {
-        self.run_with_fleet(policy, plan, &FleetConfig::from_cluster(*cluster))
-    }
-
-    /// Execute the whole trace under `policy` with faults per `plan` on a
-    /// multi-node *fleet*: cold starts placed by net utility across
-    /// heterogeneous nodes, per-node capacity enforcement, warm-container
-    /// migration off pressured nodes, two-tier admission, and deterministic
-    /// node-level faults (see [`crate::fleet`]). With
-    /// [`FleetConfig::from_cluster`] this is bit-identical to
-    /// [`Self::run_with_cluster`].
-    pub fn run_with_fleet(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: &FleetConfig,
-    ) -> RuntimeSummary {
-        let mut session = self.fleet_session(policy, plan, fleet.clone());
-        while session.step().is_some() {}
-        session.finish()
-    }
-
-    /// [`Self::run`] with a [`TraceSink`] attached (see
-    /// [`Self::session_traced`] for the event contract).
-    pub fn run_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        self.run_with_faults_traced(policy, &FaultPlan::none(), sink)
-    }
-
-    /// [`Self::run_with_faults`] with a [`TraceSink`] attached.
-    pub fn run_with_faults_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        self.run_with_cluster_traced(policy, plan, &ClusterConfig::unlimited(), sink)
-    }
-
-    /// [`Self::run_with_cluster`] with a [`TraceSink`] attached.
-    pub fn run_with_cluster_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        cluster: &ClusterConfig,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        self.run_with_fleet_traced(policy, plan, &FleetConfig::from_cluster(*cluster), sink)
-    }
-
-    /// [`Self::run_with_fleet`] with a [`TraceSink`] attached (adds node
-    /// lifecycle and migration events to the stream).
-    pub fn run_with_fleet_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: &FleetConfig,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        let mut session = self.fleet_session_traced(policy, plan, fleet.clone(), sink);
-        while session.step().is_some() {}
-        session.finish()
-    }
-
-    /// Begin a steppable run: all events (minute ticks, arrivals, optional
-    /// SLO timers) are seeded up front, and each [`RuntimeSession::step`]
-    /// call processes exactly one. [`Self::run_with_cluster`] is precisely
-    /// `while session.step().is_some() {}` + [`RuntimeSession::finish`];
-    /// callers that need to interleave the run with other work (online
-    /// serving shims, co-simulation, the cross-engine equivalence tests)
-    /// drive the same loop by hand.
+    /// Begin a run of `policy` with faults injected per `plan` on `fleet`
+    /// — a [`ClusterConfig`] (one finite node: keep-alive memory capped by
+    /// [`ClusterConfig::capacity`], overage flattened by utility-ordered
+    /// pressure downgrades, backlog bounded by [`ClusterConfig::admission`])
+    /// or a multi-node [`FleetConfig`] (net-utility placement, per-node
+    /// capacity, migration, two-tier admission and node faults; see
+    /// [`crate::fleet`]). A cluster is exactly its one-node fleet (the
+    /// `From` conversion), so both shapes run one implementation.
+    ///
+    /// All events (minute ticks, arrivals, node faults, optional SLO
+    /// timers) are seeded up front. [`RuntimeSession::finish`] drives the
+    /// run to completion; callers that interleave the run with other work
+    /// (online serving, co-simulation, the cross-engine equivalence tests)
+    /// call [`RuntimeSession::step`] by hand first. Attach an observer with
+    /// [`RuntimeSession::traced`]. See the module docs for the fault
+    /// semantics.
     pub fn session<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         plan: &FaultPlan,
-        cluster: ClusterConfig,
+        fleet: impl Into<FleetConfig>,
     ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, FleetConfig::from_cluster(cluster), None)
-    }
-
-    /// [`Self::session`] with a [`TraceSink`] attached: every adjust, bill,
-    /// downgrade/eviction (policy- and pressure-sourced), arrival, shed,
-    /// fault degradation/reap and watchdog transition is emitted as a typed
-    /// [`ObsEvent`]. With a disabled sink (e.g. [`pulse_obs::NullSink`]) the
-    /// run is bit-identical to the un-traced one — sinks observe, they
-    /// never steer.
-    pub fn session_traced<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        cluster: ClusterConfig,
-        sink: &'a mut dyn TraceSink,
-    ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, FleetConfig::from_cluster(cluster), Some(sink))
-    }
-
-    /// [`Self::session`] over a multi-node fleet (see
-    /// [`Self::run_with_fleet`] for the semantics).
-    pub fn fleet_session<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-    ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, fleet, None)
-    }
-
-    /// [`Self::fleet_session`] with a [`TraceSink`] attached.
-    pub fn fleet_session_traced<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-        sink: &'a mut dyn TraceSink,
-    ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, fleet, Some(sink))
-    }
-
-    fn session_impl<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-        sink: Option<&'a mut dyn TraceSink>,
-    ) -> RuntimeSession<'a> {
+        let fleet: FleetConfig = fleet.into();
         assert!(!fleet.nodes.is_empty(), "a fleet needs at least one node");
         let n = self.families.len();
         let minutes = self.trace.minutes() as u64;
@@ -848,7 +721,7 @@ impl Runtime {
             minute_violations: 0,
             last_billed_mb: 0.0,
             prev_fallback: false,
-            sink,
+            sink: None,
         };
         let mut req_func: Vec<usize> = Vec::new();
 
@@ -949,7 +822,21 @@ pub struct RuntimeSession<'a> {
     flatten_scratch: FlattenScratch,
 }
 
-impl RuntimeSession<'_> {
+impl<'a> RuntimeSession<'a> {
+    /// Attach a [`TraceSink`]: from here on every adjust, bill,
+    /// downgrade/eviction (policy- and pressure-sourced), arrival, shed,
+    /// fault degradation/reap, node lifecycle, migration and watchdog
+    /// transition is emitted as a typed [`ObsEvent`]. Neither
+    /// [`Runtime::session`] nor [`Runtime::restore`] emits, so a sink
+    /// attached straight after either sees the whole stream — on a restored
+    /// session, exactly where the killed run's journal left off. With a
+    /// disabled sink (e.g. [`pulse_obs::NullSink`]) the run is
+    /// bit-identical to the un-traced one: sinks observe, they never steer.
+    pub fn traced(mut self, sink: &'a mut dyn TraceSink) -> Self {
+        self.rs.sink = Some(sink);
+        self
+    }
+
     /// The ledger's current schedule state.
     pub fn ledger(&self) -> &ScheduleLedger {
         &self.rs.ledger
@@ -988,8 +875,8 @@ impl RuntimeSession<'_> {
     /// stream up front in `(minute, func, k)` order with
     /// [`arrival_times_in_minute`] timestamps reproduces the exact event
     /// sequence numbers of a trace-seeded run, which is what makes the
-    /// simulated-clock serve mode bit-identical to
-    /// [`Runtime::run_with_cluster`] on the binned trace (with a request
+    /// simulated-clock serve mode bit-identical to a trace-seeded
+    /// [`Runtime::session`] on the binned trace (with a request
     /// timeout configured, timeout timers interleave with later admissions
     /// instead of following the whole arrival block, so exact-tie ordering
     /// may differ there).
@@ -1059,9 +946,11 @@ impl RuntimeSession<'_> {
         Some((now, event))
     }
 
-    /// Drain any remaining events and return the summary
-    /// ([`Runtime::run_with_cluster`] without the loop already run).
-    pub fn finish(self) -> RuntimeSummary {
+    /// Drain any remaining events and return the summary. Every request is
+    /// resolved before it is reported, so stopping [`Self::step`] early and
+    /// calling this is the same run as never stepping by hand.
+    pub fn finish(mut self) -> RuntimeSummary {
+        while self.step().is_some() {}
         let mut summary = self.rs.summary;
         summary.records = self.rs.records;
         summary.node_summaries = self
@@ -1966,31 +1855,6 @@ mod tests {
     }
 
     #[test]
-    fn none_plan_is_bit_identical_to_plain_run() {
-        let trace = pulse_trace::synth::azure_like_12_with_horizon(31, 240);
-        let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
-        let rt = Runtime::new(
-            trace,
-            fams.clone(),
-            RuntimeConfig {
-                stochastic_seed: Some(5),
-                ..Default::default()
-            },
-        );
-        let plain = rt.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
-        let faulted = rt.run_with_faults(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &FaultPlan::none(),
-        );
-        assert_eq!(plain.records, faulted.records);
-        assert_eq!(plain.keepalive_cost_usd, faulted.keepalive_cost_usd);
-        assert_eq!(faulted.provision_failures, 0);
-        assert_eq!(faulted.exec_crashes, 0);
-        assert_eq!(faulted.timeouts, 0);
-        assert_eq!(faulted.degradations, 0);
-    }
-
-    #[test]
     fn provisioning_failure_retries_then_degrades_one_rung() {
         // bert has 2 rungs; faults scoped to the top rung only.
         let (trace, fams) = one_func(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
@@ -2009,7 +1873,13 @@ mod tests {
             ..FaultPlan::none()
         };
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.requests(), 1);
         assert_eq!(s.failed_requests(), 0, "one rung down, not failed");
         // Every cycle at the faulty top rung is 1 initial attempt + 2
@@ -2044,7 +1914,13 @@ mod tests {
             ..FaultPlan::none()
         };
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.requests(), 2);
         assert_eq!(s.failed_requests(), 2, "no rung could provision");
         assert!(s.reaped >= 1);
@@ -2060,7 +1936,13 @@ mod tests {
         // past the budget; use a seeded intermediate rate instead.
         let plan = FaultPlan::uniform(0.0, 0.0, 0.5, 11);
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.requests(), 1);
         // Either it crashed (and retried) or it ran clean — both must leave
         // coherent accounting.
@@ -2076,7 +1958,13 @@ mod tests {
         // bert cold start is seconds; a 10 ms budget must time out.
         let plan = FaultPlan::none().with_timeout_ms(10);
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.failed_requests(), 1);
         assert_eq!(s.records[0].latency_ms(), 10);
@@ -2097,11 +1985,9 @@ mod tests {
             capacity: NodeCapacity::mb(cap),
             ..ClusterConfig::unlimited()
         };
-        let s = rt.run_with_cluster(
-            &mut OpenWhiskFixed::new(&fams),
-            &FaultPlan::none(),
-            &cluster,
-        );
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), cluster)
+            .finish();
         for (t, &mb) in s.memory_at_tick_mb.iter().enumerate() {
             assert!(mb <= cap + 1e-9, "minute {t}: {mb} MB over cap {cap}");
         }
@@ -2135,11 +2021,9 @@ mod tests {
             admission: AdmissionControl::bounded(8),
             ..ClusterConfig::unlimited()
         };
-        let s = rt.run_with_cluster(
-            &mut OpenWhiskFixed::new(&fams),
-            &FaultPlan::none(),
-            &cluster,
-        );
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), cluster)
+            .finish();
         assert!(s.shed_requests > 0, "burst must overflow an 8-deep backlog");
         assert_eq!(s.failed_requests(), s.shed_requests);
         assert!(s.availability() < 1.0);
@@ -2154,41 +2038,6 @@ mod tests {
         assert_eq!(free.failed_requests(), 0);
         assert_eq!(free.shed_requests, 0);
         assert_eq!(s.requests(), free.requests());
-    }
-
-    #[test]
-    fn unlimited_cluster_is_bit_identical_to_run_with_faults() {
-        use crate::cluster::ClusterConfig;
-        let trace = pulse_trace::synth::azure_like_12_with_horizon(43, 240);
-        let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
-        let rt = Runtime::new(
-            trace,
-            fams.clone(),
-            RuntimeConfig {
-                stochastic_seed: Some(9),
-                ..Default::default()
-            },
-        );
-        let plan = FaultPlan::uniform(0.2, 0.1, 0.05, 17).with_timeout_ms(120_000);
-        let a = rt.run_with_faults(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &plan,
-        );
-        let b = rt.run_with_cluster(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &plan,
-            &ClusterConfig::unlimited(),
-        );
-        assert_eq!(a.records, b.records);
-        assert_eq!(
-            a.keepalive_cost_usd.to_bits(),
-            b.keepalive_cost_usd.to_bits()
-        );
-        assert_eq!(b.shed_requests, 0);
-        assert_eq!(b.evictions, 0);
-        assert_eq!(b.pressure_minutes, 0);
-        assert_eq!(b.fallback_minutes, 0);
-        assert!(b.ops_events.is_empty());
     }
 
     #[test]
@@ -2226,7 +2075,9 @@ mod tests {
             ..WatchdogConfig::default()
         };
         let mut wd = Watchdog::new(NeverKeep, &fams, cfg);
-        let s = rt.run_with_cluster(&mut wd, &FaultPlan::none(), &ClusterConfig::unlimited());
+        let s = rt
+            .session(&mut wd, &FaultPlan::none(), ClusterConfig::unlimited())
+            .finish();
         assert!(
             s.fallback_minutes > 0,
             "sustained cold storm must fall back"
@@ -2278,6 +2129,39 @@ mod tests {
     }
 
     #[test]
+    fn finish_drains_an_unstepped_or_early_stopped_session() {
+        let trace = pulse_trace::synth::azure_like_12_with_horizon(47, 240);
+        let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
+        let plan = FaultPlan::uniform(0.1, 0.05, 0.02, 3).with_timeout_ms(90_000);
+        let rt = Runtime::new(
+            trace,
+            fams.clone(),
+            RuntimeConfig {
+                stochastic_seed: Some(13),
+                ..Default::default()
+            },
+        );
+        let whole = rt.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let unstepped = rt
+            .session(&mut policy, &FaultPlan::none(), ClusterConfig::unlimited())
+            .finish();
+        assert_eq!(format!("{unstepped:?}"), format!("{whole:?}"));
+
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let faulted = rt
+            .session(&mut policy, &plan, ClusterConfig::unlimited())
+            .finish();
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let mut session = rt.session(&mut policy, &plan, ClusterConfig::unlimited());
+        for _ in 0..session.pending_events() / 2 {
+            session.step();
+        }
+        let stopped = session.finish();
+        assert_eq!(format!("{stopped:?}"), format!("{faulted:?}"));
+    }
+
+    #[test]
     fn session_exposes_ledger_state() {
         let (trace, fams) = one_func(&[1, 0, 0, 0]);
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
@@ -2303,12 +2187,14 @@ mod tests {
             ..ClusterConfig::unlimited()
         };
         let mut mem = MemorySink::new();
-        let s = rt.run_with_cluster_traced(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &FaultPlan::none(),
-            &cluster,
-            &mut mem,
-        );
+        let s = rt
+            .session(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &FaultPlan::none(),
+                cluster,
+            )
+            .traced(&mut mem)
+            .finish();
         // Downgrade/eviction event counts equal the summary counters, per
         // source: policy actions → `downgrades`, pressure actions →
         // `pressure_downgrades` / `evictions`.
@@ -2374,8 +2260,20 @@ mod tests {
                 ..Default::default()
             },
         );
-        let a = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
-        let b = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let a = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
+        let b = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(a.records, b.records);
         assert_eq!(a.provision_failures, b.provision_failures);
         assert_eq!(a.provision_retries, b.provision_retries);
@@ -2433,7 +2331,6 @@ mod tests {
                 }
             }
         }
-        while session.step().is_some() {}
         let admitted = session.finish();
         assert_eq!(admitted.records, seeded.records);
         assert_eq!(
@@ -2453,7 +2350,6 @@ mod tests {
         let before = session.pending_events();
         session.admit_at(1, 0);
         assert_eq!(session.pending_events(), before + 2, "arrival + timeout");
-        while session.step().is_some() {}
         let s = session.finish();
         // A cold start cannot finish inside a 10 ms budget.
         assert_eq!(s.timeouts, 1);
@@ -2508,7 +2404,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let s = rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &plan, &fleet);
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &plan, fleet)
+            .finish();
         assert_eq!(s.requests(), 40);
         assert!(s.exec_crashes > 0, "executions crashed before the node did");
         assert!(

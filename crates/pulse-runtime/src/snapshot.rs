@@ -6,8 +6,8 @@
 //! cursors of both the duration sampler and the fault injector, per-node
 //! fleet state, accumulated summary counters and the policy's learned state
 //! — as a versioned multi-line flat-record document.
-//! [`Runtime::restore_fleet_session`] rebuilds a session from it such that
-//! stepping the restored session to completion is **bit-identical** to the
+//! [`Runtime::restore`] rebuilds a session from it such that
+//! finishing the restored session to completion is **bit-identical** to the
 //! uninterrupted run, for any kill point.
 //!
 //! The snapshot never stores the workload, fault plan or fleet themselves;
@@ -28,7 +28,7 @@ use pulse_core::global::FlattenScratch;
 use pulse_core::priority::PriorityStructure;
 use pulse_core::schedule::{MinuteFootprint, ScheduleLedger};
 use pulse_models::Profiler;
-use pulse_obs::{Record, RecordBuilder, TraceSink};
+use pulse_obs::{Record, RecordBuilder};
 use pulse_sim::policy::KeepAlivePolicy;
 use pulse_sim::recover::{
     check_fingerprint, decode_ledger_row, encode_ledger, fingerprint_of, RecoverError,
@@ -330,7 +330,7 @@ fn decode_summary(rec: &Record) -> Result<RuntimeSummary, RecoverError> {
 
 impl RuntimeSession<'_> {
     /// Capture the full resumable state of this run as a versioned snapshot
-    /// document. Restoring it with [`Runtime::restore_fleet_session`] (same
+    /// document. Restoring it with [`Runtime::restore`] (same
     /// workload/plan/fleet, a fresh same-seeded policy) and stepping to
     /// completion is bit-identical to never having stopped — counters, cost,
     /// per-request records, ops events and the emitted observability stream
@@ -566,45 +566,27 @@ impl Runtime {
         fingerprint_of(&(&self.trace, &self.families, &self.config))
     }
 
-    /// Resume a fleet run killed after [`RuntimeSession::snapshot`]: rebuild
-    /// the session so that stepping it to completion is bit-identical to the
+    /// Resume a run killed after [`RuntimeSession::snapshot`]: rebuild the
+    /// session so that driving it to completion is bit-identical to the
     /// uninterrupted run. `plan` and `fleet` must equal the snapshotted
-    /// configuration (checked by fingerprint) and `policy` must be freshly
-    /// constructed with the same arguments; its learned state is re-injected
-    /// through [`KeepAlivePolicy::restore_state`]. Fails soft with a typed
+    /// configuration (checked by fingerprint; a [`ClusterConfig`] converts
+    /// to its one-node fleet exactly as in [`Runtime::session`]) and
+    /// `policy` must be freshly constructed with the same arguments; its
+    /// learned state is re-injected through
+    /// [`KeepAlivePolicy::restore_state`]. Restoring emits nothing, so
+    /// [`RuntimeSession::traced`] continues the event stream exactly where
+    /// the killed run's journal left off. Fails soft with a typed
     /// [`RecoverError`] on skew, corruption, or any mismatch.
-    pub fn restore_fleet_session<'a>(
+    ///
+    /// [`ClusterConfig`]: crate::cluster::ClusterConfig
+    pub fn restore<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         plan: &FaultPlan,
-        fleet: FleetConfig,
+        fleet: impl Into<FleetConfig>,
         snapshot: &str,
     ) -> Result<RuntimeSession<'a>, RecoverError> {
-        self.restore_impl(policy, plan, fleet, snapshot, None)
-    }
-
-    /// [`Self::restore_fleet_session`] with a [`TraceSink`] attached: events
-    /// re-emitted by the resumed run continue the stream exactly where the
-    /// killed run's journal left off.
-    pub fn restore_fleet_session_traced<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-        snapshot: &str,
-        sink: &'a mut dyn TraceSink,
-    ) -> Result<RuntimeSession<'a>, RecoverError> {
-        self.restore_impl(policy, plan, fleet, snapshot, Some(sink))
-    }
-
-    fn restore_impl<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-        snapshot: &str,
-        sink: Option<&'a mut dyn TraceSink>,
-    ) -> Result<RuntimeSession<'a>, RecoverError> {
+        let fleet: FleetConfig = fleet.into();
         let c = |e: pulse_obs::ParseError| RecoverError::corrupt(e);
         let n = self.families.len();
         let mut lines = snapshot.lines().filter(|l| !l.trim().is_empty());
@@ -916,7 +898,7 @@ impl Runtime {
             minute_violations: head.u64("minute_violations").map_err(c)?,
             last_billed_mb: head.f64("last_billed").map_err(c)?,
             prev_fallback: head.bool("fallback").map_err(c)?,
-            sink,
+            sink: None,
         };
         Ok(RuntimeSession {
             rt: self,
@@ -976,10 +958,10 @@ mod tests {
     fn kill_restore_resume_is_bit_identical_under_fleet_faults() {
         let (rt, fams, plan, fleet) = fixture();
         let mut whole_policy = pulse(&fams);
-        let whole = rt.run_with_fleet(&mut whole_policy, &plan, &fleet);
+        let whole = rt.session(&mut whole_policy, &plan, fleet.clone()).finish();
 
         let mut probe_policy = pulse(&fams);
-        let mut probe = rt.fleet_session(&mut probe_policy, &plan, fleet.clone());
+        let mut probe = rt.session(&mut probe_policy, &plan, fleet.clone());
         let mut total = 0usize;
         while probe.step().is_some() {
             total += 1;
@@ -988,7 +970,7 @@ mod tests {
 
         for kill_after in [total / 7, (total * 4) / 5] {
             let mut p1 = pulse(&fams);
-            let mut sess = rt.fleet_session(&mut p1, &plan, fleet.clone());
+            let mut sess = rt.session(&mut p1, &plan, fleet.clone());
             for _ in 0..kill_after {
                 assert!(sess.step().is_some(), "kill point beyond the run");
             }
@@ -996,11 +978,10 @@ mod tests {
             drop(sess);
 
             let mut p2 = pulse(&fams);
-            let mut resumed = rt
-                .restore_fleet_session(&mut p2, &plan, fleet.clone(), &snap)
-                .unwrap();
-            while resumed.step().is_some() {}
-            let resumed = resumed.finish();
+            let resumed = rt
+                .restore(&mut p2, &plan, fleet.clone(), &snap)
+                .unwrap()
+                .finish();
             assert_eq!(
                 whole.keepalive_cost_usd.to_bits(),
                 resumed.keepalive_cost_usd.to_bits(),
@@ -1018,7 +999,7 @@ mod tests {
     fn restore_fails_soft_on_skew_mismatch_and_garbage() {
         let (rt, fams, plan, fleet) = fixture();
         let mut p = pulse(&fams);
-        let mut sess = rt.fleet_session(&mut p, &plan, fleet.clone());
+        let mut sess = rt.session(&mut p, &plan, fleet.clone());
         for _ in 0..200 {
             sess.step();
         }
@@ -1028,35 +1009,34 @@ mod tests {
         let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
         let mut p2 = pulse(&fams);
         assert!(matches!(
-            rt.restore_fleet_session(&mut p2, &plan, fleet.clone(), &skewed),
+            rt.restore(&mut p2, &plan, fleet.clone(), &skewed),
             Err(RecoverError::VersionSkew { found: 9, .. })
         ));
 
         let mut other = OpenWhiskFixed::new(&fams);
         assert!(matches!(
-            rt.restore_fleet_session(&mut other, &plan, fleet.clone(), &snap),
+            rt.restore(&mut other, &plan, fleet.clone(), &snap),
             Err(RecoverError::PolicyMismatch { .. })
         ));
 
         let mut p3 = pulse(&fams);
         let other_plan = FaultPlan::uniform(0.05, 0.05, 0.03, 43);
         assert!(matches!(
-            rt.restore_fleet_session(&mut p3, &other_plan, fleet.clone(), &snap),
+            rt.restore(&mut p3, &other_plan, fleet.clone(), &snap),
             Err(RecoverError::ConfigMismatch { what: "plan", .. })
         ));
 
         let mut p4 = pulse(&fams);
         let other_fleet = FleetConfig::uniform(2, NodeCapacity::gb(6.0));
         assert!(matches!(
-            rt.restore_fleet_session(&mut p4, &plan, other_fleet, &snap),
+            rt.restore(&mut p4, &plan, other_fleet, &snap),
             Err(RecoverError::ConfigMismatch { what: "fleet", .. })
         ));
 
         for garbage in ["", "nonsense", "{\"type\":\"snapshot\"}"] {
             let mut p5 = pulse(&fams);
             assert!(
-                rt.restore_fleet_session(&mut p5, &plan, fleet.clone(), garbage)
-                    .is_err(),
+                rt.restore(&mut p5, &plan, fleet.clone(), garbage).is_err(),
                 "garbage {garbage:?} must fail soft"
             );
         }

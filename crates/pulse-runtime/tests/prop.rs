@@ -200,7 +200,7 @@ proptest! {
             fixed = OpenWhiskFixed::new(&fams);
             &mut fixed
         };
-        let s = rt.run_with_cluster(policy, &plan, &cluster);
+        let s = rt.session(policy, &plan, cluster).finish();
         for (t, &mb) in s.memory_at_tick_mb.iter().enumerate() {
             prop_assert!(
                 mb <= cap + 1e-9,
@@ -240,7 +240,7 @@ proptest! {
             fixed = OpenWhiskFixed::new(&fams);
             &mut fixed
         };
-        let s = rt.run_with_fleet(policy, &FaultPlan::none(), &fleet);
+        let s = rt.session(policy, &FaultPlan::none(), fleet).finish();
         prop_assert_eq!(s.node_summaries.len(), 3);
         for n in &s.node_summaries {
             prop_assert_eq!(n.memory_at_tick_mb.len(), s.memory_at_tick_mb.len());
@@ -291,7 +291,9 @@ proptest! {
             .with_node_faults(node_faults);
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
         let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
-        let s = rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &plan, &fleet);
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &plan, fleet)
+            .finish();
         prop_assert_eq!(s.requests(), total);
         prop_assert_eq!(s.records.len() as u64, total);
         for rec in &s.records {
@@ -327,17 +329,17 @@ proptest! {
             trace.n_functions(),
         );
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let base = rt.run_with_cluster(
-            &mut OpenWhiskFixed::new(&fams),
-            &FaultPlan::none(),
-            &ClusterConfig::unlimited(),
-        );
+        let base = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &FaultPlan::none(),
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         let fleet = FleetConfig::uniform(n_nodes, NodeCapacity::unlimited());
-        let f = rt.run_with_fleet(
-            &mut OpenWhiskFixed::new(&fams),
-            &FaultPlan::none(),
-            &fleet,
-        );
+        let f = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), fleet)
+            .finish();
         prop_assert_eq!(base.warm_starts(), f.warm_starts());
         prop_assert_eq!(base.cold_starts(), f.cold_starts());
         prop_assert_eq!(base.requests(), f.requests());

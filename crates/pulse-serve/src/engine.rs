@@ -14,8 +14,8 @@
 //!
 //! Two clocks, two modes. [`replay`] drives the session on the *simulated*
 //! clock only — no wall time touches any decision, which is what makes it
-//! bit-identical to [`Runtime::run_with_cluster`] on the binned trace (the
-//! determinism suite pins this). [`serve_live`] maps wall time onto the
+//! bit-identical to a trace-seeded [`Runtime::session`] on the binned trace
+//! (the determinism suite pins this). [`serve_live`] maps wall time onto the
 //! virtual timeline (optionally scaled), so minute ticks — and therefore
 //! keep-alive decisions — happen *online*, while requests race in through
 //! the channel. Per-decision wall latency is recorded into a pulse-obs
@@ -133,10 +133,11 @@ fn zero_trace_like(trace: &Trace) -> Trace {
 
 /// Serve `stream` on the simulated clock: admit the whole stream up front
 /// in canonical order, then drain the session. Bit-identical to
-/// [`Runtime::run_with_cluster`] over [`ArrivalStream::trace`] with the
-/// same policy and configuration (pinned in the determinism suite). With a
-/// sink attached, the *engine* events are traced, exactly as a
-/// `session_traced` replay would — no serve telemetry is interleaved.
+/// [`Runtime::session`] over [`ArrivalStream::trace`] with the same policy
+/// and configuration, finished (pinned in the determinism suite). With a
+/// sink attached, the *engine* events are traced, exactly as
+/// [`RuntimeSession::traced`] on that session would — no serve telemetry
+/// is interleaved.
 pub fn replay(
     stream: &ArrivalStream,
     families: Vec<ModelFamily>,
@@ -145,14 +146,13 @@ pub fn replay(
     sink: Option<&mut dyn TraceSink>,
 ) -> RuntimeSummary {
     let rt = Runtime::new(zero_trace_like(stream.trace()), families, config.runtime);
-    let mut session = match sink {
-        Some(s) => rt.session_traced(policy, &config.plan, config.cluster, s),
-        None => rt.session(policy, &config.plan, config.cluster),
-    };
+    let mut session = rt.session(policy, &config.plan, config.cluster);
+    if let Some(s) = sink {
+        session = session.traced(s);
+    }
     for a in stream.arrivals() {
         session.admit_at(a.at_ms, a.func);
     }
-    while session.step().is_some() {}
     session.finish()
 }
 

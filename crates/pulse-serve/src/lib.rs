@@ -18,7 +18,7 @@
 //!   `sync_channel` front door feeding a [`pulse_runtime::RuntimeSession`],
 //!   with wall-clock decision latency recorded into pulse-obs histograms.
 //!   [`engine::replay`] runs the same stream on the simulated clock,
-//!   bit-identical to `Runtime::run_with_cluster` on the binned trace;
+//!   bit-identical to a finished `Runtime::session` on the binned trace;
 //! * [`demo`] — the single-box throughput demo behind
 //!   `pulse-exp serve --demo`.
 //!

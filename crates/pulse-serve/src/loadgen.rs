@@ -8,8 +8,8 @@
 //! [`pulse_runtime::arrival_times_in_minute`] — the runtime's own
 //! trace-to-timestamp expansion. Because binning the expanded stream back
 //! to minutes recovers the count series exactly, serving a generated stream
-//! in simulated-clock mode is bit-identical to `run_with_cluster` on
-//! [`ArrivalStream::trace`] (pinned in this crate's determinism tests).
+//! in simulated-clock mode is bit-identical to a finished `Runtime::session`
+//! on [`ArrivalStream::trace`] (pinned in this crate's determinism tests).
 //!
 //! Everything is deterministic given [`LoadGenConfig::seed`]: same seed,
 //! same mode → byte-identical stream, across machines and reruns.
@@ -147,7 +147,7 @@ pub struct Arrival {
 }
 
 /// A fully materialized arrival stream plus the minute-binned [`Trace`] it
-/// expands — the replay-equivalence anchor: `run_with_cluster` over
+/// expands — the replay-equivalence anchor: a `Runtime::session` over
 /// [`Self::trace`] processes exactly this stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalStream {

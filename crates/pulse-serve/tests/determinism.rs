@@ -1,7 +1,7 @@
 //! The serving determinism suite: bit-identical load generation across
 //! seeds, and the pinned serve-vs-replay equivalence — feeding a generated
 //! stream through pulse-serve on the simulated clock must match
-//! `Runtime::run_with_cluster` over the binned trace bitwise.
+//! a finished `Runtime::session` over the binned trace bitwise.
 
 use pulse_core::types::PulseConfig;
 use pulse_obs::{MemorySink, ObsEvent};
@@ -52,8 +52,8 @@ fn different_seeds_mean_different_streams() {
     }
 }
 
-/// The pinned tentpole contract: simulated-clock serving of a generated
-/// stream is bitwise-identical to `run_with_cluster` on the binned trace —
+/// The pinned contract: simulated-clock serving of a generated stream is
+/// bitwise-identical to a batch `Runtime::session` on the binned trace —
 /// per-request records, keep-alive cost bits, and the billed memory series.
 #[test]
 fn replay_matches_run_with_cluster_bitwise() {
@@ -67,7 +67,9 @@ fn replay_matches_run_with_cluster_bitwise() {
 
         let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
         let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-        let batch = rt.run_with_cluster(&mut batch_policy, &config.plan, &config.cluster);
+        let batch = rt
+            .session(&mut batch_policy, &config.plan, config.cluster)
+            .finish();
 
         assert_eq!(served.records, batch.records, "{}", mode.label());
         assert_eq!(
@@ -104,7 +106,9 @@ fn replay_matches_run_with_cluster_for_fixed_policy() {
 
     let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
     let mut batch_policy = OpenWhiskFixed::new(&families);
-    let batch = rt.run_with_cluster(&mut batch_policy, &config.plan, &config.cluster);
+    let batch = rt
+        .session(&mut batch_policy, &config.plan, config.cluster)
+        .finish();
 
     assert_eq!(served.records, batch.records);
     assert_eq!(
@@ -134,14 +138,10 @@ fn traced_replay_matches_traced_batch_run() {
     let mut batch_sink = MemorySink::new();
     let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
     let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-    let mut session = rt.session_traced(
-        &mut batch_policy,
-        &config.plan,
-        config.cluster,
-        &mut batch_sink,
-    );
-    while session.step().is_some() {}
-    let _ = session.finish();
+    let _ = rt
+        .session(&mut batch_policy, &config.plan, config.cluster)
+        .traced(&mut batch_sink)
+        .finish();
 
     assert!(!serve_sink.events().is_empty());
     assert_eq!(serve_sink.events(), batch_sink.events());

@@ -66,31 +66,11 @@ impl Simulator {
     }
 
     /// Begin a steppable run of `policy` over the trace. Call
-    /// [`SimSession::step_minute`] until it returns `None` (or stop early),
-    /// then [`SimSession::finish`] for the metrics; [`Self::run`] is exactly
-    /// this loop.
+    /// [`SimSession::step_minute`] to advance one minute at a time (or not
+    /// at all), then [`SimSession::finish`] to drive the rest and collect
+    /// the metrics; [`Self::run`] is this session finished straight away.
+    /// Attach an observer with [`SimSession::traced`].
     pub fn session<'a>(&'a self, policy: &'a mut dyn KeepAlivePolicy) -> SimSession<'a> {
-        self.session_impl(policy, None)
-    }
-
-    /// [`Self::session`] with a [`TraceSink`] attached: every adjust, serve,
-    /// bill, downgrade/eviction and watchdog transition is emitted as a
-    /// typed [`ObsEvent`]. With a disabled sink (e.g.
-    /// [`pulse_obs::NullSink`]) the run is bit-identical to the un-traced
-    /// one — sinks observe, they never steer.
-    pub fn session_traced<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        sink: &'a mut dyn TraceSink,
-    ) -> SimSession<'a> {
-        self.session_impl(policy, Some(sink))
-    }
-
-    fn session_impl<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        sink: Option<&'a mut dyn TraceSink>,
-    ) -> SimSession<'a> {
         let minutes = self.trace.minutes();
         SimSession {
             sim: self,
@@ -103,28 +83,24 @@ impl Simulator {
             invoked_last_minute: false,
             next: 0,
             minutes: minutes as Minute,
-            sink,
+            sink: None,
             prev_fallback: false,
         }
     }
 
     /// Run the policy over the whole trace.
     pub fn run(&self, policy: &mut dyn KeepAlivePolicy) -> RunMetrics {
-        let mut session = self.session(policy);
-        while session.step_minute().is_some() {}
-        session.finish()
+        self.session(policy).finish()
     }
 
     /// [`Self::run`] with a [`TraceSink`] attached (see
-    /// [`Self::session_traced`] for the event contract).
+    /// [`SimSession::traced`] for the event contract).
     pub fn run_traced(
         &self,
         policy: &mut dyn KeepAlivePolicy,
         sink: &mut dyn TraceSink,
     ) -> RunMetrics {
-        let mut session = self.session_traced(policy, sink);
-        while session.step_minute().is_some() {}
-        session.finish()
+        self.session(policy).traced(sink).finish()
     }
 
     /// Fingerprint of this simulator's workload identity (trace + families
@@ -134,38 +110,19 @@ impl Simulator {
     }
 
     /// Resume a run killed after [`SimSession::snapshot`]: rebuild the
-    /// session so that stepping it to completion is bit-identical to the
+    /// session so that driving it to completion is bit-identical to the
     /// uninterrupted run. `policy` must be freshly constructed with the same
     /// arguments as the snapshotted one (same seeds/config); its learned
     /// state is re-injected through
-    /// [`KeepAlivePolicy::restore_state`]. Fails soft with a typed
+    /// [`KeepAlivePolicy::restore_state`]. Restoring emits nothing, so
+    /// [`SimSession::traced`] continues the event stream exactly where the
+    /// killed run's journal left off. Fails soft with a typed
     /// [`RecoverError`] on version skew, corruption, or a workload/policy
     /// mismatch.
-    pub fn restore_session<'a>(
+    pub fn restore<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         snapshot: &str,
-    ) -> Result<SimSession<'a>, RecoverError> {
-        self.restore_session_impl(policy, snapshot, None)
-    }
-
-    /// [`Self::restore_session`] with a [`TraceSink`] attached: events
-    /// re-emitted by the resumed run continue the stream exactly where the
-    /// killed run's journal left off.
-    pub fn restore_session_traced<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        snapshot: &str,
-        sink: &'a mut dyn TraceSink,
-    ) -> Result<SimSession<'a>, RecoverError> {
-        self.restore_session_impl(policy, snapshot, Some(sink))
-    }
-
-    fn restore_session_impl<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        snapshot: &str,
-        sink: Option<&'a mut dyn TraceSink>,
     ) -> Result<SimSession<'a>, RecoverError> {
         let c = |e: pulse_obs::ParseError| RecoverError::corrupt(e);
         let mut lines = snapshot.lines().filter(|l| !l.trim().is_empty());
@@ -246,7 +203,7 @@ impl Simulator {
             invoked_last_minute: head.bool("invoked").map_err(c)?,
             next: head.u64("next").map_err(c)?,
             minutes: self.trace.minutes() as Minute,
-            sink,
+            sink: None,
             prev_fallback: head.bool("fallback").map_err(c)?,
         })
     }
@@ -283,7 +240,19 @@ pub struct SimSession<'a> {
     prev_fallback: bool,
 }
 
-impl SimSession<'_> {
+impl<'a> SimSession<'a> {
+    /// Attach a [`TraceSink`]: from here on every adjust, serve, bill,
+    /// downgrade/eviction and watchdog transition is emitted as a typed
+    /// [`ObsEvent`]. Neither [`Simulator::session`] nor
+    /// [`Simulator::restore`] emits, so a sink attached straight after
+    /// either sees the whole stream. With a disabled sink (e.g.
+    /// [`pulse_obs::NullSink`]) the run is bit-identical to the un-traced
+    /// one: sinks observe, they never steer.
+    pub fn traced(mut self, sink: &'a mut dyn TraceSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
     /// The minute the next [`Self::step_minute`] call will simulate (equals
     /// the horizon once the trace is exhausted).
     pub fn next_minute(&self) -> Minute {
@@ -320,12 +289,13 @@ impl SimSession<'_> {
     }
 
     /// Drive the run to completion and return the metrics ([`Simulator::run`]).
-    pub fn finish(self) -> RunMetrics {
+    pub fn finish(mut self) -> RunMetrics {
+        while self.step_minute().is_some() {}
         self.metrics
     }
 
     /// Capture the full resumable state of this run as a versioned snapshot
-    /// document. Restoring it with [`Simulator::restore_session`] (same
+    /// document. Restoring it with [`Simulator::restore`] (same
     /// workload, a fresh same-seeded policy) and stepping to completion is
     /// bit-identical to never having stopped. Fails with
     /// [`RecoverError::NotCheckpointable`] when the policy cannot export its
@@ -744,6 +714,25 @@ mod tests {
     }
 
     #[test]
+    fn finish_drains_an_unstepped_or_early_stopped_session() {
+        let trace = pulse_trace::synth::azure_like_12_with_horizon(11, 500);
+        let fams: Vec<ModelFamily> = (0..12).map(|i| zoo::standard()[i % 5].clone()).collect();
+        let sim = Simulator::new(trace, fams.clone());
+        let whole = sim.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let unstepped = sim.session(&mut policy).finish();
+        assert_eq!(format!("{unstepped:?}"), format!("{whole:?}"));
+
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let mut session = sim.session(&mut policy);
+        for _ in 0..250 {
+            session.step_minute();
+        }
+        let stopped = session.finish();
+        assert_eq!(format!("{stopped:?}"), format!("{whole:?}"));
+    }
+
+    #[test]
     fn session_exposes_ledger_state() {
         let trace = one_func_trace(&[1, 0, 0, 0]);
         let fams = vec![zoo::bert()];
@@ -829,9 +818,8 @@ mod tests {
         drop(session); // the "kill"
 
         let mut fresh = PulsePolicy::new(fams.clone(), PulseConfig::default());
-        let mut resumed = sim.restore_session(&mut fresh, &snap).unwrap();
+        let resumed = sim.restore(&mut fresh, &snap).unwrap();
         assert_eq!(resumed.next_minute(), 317);
-        while resumed.step_minute().is_some() {}
         let m = resumed.finish();
         assert_eq!(
             m.keepalive_cost_usd.to_bits(),
@@ -867,13 +855,13 @@ mod tests {
         let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(matches!(
-            sim.restore_session(&mut q, &skewed),
+            sim.restore(&mut q, &skewed),
             Err(RecoverError::VersionSkew { found: 9, .. })
         ));
         // The wrong policy is a typed mismatch.
         let mut ow = OpenWhiskFixed::new(&fams);
         assert!(matches!(
-            sim.restore_session(&mut ow, &snap),
+            sim.restore(&mut ow, &snap),
             Err(RecoverError::PolicyMismatch { .. })
         ));
         // A different workload is a fingerprint mismatch.
@@ -883,7 +871,7 @@ mod tests {
         );
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(matches!(
-            other.restore_session(&mut q, &snap),
+            other.restore(&mut q, &snap),
             Err(RecoverError::ConfigMismatch {
                 what: "workload",
                 ..
@@ -891,31 +879,10 @@ mod tests {
         ));
         // Garbage never panics.
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
-        assert!(sim.restore_session(&mut q, "").is_err());
-        assert!(sim.restore_session(&mut q, "not json").is_err());
+        assert!(sim.restore(&mut q, "").is_err());
+        assert!(sim.restore(&mut q, "not json").is_err());
         assert!(sim
-            .restore_session(&mut q, "{\"type\":\"snapshot\",\"version\":1}")
+            .restore(&mut q, "{\"type\":\"snapshot\",\"version\":1}")
             .is_err());
-    }
-
-    #[test]
-    fn null_sink_run_is_bit_identical_to_plain_run() {
-        let trace = pulse_trace::synth::azure_like_12_with_horizon(17, 600);
-        let fams: Vec<ModelFamily> = (0..12).map(|i| zoo::standard()[i % 5].clone()).collect();
-        let sim = Simulator::new(trace, fams.clone());
-        let plain = sim.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
-        let mut null = pulse_obs::NullSink;
-        let traced = sim.run_traced(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &mut null,
-        );
-        assert_eq!(
-            plain.keepalive_cost_usd.to_bits(),
-            traced.keepalive_cost_usd.to_bits()
-        );
-        assert_eq!(plain.memory_series_mb, traced.memory_series_mb);
-        assert_eq!(plain.cold_starts, traced.cold_starts);
-        assert_eq!(plain.warm_starts, traced.warm_starts);
-        assert_eq!(plain.downgrades, traced.downgrades);
     }
 }

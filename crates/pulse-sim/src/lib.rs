@@ -46,7 +46,7 @@
 //!   the fixed 10-minute baseline (with hysteresis) when the policy's
 //!   SLO-violation rate or keep-alive overspend goes bad;
 //! * [`recover`] — crash-consistent checkpointing: versioned snapshots
-//!   ([`SimSession::snapshot`] / [`Simulator::restore_session`]) with typed
+//!   ([`SimSession::snapshot`] / [`Simulator::restore`]) with typed
 //!   soft-failure errors, shared with the event-driven runtime.
 
 pub mod assignment;

@@ -256,11 +256,10 @@ proptest! {
         let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
         drop(sess);
         let mut p2 = make();
-        let mut resumed = sim
-            .restore_session(&mut p2, &snap)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        while resumed.step_minute().is_some() {}
-        let resumed = resumed.finish();
+        let resumed = sim
+            .restore(&mut p2, &snap)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .finish();
         prop_assert_eq!(&whole, &resumed);
         prop_assert_eq!(
             whole.keepalive_cost_usd.to_bits(),
@@ -282,7 +281,7 @@ proptest! {
         fault_seed in any::<u64>(),
     ) {
         use pulse::prelude::*;
-        use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+        use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
         let (trace, fams) = arb_workload(&counts);
         let rt = Runtime::new(
             trace,
@@ -293,13 +292,13 @@ proptest! {
             },
         );
         let plan = FaultPlan::uniform(prov, prov / 2.0, crash, fault_seed);
-        let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+        let cluster = ClusterConfig::unlimited();
         let make = || PulsePolicy::new(fams.clone(), pulse::core::PulseConfig::default());
 
         let mut whole_p = make();
-        let whole = rt.run_with_fleet(&mut whole_p, &plan, &fleet);
+        let whole = rt.session(&mut whole_p, &plan, cluster).finish();
         let mut p1 = make();
-        let mut sess = rt.fleet_session(&mut p1, &plan, fleet.clone());
+        let mut sess = rt.session(&mut p1, &plan, cluster);
         for _ in 0..kill_events {
             if sess.step().is_none() {
                 break;
@@ -308,11 +307,10 @@ proptest! {
         let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
         drop(sess);
         let mut p2 = make();
-        let mut resumed = rt
-            .restore_fleet_session(&mut p2, &plan, fleet.clone(), &snap)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        while resumed.step().is_some() {}
-        let resumed = resumed.finish();
+        let resumed = rt
+            .restore(&mut p2, &plan, cluster, &snap)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .finish();
         prop_assert_eq!(&whole.records, &resumed.records);
         prop_assert_eq!(format!("{whole:?}"), format!("{resumed:?}"));
     }
@@ -329,7 +327,7 @@ proptest! {
         splice_bytes in proptest::collection::vec(32u8..127, 0..30),
     ) {
         use pulse::prelude::*;
-        use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+        use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
         let trace = Trace::new(vec![FunctionTrace::new("f", vec![1, 0, 2, 0, 1, 0, 0, 1])]);
         let fams = vec![zoo::bert()];
         let sim = Simulator::new(trace.clone(), fams.clone());
@@ -351,15 +349,15 @@ proptest! {
         let corrupted = format!("{}{}", &snap[..cut], splice);
 
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+        let cluster = ClusterConfig::unlimited();
         for doc in [garbage.as_str(), corrupted.as_str()] {
             // Either a typed error, or (for corruptions that happen to stay
             // well-formed, e.g. a truncation splicing into a valid prefix)
             // a successful restore — but never a panic.
             let mut p = make();
-            let _ = sim.restore_session(&mut p, doc);
+            let _ = sim.restore(&mut p, doc);
             let mut p = make();
-            let _ = rt.restore_fleet_session(&mut p, &FaultPlan::none(), fleet.clone(), doc);
+            let _ = rt.restore(&mut p, &FaultPlan::none(), cluster, doc);
         }
     }
 }

@@ -156,11 +156,10 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
             drop(sess);
 
             let mut p2 = make();
-            let mut resumed = sim
-                .restore_session(p2.as_mut(), &snap)
-                .unwrap_or_else(|e| panic!("{name}: restore at {kill_minute}: {e}"));
-            while resumed.step_minute().is_some() {}
-            let resumed = resumed.finish();
+            let resumed = sim
+                .restore(p2.as_mut(), &snap)
+                .unwrap_or_else(|e| panic!("{name}: restore at {kill_minute}: {e}"))
+                .finish();
             assert_eq!(
                 whole, resumed,
                 "{name}: metrics diverged at kill {kill_minute}"
@@ -186,7 +185,7 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
 
 #[test]
 fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 150);
     let fams = zoo12();
@@ -201,13 +200,13 @@ fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
     // Request-level faults + stochastic durations: both RNG cursors must
     // survive the kill. The cluster-compatible single-node path.
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed).with_timeout_ms(120_000);
-    let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+    let cluster = ClusterConfig::unlimited();
     for (name, make) in &policy_factories(&fams, &trace) {
-        let whole = rt.run_with_fleet(make().as_mut(), &plan, &fleet);
+        let whole = rt.session(make().as_mut(), &plan, cluster).finish();
         // Kill mid-minute, at an arbitrary event boundary.
         for kill_events in [1usize, 1000] {
             let mut p1 = make();
-            let mut sess = rt.fleet_session(p1.as_mut(), &plan, fleet.clone());
+            let mut sess = rt.session(p1.as_mut(), &plan, cluster);
             for _ in 0..kill_events {
                 if sess.step().is_none() {
                     break;
@@ -219,10 +218,9 @@ fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
             drop(sess);
 
             let mut p2 = make();
-            let mut resumed = rt
-                .restore_fleet_session(p2.as_mut(), &plan, fleet.clone(), &snap)
+            let resumed = rt
+                .restore(p2.as_mut(), &plan, cluster, &snap)
                 .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
-            while resumed.step().is_some() {}
             assert_summaries_bit_identical(name, &whole, &resumed.finish());
         }
     }
@@ -253,9 +251,9 @@ fn fleet_kill_restore_resume_is_bit_identical_for_every_policy() {
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 200));
     let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let whole = rt.run_with_fleet(make().as_mut(), &plan, &fleet);
+        let whole = rt.session(make().as_mut(), &plan, fleet.clone()).finish();
         let mut p1 = make();
-        let mut sess = rt.fleet_session(p1.as_mut(), &plan, fleet.clone());
+        let mut sess = rt.session(p1.as_mut(), &plan, fleet.clone());
         for _ in 0..2500 {
             if sess.step().is_none() {
                 break;
@@ -267,10 +265,9 @@ fn fleet_kill_restore_resume_is_bit_identical_for_every_policy() {
         drop(sess);
 
         let mut p2 = make();
-        let mut resumed = rt
-            .restore_fleet_session(p2.as_mut(), &plan, fleet.clone(), &snap)
+        let resumed = rt
+            .restore(p2.as_mut(), &plan, fleet.clone(), &snap)
             .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
-        while resumed.step().is_some() {}
         assert_summaries_bit_identical(name, &whole, &resumed.finish());
     }
 }
@@ -302,10 +299,10 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
         )
     };
     let mut whole_p = make();
-    let whole = rt.run_with_fleet(&mut whole_p, &plan, &fleet);
+    let whole = rt.session(&mut whole_p, &plan, fleet.clone()).finish();
 
     let mut p1 = make();
-    let mut sess = rt.fleet_session(&mut p1, &plan, fleet.clone());
+    let mut sess = rt.session(&mut p1, &plan, fleet.clone());
     for _ in 0..1500 {
         if sess.step().is_none() {
             break;
@@ -315,10 +312,9 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
     drop(sess);
 
     let mut p2 = make();
-    let mut resumed = rt
-        .restore_fleet_session(&mut p2, &plan, fleet.clone(), &snap)
+    let resumed = rt
+        .restore(&mut p2, &plan, fleet, &snap)
         .expect("watchdog restore");
-    while resumed.step().is_some() {}
     assert_summaries_bit_identical("watchdog(pulse)", &whole, &resumed.finish());
 }
 
@@ -334,14 +330,15 @@ fn journal_replay_recovers_both_engines_after_torn_write() {
     // minute 90 with a torn final line.
     let mut policy = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     let mut journal = JournalSink::new(Vec::new());
-    let mut sess = sim.session_traced(&mut policy, &mut journal);
+    let mut sess = sim.session(&mut policy).traced(&mut journal);
     while sess.next_minute() < 40 && sess.step_minute().is_some() {}
     let snap = sess.snapshot().expect("checkpoint snapshot");
     drop(sess);
     journal.checkpoint(&snap);
     let mut sess = sim
-        .restore_session_traced(&mut policy, &snap, &mut journal)
-        .expect("continue after checkpoint");
+        .restore(&mut policy, &snap)
+        .expect("continue after checkpoint")
+        .traced(&mut journal);
     while sess.next_minute() < 90 && sess.step_minute().is_some() {}
     drop(sess);
     let mut text = String::from_utf8(journal.into_inner()).expect("journal is utf-8");
@@ -355,11 +352,11 @@ fn journal_replay_recovers_both_engines_after_torn_write() {
     // events reproduce the journal tail exactly.
     let mut fresh = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     let mut resume_sink = MemorySink::new();
-    let mut resumed = sim
-        .restore_session_traced(&mut fresh, ckpt, &mut resume_sink)
-        .expect("recovery restore");
-    while resumed.step_minute().is_some() {}
-    let resumed = resumed.finish();
+    let resumed = sim
+        .restore(&mut fresh, ckpt)
+        .expect("recovery restore")
+        .traced(&mut resume_sink)
+        .finish();
 
     let whole = sim.run(&mut pulse::sim::policies::PulsePolicy::new(
         fams.clone(),
@@ -381,7 +378,7 @@ fn journal_replay_recovers_both_engines_after_torn_write() {
 
 #[test]
 fn snapshot_failures_are_typed_and_soft_on_both_engines() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 60);
     let fams = zoo12();
@@ -399,22 +396,22 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     let skewed = snap.replacen("\"version\":1", "\"version\":77", 1);
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     assert!(matches!(
-        sim.restore_session(&mut p, &skewed),
+        sim.restore(&mut p, &skewed),
         Err(RecoverError::VersionSkew { found: 77, .. })
     ));
     // Wrong policy.
     let mut other = pulse::sim::policies::OpenWhiskFixed::new(&fams);
     assert!(matches!(
-        sim.restore_session(&mut other, &snap),
+        sim.restore(&mut other, &snap),
         Err(RecoverError::PolicyMismatch { .. })
     ));
     // Wrong engine: a sim snapshot offered to the runtime (and the runtime
     // stamps its own fingerprints, so even the header is rejected typed).
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
-    let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+    let cluster = ClusterConfig::unlimited();
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     assert!(rt
-        .restore_fleet_session(&mut p, &FaultPlan::none(), fleet.clone(), &snap)
+        .restore(&mut p, &FaultPlan::none(), cluster, &snap)
         .is_err());
     // Garbage never panics.
     for garbage in [
@@ -425,10 +422,10 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
         "{\"type\":\"x\"}",
     ] {
         let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
-        assert!(sim.restore_session(&mut p, garbage).is_err(), "{garbage:?}");
+        assert!(sim.restore(&mut p, garbage).is_err(), "{garbage:?}");
         let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(
-            rt.restore_fleet_session(&mut p, &FaultPlan::none(), fleet.clone(), garbage)
+            rt.restore(&mut p, &FaultPlan::none(), cluster, garbage)
                 .is_err(),
             "{garbage:?}"
         );
@@ -484,7 +481,7 @@ fn assert_ledgers_equivalent(
 /// and to the legacy full sweep, on both engines.
 #[test]
 fn restored_ledger_rebuilds_incremental_cache_deterministically() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 120);
     let fams = zoo12();
@@ -499,14 +496,14 @@ fn restored_ledger_rebuilds_incremental_cache_deterministically() {
     let live = sess.ledger().clone();
     drop(sess);
     let mut p2 = make();
-    let restored = sim.restore_session(&mut p2, &snap).expect("sim restore");
+    let restored = sim.restore(&mut p2, &snap).expect("sim restore");
     assert_ledgers_equivalent(&fams, &live, &restored.ledger().clone(), 130, "sim");
 
     // Runtime engine: kill mid-stream after a fixed number of events.
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
-    let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+    let cluster = ClusterConfig::unlimited();
     let mut p1 = make();
-    let mut sess = rt.fleet_session(&mut p1, &FaultPlan::none(), fleet.clone());
+    let mut sess = rt.session(&mut p1, &FaultPlan::none(), cluster);
     for _ in 0..500 {
         if sess.step().is_none() {
             break;
@@ -517,7 +514,7 @@ fn restored_ledger_rebuilds_incremental_cache_deterministically() {
     drop(sess);
     let mut p2 = make();
     let restored = rt
-        .restore_fleet_session(&mut p2, &FaultPlan::none(), fleet, &snap)
+        .restore(&mut p2, &FaultPlan::none(), cluster, &snap)
         .expect("runtime restore");
     assert_ledgers_equivalent(&fams, &live, &restored.ledger().clone(), 130, "runtime");
 }

@@ -237,7 +237,7 @@ fn policy_factories(fams: &[ModelFamily], trace: &Trace) -> Vec<(&'static str, P
 
 #[test]
 fn zero_fault_plan_is_bitwise_identical_for_every_policy() {
-    use pulse::runtime::{FaultPlan, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
 
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
@@ -251,11 +251,15 @@ fn zero_fault_plan_is_bitwise_identical_for_every_policy() {
         },
     );
 
-    // The trivial fault plan must not perturb a single bit of any policy's
-    // summary.
+    // A plan with every rate at zero must not perturb a single bit of any
+    // policy's summary, whatever its fault seed: zero-rate draws are
+    // skipped, so the injector's RNG is never consulted.
+    let zero = FaultPlan::uniform(0.0, 0.0, 0.0, seed ^ 0x5EED);
     for (name, make) in &policy_factories(&fams, &trace) {
         let plain = rt.run(make().as_mut());
-        let faulted = rt.run_with_faults(make().as_mut(), &FaultPlan::none());
+        let faulted = rt
+            .session(make().as_mut(), &zero, ClusterConfig::unlimited())
+            .finish();
         assert_eq!(plain.records, faulted.records, "{name}: records diverged");
         assert_eq!(
             plain.keepalive_cost_usd.to_bits(),
@@ -285,7 +289,9 @@ fn zero_fault_plan_is_bitwise_identical_for_every_policy() {
 
 #[test]
 fn unlimited_cluster_is_bitwise_identical_for_every_policy() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
+    use pulse::runtime::{
+        AdmissionControl, ClusterConfig, FaultPlan, NodeCapacity, Runtime, RuntimeConfig,
+    };
 
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
@@ -304,16 +310,25 @@ fn unlimited_cluster_is_bitwise_identical_for_every_policy() {
     // timeouts are all firing.
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
 
+    // Knobs that can never act: a cap above the all-high footprint and an
+    // admission bound above the whole request count.
+    let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
+    let slack = ClusterConfig {
+        capacity: NodeCapacity::mb(all_high * 2.0),
+        admission: AdmissionControl::bounded(trace.total_invocations() as usize + 1),
+    };
     for (name, make) in &policy_factories(&fams, &trace) {
-        let faults = rt.run_with_faults(make().as_mut(), &plan);
-        let cluster = rt.run_with_cluster(make().as_mut(), &plan, &ClusterConfig::unlimited());
-        assert_eq!(faults.records, cluster.records, "{name}: records diverged");
+        let capped = rt.session(make().as_mut(), &plan, slack).finish();
+        let cluster = rt
+            .session(make().as_mut(), &plan, ClusterConfig::unlimited())
+            .finish();
+        assert_eq!(capped.records, cluster.records, "{name}: records diverged");
         assert_eq!(
-            faults.keepalive_cost_usd.to_bits(),
+            capped.keepalive_cost_usd.to_bits(),
             cluster.keepalive_cost_usd.to_bits(),
             "{name}: cost not bitwise equal"
         );
-        let a: Vec<u64> = faults
+        let a: Vec<u64> = capped
             .memory_at_tick_mb
             .iter()
             .map(|m| m.to_bits())
@@ -325,14 +340,14 @@ fn unlimited_cluster_is_bitwise_identical_for_every_policy() {
             .collect();
         assert_eq!(a, b, "{name}: memory series diverged");
         assert_eq!(
-            faults.provision_failures, cluster.provision_failures,
+            capped.provision_failures, cluster.provision_failures,
             "{name}"
         );
-        assert_eq!(faults.exec_crashes, cluster.exec_crashes, "{name}");
-        assert_eq!(faults.degradations, cluster.degradations, "{name}");
-        assert_eq!(faults.timeouts, cluster.timeouts, "{name}");
+        assert_eq!(capped.exec_crashes, cluster.exec_crashes, "{name}");
+        assert_eq!(capped.degradations, cluster.degradations, "{name}");
+        assert_eq!(capped.timeouts, cluster.timeouts, "{name}");
         assert_eq!(
-            faults.accuracy_penalty_pct.to_bits(),
+            capped.accuracy_penalty_pct.to_bits(),
             cluster.accuracy_penalty_pct.to_bits(),
             "{name}"
         );
@@ -365,9 +380,13 @@ fn disabled_watchdog_is_bitwise_transparent_for_every_policy() {
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
 
     for (name, make) in &policy_factories(&fams, &trace) {
-        let bare = rt.run_with_faults(make().as_mut(), &plan);
+        let bare = rt
+            .session(make().as_mut(), &plan, ClusterConfig::unlimited())
+            .finish();
         let mut wrapped = Watchdog::new(make(), &fams, WatchdogConfig::disabled());
-        let watched = rt.run_with_cluster(&mut wrapped, &plan, &ClusterConfig::unlimited());
+        let watched = rt
+            .session(&mut wrapped, &plan, ClusterConfig::unlimited())
+            .finish();
         assert_eq!(bare.records, watched.records, "{name}: records diverged");
         assert_eq!(
             bare.keepalive_cost_usd.to_bits(),
@@ -383,7 +402,7 @@ fn disabled_watchdog_is_bitwise_transparent_for_every_policy() {
 
 #[test]
 fn top_rung_outage_degrades_every_request_one_rung_and_never_corrupts_billing() {
-    use pulse::runtime::{FaultPlan, FaultRates, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, FaultRates, Runtime, RuntimeConfig};
 
     let trace = pulse::trace::synth::azure_like_12_with_horizon(chaos_seed(), 120);
     let fams = zoo12();
@@ -402,7 +421,13 @@ fn top_rung_outage_degrades_every_request_one_rung_and_never_corrupts_billing() 
         );
     }
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
-    let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+    let s = rt
+        .session(
+            &mut OpenWhiskFixed::new(&fams),
+            &plan,
+            ClusterConfig::unlimited(),
+        )
+        .finish();
     let clean = rt.run(&mut OpenWhiskFixed::new(&fams));
 
     assert_eq!(s.requests(), trace.total_invocations());
@@ -439,14 +464,20 @@ fn top_rung_outage_degrades_every_request_one_rung_and_never_corrupts_billing() 
 
 #[test]
 fn mid_execution_crashes_never_double_bill_gbms() {
-    use pulse::runtime::{FaultPlan, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
 
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
     let fams = zoo12();
     let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
     let plan = FaultPlan::uniform(0.0, 0.0, 0.4, seed);
-    let crashed = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+    let crashed = rt
+        .session(
+            &mut OpenWhiskFixed::new(&fams),
+            &plan,
+            ClusterConfig::unlimited(),
+        )
+        .finish();
     let clean = rt.run(&mut OpenWhiskFixed::new(&fams));
 
     assert!(crashed.exec_crashes > 0, "rate 0.4 must hit something");
@@ -469,7 +500,7 @@ fn mid_execution_crashes_never_double_bill_gbms() {
 
 #[test]
 fn fault_scenarios_replay_identically_under_the_chaos_seed() {
-    use pulse::runtime::{FaultPlan, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
 
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 150);
@@ -483,14 +514,12 @@ fn fault_scenarios_replay_identically_under_the_chaos_seed() {
         },
     );
     let plan = FaultPlan::uniform(0.25, 0.1, 0.1, seed).with_timeout_ms(120_000);
-    let a = rt.run_with_faults(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-    );
-    let b = rt.run_with_faults(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-    );
+    let run = || {
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        rt.session(&mut policy, &plan, ClusterConfig::unlimited())
+            .finish()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.records, b.records);
     assert_eq!(a.provision_failures, b.provision_failures);
     assert_eq!(a.provision_retries, b.provision_retries);
@@ -513,7 +542,7 @@ fn fault_scenarios_replay_identically_under_the_chaos_seed() {
 
 // ---------------------------------------------------------------------------
 // NullSink transparency: tracing with the no-op sink must be bit-identical
-// to running untraced, for every policy, at every entry point. CI's obs job
+// to running untraced, for every policy, on every engine configuration. CI's obs job
 // runs these with `cargo test --test robustness null_sink`.
 // ---------------------------------------------------------------------------
 
@@ -591,7 +620,7 @@ fn null_sink_simulator_run_is_bit_identical_for_every_policy() {
 
 #[test]
 fn null_sink_runtime_run_is_bit_identical_for_every_policy() {
-    use pulse::runtime::{Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
     let fams = zoo12();
@@ -605,14 +634,21 @@ fn null_sink_runtime_run_is_bit_identical_for_every_policy() {
     );
     for (name, make) in &policy_factories(&fams, &trace) {
         let plain = rt.run(make().as_mut());
-        let traced = rt.run_traced(make().as_mut(), &mut NullSink);
+        let traced = rt
+            .session(
+                make().as_mut(),
+                &FaultPlan::none(),
+                ClusterConfig::unlimited(),
+            )
+            .traced(&mut NullSink)
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
 
 #[test]
 fn null_sink_faulted_run_is_bit_identical_for_every_policy() {
-    use pulse::runtime::{FaultPlan, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
     let fams = zoo12();
@@ -628,8 +664,12 @@ fn null_sink_faulted_run_is_bit_identical_for_every_policy() {
     // sits on every one of those paths and must not perturb them.
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let plain = rt.run_with_faults(make().as_mut(), &plan);
-        let traced = rt.run_with_faults_traced(make().as_mut(), &plan, &mut NullSink);
+        let cluster = ClusterConfig::unlimited();
+        let plain = rt.session(make().as_mut(), &plan, cluster).finish();
+        let traced = rt
+            .session(make().as_mut(), &plan, cluster)
+            .traced(&mut NullSink)
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
@@ -659,8 +699,11 @@ fn null_sink_cluster_run_is_bit_identical_for_every_policy() {
     };
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let plain = rt.run_with_cluster(make().as_mut(), &plan, &cluster);
-        let traced = rt.run_with_cluster_traced(make().as_mut(), &plan, &cluster, &mut NullSink);
+        let plain = rt.session(make().as_mut(), &plan, cluster).finish();
+        let traced = rt
+            .session(make().as_mut(), &plan, cluster)
+            .traced(&mut NullSink)
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
@@ -697,9 +740,9 @@ fn single_node_fleet_is_bitwise_identical_to_cluster_for_every_policy() {
             ..RuntimeConfig::default()
         },
     );
-    // A binding cluster (pressure + sheds) plus request-level faults: the
-    // fleet generalization must collapse to the cluster path exactly when
-    // given one nominal node and no node faults.
+    // A binding cluster (pressure + sheds) plus request-level faults: an
+    // independently built fleet of one nominal node with no node faults
+    // must reproduce the cluster run exactly.
     let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
     let cluster = ClusterConfig {
         capacity: NodeCapacity::mb(all_high * 0.3),
@@ -707,9 +750,9 @@ fn single_node_fleet_is_bitwise_identical_to_cluster_for_every_policy() {
     };
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let via_cluster = rt.run_with_cluster(make().as_mut(), &plan, &cluster);
-        let via_fleet =
-            rt.run_with_fleet(make().as_mut(), &plan, &FleetConfig::from_cluster(cluster));
+        let one_node = FleetConfig::uniform(1, cluster.capacity).with_admission(cluster.admission);
+        let via_cluster = rt.session(make().as_mut(), &plan, cluster).finish();
+        let via_fleet = rt.session(make().as_mut(), &plan, one_node).finish();
         assert_summaries_bit_identical(name, &via_cluster, &via_fleet);
         // The single node absorbs the whole fleet accounting.
         assert_eq!(via_fleet.node_summaries.len(), 1, "{name}");
@@ -753,8 +796,10 @@ fn idle_unlimited_extra_nodes_are_bitwise_transparent() {
     // not move a single bit of the accounting.
     let fleet = FleetConfig::uniform(3, NodeCapacity::unlimited());
     for (name, make) in &policy_factories(&fams, &trace) {
-        let single = rt.run_with_faults(make().as_mut(), &FaultPlan::none());
-        let spread = rt.run_with_fleet(make().as_mut(), &FaultPlan::none(), &fleet);
+        let single = rt.run(make().as_mut());
+        let spread = rt
+            .session(make().as_mut(), &FaultPlan::none(), fleet.clone())
+            .finish();
         assert_eq!(single.records, spread.records, "{name}: records diverged");
         assert_eq!(
             single.keepalive_cost_usd.to_bits(),
@@ -797,7 +842,9 @@ fn rolling_node_failures_keep_every_policy_available() {
     let cheap_bar = min_cold_ms(&fams);
     let mut total_migrations = 0u64;
     for (name, make) in &policy_factories(&fams, &trace) {
-        let s = rt.run_with_fleet(make().as_mut(), &FaultPlan::none(), &fleet);
+        let s = rt
+            .session(make().as_mut(), &FaultPlan::none(), fleet.clone())
+            .finish();
         assert_eq!(s.requests(), trace.total_invocations(), "{name}");
         assert!(
             s.availability() >= 0.99,
@@ -847,11 +894,13 @@ fn correlated_outage_fails_over_or_fails_loud() {
     // failure must be loud (placement failures), never a hang.
     let fleet = FleetConfig::uniform(3, NodeCapacity::unlimited())
         .with_node_faults(NodeFaultPlan::correlated_outage(&[0, 1], 30, 20));
-    let s = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &FaultPlan::none(),
-        &fleet,
-    );
+    let s = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &FaultPlan::none(),
+            fleet,
+        )
+        .finish();
     assert_eq!(s.requests(), trace.total_invocations());
     assert_eq!(s.node_partitions, 2);
     assert!(
@@ -866,11 +915,13 @@ fn correlated_outage_fails_over_or_fails_loud() {
 
     let all_down = FleetConfig::uniform(2, NodeCapacity::unlimited())
         .with_node_faults(NodeFaultPlan::correlated_outage(&[0, 1], 30, 20));
-    let dark = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &FaultPlan::none(),
-        &all_down,
-    );
+    let dark = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &FaultPlan::none(),
+            all_down,
+        )
+        .finish();
     assert!(
         dark.placement_failures > 0,
         "a fully dark fleet must fail placements loudly"
@@ -892,7 +943,9 @@ fn stragglers_slow_requests_but_fail_nothing() {
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
     let slow = FleetConfig::uniform(1, NodeCapacity::unlimited())
         .with_node_faults(NodeFaultPlan::stragglers(1, 5, 110, 1000, 4.0, 120));
-    let s = rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), &slow);
+    let s = rt
+        .session(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), slow)
+        .finish();
     let clean = rt.run(&mut OpenWhiskFixed::new(&fams));
     assert_eq!(s.node_stragglers, 1);
     assert_eq!(s.failed_requests(), 0, "slow is not broken");
@@ -934,8 +987,11 @@ fn null_sink_fleet_run_is_bit_identical_for_every_policy() {
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 200));
     let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let plain = rt.run_with_fleet(make().as_mut(), &plan, &fleet);
-        let traced = rt.run_with_fleet_traced(make().as_mut(), &plan, &fleet, &mut NullSink);
+        let plain = rt.session(make().as_mut(), &plan, fleet.clone()).finish();
+        let traced = rt
+            .session(make().as_mut(), &plan, fleet.clone())
+            .traced(&mut NullSink)
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
@@ -963,16 +1019,11 @@ fn fleet_scenarios_replay_identically_under_the_chaos_seed() {
     ])
     .with_node_faults(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 150));
     let plan = FaultPlan::uniform(0.1, 0.05, 0.05, seed);
-    let a = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-        &fleet,
-    );
-    let b = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-        &fleet,
-    );
+    let run = || {
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        rt.session(&mut policy, &plan, fleet.clone()).finish()
+    };
+    let (a, b) = (run(), run());
     assert_summaries_bit_identical("pulse/fleet-replay", &a, &b);
     assert_eq!(a.records, b.records);
 }
