@@ -2,6 +2,8 @@
 //! comparison per paper element family — the unit of work behind Figures
 //! 5–8 — including the forecaster-integrated policies.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pulse_core::types::PulseConfig;
 use pulse_forecast::integrate::{IceBreakerPolicy, WildPolicy, WildPulsePolicy};

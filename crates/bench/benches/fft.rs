@@ -1,6 +1,8 @@
 //! The IceBreaker substrate's FFT: radix-2 vs naive DFT, and the spectral
 //! forecaster end to end.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_forecast::fft::{fft, naive_dft};
 use pulse_forecast::FftPredictor;

@@ -4,6 +4,8 @@
 //! Run with `PULSE_BENCH_JSON=BENCH_fleet.json cargo bench --bench fleet`
 //! to append machine-readable points to the trajectory file.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pulse_runtime::{
     ClusterConfig, FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan, Runtime, RuntimeConfig,

@@ -10,6 +10,8 @@
 //! Run with `PULSE_BENCH_JSON=BENCH_individual.json cargo bench --bench individual`
 //! to append machine-readable points to the trajectory file.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::individual::IndividualOptimizer;
 use pulse_core::thresholds::SchemeT1;

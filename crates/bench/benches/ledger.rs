@@ -6,6 +6,8 @@
 //! Run with `PULSE_BENCH_JSON=BENCH_ledger.json cargo bench --bench ledger`
 //! to append machine-readable points to the trajectory file.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::global::DowngradeAction;
 use pulse_core::individual::KeepAliveSchedule;

@@ -1,6 +1,8 @@
 //! The MILP substrate in isolation: simplex solves and branch-and-bound on
 //! knapsack-style instances of growing size.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_milp::{Constraint, LinearProgram, MilpProblem, Relation};
 

@@ -7,6 +7,8 @@
 //! Run with `PULSE_BENCH_JSON=BENCH_obs.json cargo bench --bench obs` to
 //! append machine-readable points to the trajectory file.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pulse_core::types::PulseConfig;
 use pulse_models::{zoo, ModelFamily};

@@ -7,6 +7,8 @@
 //! file (the vendored criterion records every bench when the variable is
 //! set).
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::global::{
     flatten_peak, flatten_peak_scan, flatten_peak_scratch, AliveModel, FlattenScratch,

@@ -1,6 +1,8 @@
 //! Event-driven runtime throughput vs the minute simulator on identical
 //! inputs — the cost of millisecond fidelity.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pulse_core::types::PulseConfig;
 use pulse_runtime::{Runtime, RuntimeConfig};

@@ -6,6 +6,8 @@
 //! Run with `PULSE_BENCH_JSON=BENCH_serve.json cargo bench --bench serve`
 //! to append machine-readable points to the trajectory file.
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pulse_core::types::PulseConfig;
 use pulse_serve::loadgen::ArrivalStream;

@@ -2,6 +2,8 @@
 //! workload under each keep-alive policy (how many trace-minutes per second
 //! the platform model sustains).
 
+#![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pulse_core::types::PulseConfig;
 use pulse_sim::assignment::round_robin_assignment;

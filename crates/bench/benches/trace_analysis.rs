@@ -1,6 +1,10 @@
 //! Trace substrate: synthetic generation (Figures 1–2 inputs), gap
 //! analysis, peak finding (Tables II/III inputs), and CSV round trips.
 
+// criterion_group! generates an undocumented pub fn; benches fail fast on
+// bad input.
+#![allow(missing_docs, clippy::unwrap_used)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pulse_trace::interarrival::gap_percentages;
 use pulse_trace::peaks::{top_peaks, total_per_minute};

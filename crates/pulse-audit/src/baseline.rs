@@ -44,10 +44,9 @@ impl Baseline {
         Self { counts }
     }
 
-    /// Load a baseline file. A malformed file is an error (unlike the
-    /// incremental cache, a silently-empty baseline would turn every
-    /// accepted finding into a CI failure — or worse, on a `--write-baseline`
-    /// round-trip, silently accept new ones).
+    /// Load a baseline file. A malformed file is an error: a silently-empty
+    /// baseline would turn every accepted finding into a CI failure — or
+    /// worse, on a `--write-baseline` round-trip, silently accept new ones.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = fs::read_to_string(path)?;
         parse(&text).ok_or_else(|| {

@@ -14,14 +14,11 @@
 //! A [`CrossFacts`] summary aggregates the *cross-file* facts (currently:
 //! the names of functions returning hash containers) over the whole
 //! workspace, so a rule checking file B can know that a function defined in
-//! file A hands it unordered data. [`CrossFacts::digest`] fingerprints that
-//! summary for the incremental cache: per-file diagnostics stay valid as
-//! long as the file and the workspace-wide facts are both unchanged.
+//! file A hands it unordered data.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::cache::fnv1a;
 use crate::lex::{matching_close, tokenize, Token, TokenKind};
 use crate::source::SourceFile;
 
@@ -131,19 +128,6 @@ impl FileIndex {
             .rfind(|b| b.name == name && b.token <= at)
             .or_else(|| self.bindings.iter().find(|b| b.name == name))
     }
-
-    /// Cross-file facts this file contributes.
-    pub fn facts(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .fns
-            .iter()
-            .filter(|f| f.returns_hash)
-            .map(|f| format!("hash-fn:{}", f.name))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
 }
 
 /// Workspace-wide facts shared by every file's rule run.
@@ -154,28 +138,15 @@ pub struct CrossFacts {
 }
 
 impl CrossFacts {
-    /// Aggregate per-file fact lists (as produced by [`FileIndex::facts`]).
-    pub fn from_facts<'a>(facts: impl Iterator<Item = &'a String>) -> Self {
-        let mut out = Self::default();
-        for f in facts {
-            if let Some(name) = f.strip_prefix("hash-fn:") {
-                out.hash_returning_fns.insert(name.to_owned());
-            }
-        }
-        out
-    }
-
-    /// Order-independent fingerprint of the facts, mixed into every cache
-    /// entry: when the cross-file facts change, all cached diagnostics are
-    /// recomputed.
-    pub fn digest(&self) -> u64 {
-        let mut joined = String::new();
-        for f in &self.hash_returning_fns {
-            joined.push_str("hash-fn:");
-            joined.push_str(f);
-            joined.push('\n');
-        }
-        fnv1a(joined.as_bytes())
+    /// Aggregate the facts every indexed file contributes.
+    pub fn of<'a>(indexes: impl IntoIterator<Item = &'a FileIndex>) -> Self {
+        let hash_returning_fns = indexes
+            .into_iter()
+            .flat_map(|ix| &ix.fns)
+            .filter(|f| f.returns_hash)
+            .map(|f| f.name.clone())
+            .collect();
+        Self { hash_returning_fns }
     }
 }
 
@@ -195,17 +166,10 @@ impl Context {
             .iter()
             .map(|f| (f.path.clone(), FileIndex::build(f)))
             .collect();
-        let all_facts: Vec<String> = indexes.values().flat_map(FileIndex::facts).collect();
         Self {
-            cross: CrossFacts::from_facts(all_facts.iter()),
+            cross: CrossFacts::of(indexes.values()),
             indexes,
         }
-    }
-
-    /// Assemble a context from pre-computed parts (the cached-audit path,
-    /// where unchanged files contribute facts without re-indexing).
-    pub fn from_parts(cross: CrossFacts, indexes: BTreeMap<PathBuf, FileIndex>) -> Self {
-        Self { cross, indexes }
     }
 
     /// The index of `path`, when it was built this run.
@@ -612,8 +576,7 @@ mod tests {
              pub fn by_app() -> HashMap<String, f64> { HashMap::new() }\n",
         );
         assert!(ix.fns[0].returns_hash);
-        assert_eq!(ix.facts(), ["hash-fn:by_app"]);
-        let cross = CrossFacts::from_facts(ix.facts().iter());
+        let cross = CrossFacts::of([&ix]);
         assert!(cross.hash_returning_fns.contains("by_app"));
     }
 
@@ -714,18 +677,5 @@ mod tests {
             .position(|t| t.is_ident("y"))
             .expect("y token");
         assert_eq!(ix.enclosing_fn(y_tok).expect("outer").name, "outer");
-    }
-
-    #[test]
-    fn digest_changes_with_facts() {
-        let a = CrossFacts::from_facts(["hash-fn:f".to_owned()].iter());
-        let b = CrossFacts::from_facts(["hash-fn:g".to_owned()].iter());
-        let empty = CrossFacts::default();
-        assert_ne!(a.digest(), b.digest());
-        assert_ne!(a.digest(), empty.digest());
-        assert_eq!(
-            a.digest(),
-            CrossFacts::from_facts(["hash-fn:f".to_owned()].iter()).digest()
-        );
     }
 }

@@ -1,26 +1,26 @@
 //! PULSE-specific static analysis.
 //!
 //! `pulse-audit` walks every first-party `.rs` file in the workspace and
-//! enforces the invariant-hygiene rules the PULSE policy core depends on
-//! (see `rules` for the registry). It is deliberately dependency-free so it
-//! runs in offline CI and can never be broken by the code it checks.
+//! enforces the determinism and domain rules the PULSE policy core depends
+//! on that rustc and clippy cannot express (see `rules` for the registry).
+//! Checks a lint already makes — `unwrap`/`expect`/`panic`, raw `as` casts,
+//! missing docs — live in the workspace `[lints]` table instead. The crate
+//! is deliberately dependency-free so it runs in offline CI and can never
+//! be broken by the code it checks.
 //!
 //! Library layout (the pipeline runs top to bottom; see DESIGN.md §13):
-//! - [`walk`] — workspace file discovery (raw text, crate attribution);
+//! - [`walk`] — workspace file discovery (crate attribution, parsing);
 //! - [`source`] — masked-text model of one file (strings/comments blanked,
 //!   `#[cfg(test)]` spans and `audit:allow` waivers resolved);
 //! - [`lex`] — token stream over the masked text;
 //! - [`index`] — brace-matched item index (functions, typed bindings, spawn
 //!   sites) and the cross-file fact table;
 //! - [`rules`] — the rule trait, registry and one module per rule;
-//! - [`cache`] — incremental per-file diagnostics cache (content
-//!   fingerprints, layered invalidation);
 //! - [`diagnostics`] / [`output`] — the diagnostic type and its text / JSON
 //!   / SARIF renderings;
 //! - [`baseline`] — the committed CI ratchet (fail only on NEW findings).
 
 pub mod baseline;
-pub mod cache;
 pub mod diagnostics;
 pub mod index;
 pub mod lex;
@@ -29,13 +29,11 @@ pub mod rules;
 pub mod source;
 pub mod walk;
 
-use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use cache::{fnv1a, Cache, CacheEntry};
 use diagnostics::Diagnostic;
-use index::{Context, CrossFacts, FileIndex};
+use index::Context;
 use source::SourceFile;
 
 /// Result of auditing a set of files.
@@ -45,10 +43,6 @@ pub struct AuditOutcome {
     pub files_scanned: usize,
     /// All violations, sorted by (path, line, rule).
     pub diagnostics: Vec<Diagnostic>,
-    /// Files whose diagnostics were served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files that were (re-)lexed, indexed and rule-checked this run.
-    pub cache_misses: usize,
 }
 
 impl AuditOutcome {
@@ -56,16 +50,6 @@ impl AuditOutcome {
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
-}
-
-/// Tuning knobs for a workspace audit.
-#[derive(Debug, Clone, Default)]
-pub struct AuditOptions {
-    /// Incremental cache file; `None` disables caching.
-    pub cache_path: Option<PathBuf>,
-    /// Worker threads for parsing and rule runs; `0` picks a default from
-    /// the machine's available parallelism.
-    pub jobs: usize,
 }
 
 /// Check one parsed file against every in-scope rule (plus the framework
@@ -84,7 +68,7 @@ fn check_file(file: &SourceFile, ctx: &Context) -> Vec<Diagnostic> {
 }
 
 /// Run every registered rule over `files` (in-memory entry point; the CLI
-/// and tests share it). No cache is involved: every file counts as a miss.
+/// and tests share it).
 pub fn audit_files(files: &[SourceFile]) -> AuditOutcome {
     let ctx = Context::of(files);
     let mut diagnostics = Vec::new();
@@ -95,195 +79,12 @@ pub fn audit_files(files: &[SourceFile]) -> AuditOutcome {
     AuditOutcome {
         files_scanned: files.len(),
         diagnostics,
-        cache_hits: 0,
-        cache_misses: files.len(),
     }
 }
 
-/// Walk the workspace rooted at `root` and audit every in-scope file,
-/// without a cache (tests and one-shot callers).
+/// Walk the workspace rooted at `root` and audit every in-scope file.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditOutcome> {
-    audit_workspace_with(root, &AuditOptions::default())
-}
-
-/// Walk the workspace rooted at `root` and audit every in-scope file, with
-/// incremental caching and parallel parsing per `opts`.
-///
-/// The run is phased so cached files cost one read + one hash:
-///
-/// 1. **discover + fingerprint** every file (serial, I/O bound);
-/// 2. **parse + index** files whose fingerprint misses the cache (parallel);
-///    fingerprint hits contribute their cross-file facts *from the cache*
-///    without being parsed;
-/// 3. **digest** the workspace-wide facts; a cached entry is valid only if
-///    its fingerprint **and** digest both match (editing one file only
-///    invalidates others when the cross-file fact set actually changed);
-/// 4. **rule-check** invalid files (parallel; fingerprint-hit/digest-miss
-///    files get a second parse wave first), reuse cached diagnostics for
-///    valid ones;
-/// 5. **store** the updated cache.
-pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<AuditOutcome> {
-    let raws = walk::discover(root)?;
-    let n = raws.len();
-    let jobs = effective_jobs(opts.jobs, n);
-    let old_cache = match &opts.cache_path {
-        Some(p) => Cache::load(p, rules::RULES_VERSION),
-        None => Cache::default(),
-    };
-
-    // Phase 1: fingerprints.
-    let fingerprints: Vec<u64> = raws.iter().map(|r| fnv1a(r.text.as_bytes())).collect();
-    let fp_hit: Vec<bool> = (0..n)
-        .map(|i| {
-            old_cache
-                .entries
-                .get(&raws[i].path)
-                .is_some_and(|e| e.fingerprint == fingerprints[i])
-        })
-        .collect();
-
-    // Phase 2: parse + index fingerprint misses in parallel.
-    let wave1: Vec<usize> = (0..n).filter(|&i| !fp_hit[i]).collect();
-    let parsed1 = par_map(wave1, jobs, |i| {
-        let file = raws[i].parse();
-        let ix = FileIndex::build(&file);
-        (i, file, ix)
-    });
-
-    // Facts per file: from the fresh index for misses, from the cache for
-    // hits (same content ⇒ same facts, no parse needed).
-    let mut facts: Vec<Vec<String>> = vec![Vec::new(); n];
-    for (i, _, ix) in &parsed1 {
-        facts[*i] = ix.facts();
-    }
-    for i in (0..n).filter(|&i| fp_hit[i]) {
-        if let Some(e) = old_cache.entries.get(&raws[i].path) {
-            facts[i].clone_from(&e.facts);
-        }
-    }
-
-    // Phase 3: workspace digest; a cache entry is valid iff fingerprint and
-    // digest both match.
-    let cross = CrossFacts::from_facts(facts.iter().flatten());
-    let digest = cross.digest();
-    let valid: Vec<bool> = (0..n)
-        .map(|i| {
-            fp_hit[i]
-                && old_cache
-                    .entries
-                    .get(&raws[i].path)
-                    .is_some_and(|e| e.digest == digest)
-        })
-        .collect();
-
-    // Second parse wave: content unchanged but the cross-file facts moved
-    // under the cached diagnostics, so the file must be re-checked.
-    let wave2: Vec<usize> = (0..n).filter(|&i| fp_hit[i] && !valid[i]).collect();
-    let parsed2 = par_map(wave2, jobs, |i| {
-        let file = raws[i].parse();
-        let ix = FileIndex::build(&file);
-        (i, file, ix)
-    });
-
-    // Phase 4: rule runs for every invalid file, under one shared context.
-    let mut to_check: Vec<(usize, SourceFile)> = Vec::new();
-    let mut indexes: BTreeMap<PathBuf, FileIndex> = BTreeMap::new();
-    for (i, file, ix) in parsed1.into_iter().chain(parsed2) {
-        indexes.insert(file.path.clone(), ix);
-        to_check.push((i, file));
-    }
-    let ctx = Context::from_parts(cross, indexes);
-    let checked: Vec<(usize, Vec<Diagnostic>)> =
-        par_map(to_check, jobs, |(i, file)| (i, check_file(&file, &ctx)));
-
-    let mut per_file: Vec<Vec<Diagnostic>> = vec![Vec::new(); n];
-    let mut cache_hits = 0usize;
-    for i in (0..n).filter(|&i| valid[i]) {
-        if let Some(e) = old_cache.entries.get(&raws[i].path) {
-            per_file[i].clone_from(&e.diagnostics);
-            cache_hits += 1;
-        }
-    }
-    for (i, ds) in checked {
-        per_file[i] = ds;
-    }
-
-    // Phase 5: store the refreshed cache.
-    if let Some(cache_path) = &opts.cache_path {
-        let mut new_cache = Cache::default();
-        for i in 0..n {
-            new_cache.entries.insert(
-                raws[i].path.clone(),
-                CacheEntry {
-                    fingerprint: fingerprints[i],
-                    facts: std::mem::take(&mut facts[i]),
-                    digest,
-                    diagnostics: per_file[i].clone(),
-                },
-            );
-        }
-        // Best-effort: a read-only target dir must not fail the audit.
-        let _ = new_cache.store(cache_path, rules::RULES_VERSION);
-    }
-
-    let mut diagnostics: Vec<Diagnostic> = per_file.into_iter().flatten().collect();
-    diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(AuditOutcome {
-        files_scanned: n,
-        diagnostics,
-        cache_hits,
-        cache_misses: n - cache_hits,
-    })
-}
-
-/// Resolve the worker-thread count: an explicit `jobs`, else the machine's
-/// available parallelism (capped — parsing is cheap, oversubscription only
-/// adds spawn overhead), never more than one thread per item.
-fn effective_jobs(jobs: usize, items: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let picked = if jobs == 0 { auto.min(8) } else { jobs };
-    picked.clamp(1, items.max(1))
-}
-
-/// Order-preserving parallel map over owned items using scoped threads:
-/// items are split into `jobs` contiguous chunks, each processed on its own
-/// thread, and the chunk results are re-concatenated in order. A worker
-/// panic is propagated to the caller.
-fn par_map<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let jobs = jobs.clamp(1, items.len().max(1));
-    if jobs == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_len = items.len().div_ceil(jobs);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(jobs);
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let f = &f;
-    let mut out = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(results) => out.extend(results),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    out
+    Ok(audit_files(&walk::workspace_files(root)?))
 }
 
 #[cfg(test)]
@@ -294,15 +95,16 @@ mod tests {
     #[test]
     fn diagnostics_are_sorted() {
         let files = vec![
-            SourceFile::parse(PathBuf::from("b.rs"), "pulse-core", "let x = a.unwrap();\n"),
+            SourceFile::parse(PathBuf::from("b.rs"), "pulse-core", "let x = a == 0.0;\n"),
             SourceFile::parse(
                 PathBuf::from("a.rs"),
                 "pulse-core",
-                "let y = b.unwrap();\nlet z = c.unwrap();\n",
+                "let y = b == 0.0;\nlet z = c == 0.0;\n",
             ),
         ];
         let out = audit_files(&files);
         assert_eq!(out.files_scanned, 2);
+        assert_eq!(out.diagnostics.len(), 3);
         let keys: Vec<_> = out
             .diagnostics
             .iter()
@@ -355,23 +157,5 @@ mod tests {
             "{:?}",
             out.diagnostics
         );
-    }
-
-    #[test]
-    fn par_map_preserves_order_at_any_job_count() {
-        let items: Vec<usize> = (0..37).collect();
-        for jobs in [1, 2, 5, 64] {
-            let doubled = par_map(items.clone(), jobs, |x| x * 2);
-            assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-        assert!(par_map(Vec::<usize>::new(), 4, |x| x).is_empty());
-    }
-
-    #[test]
-    fn effective_jobs_bounds() {
-        assert_eq!(effective_jobs(3, 100), 3);
-        assert_eq!(effective_jobs(16, 2), 2);
-        assert_eq!(effective_jobs(0, 0), 1);
-        assert!(effective_jobs(0, 100) >= 1);
     }
 }

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pulse_audit::baseline::Baseline;
-use pulse_audit::{output, rules, AuditOptions};
+use pulse_audit::{output, rules};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -25,9 +25,6 @@ struct Options {
     list_rules: bool,
     format: Format,
     out: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
-    jobs: usize,
     baseline: Option<PathBuf>,
     write_baseline: bool,
 }
@@ -39,9 +36,6 @@ fn parse_args() -> Result<Options, String> {
         list_rules: false,
         format: Format::Text,
         out: None,
-        cache: None,
-        no_cache: false,
-        jobs: 0,
         baseline: None,
         write_baseline: false,
     };
@@ -64,17 +58,6 @@ fn parse_args() -> Result<Options, String> {
             "--out" => {
                 let v = args.next().ok_or("--out requires a path")?;
                 opts.out = Some(PathBuf::from(v));
-            }
-            "--cache" => {
-                let v = args.next().ok_or("--cache requires a path")?;
-                opts.cache = Some(PathBuf::from(v));
-            }
-            "--no-cache" => opts.no_cache = true,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs requires a number")?;
-                opts.jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs: `{v}` is not a number"))?;
             }
             "--baseline" => {
                 let v = args.next().ok_or("--baseline requires a path")?;
@@ -102,10 +85,6 @@ OPTIONS:
     --root <path>       workspace root to scan (default: current directory)
     --format <fmt>      report format: text (default), json, sarif
     --out <path>        write the report to a file instead of stdout
-    --cache <path>      incremental cache file
-                        (default: <root>/target/pulse-audit-cache.tsv)
-    --no-cache          disable the incremental cache for this run
-    --jobs <n>          worker threads for parsing and rule runs (default: auto)
     --baseline <path>   ratchet file: exit 1 only on findings NOT covered by
                         the baseline (new (path, rule) pairs or grown counts)
     --write-baseline    rewrite the baseline file to accept current findings
@@ -142,21 +121,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let cache_path = if opts.no_cache {
-        None
-    } else {
-        Some(
-            opts.cache
-                .clone()
-                .unwrap_or_else(|| opts.root.join("target/pulse-audit-cache.tsv")),
-        )
-    };
-    let audit_opts = AuditOptions {
-        cache_path,
-        jobs: opts.jobs,
-    };
-
-    let outcome = match pulse_audit::audit_workspace_with(&opts.root, &audit_opts) {
+    let outcome = match pulse_audit::audit_workspace(&opts.root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: failed to scan {}: {e}", opts.root.display());

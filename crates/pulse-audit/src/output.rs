@@ -31,11 +31,9 @@ pub fn render_text(outcome: &AuditOutcome, fix_hints: bool) -> String {
     }
     if outcome.is_clean() {
         out.push_str(&format!(
-            "pulse-audit: clean ({} files, {} rules, cache {}/{} hits)\n",
+            "pulse-audit: clean ({} files, {} rules)\n",
             outcome.files_scanned,
             rules::registry().len(),
-            outcome.cache_hits,
-            outcome.cache_hits + outcome.cache_misses,
         ));
     } else {
         out.push_str(&format!(
@@ -52,8 +50,8 @@ pub fn render_json(outcome: &AuditOutcome) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n",
-        outcome.files_scanned, outcome.cache_hits, outcome.cache_misses
+        "  \"files_scanned\": {},\n",
+        outcome.files_scanned
     ));
     out.push_str("  \"diagnostics\": [");
     for (i, d) in outcome.diagnostics.iter().enumerate() {
@@ -171,8 +169,6 @@ mod tests {
                     .with_hint("propagate with `?`"),
                 Diagnostic::new("b.rs", 7, "cast", "raw `as f64` cast"),
             ],
-            cache_hits: 1,
-            cache_misses: 1,
         }
     }
 
@@ -185,23 +181,23 @@ mod tests {
     }
 
     #[test]
-    fn clean_text_report_shows_cache_stats() {
+    fn clean_text_report_shows_file_and_rule_counts() {
         let clean = AuditOutcome {
             files_scanned: 5,
             diagnostics: Vec::new(),
-            cache_hits: 5,
-            cache_misses: 0,
         };
         let text = render_text(&clean, false);
-        assert!(text.contains("clean (5 files"));
-        assert!(text.contains("cache 5/5 hits"));
+        let rules = rules::registry().len();
+        assert!(
+            text.contains(&format!("clean (5 files, {rules} rules)")),
+            "{text}"
+        );
     }
 
     #[test]
     fn json_is_deterministic_and_carries_all_fields() {
         let json = render_json(&outcome());
         assert!(json.contains("\"files_scanned\": 2"));
-        assert!(json.contains("\"cache_hits\": 1"));
         assert!(
             json.contains("\"path\": \"a.rs\", \"line\": 3, \"rule\": \"unwrap\""),
             "{json}"
@@ -226,8 +222,6 @@ mod tests {
         let clean = AuditOutcome {
             files_scanned: 1,
             diagnostics: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 1,
         };
         assert!(render_json(&clean).contains("\"diagnostics\": []"));
         assert!(render_sarif(&clean).contains("\"results\": []"));

@@ -5,7 +5,8 @@
 //! silently stops matching once rounding enters the chain. Use a domain
 //! predicate (e.g. `Probability::is_zero`), an epsilon comparison, or an
 //! ordering test instead. This textual rule catches literal comparisons;
-//! the `clippy::float_cmp` workspace lint covers typed ones.
+//! the `clippy::float_cmp` workspace lint covers typed ones but skips
+//! comparisons with zero (`x == 0.0` passes it), the case this rule is for.
 
 use crate::diagnostics::Diagnostic;
 use crate::rules::{Context, Rule, Scope};

@@ -2,11 +2,13 @@
 //!
 //! Adding a rule is three steps (see DESIGN.md "Static analysis &
 //! invariants"): create a module implementing [`Rule`], add it to
-//! [`registry`] (and bump [`RULES_VERSION`] so cached diagnostics are
-//! recomputed), and cover it with good/bad fixture tests. Waivers use
-//! `// audit:allow(<rule-name>): <justification>` on the offending line or
-//! on a comment line directly above it; the framework rejects waivers with
-//! an empty justification.
+//! [`registry`], and cover it with good/bad fixture tests. A rule earns its
+//! place only if rustc or clippy cannot make the check: `unwrap`/`expect`/
+//! `panic`, raw `as` casts and missing docs are workspace lints instead.
+//!
+//! Waivers use `// audit:allow(<rule-name>): <justification>` on the
+//! offending line or on a comment line directly above it; the framework
+//! rejects waivers with an empty justification.
 //!
 //! Rules come in two families sharing one trait:
 //! - **text rules** (v1) scan the masked line view of a single file;
@@ -19,12 +21,9 @@ pub mod float_cmp;
 pub mod float_reduce;
 pub mod hashmap_iter;
 pub mod ledger_sweep;
-pub mod no_cast;
-pub mod no_unwrap;
 pub mod obs_event_coverage;
 pub mod obs_sim_time;
 pub mod probability_usage;
-pub mod pub_docs;
 pub mod shared_mut_scope;
 pub mod unseeded_rng;
 pub mod variant_sentinel;
@@ -33,12 +32,6 @@ pub mod wall_clock;
 use crate::diagnostics::Diagnostic;
 pub use crate::index::Context;
 use crate::source::SourceFile;
-
-/// Version of the rule set. Bump whenever a rule is added, removed, or its
-/// behavior changes: the incremental cache stores this in its header and
-/// discards itself wholesale on mismatch, so stale diagnostics can never
-/// survive a rule change.
-pub const RULES_VERSION: u32 = 4;
 
 /// Which crates a rule applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,13 +72,10 @@ pub trait Rule {
 /// All registered rules, in reporting order.
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(no_unwrap::NoUnwrap),
-        Box::new(no_cast::NoCast),
         Box::new(float_cmp::FloatCmp),
         Box::new(wall_clock::WallClock),
         Box::new(obs_sim_time::ObsSimTime),
         Box::new(obs_event_coverage::ObsEventCoverage),
-        Box::new(pub_docs::PubDocs),
         Box::new(probability_usage::ProbabilityUsage),
         Box::new(variant_sentinel::VariantSentinel),
         Box::new(ledger_sweep::LedgerSweep),
@@ -95,20 +85,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(atomic_ordering::AtomicOrdering),
         Box::new(shared_mut_scope::SharedMutInScope),
     ]
-}
-
-/// Map a rule name back to its registry `&'static str` (plus the framework
-/// `waiver` pseudo-rule). The incremental cache uses this to rehydrate
-/// diagnostics; an unknown name means the rule set changed and the entry is
-/// dropped.
-pub fn static_name(name: &str) -> Option<&'static str> {
-    if name == "waiver" {
-        return Some("waiver");
-    }
-    registry()
-        .into_iter()
-        .map(|r| r.name())
-        .find(|n| *n == name)
 }
 
 /// Framework-level check shared by all rules: every waiver present in the
@@ -155,7 +131,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_kebab() {
         let rules = registry();
-        assert!(rules.len() >= 14, "the audit ships at least 14 rules");
+        assert!(rules.len() >= 12, "the audit ships at least 12 rules");
         let mut names: Vec<_> = rules.iter().map(|r| r.name()).collect();
         names.sort_unstable();
         let n = names.len();
@@ -167,15 +143,6 @@ mod tests {
                 "{name} is not kebab-case"
             );
         }
-    }
-
-    #[test]
-    fn static_name_roundtrips_registry_and_waiver() {
-        for rule in registry() {
-            assert_eq!(static_name(rule.name()), Some(rule.name()));
-        }
-        assert_eq!(static_name("waiver"), Some("waiver"));
-        assert_eq!(static_name("no-such-rule"), None);
     }
 
     #[test]

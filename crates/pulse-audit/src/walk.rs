@@ -12,32 +12,10 @@ use std::path::{Path, PathBuf};
 
 use crate::source::SourceFile;
 
-/// One discovered file: workspace-relative path, owning crate, raw text.
-///
-/// Discovery is separated from parsing so the incremental cache can
-/// fingerprint the raw text and skip the parse for unchanged files (see
-/// [`crate::audit_workspace_with`]).
-#[derive(Debug, Clone)]
-pub struct RawFile {
-    /// Workspace-relative path.
-    pub path: PathBuf,
-    /// Name of the crate the file belongs to.
-    pub krate: String,
-    /// Raw file contents.
-    pub text: String,
-}
-
-impl RawFile {
-    /// Parse into the masked-text source model.
-    pub fn parse(&self) -> SourceFile {
-        SourceFile::parse(self.path.clone(), &self.krate, &self.text)
-    }
-}
-
 /// Discover every in-scope `.rs` file under `root` (the workspace root) and
-/// read its contents. Paths are workspace-relative; the result is sorted by
-/// path so downstream diagnostics are deterministic.
-pub fn discover(root: &Path) -> io::Result<Vec<RawFile>> {
+/// parse it into the masked-text source model. Paths are workspace-relative;
+/// the result is sorted by path so downstream diagnostics are deterministic.
+pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut found: Vec<(PathBuf, String)> = Vec::new();
 
     let crates_dir = root.join("crates");
@@ -70,20 +48,10 @@ pub fn discover(root: &Path) -> io::Result<Vec<RawFile>> {
     for (path, krate) in found {
         let text = fs::read_to_string(&path)?;
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        files.push(RawFile {
-            path: rel,
-            krate,
-            text,
-        });
+        files.push(SourceFile::parse(rel, &krate, &text));
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)
-}
-
-/// Discover and parse every in-scope `.rs` file under `root` (the
-/// cache-less convenience used by tests and [`crate::audit_workspace`]).
-pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
-    Ok(discover(root)?.iter().map(RawFile::parse).collect())
 }
 
 /// Recursively gather `.rs` files under `dir`, skipping build/vendor trees.

@@ -38,8 +38,6 @@ fn json_report_snapshot() {
     let expected = "\
 {
   \"files_scanned\": 1,
-  \"cache_hits\": 0,
-  \"cache_misses\": 1,
   \"diagnostics\": [
     {\"path\": \"crates/demo/src/lib.rs\", \"line\": 5, \"rule\": \"hashmap-iter-order\", \
 \"message\": \"iteration over unordered hash container `m` — order depends on hasher state \
@@ -56,8 +54,6 @@ fn json_report_is_structurally_sound_when_clean() {
     let empty = AuditOutcome {
         files_scanned: 3,
         diagnostics: Vec::new(),
-        cache_hits: 3,
-        cache_misses: 0,
     };
     let json = render_json(&empty);
     assert!(json.contains("\"files_scanned\": 3"));

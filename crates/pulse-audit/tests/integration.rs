@@ -14,28 +14,28 @@ fn file(path: &str, krate: &str, text: &str) -> SourceFile {
 #[test]
 fn mixed_fixture_fires_expected_rules_only() {
     let files = vec![
-        // unwrap in library code of a scoped crate → fires.
+        // Float equality in library code of a scoped crate → fires.
         file(
             "crates/pulse-sim/src/a.rs",
             "pulse-sim",
-            "pub fn f(v: Option<u8>) -> u8 { v.unwrap() }\n",
+            "pub fn f(p: f64) -> bool { p == 0.0 }\n",
         ),
         // Same text inside #[cfg(test)] → exempt.
         file(
             "crates/pulse-sim/src/b.rs",
             "pulse-sim",
-            "#[cfg(test)]\nmod tests {\n    fn g(v: Option<u8>) -> u8 { v.unwrap() }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn g(p: f64) -> bool { p == 0.0 }\n}\n",
         ),
-        // Raw cast in pulse-core policy math → fires; waived line → silent.
+        // Float equality in pulse-core policy math → fires; waived line → silent.
         file(
             "crates/pulse-core/src/c.rs",
             "pulse-core",
             concat!(
-                "/// Doc.\npub fn h(n: usize) -> f64 {\n",
-                "    let bad = n as f64;\n",
-                "    // audit:allow(cast): fixture justification\n",
-                "    let good = n as f64;\n",
-                "    bad + good\n}\n",
+                "/// Doc.\npub fn h(p: f64) -> bool {\n",
+                "    let bad = p == 0.0;\n",
+                "    // audit:allow(float-cmp): fixture justification\n",
+                "    let good = p == 0.0;\n",
+                "    bad && good\n}\n",
             ),
         ),
         // Float equality on a probability-looking value → fires.
@@ -50,25 +50,18 @@ fn mixed_fixture_fires_expected_rules_only() {
             "pulse-sim",
             "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
         ),
-        // Undocumented pub fn in pulse-core → fires.
-        file(
-            "crates/pulse-core/src/f.rs",
-            "pulse-core",
-            "pub fn undoc() {}\n",
-        ),
     ];
     let out = audit_files(&files);
-    assert_eq!(out.files_scanned, 6);
+    assert_eq!(out.files_scanned, 5);
     let fired: Vec<(&str, &str)> = out
         .diagnostics
         .iter()
         .map(|d| (d.path.to_str().unwrap(), d.rule))
         .collect();
-    assert!(fired.contains(&("crates/pulse-sim/src/a.rs", "unwrap")));
-    assert!(fired.contains(&("crates/pulse-core/src/c.rs", "cast")));
+    assert!(fired.contains(&("crates/pulse-sim/src/a.rs", "float-cmp")));
+    assert!(fired.contains(&("crates/pulse-core/src/c.rs", "float-cmp")));
     assert!(fired.contains(&("crates/pulse-core/src/d.rs", "float-cmp")));
     assert!(fired.contains(&("crates/pulse-sim/src/e.rs", "wall-clock")));
-    assert!(fired.contains(&("crates/pulse-core/src/f.rs", "pub-docs")));
     // The #[cfg(test)] file and the waived line stay silent.
     assert!(!fired.iter().any(|(p, _)| *p == "crates/pulse-sim/src/b.rs"));
     assert_eq!(
@@ -77,7 +70,7 @@ fn mixed_fixture_fires_expected_rules_only() {
             .filter(|d| d.path.to_str() == Some("crates/pulse-core/src/c.rs"))
             .count(),
         1,
-        "only the unwaived cast fires"
+        "only the unwaived comparison fires"
     );
 }
 

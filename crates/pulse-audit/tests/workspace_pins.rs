@@ -4,6 +4,10 @@
 //! pinned structurally: the audit's own `atomic-ordering` rule must stay
 //! silent on `runner.rs`, and the abort flag's accesses must carry the
 //! Acquire/Release pair the failure-context handoff relies on.
+//!
+//! The lint opt-in is pinned the same way: the checks clippy and rustc make
+//! for the audit (`unwrap`/`expect`/`panic`, casts, missing docs) only reach
+//! a crate whose manifest carries `[lints] workspace = true`.
 
 // The source-loading helper sits outside `#[test]` fns, where the
 // allow-unwrap-in-tests exemption does not reach.
@@ -59,5 +63,70 @@ fn sim_runner_abort_flag_uses_acquire_release_pair() {
         !text.contains("abort.load(Ordering::Relaxed)")
             && !text.contains("abort.store(true, Ordering::Relaxed)"),
         "abort flag regressed to Ordering::Relaxed"
+    );
+}
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .unwrap()
+}
+
+/// The `key = value` lines of the TOML table headed `[header]`.
+fn toml_table(text: &str, header: &str) -> Vec<String> {
+    text.lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+#[test]
+fn every_crate_opts_into_the_workspace_lint_table() {
+    let root = workspace_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        let manifest = entry.unwrap().path().join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(manifests.len() > 10, "found the workspace crates");
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).unwrap();
+        assert!(
+            toml_table(&text, "[lints]").contains(&"workspace = true".to_owned()),
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
+
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let clippy = toml_table(&root_manifest, "[workspace.lints.clippy]");
+    let rustc = toml_table(&root_manifest, "[workspace.lints.rust]");
+    for (table, lint) in [
+        (&clippy, "unwrap_used"),
+        (&clippy, "expect_used"),
+        (&clippy, "panic"),
+        (&clippy, "float_cmp"),
+        (&clippy, "cast_possible_truncation"),
+        (&rustc, "missing_docs"),
+    ] {
+        assert!(
+            table
+                .iter()
+                .any(|l| *l == format!("{lint} = \"warn\"") || *l == format!("{lint} = \"deny\"")),
+            "workspace lint table lacks `{lint}`: {table:?}"
+        );
+    }
+
+    let core_lib = std::fs::read_to_string(root.join("crates/pulse-core/src/lib.rs")).unwrap();
+    assert!(
+        core_lib.contains("#![warn(clippy::as_conversions, unreachable_pub)]"),
+        "pulse-core no longer warns on raw `as` casts and unreachable `pub` items"
     );
 }

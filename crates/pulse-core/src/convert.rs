@@ -1,6 +1,6 @@
 //! Checked numeric conversions for the policy core.
 //!
-//! The audit's `cast` rule bans raw `as` casts in pulse-core: an `as` cast
+//! pulse-core warns on `clippy::as_conversions` (see `lib.rs`): an `as` cast
 //! silently truncates, wraps, or loses precision, and policy math must not
 //! do any of those silently. The handful of conversions the core genuinely
 //! needs are centralized here with their safety arguments attached, so the
@@ -13,17 +13,19 @@
 /// conversion is lossless in practice and merely rounds if the bound were
 /// ever exceeded.
 #[inline]
+// usize -> f64 is value-preserving below 2^53, guaranteed by the debug_assert.
+#[allow(clippy::as_conversions)]
 pub(crate) fn count_to_f64(n: usize) -> f64 {
     debug_assert!(n < (1usize << 53), "count too large for exact f64: {n}");
-    // audit:allow(cast): usize -> f64 is value-preserving below 2^53, guaranteed by the debug_assert above
     n as f64
 }
 
 /// A `u64` count/minute value as an `f64` (same bound as [`count_to_f64`]).
 #[inline]
+// u64 -> f64 is value-preserving below 2^53, guaranteed by the debug_assert.
+#[allow(clippy::as_conversions)]
 pub(crate) fn u64_to_f64(n: u64) -> f64 {
     debug_assert!(n < (1u64 << 53), "value too large for exact f64: {n}");
-    // audit:allow(cast): u64 -> f64 is value-preserving below 2^53, guaranteed by the debug_assert above
     n as f64
 }
 
@@ -62,13 +64,16 @@ pub(crate) fn len_to_u32(n: usize) -> u32 {
 /// `p * n` with `p ∈ [0, 1]` and `n` a small variant count, so the result is
 /// a small non-negative integer and the float-to-int conversion is exact.
 #[inline]
+// f64 -> usize after floor() of a small non-negative band product bounded by
+// the variant count.
+#[allow(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
 pub(crate) fn floor_index(x: f64) -> usize {
     debug_assert!(x >= 0.0, "floor_index of negative value: {x}");
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        // audit:allow(cast): f64 -> usize after floor() of a small non-negative band product bounded by the variant count
-        x.floor() as usize
-    }
+    x.floor() as usize
 }
 
 #[cfg(test)]

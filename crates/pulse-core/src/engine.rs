@@ -70,10 +70,11 @@ impl PulseEngine {
     /// # Panics
     /// Panics if the configuration or any family is invalid; fallible
     /// callers should use [`Self::try_new`].
+    // Documented panicking convenience constructor; fallible callers use try_new.
+    #[allow(clippy::panic)]
     pub fn new(families: Vec<ModelFamily>, config: PulseConfig) -> Self {
         match Self::try_new(families, config) {
             Ok(engine) => engine,
-            // audit:allow(unwrap): documented panicking convenience constructor; fallible callers use try_new
             Err(e) => panic!("{e}"),
         }
     }

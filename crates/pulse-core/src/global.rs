@@ -462,7 +462,11 @@ pub fn flatten_peak_with(
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
-#[allow(clippy::cast_possible_truncation, clippy::needless_range_loop)] // test-local sizes
+#[allow(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    clippy::needless_range_loop
+)] // test-local sizes
 mod tests {
     use super::*;
     use pulse_models::zoo;

@@ -42,6 +42,11 @@
 //! assert!(schedule.variant_at_offset(2).unwrap() > 0);
 //! ```
 
+// pulse-core bans raw `as` casts (checked conversions live in `convert`)
+// and, on top of the workspace `missing_docs`, flags `pub` items that are
+// not reachable from the crate root, which `missing_docs` does not see.
+#![warn(clippy::as_conversions, unreachable_pub)]
+
 mod convert;
 
 pub mod engine;

@@ -703,7 +703,11 @@ pub fn begins_keepalive_period(
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
-#[allow(clippy::cast_possible_truncation, clippy::needless_range_loop)] // test-local sizes
+#[allow(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    clippy::needless_range_loop
+)] // test-local sizes
 mod tests {
     use super::*;
     use pulse_models::zoo;

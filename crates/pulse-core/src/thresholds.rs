@@ -195,6 +195,7 @@ impl ThresholdScheme for CustomThresholds {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions)] // test-local sizes
 mod tests {
     use super::*;
 

@@ -137,6 +137,7 @@ pub fn improvement_higher_better(ours: f64, baseline: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
 

@@ -86,6 +86,8 @@ pub fn run_fig5(cfg: &ExpConfig) -> String {
 }
 
 /// Render Figure 6a: % improvement of PULSE over OpenWhisk.
+// evaluate() always returns an openwhisk and a pulse row.
+#[allow(clippy::expect_used)]
 pub fn run_fig6a(cfg: &ExpConfig) -> String {
     let r = evaluate(cfg);
     let find = |n: &str| r.rows.iter().find(|(name, ..)| name == n).expect("present");

@@ -39,6 +39,8 @@ const CAP_FRAC: f64 = 0.45;
 
 /// Cheapest cold start in the zoo, ms — the bar a migration pause must beat
 /// for warm-state migration to be worth anything.
+// Cold starts are seconds-scale, far below u64::MAX ms.
+#[allow(clippy::cast_possible_truncation)]
 fn min_cold_ms(fams: &[ModelFamily]) -> u64 {
     fams.iter()
         .flat_map(|f| f.variants.iter())

@@ -140,6 +140,8 @@ fn run_policies(
 }
 
 /// Run both overload scenarios and render the comparison table.
+// CRUNCH_CAP_FRAC is a fraction, so its percentage fits u32.
+#[allow(clippy::cast_possible_truncation)]
 pub fn run(cfg: &ExpConfig) -> String {
     let mut table = Table::new(
         "Overload sweep: bounded admission (storm) and node capacity (crunch)",

@@ -19,6 +19,8 @@ const MAX_PENDING: usize = 4_096;
 /// door and counted.
 const CHANNEL_CAPACITY: usize = 65_536;
 
+/// Run the live serving demo at `cfg.serve`'s rate and duration and render
+/// its report.
 pub fn run(cfg: &ExpConfig) -> String {
     let demo = DemoConfig {
         rps: cfg.serve.rps,

@@ -134,11 +134,10 @@ fn parse_args(raw: &[String]) -> Result<Cli, String> {
             "--full" => cli.cfg = ExpConfig::full(),
             "--seed" => cli.cfg.seed = parse_num(take_value(&mut it, "--seed")?, "--seed")?,
             "--runs" => {
-                cli.cfg.n_runs = parse_num(take_value(&mut it, "--runs")?, "--runs")? as usize;
+                cli.cfg.n_runs = parse_num(take_value(&mut it, "--runs")?, "--runs")?;
             }
             "--horizon" => {
-                cli.cfg.horizon =
-                    parse_num(take_value(&mut it, "--horizon")?, "--horizon")? as usize;
+                cli.cfg.horizon = parse_num(take_value(&mut it, "--horizon")?, "--horizon")?;
             }
             "--demo" => cli.cfg.serve = ServeOptions::demo(),
             "--rps" => cli.cfg.serve.rps = parse_num(take_value(&mut it, "--rps")?, "--rps")?,
@@ -171,14 +170,13 @@ fn take_value<'a>(
     it: &mut std::iter::Peekable<std::slice::Iter<'a, String>>,
     flag: &str,
 ) -> Result<&'a str, String> {
-    match it.peek() {
-        Some(v) if !v.starts_with("--") => Ok(it.next().expect("peeked").as_str()),
-        _ => Err(format!("{flag} requires a value")),
-    }
+    it.next_if(|v| !v.starts_with("--"))
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} requires a value"))
 }
 
 /// Parse `v` as a number for `flag`; the error names both.
-fn parse_num(v: &str, flag: &str) -> Result<u64, String> {
+fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
     v.parse()
         .map_err(|_| format!("invalid value for {flag}: {v:?} is not a number"))
 }

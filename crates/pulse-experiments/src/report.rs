@@ -112,6 +112,8 @@ pub fn pct(x: f64) -> String {
 /// Render a numeric series as an ASCII bar chart (one line per point),
 /// downsampled to at most `max_points` by block averaging — the textual
 /// stand-in for the paper's line plots.
+// The bar length is rounded from [0, 50].
+#[allow(clippy::cast_possible_truncation)]
 pub fn ascii_series(title: &str, xs: &[f64], max_points: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "-- {title} --");

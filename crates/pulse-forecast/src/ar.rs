@@ -98,6 +98,8 @@ impl ArModel {
 
     /// Fit with automatic order selection: minimize
     /// `AIC(p) = N·ln σ²_p + 2p` over `p ∈ 0..=max_order`.
+    // The loop over 0..=pmax always evaluates order 0.
+    #[allow(clippy::expect_used)]
     pub fn fit_auto(xs: &[f64], max_order: usize) -> Self {
         let n = xs.len();
         if n < 3 {
@@ -158,6 +160,7 @@ impl ArModel {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
 

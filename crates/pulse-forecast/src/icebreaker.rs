@@ -68,6 +68,8 @@ impl FftPredictor {
     /// out-of-range) time `t` is
     /// `X₀/N + Σ_k (2/N)·|X_k|·cos(2π k t / N + arg X_k)` — periodic
     /// extension of the dominant harmonics.
+    // FFT magnitudes of a finite buffer are finite.
+    #[allow(clippy::expect_used)]
     pub fn forecast(&self, horizon: usize) -> Vec<f64> {
         if self.buffer.is_empty() {
             return vec![0.0; horizon];

@@ -90,6 +90,8 @@ pub struct Placement {
 
 /// Latency of a cold start executed on the *cheapest* node of the cluster
 /// (where unwarmed invocations land), seconds.
+// Callers pass a non-empty cluster with finite price factors.
+#[allow(clippy::expect_used)]
 pub fn cold_latency_s(spec: &VariantSpec, cluster: &[NodeType]) -> f64 {
     let slowest_cheap = cluster
         .iter()
@@ -157,6 +159,7 @@ pub fn tier_boundaries(
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use pulse_models::zoo;

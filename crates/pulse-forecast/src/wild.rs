@@ -110,6 +110,8 @@ impl HybridHistogram {
     }
 
     /// Record an invocation at minute `t`; returns the observed gap, if any.
+    // g <= bound_min, a u32, so it indexes the histogram exactly.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn record(&mut self, t: u64) -> Option<u64> {
         let gap = match self.last_arrival {
             Some(last) if t > last => Some(t - last),
@@ -149,6 +151,9 @@ impl HybridHistogram {
     }
 
     /// Percentile of the in-bounds idle-time distribution, minutes.
+    // The target is at most the in-bounds count, and g indexes the
+    // bound_min-sized histogram.
+    #[allow(clippy::cast_possible_truncation)]
     fn percentile(&self, pct: f64) -> u32 {
         let total = self.in_bounds();
         if total == 0 {
@@ -189,6 +194,8 @@ impl HybridHistogram {
     }
 
     /// Wild's decision after an invocation (call [`Self::record`] first).
+    // Saturating cast of a finite AR forecast of at least one minute.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn decide(&self) -> WildDecision {
         if self.is_representative() {
             let head = self.percentile(self.cfg.head_pct);

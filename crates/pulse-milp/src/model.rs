@@ -142,6 +142,9 @@ impl MilpDowngrader {
 
     /// Independent exact solver: dynamic programming over integer MB
     /// capacities. Used to cross-check branch-and-bound.
+    // The DP indexes whole MB: budgets and variant sizes are small non-negative
+    // MB counts, and the saturating cast is the intended floor/ceil.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn solve_dp(
         &self,
         alive: &[AliveModel],
@@ -257,6 +260,7 @@ impl MilpDowngrader {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use pulse_models::zoo;

@@ -298,6 +298,7 @@ impl Tableau {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
 

@@ -36,6 +36,9 @@ impl ModelFamily {
     /// # Panics
     /// Panics if `variants` is empty, any variant is invalid, or accuracies
     /// are not strictly increasing.
+    // Documented panicking constructor for hand-built zoos; validate() is
+    // the fallible check.
+    #[allow(clippy::expect_used)]
     pub fn new(
         name: impl Into<String>,
         task: impl Into<String>,
@@ -85,6 +88,8 @@ impl ModelFamily {
 
     /// The highest-accuracy variant (last index).
     #[inline]
+    // validate() rejects a family without variants.
+    #[allow(clippy::expect_used)]
     pub fn highest(&self) -> &VariantSpec {
         self.variants.last().expect("non-empty by invariant")
     }

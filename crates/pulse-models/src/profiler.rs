@@ -66,6 +66,8 @@ pub struct PathStats {
 }
 
 impl PathStats {
+    // The profiler samples finite latencies.
+    #[allow(clippy::expect_used)]
     fn from_samples(mut xs: Vec<f64>) -> Self {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         Self {
@@ -139,6 +141,7 @@ fn lognormal_around<R: Rng + ?Sized>(mean: f64, sigma: f64, rng: &mut R) -> f64 
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

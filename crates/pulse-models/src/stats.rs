@@ -68,6 +68,8 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 
 /// Percentile on an already-sorted slice (ascending). Linear interpolation
 /// between closest ranks.
+// rank is in [0, n - 1], so its floor and ceil index the slice.
+#[allow(clippy::cast_possible_truncation)]
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
     match sorted.len() {
@@ -118,6 +120,9 @@ impl PipeFinite for f64 {
 ///
 /// Returns values in `[0, 1]` when the range is non-degenerate and all zeros
 /// otherwise. Used for the priority structure of Algorithm 2.
+// Exact equality is the degenerate-range check: hi == lo only when every
+// value is the same.
+#[allow(clippy::float_cmp)]
 pub fn normalize_min_max(xs: &[f64]) -> Vec<f64> {
     if xs.is_empty() {
         return Vec::new();
@@ -225,6 +230,7 @@ impl Running {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
 

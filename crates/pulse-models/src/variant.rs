@@ -31,6 +31,9 @@ impl VariantSpec {
     /// # Panics
     /// Panics if any quantity is non-finite or out of range (times and memory
     /// must be positive, accuracy must lie in `(0, 100]`).
+    // Documented panicking constructor for hand-built zoos; validate() is
+    // the fallible check.
+    #[allow(clippy::expect_used)]
     pub fn new(
         name: impl Into<String>,
         warm_service_time_s: f64,

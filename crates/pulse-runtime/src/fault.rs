@@ -277,6 +277,9 @@ impl FaultInjector {
     /// plus uniform jitter. All arithmetic is checked/saturating, so an
     /// arbitrarily large attempt count saturates at `max_backoff_ms` rather
     /// than overflowing `u64` before the cap applies.
+    // The jitter cap is a fraction of a u64 backoff, so the cast cannot
+    // exceed it.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn backoff_ms(&mut self, attempt: u32) -> u64 {
         let p = self.plan.retry;
         let exp = attempt.saturating_sub(1);
@@ -295,6 +298,7 @@ impl FaultInjector {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // test-local counts fit
 mod tests {
     use super::*;
 

@@ -146,6 +146,7 @@ impl FleetConfig {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use crate::node::{NodeFault, NodeFaultKind};

@@ -264,6 +264,7 @@ impl RuntimeSummary {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
 

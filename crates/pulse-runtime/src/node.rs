@@ -261,6 +261,7 @@ impl NodeHealth {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use crate::cluster::NodeCapacity;

@@ -137,6 +137,8 @@ impl DurationSampler {
         }
     }
 
+    // Saturating cast of a rounded, non-negative service time in ms.
+    #[allow(clippy::cast_possible_truncation)]
     fn warm_ms(&mut self, spec: &pulse_models::VariantSpec) -> u64 {
         let s = match self.rng.as_mut() {
             Some(rng) => self.profiler.sample_warm(spec, rng),
@@ -145,6 +147,8 @@ impl DurationSampler {
         ((s * 1000.0).round() as u64).max(1)
     }
 
+    // Saturating cast of a rounded, non-negative cold start in ms.
+    #[allow(clippy::cast_possible_truncation)]
     fn provision_ms(&mut self, spec: &pulse_models::VariantSpec) -> u64 {
         let s = match self.rng.as_mut() {
             Some(rng) => self.profiler.sample_cold_start(spec, rng),
@@ -207,6 +211,8 @@ impl NodeRt {
 /// Scale a sampled duration by a node's time factor. Exactly the identity
 /// when the factor is exactly `1.0` (the nominal-node fast path the 1-node
 /// bit-identity contract relies on).
+// Saturating cast of a rounded, positive service time in ms.
+#[allow(clippy::cast_possible_truncation)]
 fn scale_ms(ms: u64, factor: f64) -> u64 {
     if factor.to_bits() == 1.0f64.to_bits() {
         ms
@@ -793,7 +799,7 @@ impl Runtime {
             policy,
             fleet,
             rs,
-            demand_history: Vec::with_capacity(minutes as usize),
+            demand_history: Vec::with_capacity(self.trace.minutes()),
             invoked_this_minute: false,
             fp: MinuteFootprint::default(),
             alive_scratch: Vec::new(),
@@ -1615,10 +1621,9 @@ impl<'a> RuntimeSession<'a> {
                     }
                 }
             }
-            if self.rs.fns[f].waiting.is_empty() {
+            let Some(&front) = self.rs.fns[f].waiting.front() else {
                 continue;
-            }
-            let front = *self.rs.fns[f].waiting.front().expect("checked non-empty");
+            };
             let v = self.rs.req_warm_variant[front];
             let mem = self.rt.families[f].variant(v).memory_mb;
             match self.rs.place_for(&self.rt.families, mem) {
@@ -1671,6 +1676,8 @@ fn obs_fault_class(kind: NodeFaultKind) -> pulse_obs::NodeFaultClass {
 }
 
 #[cfg(test)]
+// Tests compare exact values; test-local counts fit.
+#[allow(clippy::float_cmp, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::fault::{FaultRates, RetryPolicy};

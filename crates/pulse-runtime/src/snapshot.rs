@@ -60,6 +60,8 @@ fn encode_event(e: &Event) -> (u64, [u64; 4]) {
 }
 
 /// Decode an event written by [`encode_event`].
+// Ids were written from usize by encode_event.
+#[allow(clippy::cast_possible_truncation)]
 fn decode_event(kind: u64, a: [u64; 4]) -> Result<Event, RecoverError> {
     let [x, y, z, w] = a;
     Ok(match kind {
@@ -147,6 +149,8 @@ fn encode_ops(e: &OpsEvent) -> (u64, [u64; 4], f64) {
 }
 
 /// Decode an ops event written by [`encode_ops`].
+// Ids were written from usize by encode_ops.
+#[allow(clippy::cast_possible_truncation)]
 fn decode_ops(code: u64, a: [u64; 4], x: f64) -> Result<OpsEvent, RecoverError> {
     let [p, q, r, s] = a;
     Ok(match code {
@@ -579,6 +583,8 @@ impl Runtime {
     /// [`RecoverError`] on skew, corruption, or any mismatch.
     ///
     /// [`ClusterConfig`]: crate::cluster::ClusterConfig
+    // Ids and counts were written from usize by this build's snapshot path.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn restore<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,

@@ -40,6 +40,8 @@ impl DemoConfig {
 /// producer, PULSE keep-alive policy online. Serve telemetry
 /// (`serve_start` / `serve_tick` / `serve_backpressure` / `serve_summary`)
 /// goes to `sink`.
+// A demo runs for a handful of minutes.
+#[allow(clippy::cast_possible_truncation)]
 pub fn run_demo(cfg: &DemoConfig, sink: Option<&mut dyn TraceSink>) -> ServeReport {
     assert!(cfg.functions >= 1 && cfg.rps >= 1 && cfg.seconds >= 1);
     // Spread the target volume over whole virtual minutes so the per-minute

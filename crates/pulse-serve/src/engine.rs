@@ -265,6 +265,8 @@ pub fn serve_live(
                 // A paced lull still advances the virtual clock, so minute
                 // ticks (and keep-alive decisions) keep firing on schedule.
                 if let Some(speedup) = opts.speedup {
+                    // Saturating cast: the virtual clock is clamped to the horizon below.
+                    #[allow(clippy::cast_possible_truncation)]
                     let vnow = (start.elapsed().as_secs_f64() * 1_000.0 * speedup) as u64;
                     cursor = cursor.max(vnow.min(minutes * MS_PER_MINUTE));
                     drain_through(
@@ -361,6 +363,7 @@ fn spawn_producer(
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // test-local counts fit
 mod tests {
     use super::*;
     use crate::loadgen::{LoadGenConfig, LoadMode};

@@ -112,6 +112,8 @@ impl LoadMode {
 /// Normal approximation to `Poisson(lambda)` for rates where the exact
 /// sampler is impractical: `round(lambda + sqrt(lambda) * z)` clamped at
 /// zero, with `z` a Box-Muller standard normal.
+// Saturating cast of a positive rounded Poisson draw.
+#[allow(clippy::cast_possible_truncation)]
 fn high_rate_poisson(lambda: f64, rng: &mut SmallRng) -> u32 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
@@ -159,6 +161,8 @@ impl ArrivalStream {
     /// Generate the stream for `cfg`. Arrivals come out in the engines'
     /// canonical `(minute, func, offset)` order, which is nondecreasing in
     /// time within a minute and across minutes.
+    // A stream is held in memory, so its invocation total fits usize.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn generate(cfg: &LoadGenConfig) -> Self {
         assert!(cfg.functions >= 1, "a stream needs at least one function");
         assert!(cfg.minutes >= 1, "a stream needs a nonzero horizon");

@@ -25,6 +25,8 @@ pub const ARRIVAL_PAYLOAD_LEN: usize = 12;
 pub const MAX_PAYLOAD_LEN: u32 = 64;
 
 /// Encode one arrival as a full frame (length prefix + payload).
+// ARRIVAL_PAYLOAD_LEN is 12.
+#[allow(clippy::cast_possible_truncation)]
 pub fn encode_arrival(a: &Arrival) -> [u8; 4 + ARRIVAL_PAYLOAD_LEN] {
     let mut buf = [0u8; 4 + ARRIVAL_PAYLOAD_LEN];
     buf[..4].copy_from_slice(&(ARRIVAL_PAYLOAD_LEN as u32).to_le_bytes());

@@ -158,6 +158,7 @@ pub fn profile_summary(trace: &Trace) -> TraceProfile {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use crate::synth::{azure_like_12, Archetype};

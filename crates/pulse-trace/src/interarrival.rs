@@ -13,6 +13,8 @@ use crate::MINUTES_PER_DAY;
 /// minutes, for `k = 1..=window`; index 0 of the result is `k = 1`.
 /// The denominator is the total number of gaps (all sizes), matching the
 /// paper's probability definition scaled to percent.
+// Keep-alive windows are minutes (at most a few hundred).
+#[allow(clippy::cast_possible_truncation)]
 pub fn gap_percentages(f: &FunctionTrace, window: u32) -> Vec<f64> {
     let gaps = f.gaps();
     let total = gaps.len();
@@ -66,6 +68,7 @@ pub fn distribution_distance(a: &[f64], b: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use crate::synth::{azure_like_12, Archetype, FIG2_FUNCTION};

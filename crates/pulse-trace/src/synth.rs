@@ -95,6 +95,9 @@ pub enum Archetype {
 
 impl Archetype {
     /// Generate a per-minute count series of `minutes` length.
+    // Generated minutes are non-negative and are checked against the usize
+    // horizon before indexing.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn generate<R: Rng + ?Sized>(&self, minutes: usize, rng: &mut R) -> Vec<u32> {
         let mut counts = vec![0u32; minutes];
         match *self {
@@ -502,6 +505,8 @@ pub fn azure_like_n_with_horizon(n: usize, seed: u64, minutes: usize) -> Trace {
 }
 
 /// The declarative description of [`azure_like_n`].
+// The variation cycle is n / archetypes, far below u32::MAX for any fleet.
+#[allow(clippy::cast_possible_truncation)]
 pub fn azure_like_n_config(n: usize, minutes: usize) -> SynthConfig {
     assert!(n >= 1, "a fleet needs at least one function");
     let base = standard_archetypes();
@@ -526,6 +531,9 @@ pub fn azure_like_n_config(n: usize, minutes: usize) -> SynthConfig {
 /// Deterministically perturb an archetype's timing parameters for cycle `k`
 /// of the fleet generator (cycle 0 is the archetype verbatim). Stretches
 /// keep every invariant the generators assert (periods ≥ 1, `alpha` > 1).
+// Stretched windows stay a few times the archetype's minute counts, and
+// MINUTES_PER_DAY fits u32.
+#[allow(clippy::cast_possible_truncation)]
 fn vary_archetype(a: Archetype, k: u32) -> Archetype {
     if k == 0 {
         return a;
@@ -598,6 +606,7 @@ fn vary_archetype(a: Archetype, k: u32) -> Archetype {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
 

@@ -43,7 +43,11 @@ impl FunctionTrace {
 
     /// Count at minute `t` (0 outside the horizon).
     pub fn at(&self, t: u64) -> u32 {
-        self.per_minute.get(t as usize).copied().unwrap_or(0)
+        usize::try_from(t)
+            .ok()
+            .and_then(|i| self.per_minute.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Inter-arrival gaps between successive invocation minutes (minute

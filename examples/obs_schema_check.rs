@@ -14,7 +14,7 @@
 //!     --require node_down,node_recovered,migrate
 //! ```
 
-#![allow(clippy::expect_used)] // a validator should die loudly on bad input
+#![allow(clippy::expect_used, clippy::panic)] // a validator should die loudly on bad input
 
 use pulse::obs::ObsEvent;
 
