@@ -1,15 +1,17 @@
 //! `ledger-sweep`: no full-function ledger sweeps outside the ledger module.
 //!
-//! The `ScheduleLedger` maintains its per-minute totals and alive sets
-//! incrementally (delta updates plus a dirty-function set); the engines'
-//! per-minute stages are expected to consume `fill_minute_footprint` /
-//! `patch_minute_footprint` / `metered_kam_mb`, which touch only the
-//! functions that changed. A hand-rolled `for f in 0..ledger.n_functions()`
-//! (or `0..schedules.len()`) loop reintroduces the `O(n)`-per-minute cost
-//! this refactor removed — at fleet scale (tens of thousands of functions)
-//! that is the difference between interactive and unusable. This rule flags,
-//! outside `crates/pulse-core/src/schedule.rs` (the module that owns the
-//! sweep):
+//! `ScheduleLedger` owns the one sweep over its functions. Billing sums each
+//! minute's alive memory in ascending function order, and that order is
+//! part of every bitwise pin between engines, so it is spelled in one
+//! place. The simulator meters through that sweep (`keep_alive_mb_at`,
+//! `fill_minute_footprint`); the runtime's incremental ledger answers the
+//! same queries from its per-minute index and patches footprints through
+//! its dirty-function set (`patch_minute_footprint`, `dirty_functions`). A
+//! hand-rolled `for f in 0..ledger.n_functions()` (or `0..schedules.len()`)
+//! loop outside the ledger would be a second copy of the sweep, free to
+//! drift from the billing order, and on the runtime an `O(n)`-per-minute
+//! cost its index exists to avoid. This rule flags, outside
+//! `crates/pulse-core/src/schedule.rs` (the module that owns the sweep):
 //!
 //! * `0..` ranges bounded by a ledger's `n_functions()`;
 //! * `0..` ranges bounded by `schedules.len()`.
@@ -67,10 +69,11 @@ impl Rule for LedgerSweep {
                         "full-function ledger sweep outside the ledger module",
                     )
                     .with_hint(
-                        "use the incremental API (fill_minute_footprint / \
-                         patch_minute_footprint / metered_kam_mb / dirty_functions) so only \
-                         changed functions are touched; waive if the sweep is full-fleet by \
-                         contract (e.g. a checkpoint codec)",
+                        "ask the ledger instead (keep_alive_mb_at / fill_minute_footprint / \
+                         metered_kam_mb, plus patch_minute_footprint / dirty_functions on an \
+                         incremental ledger) so the sweep and its summation order live in one \
+                         place; waive if the sweep is full-fleet by contract (e.g. a \
+                         checkpoint codec)",
                     ),
                 );
             }

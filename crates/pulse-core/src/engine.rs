@@ -6,10 +6,13 @@
 //! 1. [`PulseEngine::record_invocation`] whenever a function is invoked;
 //! 2. [`PulseEngine::schedule_after_invocation`] to obtain the per-minute
 //!    variant plan for the next keep-alive window (individual optimization);
-//! 3. once per minute, [`PulseEngine::check_and_flatten`] with the current
+//! 3. once per minute, [`PulseEngine::flatten_minute`] with the current
 //!    keep-alive memory and the set of alive containers — if Algorithm 1
-//!    flags a peak, Algorithm 2's downgrade actions are returned for the
-//!    platform to apply (cross-function optimization).
+//!    flags a peak, the engine fills each alive model's `Ip` and returns
+//!    Algorithm 2's downgrade actions for the platform to apply
+//!    (cross-function optimization). Off-peak minutes cost one prior.
+//!    [`PulseEngine::check_and_flatten`] is the same step for callers that
+//!    supply `Ip` themselves.
 
 use crate::convert::window_to_len;
 use crate::global::{flatten_peak_scratch, AliveModel, FlattenOutcome, FlattenScratch};
@@ -57,7 +60,7 @@ pub struct PulseEngine {
     detector: PeakDetector,
     optimizer: IndividualOptimizer,
     config: PulseConfig,
-    /// Reused by [`Self::check_and_flatten`] so repeated peaks allocate no
+    /// Reused by Algorithm 2 so repeated peaks allocate no
     /// per-pass victim-selection state. Pure scratch: carries no state
     /// across calls, so it is deliberately absent from export/import.
     scratch: FlattenScratch,
@@ -232,7 +235,33 @@ impl PulseEngine {
             .value()
     }
 
-    /// Cross-function optimization for one minute.
+    /// Cross-function optimization for minute `t`, paying for Algorithm 2's
+    /// inputs only on a peak: Algorithm 1's prior is computed once, and on a
+    /// non-peak the call returns `None` without touching `alive`. On a peak
+    /// it fills each alive model's `invocation_probability` with
+    /// [`Self::invocation_probability_at`] and flattens exactly as
+    /// [`Self::check_and_flatten`] would after the caller filled `Ip` for
+    /// every model. Arguments are those of [`Self::check_and_flatten`].
+    pub fn flatten_minute(
+        &mut self,
+        t: Minute,
+        mem_history: &[f64],
+        first_minute_of_period: bool,
+        current_kam_mb: f64,
+        alive: &mut Vec<AliveModel>,
+    ) -> Option<FlattenOutcome> {
+        let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
+        if !self.detector.is_peak(current_kam_mb, prior) {
+            return None;
+        }
+        for m in alive.iter_mut() {
+            m.invocation_probability = self.invocation_probability_at(m.func, t);
+        }
+        Some(self.flatten_from_prior(prior, current_kam_mb, alive))
+    }
+
+    /// Cross-function optimization for one minute, with `Ip` supplied by
+    /// the caller.
     ///
     /// * `mem_history` — per-minute keep-alive memory series *before* this
     ///   minute (oldest first);
@@ -240,8 +269,8 @@ impl PulseEngine {
     ///   previous minute had no alive containers), selecting Algorithm 1's
     ///   `t == 1` branch;
     /// * `current_kam_mb` — keep-alive memory at this minute;
-    /// * `alive` — the alive containers; mutated in place when a peak is
-    ///   flattened.
+    /// * `alive` — the alive containers, with `invocation_probability`
+    ///   already filled in; mutated in place when a peak is flattened.
     ///
     /// Returns `None` when the minute is not a peak, otherwise the actions
     /// the platform must apply.
@@ -256,15 +285,25 @@ impl PulseEngine {
         if !self.detector.is_peak(current_kam_mb, prior) {
             return None;
         }
+        Some(self.flatten_from_prior(prior, current_kam_mb, alive))
+    }
+
+    /// Algorithm 2 on a minute Algorithm 1 flagged against `prior`.
+    fn flatten_from_prior(
+        &mut self,
+        prior: f64,
+        current_kam_mb: f64,
+        alive: &mut Vec<AliveModel>,
+    ) -> FlattenOutcome {
         let target = self.detector.flatten_target(prior);
-        Some(flatten_peak_scratch(
+        flatten_peak_scratch(
             &mut self.scratch,
             alive,
             &self.families,
             &mut self.priority,
             current_kam_mb,
             target,
-        ))
+        )
     }
 }
 

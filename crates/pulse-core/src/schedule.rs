@@ -31,11 +31,16 @@
 //! monotone — the slot can only move down the ladder within the window.
 //! [`ScheduleLedger::apply_eviction`] punches a [`Slot::Hole`] at minute `t`.
 //!
-//! # Incremental maintenance
+//! # The sweep and the incremental index
 //!
-//! A ledger built with [`ScheduleLedger::for_families`] additionally keeps a
-//! per-minute index of its alive sets so the per-minute hot path is
-//! sub-linear in total function count:
+//! A ledger built with [`ScheduleLedger::new`] answers every query by
+//! sweeping its functions in ascending order. That is the simulator's
+//! production path: end to end it is faster than maintaining the index
+//! below, and it is the reference every indexed answer must equal bitwise.
+//!
+//! A ledger built with [`ScheduleLedger::for_families`] (the runtime's)
+//! additionally keeps a per-minute index of its alive sets so the
+//! per-minute hot path is sub-linear in total function count:
 //!
 //! * every mutation ([`ScheduleLedger::replace`], [`ScheduleLedger::clear`],
 //!   [`ScheduleLedger::apply_downgrade`], [`ScheduleLedger::apply_eviction`])
@@ -47,14 +52,13 @@
 //!   mutated minute by re-summing its (small) alive set in ascending
 //!   function order — the exact operand sequence of
 //!   [`ScheduleLedger::keep_alive_mb_at`] — so billed values stay
-//!   bit-identical to the legacy full sweep while costing `O(alive)` instead
+//!   bit-identical to the full sweep while costing `O(alive)` instead
 //!   of `O(n_functions)`. The delta-maintained running value is kept only as
 //!   a monitor ([`ScheduleLedger::running_kam_mb_at`]) and as a debug
 //!   cross-check against the pin.
 //!
-//! Ledgers built with [`ScheduleLedger::new`] have no index and answer every
-//! query through the legacy full-sweep path, so existing callers and
-//! snapshots are unaffected.
+//! Snapshots never carry the index, so both forms restore from the same
+//! rows.
 
 use crate::global::{AliveModel, DowngradeAction};
 use crate::individual::KeepAliveSchedule;
@@ -128,7 +132,7 @@ pub struct MinuteFootprint {
 /// One minute of the incremental index: the alive set plus a running total.
 #[derive(Debug, Clone, Default)]
 struct MinuteState {
-    /// Alive functions at the minute, ascending — mirror of what the legacy
+    /// Alive functions at the minute, ascending — mirror of what the
     /// full sweep would visit.
     funcs: Vec<FuncId>,
     /// Keep-alive MB at the minute. Between mutations and pins this is the
@@ -152,7 +156,7 @@ struct LedgerIndex {
     /// alive function are present.
     states: BTreeMap<Minute, MinuteState>,
     /// Minutes below this have been retired ([`ScheduleLedger::retire_minutes_before`]);
-    /// queries against them fall back to the legacy sweep.
+    /// queries against them fall back to the sweep.
     retired_before: Minute,
     /// Functions mutated since the last footprint fill/patch, deduplicated.
     dirty: Vec<FuncId>,
@@ -294,12 +298,12 @@ fn variant_of(schedules: &[Option<KeepAliveSchedule>], f: FuncId, t: Minute) -> 
 pub struct ScheduleLedger {
     schedules: Vec<Option<KeepAliveSchedule>>,
     /// Incremental per-minute index; `None` for [`Self::new`] ledgers, which
-    /// answer every query through the legacy full-sweep path.
+    /// answer every query through the full sweep.
     index: Option<LedgerIndex>,
 }
 
 impl ScheduleLedger {
-    /// An empty ledger for `n_functions` functions (legacy full-sweep
+    /// An empty ledger for `n_functions` functions (full-sweep
     /// queries only; see [`Self::for_families`] for the incremental form).
     pub fn new(n_functions: usize) -> Self {
         Self {
@@ -316,7 +320,7 @@ impl ScheduleLedger {
     /// Every `&self` query behaves exactly as on a [`Self::new`] ledger.
     ///
     /// The same `families` slice must be passed to all queries (as the
-    /// legacy API already requires).
+    /// sweep's queries already require).
     pub fn for_families(families: &[ModelFamily]) -> Self {
         Self {
             schedules: vec![None; families.len()],
@@ -483,7 +487,7 @@ impl ScheduleLedger {
     }
 
     /// Whether minute `t` is answered by the incremental index (as opposed
-    /// to the legacy full sweep).
+    /// to the full sweep).
     fn indexed_at(&self, t: Minute) -> bool {
         matches!(&self.index, Some(ix) if t >= ix.retired_before)
     }
@@ -498,7 +502,7 @@ impl ScheduleLedger {
         if self.indexed_at(t) {
             if let Some(ix) = self.index.as_mut() {
                 let Some(state) = ix.states.get_mut(&t) else {
-                    // Empty alive set. The legacy sweep is a `Sum::sum`,
+                    // Empty alive set. The sweep is a `Sum::sum`,
                     // whose f64 identity is -0.0 — returned as-is to stay
                     // bit-identical.
                     return -0.0;
@@ -626,9 +630,10 @@ impl ScheduleLedger {
         self.fill_minute_footprint(families, t, out);
     }
 
-    /// Drop index state for minutes before `t` (both engines call this once
-    /// per step so the index holds only the live keep-alive horizon).
-    /// Queries against retired minutes fall back to the legacy sweep.
+    /// Drop index state for minutes before `t` (the runtime calls this once
+    /// per minute tick so the index holds only the live keep-alive horizon;
+    /// a no-op on a [`Self::new`] ledger). Queries against retired minutes
+    /// fall back to the sweep.
     pub fn retire_minutes_before(&mut self, t: Minute) {
         if let Some(ix) = self.index.as_mut() {
             if t > ix.retired_before {

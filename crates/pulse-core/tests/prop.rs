@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use pulse_core::engine::PulseEngine;
+use pulse_core::global::AliveModel;
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::peak::PeakDetector;
 use pulse_core::probability::Probability;
@@ -192,6 +193,87 @@ proptest! {
         let mut cuts = vec![a, a];
         cuts.extend(rest);
         prop_assert!(CustomThresholds::new(cuts).is_err());
+    }
+}
+
+proptest! {
+    /// Peak first, then `Ip`: `flatten_minute` returns the same outcome,
+    /// leaves the same post-peak alive set and the same priority counts as
+    /// filling every alive model's `Ip` and then calling
+    /// `check_and_flatten`. On a non-peak it returns `None` and leaves the
+    /// alive set bitwise untouched, stale `Ip` values included.
+    #[test]
+    fn flatten_minute_matches_fill_all_then_check_and_flatten(
+        fns in proptest::collection::vec(
+            (
+                proptest::collection::vec(1u64..15, 0..30),
+                any::<bool>(),
+                0usize..4,
+                0.0f64..1.0,
+                0u64..5,
+            ),
+            1..10,
+        ),
+        since_last in 0u64..15,
+        history in proptest::collection::vec(0.0f64..20_000.0, 0..60),
+        first in any::<bool>(),
+        current in 0.0f64..40_000.0,
+        km_threshold in 0.0f64..0.5,
+    ) {
+        let zoo = zoo::standard();
+        let fams: Vec<_> = (0..fns.len()).map(|f| zoo[f % zoo.len()].clone()).collect();
+        let mut arrivals = Vec::new();
+        let mut counts = Vec::new();
+        let mut alive = Vec::new();
+        let mut last = 0u64;
+        for (f, (gaps, is_alive, variant, ip, count)) in fns.iter().enumerate() {
+            let mut log = Vec::new();
+            if !gaps.is_empty() {
+                let mut t = 0u64;
+                log.push(t);
+                for g in gaps {
+                    t += g;
+                    log.push(t);
+                }
+                last = last.max(t);
+            }
+            arrivals.push(log);
+            counts.push(*count);
+            if *is_alive {
+                alive.push(AliveModel {
+                    func: f,
+                    variant: variant % fams[f].n_variants(),
+                    invocation_probability: *ip,
+                });
+            }
+        }
+        let now = last + since_last;
+        let cfg = PulseConfig { km_threshold, ..Default::default() };
+        let mut lazy = PulseEngine::new(fams, cfg);
+        lazy.import_state(arrivals, counts).expect("ascending histories");
+        let mut eager = lazy.clone();
+
+        let mut lazy_alive = alive.clone();
+        let got = lazy.flatten_minute(now, &history, first, current, &mut lazy_alive);
+
+        let mut eager_alive = alive.clone();
+        for m in &mut eager_alive {
+            m.invocation_probability = eager.invocation_probability_at(m.func, now);
+        }
+        let want = eager.check_and_flatten(&history, first, current, &mut eager_alive);
+
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(lazy.priority().counts(), eager.priority().counts());
+        let bits = |a: &[AliveModel]| -> Vec<(usize, usize, u64)> {
+            a.iter()
+                .map(|m| (m.func, m.variant, m.invocation_probability.to_bits()))
+                .collect()
+        };
+        if got.is_some() {
+            prop_assert_eq!(bits(&lazy_alive), bits(&eager_alive));
+        } else {
+            prop_assert_eq!(bits(&lazy_alive), bits(&alive));
+        }
     }
 }
 

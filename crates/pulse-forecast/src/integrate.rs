@@ -135,11 +135,14 @@ impl KeepAlivePolicy for WildPulsePolicy {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
         self.engine
-            .check_and_flatten(mem_history, first_minute_of_period, current_kam_mb, alive)
+            .flatten_minute(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+            )
             .map(|o| o.actions)
             .unwrap_or_default()
     }
@@ -273,11 +276,14 @@ impl KeepAlivePolicy for IceBreakerPulsePolicy {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
         self.engine
-            .check_and_flatten(mem_history, first_minute_of_period, current_kam_mb, alive)
+            .flatten_minute(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+            )
             .map(|o| o.actions)
             .unwrap_or_default()
     }

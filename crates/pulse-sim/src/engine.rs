@@ -19,7 +19,7 @@ use crate::recover::{
     check_fingerprint, decode_ledger_row, decode_metrics, encode_ledger, encode_metrics,
     fingerprint_of, RecoverError, SNAPSHOT_VERSION,
 };
-use pulse_core::global::{AliveModel, DowngradeAction};
+use pulse_core::global::DowngradeAction;
 use pulse_core::schedule::{begins_keepalive_period, MinuteFootprint, ScheduleLedger};
 use pulse_core::types::Minute;
 use pulse_models::{CostModel, ModelFamily};
@@ -76,9 +76,8 @@ impl Simulator {
             sim: self,
             metrics: RunMetrics::new(policy.name(), minutes),
             policy,
-            ledger: ScheduleLedger::for_families(&self.families),
+            ledger: ScheduleLedger::new(self.families.len()),
             fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
             demand_history: Vec::with_capacity(minutes),
             invoked_last_minute: false,
             next: 0,
@@ -164,7 +163,7 @@ impl Simulator {
 
         let mut metrics = None;
         let mut demand_history = None;
-        let mut ledger = ScheduleLedger::for_families(&self.families);
+        let mut ledger = ScheduleLedger::new(self.families.len());
         let mut policy_state = None;
         for line in lines {
             let rec = Record::parse(line).map_err(c)?;
@@ -198,7 +197,6 @@ impl Simulator {
             metrics,
             ledger,
             fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
             demand_history,
             invoked_last_minute: head.bool("invoked").map_err(c)?,
             next: head.u64("next").map_err(c)?,
@@ -219,10 +217,10 @@ pub struct SimSession<'a> {
     ledger: ScheduleLedger,
     /// Session-owned footprint buffer, refilled in place each minute by
     /// [`ScheduleLedger::fill_minute_footprint`] (no per-minute Vec churn).
+    /// Its alive set goes to the policy as is, which may mutate it while
+    /// selecting victims: nothing reads it after the policy returns, and
+    /// the billed value is re-metered from the ledger.
     fp: MinuteFootprint,
-    /// Session-owned copy of the alive set handed to the policy (which may
-    /// mutate it arbitrarily while selecting victims).
-    alive_scratch: Vec<AliveModel>,
     // `demand_history` records what the schedules *asked* to keep alive each
     // minute (pre-adjustment) and drives the policy's peak detection —
     // feeding post-flattening values back into the prior would drag the
@@ -282,9 +280,6 @@ impl<'a> SimSession<'a> {
         let kam = self.stage_adjust(t);
         let (requests, cold) = self.stage_serve(t);
         self.stage_bill_and_observe(t, kam, requests, cold);
-        // Minute `t` is fully billed: drop its index state so the ledger
-        // tracks only the live keep-alive horizon.
-        self.ledger.retire_minutes_before(self.next);
         Some(t)
     }
 
@@ -338,7 +333,6 @@ impl<'a> SimSession<'a> {
     fn stage_adjust(&mut self, t: Minute) -> f64 {
         self.ledger
             .fill_minute_footprint(&self.sim.families, t, &mut self.fp);
-        self.alive_scratch.clone_from(&self.fp.alive);
         let current_kam = self.fp.total_mb;
         let first_minute =
             begins_keepalive_period(self.invoked_last_minute, current_kam, &self.demand_history);
@@ -347,7 +341,7 @@ impl<'a> SimSession<'a> {
             &self.demand_history,
             first_minute,
             current_kam,
-            &mut self.alive_scratch,
+            &mut self.fp.alive,
         );
         self.demand_history.push(current_kam);
         self.metrics.downgrades += actions.len() as u64;
@@ -381,10 +375,9 @@ impl<'a> SimSession<'a> {
             applied,
             keepalive_mb: current_kam,
         });
-        // Post-action re-meter: the incremental pin re-sums only this
-        // minute's (mutated) alive set, bit-identical to the legacy
-        // `keep_alive_mb_at` full sweep.
-        self.ledger.metered_kam_mb(&self.sim.families, t)
+        // Post-action re-meter: the full sweep in ascending function order,
+        // the billing contract both engines share.
+        self.ledger.keep_alive_mb_at(&self.sim.families, t)
     }
 
     /// Stage 2: serve the minute's invocations; warm starts ride the alive

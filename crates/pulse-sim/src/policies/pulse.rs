@@ -129,19 +129,16 @@ impl KeepAlivePolicy for PulsePolicy {
         if !self.global_enabled {
             return Vec::new();
         }
-        // Fill in the invocation probabilities the individual layer derived.
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
-        match self.engine.check_and_flatten(
-            mem_history,
-            first_minute_of_period,
-            current_kam_mb,
-            alive,
-        ) {
-            Some(outcome) => outcome.actions,
-            None => Vec::new(),
-        }
+        self.engine
+            .flatten_minute(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+            )
+            .map(|o| o.actions)
+            .unwrap_or_default()
     }
 
     fn checkpoint_state(&self) -> Option<String> {

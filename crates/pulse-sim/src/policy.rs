@@ -55,8 +55,16 @@ pub trait KeepAlivePolicy: Send {
     ///   activity just resumed after an idle stretch) — Algorithm 1's
     ///   `t == 1` branch;
     /// * `current_kam_mb` — keep-alive memory at `t` before adjustment;
-    /// * `alive` — alive containers at `t`; implementations mutate it in
-    ///   step with the actions they return.
+    /// * `alive` — alive containers at `t`, in function order, with
+    ///   `invocation_probability` zeroed; implementations mutate it in step
+    ///   with the actions they return.
+    ///
+    /// The PULSE policies fill `Ip` for the alive models only when they
+    /// act: [`crate::policies::PulsePolicy`] and the forecast-integrated
+    /// ones run Algorithm 1 first
+    /// ([`pulse_core::PulseEngine::flatten_minute`]), so an off-peak minute
+    /// costs one prior, not one `Ip` query per alive model;
+    /// [`crate::policies::CapacityPulse`] fills it only above its cap.
     fn adjust_minute(
         &mut self,
         _t: Minute,

@@ -231,3 +231,36 @@ proptest! {
         assert_engines_agree(&ssess.finish(), &rsess.finish())?;
     }
 }
+
+/// The engines meter through different ledger paths — the simulator by full
+/// sweep, the runtime through its incremental index — so pin them against
+/// each other under real PULSE peaks: one day of `azure_like_12` makes
+/// Algorithm 2 fire hundreds of times, and cost, counts and the billed
+/// series must agree exactly, not to rounding.
+#[test]
+fn sim_sweep_and_runtime_index_agree_bitwise_under_pulse_peaks() {
+    for seed in [1, 2, 3, 7] {
+        let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 1440);
+        let fams = round_robin_assignment(&pulse::models::zoo::standard(), trace.n_functions());
+        let make = || PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let sim = Simulator::new(trace.clone(), fams.clone());
+        let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
+        let s = sim.run(&mut make());
+        let r = rt.run(&mut make());
+        assert!(s.downgrades > 0, "seed {seed}: no peak was flattened");
+        assert_eq!(
+            s.keepalive_cost_usd.to_bits(),
+            r.keepalive_cost_usd.to_bits(),
+            "seed {seed}: cost sim {} vs runtime {}",
+            s.keepalive_cost_usd,
+            r.keepalive_cost_usd
+        );
+        assert_eq!(s.warm_starts, r.warm_starts(), "seed {seed}: warm starts");
+        assert_eq!(s.cold_starts, r.cold_starts(), "seed {seed}: cold starts");
+        assert_eq!(s.downgrades, r.downgrades, "seed {seed}: downgrades");
+        assert!(
+            s.memory_series_mb == r.memory_at_tick_mb,
+            "seed {seed}: billed series differ"
+        );
+    }
+}
