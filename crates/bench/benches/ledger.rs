@@ -120,17 +120,19 @@ fn bench(c: &mut Criterion) {
         b.iter(|| ledger.replace(37, KeepAliveSchedule::constant(9, 1, 10)))
     });
 
-    // Incremental vs legacy on a sparse fleet (~5% of functions alive at
-    // the probed minute): one schedule refresh followed by the minute
-    // meter. The incremental path pays `O(alive)` on the pin, the sweep
-    // pays `O(n)` regardless — sub-linear in total function count.
+    // Incremental vs sweep on a sparse fleet (~5% of functions alive at
+    // the probed minute): one schedule refresh followed by the minute's
+    // footprint. The incremental fill pays `O(alive)`, the sweep pays `O(n)`
+    // regardless — sub-linear in total function count.
     let mut group = c.benchmark_group("ledger_metered_sparse_update");
     for &n in &[100usize, 1000, 10_000] {
         let (fams, mut ledger) = setup_sparse(n, 20, true);
+        let mut fp = MinuteFootprint::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 ledger.replace(0, KeepAliveSchedule::constant(0, 1, 10));
-                ledger.metered_kam_mb(&fams, 5)
+                ledger.fill_minute_footprint(&fams, 5, &mut fp);
+                fp.total_mb
             })
         });
     }
@@ -148,18 +150,10 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // The clean-read fast path: an unmutated minute answers from the pinned
-    // total in `O(log minutes)`, no sweep at all.
-    c.bench_function("ledger_metered_clean_1000", |b| {
-        let (fams, mut ledger) = setup_sparse(1000, 20, true);
-        ledger.metered_kam_mb(&fams, 5); // pin once
-        b.iter(|| ledger.metered_kam_mb(&fams, 5))
-    });
-
     // Footprint refill into a session-owned buffer — the engines' stage-1
     // replacement for the allocating `minute_footprint`.
     c.bench_function("ledger_fill_footprint_1000", |b| {
-        let (fams, mut ledger) = setup_sparse(1000, 20, true);
+        let (fams, ledger) = setup_sparse(1000, 20, true);
         let mut fp = MinuteFootprint::default();
         b.iter(|| {
             ledger.fill_minute_footprint(&fams, 5, &mut fp);
@@ -167,30 +161,16 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Dirty-set patch: one mutated function re-synced into an existing
-    // footprint, as the later pipeline stages do.
-    c.bench_function("ledger_patch_footprint_1000", |b| {
-        let (fams, mut ledger) = setup_sparse(1000, 20, true);
-        let mut fp = MinuteFootprint::default();
-        ledger.fill_minute_footprint(&fams, 5, &mut fp);
-        b.iter(|| {
-            ledger.replace(0, KeepAliveSchedule::constant(0, 1, 10));
-            ledger.patch_minute_footprint(&fams, 5, &mut fp);
-            fp.total_mb
-        })
-    });
-
-    // Fleet-scale smoke: a full maintenance round (schedule refresh, patch,
-    // meter) on the 10k-function azure-like fleet. CI runs this case and
-    // fails on panic or timeout.
+    // Fleet-scale smoke: a maintenance round (schedule refresh, then the
+    // minute's footprint) on the 10k-function azure-like fleet. CI runs
+    // this case and fails on panic or timeout.
     c.bench_function("ledger_azure_10k_maintenance", |b| {
         let (fams, mut ledger) = setup_azure_10k();
         let mut fp = MinuteFootprint::default();
-        ledger.fill_minute_footprint(&fams, 5, &mut fp);
         b.iter(|| {
             ledger.replace(17, KeepAliveSchedule::constant(0, 1, 10));
-            ledger.patch_minute_footprint(&fams, 5, &mut fp);
-            ledger.metered_kam_mb(&fams, 5)
+            ledger.fill_minute_footprint(&fams, 5, &mut fp);
+            fp.total_mb
         })
     });
 }

@@ -3,14 +3,14 @@
 //! `ScheduleLedger` owns the one sweep over its functions. Billing sums each
 //! minute's alive memory in ascending function order, and that order is
 //! part of every bitwise pin between engines, so it is spelled in one
-//! place. The simulator meters through that sweep (`keep_alive_mb_at`,
-//! `fill_minute_footprint`); the runtime's incremental ledger answers the
-//! same queries from its per-minute index and patches footprints through
-//! its dirty-function set (`patch_minute_footprint`, `dirty_functions`). A
-//! hand-rolled `for f in 0..ledger.n_functions()` (or `0..schedules.len()`)
-//! loop outside the ledger would be a second copy of the sweep, free to
-//! drift from the billing order, and on the runtime an `O(n)`-per-minute
-//! cost its index exists to avoid. This rule flags, outside
+//! place. Engines read a minute through the ledger's queries: the sweep
+//! itself (`keep_alive_mb_at`, `minute_footprint`) or
+//! `fill_minute_footprint`, which the runtime's incremental ledger answers
+//! from its per-minute alive set in the same order. A hand-rolled
+//! `for f in 0..ledger.n_functions()` (or `0..schedules.len()`) loop outside
+//! the ledger would be a second copy of the sweep, free to drift from the
+//! billing order, and on the runtime an `O(n)`-per-minute cost its index
+//! exists to avoid. This rule flags, outside
 //! `crates/pulse-core/src/schedule.rs` (the module that owns the sweep):
 //!
 //! * `0..` ranges bounded by a ledger's `n_functions()`;
@@ -70,8 +70,7 @@ impl Rule for LedgerSweep {
                     )
                     .with_hint(
                         "ask the ledger instead (keep_alive_mb_at / fill_minute_footprint / \
-                         metered_kam_mb, plus patch_minute_footprint / dirty_functions on an \
-                         incremental ledger) so the sweep and its summation order live in one \
+                         minute_footprint) so the sweep and its summation order live in one \
                          place; waive if the sweep is full-fleet by contract (e.g. a \
                          checkpoint codec)",
                     ),

@@ -39,23 +39,14 @@
 //! below, and it is the reference every indexed answer must equal bitwise.
 //!
 //! A ledger built with [`ScheduleLedger::for_families`] (the runtime's)
-//! additionally keeps a per-minute index of its alive sets so the
-//! per-minute hot path is sub-linear in total function count:
-//!
-//! * every mutation ([`ScheduleLedger::replace`], [`ScheduleLedger::clear`],
-//!   [`ScheduleLedger::apply_downgrade`], [`ScheduleLedger::apply_eviction`])
-//!   updates a **running keep-alive MB total** per minute by delta and
-//!   records the function in a **dirty set**;
-//! * reads ([`ScheduleLedger::metered_kam_mb`],
-//!   [`ScheduleLedger::fill_minute_footprint`],
-//!   [`ScheduleLedger::patch_minute_footprint`]) **pin** the total of a
-//!   mutated minute by re-summing its (small) alive set in ascending
-//!   function order — the exact operand sequence of
-//!   [`ScheduleLedger::keep_alive_mb_at`] — so billed values stay
-//!   bit-identical to the full sweep while costing `O(alive)` instead
-//!   of `O(n_functions)`. The delta-maintained running value is kept only as
-//!   a monitor ([`ScheduleLedger::running_kam_mb_at`]) and as a debug
-//!   cross-check against the pin.
+//! additionally keeps the sorted alive set of every live minute, so
+//! [`ScheduleLedger::fill_minute_footprint`] visits only the functions alive
+//! at the minute. Schedule replacement and eviction keep the sets in step;
+//! a downgrade changes a variant, not membership, so it leaves them alone.
+//! The fill re-sums the set in ascending function order, the exact operand
+//! sequence of the sweep, so its footprint is bit-identical to
+//! [`ScheduleLedger::minute_footprint`]. The index holds no totals: every
+//! footprint is summed when it is read.
 //!
 //! Snapshots never carry the index, so both forms restore from the same
 //! rows.
@@ -129,96 +120,56 @@ pub struct MinuteFootprint {
     pub total_mb: f64,
 }
 
-/// One minute of the incremental index: the alive set plus a running total.
-#[derive(Debug, Clone, Default)]
-struct MinuteState {
-    /// Alive functions at the minute, ascending — mirror of what the
-    /// full sweep would visit.
-    funcs: Vec<FuncId>,
-    /// Keep-alive MB at the minute. Between mutations and pins this is the
-    /// delta-maintained running value; once pinned (and while `dirty` is
-    /// false) it is the exact ascending-order sum.
-    running_mb: f64,
-    /// Whether `running_mb` has been updated by delta since the last pin
-    /// (deltas are not bit-identical to re-summing, so billed reads re-pin).
-    dirty: bool,
+impl MinuteFootprint {
+    /// Append `f`, alive at variant `v`, and add its memory to the total.
+    fn push(&mut self, families: &[ModelFamily], f: FuncId, v: VariantId) {
+        self.total_mb += families[f].variant(v).memory_mb;
+        self.alive.push(AliveModel {
+            func: f,
+            variant: v,
+            invocation_probability: 0.0,
+        });
+    }
 }
 
 /// The incremental side-structure of a [`ScheduleLedger::for_families`]
-/// ledger: per-minute alive sets with delta-maintained totals, plus the
-/// dirty-function set engines use to patch footprints in place.
+/// ledger: the sorted alive set of every live minute.
 #[derive(Debug, Clone, Default)]
 struct LedgerIndex {
-    /// Memory ladders snapshotted at construction (`mem[f][v]`), used for
-    /// delta updates where no `families` slice is in scope.
-    mem: Vec<Vec<f64>>,
-    /// Live minute states, keyed by minute. Only minutes with at least one
+    /// Alive functions per live minute, ascending — the functions the full
+    /// sweep would visit, in its order. Only minutes with at least one
     /// alive function are present.
-    states: BTreeMap<Minute, MinuteState>,
+    states: BTreeMap<Minute, Vec<FuncId>>,
     /// Minutes below this have been retired ([`ScheduleLedger::retire_minutes_before`]);
     /// queries against them fall back to the sweep.
     retired_before: Minute,
-    /// Functions mutated since the last footprint fill/patch, deduplicated.
-    dirty: Vec<FuncId>,
-    /// Membership mask for `dirty` (indexed by function).
-    dirty_mark: Vec<bool>,
 }
 
 impl LedgerIndex {
-    fn for_families(families: &[ModelFamily]) -> Self {
-        Self {
-            mem: families
-                .iter()
-                .map(|fam| {
-                    (0..fam.n_variants())
-                        .map(|v| fam.variant(v).memory_mb)
-                        .collect()
-                })
-                .collect(),
-            states: BTreeMap::new(),
-            retired_before: 0,
-            dirty: Vec::new(),
-            dirty_mark: vec![false; families.len()],
+    /// Remove `f` from the alive set of minute `t`.
+    fn remove(&mut self, f: FuncId, t: Minute) {
+        if t < self.retired_before {
+            return;
         }
-    }
-
-    fn mark_dirty(&mut self, f: FuncId) {
-        if let Some(mark) = self.dirty_mark.get_mut(f) {
-            if !*mark {
-                *mark = true;
-                self.dirty.push(f);
-            }
+        let Some(funcs) = self.states.get_mut(&t) else {
+            debug_assert!(false, "indexed minute {t} missing on removal");
+            return;
+        };
+        if let Ok(i) = funcs.binary_search(&f) {
+            funcs.remove(i);
+        } else {
+            debug_assert!(false, "function {f} missing from indexed minute {t}");
         }
-    }
-
-    fn clear_dirty(&mut self) {
-        for f in self.dirty.drain(..) {
-            self.dirty_mark[f] = false;
+        if funcs.is_empty() {
+            self.states.remove(&t);
         }
     }
 
     /// Remove every alive minute of `sched` (for function `f`) from the index.
     fn remove_schedule(&mut self, f: FuncId, sched: &KeepAliveSchedule) {
         for (t, raw) in sched.iter() {
-            let Some(v) = Slot::from_raw(raw).alive() else {
-                continue;
-            };
-            if t < self.retired_before {
-                continue;
-            }
-            let Some(state) = self.states.get_mut(&t) else {
-                debug_assert!(false, "indexed minute {t} missing on removal");
-                continue;
-            };
-            if let Ok(i) = state.funcs.binary_search(&f) {
-                state.funcs.remove(i);
-                state.running_mb -= self.mem[f][v];
-                state.dirty = true;
-            } else {
-                debug_assert!(false, "function {f} missing from indexed minute {t}");
-            }
-            if state.funcs.is_empty() {
-                self.states.remove(&t);
+            if !Slot::from_raw(raw).is_hole() {
+                self.remove(f, t);
             }
         }
     }
@@ -226,66 +177,17 @@ impl LedgerIndex {
     /// Add every alive minute of `sched` (for function `f`) to the index.
     fn add_schedule(&mut self, f: FuncId, sched: &KeepAliveSchedule) {
         for (t, raw) in sched.iter() {
-            let Some(v) = Slot::from_raw(raw).alive() else {
-                continue;
-            };
-            if t < self.retired_before {
+            if Slot::from_raw(raw).is_hole() || t < self.retired_before {
                 continue;
             }
-            let state = self.states.entry(t).or_default();
-            if let Err(i) = state.funcs.binary_search(&f) {
-                state.funcs.insert(i, f);
-                state.running_mb += self.mem[f][v];
-                state.dirty = true;
+            let funcs = self.states.entry(t).or_default();
+            if let Err(i) = funcs.binary_search(&f) {
+                funcs.insert(i, f);
             } else {
                 debug_assert!(false, "function {f} already in indexed minute {t}");
             }
         }
     }
-
-    fn on_downgrade(&mut self, f: FuncId, t: Minute, from: VariantId, to: VariantId) {
-        self.mark_dirty(f);
-        if t < self.retired_before {
-            return;
-        }
-        if let Some(state) = self.states.get_mut(&t) {
-            state.running_mb += self.mem[f][to] - self.mem[f][from];
-            state.dirty = true;
-        } else {
-            debug_assert!(false, "downgraded minute {t} not indexed");
-        }
-    }
-
-    fn on_evict(&mut self, f: FuncId, t: Minute, from: VariantId) {
-        self.mark_dirty(f);
-        if t < self.retired_before {
-            return;
-        }
-        let Some(state) = self.states.get_mut(&t) else {
-            debug_assert!(false, "evicted minute {t} not indexed");
-            return;
-        };
-        if let Ok(i) = state.funcs.binary_search(&f) {
-            state.funcs.remove(i);
-            state.running_mb -= self.mem[f][from];
-            state.dirty = true;
-        } else {
-            debug_assert!(false, "evicted function {f} not in indexed minute {t}");
-        }
-        if state.funcs.is_empty() {
-            self.states.remove(&t);
-        }
-    }
-}
-
-/// Alive variant lookup usable while the index is mutably borrowed (free
-/// function over the schedule table instead of a `&self` method).
-fn variant_of(schedules: &[Option<KeepAliveSchedule>], f: FuncId, t: Minute) -> Option<VariantId> {
-    schedules
-        .get(f)
-        .and_then(Option::as_ref)
-        .and_then(|s| s.slot_at(t))
-        .and_then(Slot::alive)
 }
 
 /// Per-function keep-alive schedules plus the footprint/billing/downgrade
@@ -313,18 +215,14 @@ impl ScheduleLedger {
     }
 
     /// An empty ledger for `families.len()` functions with the incremental
-    /// per-minute index enabled: mutations maintain per-minute alive sets,
-    /// running totals, and a dirty-function set, making
-    /// [`Self::metered_kam_mb`] / [`Self::fill_minute_footprint`] /
-    /// [`Self::patch_minute_footprint`] sub-linear in total function count.
-    /// Every `&self` query behaves exactly as on a [`Self::new`] ledger.
-    ///
-    /// The same `families` slice must be passed to all queries (as the
-    /// sweep's queries already require).
+    /// per-minute index enabled: mutations maintain each live minute's alive
+    /// set, making [`Self::fill_minute_footprint`] `O(alive)` instead of
+    /// `O(n_functions)`. Every query answers exactly as on a [`Self::new`]
+    /// ledger.
     pub fn for_families(families: &[ModelFamily]) -> Self {
         Self {
             schedules: vec![None; families.len()],
-            index: Some(LedgerIndex::for_families(families)),
+            index: Some(LedgerIndex::default()),
         }
     }
 
@@ -356,7 +254,6 @@ impl ScheduleLedger {
             if let Some(new) = self.schedules[f].as_ref() {
                 ix.add_schedule(f, new);
             }
-            ix.mark_dirty(f);
         }
     }
 
@@ -366,12 +263,8 @@ impl ScheduleLedger {
         let Some(slot) = self.schedules.get_mut(f) else {
             return;
         };
-        let old = slot.take();
-        if let Some(ix) = self.index.as_mut() {
-            if let Some(old) = &old {
-                ix.remove_schedule(f, old);
-                ix.mark_dirty(f);
-            }
+        if let (Some(ix), Some(old)) = (self.index.as_mut(), slot.take()) {
+            ix.remove_schedule(f, &old);
         }
     }
 
@@ -405,19 +298,18 @@ impl ScheduleLedger {
     /// The alive set and footprint of minute `t` in one pass (the shape the
     /// cross-function adjustment and capacity-enforcement stages consume).
     pub fn minute_footprint(&self, families: &[ModelFamily], t: Minute) -> MinuteFootprint {
-        let mut alive = Vec::new();
-        let mut total_mb = 0.0f64;
-        for (f, fam) in families.iter().enumerate().take(self.schedules.len()) {
+        let mut out = MinuteFootprint::default();
+        self.sweep_footprint(families, t, &mut out);
+        out
+    }
+
+    /// Append every function alive at `t` to an empty `out`, ascending.
+    fn sweep_footprint(&self, families: &[ModelFamily], t: Minute, out: &mut MinuteFootprint) {
+        for f in 0..self.schedules.len().min(families.len()) {
             if let Some(v) = self.alive_variant_at(f, t) {
-                total_mb += fam.variant(v).memory_mb;
-                alive.push(AliveModel {
-                    func: f,
-                    variant: v,
-                    invocation_probability: 0.0,
-                });
+                out.push(families, f, v);
             }
         }
-        MinuteFootprint { alive, total_mb }
     }
 
     /// GB-s metering: the keep-alive cost (USD) billed for minute `t` under
@@ -437,19 +329,14 @@ impl ScheduleLedger {
     /// (the persistent-downgrade rule: a downgraded slot can never be
     /// re-raised by a later, weaker action). Returns whether the slot moved.
     pub fn apply_downgrade(&mut self, f: FuncId, t: Minute, to: VariantId) -> bool {
-        let from = match self.slot_at(f, t) {
-            Slot::Alive(v) if v > to => Some(v),
-            _ => None,
-        };
-        if let Some(from) = from {
+        let moves = matches!(self.slot_at(f, t), Slot::Alive(v) if v > to);
+        if moves {
+            // The function stays alive, so the index has nothing to update.
             if let Some(s) = self.schedules.get_mut(f).and_then(Option::as_mut) {
                 s.set_slot_at(t, Slot::Alive(to));
             }
-            if let Some(ix) = self.index.as_mut() {
-                ix.on_downgrade(f, t, from, to);
-            }
         }
-        from.is_some()
+        moves
     }
 
     /// Apply an eviction to minute `t` of `f`'s schedule: punch a hole (the
@@ -457,16 +344,16 @@ impl ScheduleLedger {
     /// Returns whether the slot actually changed (it was alive at `t`) —
     /// the event hook observability layers key off.
     pub fn apply_eviction(&mut self, f: FuncId, t: Minute) -> bool {
-        let from = self.slot_at(f, t).alive();
-        if let Some(from) = from {
+        let moves = !self.slot_at(f, t).is_hole();
+        if moves {
             if let Some(s) = self.schedules.get_mut(f).and_then(Option::as_mut) {
                 s.set_slot_at(t, Slot::Hole);
             }
             if let Some(ix) = self.index.as_mut() {
-                ix.on_evict(f, t, from);
+                ix.remove(f, t);
             }
         }
-        from.is_some()
+        moves
     }
 
     /// Apply one cross-function action to minute `t`. Returns whether the
@@ -486,148 +373,33 @@ impl ScheduleLedger {
         actions.iter().filter(|a| self.apply_action(t, a)).count()
     }
 
-    /// Whether minute `t` is answered by the incremental index (as opposed
-    /// to the full sweep).
-    fn indexed_at(&self, t: Minute) -> bool {
-        matches!(&self.index, Some(ix) if t >= ix.retired_before)
-    }
-
-    /// Total keep-alive memory (MB) at minute `t`, bit-identical to
-    /// [`Self::keep_alive_mb_at`] but sub-linear on an incremental ledger:
-    /// a mutated minute is **pinned** by re-summing its alive set in
-    /// ascending function order (`O(alive)`), an unmutated minute returns
-    /// the previous pin (`O(log minutes)`). Falls back to the full sweep on
-    /// a non-incremental ledger or a retired minute.
-    pub fn metered_kam_mb(&mut self, families: &[ModelFamily], t: Minute) -> f64 {
-        if self.indexed_at(t) {
-            if let Some(ix) = self.index.as_mut() {
-                let Some(state) = ix.states.get_mut(&t) else {
-                    // Empty alive set. The sweep is a `Sum::sum`,
-                    // whose f64 identity is -0.0 — returned as-is to stay
-                    // bit-identical.
-                    return -0.0;
-                };
-                if state.dirty {
-                    pin_state(state, &self.schedules, families, t);
-                }
-                return state.running_mb;
-            }
-        }
-        self.keep_alive_mb_at(families, t)
-    }
-
     /// Fill `out` with the alive set and footprint of minute `t`, reusing
-    /// its buffers — the incremental replacement for
-    /// [`Self::minute_footprint`] (identical contents, no per-call
-    /// allocation, `O(alive)` on an incremental ledger). Drains the
-    /// dirty-function set: `out` is a faithful mirror of the ledger at `t`
-    /// from here on, and [`Self::patch_minute_footprint`] can keep it so.
+    /// its buffers: the contents of [`Self::minute_footprint`] with no
+    /// per-call allocation, `O(alive)` on an incremental ledger. The total
+    /// is summed in ascending function order from +0.0, exactly as
+    /// [`Self::minute_footprint`] sums it.
     pub fn fill_minute_footprint(
-        &mut self,
+        &self,
         families: &[ModelFamily],
         t: Minute,
         out: &mut MinuteFootprint,
     ) {
         out.alive.clear();
         out.total_mb = 0.0;
-        let indexed = self.indexed_at(t);
-        if let Some(ix) = self.index.as_mut() {
-            ix.clear_dirty();
-            if indexed {
-                let Some(state) = ix.states.get_mut(&t) else {
-                    return; // empty minute: out stays empty with total 0.0
-                };
-                let mut total = 0.0f64;
-                for &f in &state.funcs {
+        match &self.index {
+            Some(ix) if t >= ix.retired_before => {
+                for &f in ix.states.get(&t).map_or(&[][..], Vec::as_slice) {
                     // The index only tracks alive slots; a miss here means
                     // the add/remove hooks and the schedule diverged.
-                    let Some(v) = variant_of(&self.schedules, f, t) else {
+                    let Some(v) = self.alive_variant_at(f, t) else {
                         debug_assert!(false, "indexed function {f} not alive at minute {t}");
                         continue;
                     };
-                    total += families[f].variant(v).memory_mb;
-                    out.alive.push(AliveModel {
-                        func: f,
-                        variant: v,
-                        invocation_probability: 0.0,
-                    });
+                    out.push(families, f, v);
                 }
-                debug_assert!(
-                    (state.running_mb - total).abs() <= 1e-6 * total.abs().max(1.0),
-                    "running total drifted from pin: {} vs {total}",
-                    state.running_mb
-                );
-                state.running_mb = total;
-                state.dirty = false;
-                out.total_mb = total;
-                return;
             }
+            _ => self.sweep_footprint(families, t, out),
         }
-        let mut total = 0.0f64;
-        for (f, fam) in families.iter().enumerate().take(self.schedules.len()) {
-            if let Some(v) = variant_of(&self.schedules, f, t) {
-                total += fam.variant(v).memory_mb;
-                out.alive.push(AliveModel {
-                    func: f,
-                    variant: v,
-                    invocation_probability: 0.0,
-                });
-            }
-        }
-        out.total_mb = total;
-    }
-
-    /// Bring a footprint previously produced by
-    /// [`Self::fill_minute_footprint`] for the *same minute* back in sync
-    /// with the ledger, touching only the functions mutated since — the
-    /// dirty-set path the engines' later pipeline stages use instead of
-    /// re-materializing the footprint. `out.total_mb` is re-pinned to the
-    /// exact ascending-order sum. Falls back to a full refill on a
-    /// non-incremental ledger.
-    pub fn patch_minute_footprint(
-        &mut self,
-        families: &[ModelFamily],
-        t: Minute,
-        out: &mut MinuteFootprint,
-    ) {
-        let indexed = self.indexed_at(t);
-        if indexed {
-            if let Some(ix) = self.index.as_mut() {
-                let mut dirty = std::mem::take(&mut ix.dirty);
-                for &f in &dirty {
-                    ix.dirty_mark[f] = false;
-                    let now = variant_of(&self.schedules, f, t);
-                    match (out.alive.binary_search_by_key(&f, |m| m.func), now) {
-                        (Ok(i), Some(v)) => out.alive[i].variant = v,
-                        (Ok(i), None) => {
-                            out.alive.remove(i);
-                        }
-                        (Err(i), Some(v)) => out.alive.insert(
-                            i,
-                            AliveModel {
-                                func: f,
-                                variant: v,
-                                invocation_probability: 0.0,
-                            },
-                        ),
-                        (Err(_), None) => {}
-                    }
-                }
-                dirty.clear();
-                ix.dirty = dirty;
-                out.total_mb = match ix.states.get_mut(&t) {
-                    Some(state) => {
-                        if state.dirty {
-                            pin_state(state, &self.schedules, families, t);
-                        }
-                        state.running_mb
-                    }
-                    None => 0.0,
-                };
-                return;
-            }
-        }
-        self.fill_minute_footprint(families, t, out);
     }
 
     /// Drop index state for minutes before `t` (the runtime calls this once
@@ -642,52 +414,6 @@ impl ScheduleLedger {
             }
         }
     }
-
-    /// The delta-maintained running total for minute `t` without pinning —
-    /// an `O(log minutes)` monitor, within float-drift of the billed value
-    /// but *not* bit-identical between mutations and pins. `None` when the
-    /// ledger is not incremental or the minute is retired.
-    pub fn running_kam_mb_at(&self, t: Minute) -> Option<f64> {
-        let ix = self.index.as_ref()?;
-        if t < ix.retired_before {
-            return None;
-        }
-        Some(ix.states.get(&t).map_or(0.0, |s| s.running_mb))
-    }
-
-    /// Functions mutated since the last footprint fill/patch (unordered,
-    /// deduplicated). Empty on a non-incremental ledger.
-    pub fn dirty_functions(&self) -> &[FuncId] {
-        self.index.as_ref().map_or(&[], |ix| &ix.dirty)
-    }
-}
-
-/// Re-sum `state`'s alive set in ascending function order — the exact
-/// operand sequence of [`ScheduleLedger::keep_alive_mb_at`] — and store the
-/// pinned value.
-fn pin_state(
-    state: &mut MinuteState,
-    schedules: &[Option<KeepAliveSchedule>],
-    families: &[ModelFamily],
-    t: Minute,
-) {
-    let mut total = 0.0f64;
-    for &f in &state.funcs {
-        // The index only tracks alive slots; a miss here means the
-        // add/remove hooks and the schedule diverged.
-        let Some(v) = variant_of(schedules, f, t) else {
-            debug_assert!(false, "indexed function {f} not alive at minute {t}");
-            continue;
-        };
-        total += families[f].variant(v).memory_mb;
-    }
-    debug_assert!(
-        (state.running_mb - total).abs() <= 1e-6 * total.abs().max(1.0),
-        "running total drifted from pin: {} vs {total}",
-        state.running_mb
-    );
-    state.running_mb = total;
-    state.dirty = false;
 }
 
 /// Algorithm 1's `t == 1` branch applies at the first minute of a keep-alive
@@ -862,7 +588,7 @@ mod tests {
         assert_eq!(ledger.n_functions(), 2);
     }
 
-    /// Deterministic LCG so incremental-vs-legacy pinning can cover many
+    /// Deterministic LCG so the incremental-vs-sweep check can cover many
     /// action interleavings without a rand dependency in pulse-core.
     struct Lcg(u64);
     impl Lcg {
@@ -889,15 +615,16 @@ mod tests {
         (0..n).map(|f| all[f % all.len()].clone()).collect()
     }
 
-    /// Drive an incremental and a legacy ledger through the same random
-    /// replace/clear/downgrade/evict sequence and require every read —
-    /// metered total, filled footprint, patched footprint — to be
-    /// bit-identical to the legacy ascending-order sweep.
+    /// Drive an incremental and a sweep ledger through the same random
+    /// replace/clear/downgrade/evict sequence and require every filled
+    /// footprint to be bit-identical to the ascending-order sweep.
     #[test]
     fn incremental_reads_are_bit_identical_to_full_sweep() {
         let fams = zoo_families(9);
         let mut inc = ScheduleLedger::for_families(&fams);
         let mut full = ScheduleLedger::new(fams.len());
+        assert!(inc.is_incremental());
+        assert!(!full.is_incremental());
         let mut rng = Lcg(0x5eed);
         let mut fp = MinuteFootprint::default();
         for step in 0..400u64 {
@@ -926,43 +653,11 @@ mod tests {
                 }
             }
             let probe = rng.below(52);
-            assert_eq!(
-                inc.metered_kam_mb(&fams, probe).to_bits(),
-                full.keep_alive_mb_at(&fams, probe).to_bits(),
-                "step {step} minute {probe}"
-            );
             inc.fill_minute_footprint(&fams, probe, &mut fp);
             let want = full.minute_footprint(&fams, probe);
             assert_eq!(fp.alive, want.alive, "step {step} minute {probe}");
             assert_eq!(fp.total_mb.to_bits(), want.total_mb.to_bits());
         }
-    }
-
-    /// After a fill, further mutations must be re-syncable through the
-    /// dirty-set patch without re-materializing the footprint.
-    #[test]
-    fn patch_keeps_footprint_in_sync() {
-        let fams = zoo_families(6);
-        let mut ledger = ScheduleLedger::for_families(&fams);
-        for f in 0..6 {
-            ledger.replace(f, KeepAliveSchedule::constant(0, fams[f].highest_id(), 10));
-        }
-        let mut fp = MinuteFootprint::default();
-        ledger.fill_minute_footprint(&fams, 3, &mut fp);
-        assert!(ledger.dirty_functions().is_empty(), "fill drains dirt");
-
-        ledger.apply_downgrade(1, 3, 0);
-        ledger.apply_eviction(4, 3);
-        ledger.replace(2, KeepAliveSchedule::constant(3, 0, 5));
-        ledger.clear(5);
-        assert_eq!(ledger.dirty_functions().len(), 4, "deduplicated dirt");
-        ledger.apply_downgrade(1, 3, 0); // ignored action: no new dirt needed
-
-        ledger.patch_minute_footprint(&fams, 3, &mut fp);
-        assert!(ledger.dirty_functions().is_empty(), "patch drains dirt");
-        let want = ledger.minute_footprint(&fams, 3);
-        assert_eq!(fp.alive, want.alive);
-        assert_eq!(fp.total_mb.to_bits(), want.total_mb.to_bits());
     }
 
     /// Retiring minutes keeps reads correct (they fall back to the sweep)
@@ -973,48 +668,30 @@ mod tests {
         let mut ledger = ScheduleLedger::for_families(&fams);
         ledger.replace(0, KeepAliveSchedule::constant(0, 1, 10));
         ledger.replace(2, KeepAliveSchedule::constant(2, 0, 4));
-        let before: Vec<u64> = (0..12)
-            .map(|t| ledger.metered_kam_mb(&fams, t).to_bits())
-            .collect();
+        let mut fp = MinuteFootprint::default();
+        let fill = |ledger: &ScheduleLedger, fp: &mut MinuteFootprint, t| {
+            ledger.fill_minute_footprint(&fams, t, fp);
+            (fp.alive.clone(), fp.total_mb.to_bits())
+        };
+        let before: Vec<_> = (0..12).map(|t| fill(&ledger, &mut fp, t)).collect();
         ledger.retire_minutes_before(6);
-        assert!(ledger.running_kam_mb_at(5).is_none(), "retired");
-        assert!(ledger.running_kam_mb_at(6).is_some());
+        let ix = ledger.index.as_ref().unwrap();
+        assert_eq!(ix.states.keys().next(), Some(&6), "retired");
         for (t, want) in before.iter().enumerate() {
             let t = t as Minute;
-            assert_eq!(ledger.metered_kam_mb(&fams, t).to_bits(), *want, "t={t}");
-            assert_eq!(
-                ledger.metered_kam_mb(&fams, t).to_bits(),
-                ledger.keep_alive_mb_at(&fams, t).to_bits()
-            );
+            assert_eq!(&fill(&ledger, &mut fp, t), want, "t={t}");
         }
         // Replacing a schedule that spans the retirement boundary only
         // indexes the live part; both sides still read correctly.
         ledger.replace(1, KeepAliveSchedule::constant(3, 1, 10));
         for t in 0..14 {
+            let want = ledger.minute_footprint(&fams, t);
             assert_eq!(
-                ledger.metered_kam_mb(&fams, t).to_bits(),
-                ledger.keep_alive_mb_at(&fams, t).to_bits(),
+                fill(&ledger, &mut fp, t),
+                (want.alive, want.total_mb.to_bits()),
                 "t={t}"
             );
         }
-    }
-
-    #[test]
-    fn running_total_is_close_between_pins() {
-        let fams = zoo_families(4);
-        let mut ledger = ScheduleLedger::for_families(&fams);
-        assert!(ledger.is_incremental());
-        assert!(!ScheduleLedger::new(4).is_incremental());
-        assert_eq!(ScheduleLedger::new(4).running_kam_mb_at(3), None);
-        for f in 0..4 {
-            ledger.replace(f, KeepAliveSchedule::constant(0, fams[f].highest_id(), 8));
-        }
-        ledger.apply_downgrade(0, 4, 0);
-        ledger.apply_eviction(3, 4);
-        let running = ledger.running_kam_mb_at(4).unwrap();
-        let billed = ledger.metered_kam_mb(&fams, 4);
-        assert!((running - billed).abs() <= 1e-6 * billed.max(1.0));
-        assert_eq!(ledger.running_kam_mb_at(50), Some(0.0), "empty minute");
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * **migration**: at each tick the rebalancer moves idle warm containers
 //!   off nodes whose planned footprint exceeds their cap, onto the node with
 //!   the most headroom. Per-node planned footprints come from the ledger's
-//!   incrementally-patched minute footprint (DESIGN.md §16), so the tick
-//!   cost scales with the functions that changed, not the fleet size. A
-//!   migration is a charged pause
+//!   minute footprint, filled from its per-minute alive set (DESIGN.md
+//!   §16), so the tick cost scales with the alive functions, not the fleet
+//!   size. A migration is a charged pause
 //!   ([`MigrationConfig::pause_ms`]) during which the container cannot
 //!   serve — orders of magnitude cheaper than a cold start, and counted in
 //!   `RuntimeSummary::migrations` / `migration_pause_ms`;

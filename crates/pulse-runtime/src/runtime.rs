@@ -75,12 +75,13 @@ use crate::fleet::FleetConfig;
 use crate::metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 use crate::node::{NodeFaultKind, NodeHealth, NodeSpec};
 use crate::MS_PER_MINUTE;
-use pulse_core::global::{flatten_peak_scratch, AliveModel, DowngradeAction, FlattenScratch};
+use pulse_core::global::{flatten_peak_scratch, DowngradeAction, FlattenScratch};
 use pulse_core::priority::PriorityStructure;
-use pulse_core::schedule::{begins_keepalive_period, MinuteFootprint, ScheduleLedger};
+use pulse_core::schedule::ScheduleLedger;
 use pulse_models::{CostModel, ModelFamily, VariantId};
 use pulse_obs::{emit, ActionSource, ObsEvent, TraceSink};
 use pulse_sim::policy::{KeepAlivePolicy, MinuteObservation};
+use pulse_sim::PlanState;
 use pulse_trace::Trace;
 use std::collections::VecDeque;
 
@@ -799,10 +800,7 @@ impl Runtime {
             policy,
             fleet,
             rs,
-            demand_history: Vec::with_capacity(self.trace.minutes()),
-            invoked_this_minute: false,
-            fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
+            plan: PlanState::new(Vec::with_capacity(self.trace.minutes()), false),
             flatten_scratch: FlattenScratch::default(),
         }
     }
@@ -815,14 +813,9 @@ pub struct RuntimeSession<'a> {
     policy: &'a mut dyn KeepAlivePolicy,
     fleet: FleetConfig,
     rs: RunState<'a>,
-    demand_history: Vec<f64>,
-    invoked_this_minute: bool,
-    /// Session-owned footprint buffer, kept in sync with the ledger's dirty
-    /// set each tick (no per-minute `Vec` churn on the hot path).
-    fp: MinuteFootprint,
-    /// Session-owned copy of the alive set handed to the policy (which may
-    /// mutate it arbitrarily while selecting victims).
-    alive_scratch: Vec<AliveModel>,
+    /// The global layer shared with the simulator; its footprint buffer
+    /// also serves the fleet stages, which refill it before reading.
+    plan: PlanState,
     /// Victim-heap scratch for the capacity enforcer. Pure scratch: carries
     /// no state across calls, so it is deliberately absent from checkpoints.
     flatten_scratch: FlattenScratch,
@@ -1024,54 +1017,17 @@ impl<'a> RuntimeSession<'a> {
     }
 
     /// Tick stage 2: the policy's cross-function adjustment against the
-    /// schedule demand, applied to this minute of the ledger only.
+    /// schedule demand, applied to this minute of the ledger only
+    /// ([`PlanState::adjust`], the simulator's stage too).
     fn stage_adjust(&mut self, minute: u64) {
-        let invoked_last_minute = std::mem::take(&mut self.invoked_this_minute);
-        self.rs
-            .ledger
-            .fill_minute_footprint(&self.rt.families, minute, &mut self.fp);
-        self.alive_scratch.clone_from(&self.fp.alive);
-        let kam = self.fp.total_mb;
-        let first_minute = begins_keepalive_period(invoked_last_minute, kam, &self.demand_history);
-        let actions = self.policy.adjust_minute(
+        let requested = self.plan.adjust(
+            &mut *self.policy,
+            &mut self.rs.ledger,
+            &self.rt.families,
             minute,
-            &self.demand_history,
-            first_minute,
-            kam,
-            &mut self.alive_scratch,
+            &mut self.rs.sink,
         );
-        self.demand_history.push(kam);
-        self.rs.summary.downgrades += actions.len() as u64;
-        // Apply action-by-action (the exact loop `apply_actions` runs) so
-        // each one's applied/ignored outcome can be reported.
-        let mut applied = 0usize;
-        for a in &actions {
-            let moved = self.rs.ledger.apply_action(minute, a);
-            applied += usize::from(moved);
-            emit(&mut self.rs.sink, || match *a {
-                DowngradeAction::Downgrade { func, from, to } => ObsEvent::Downgrade {
-                    minute,
-                    func,
-                    from,
-                    to,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-                DowngradeAction::Evict { func, from } => ObsEvent::Evict {
-                    minute,
-                    func,
-                    from,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-            });
-        }
-        emit(&mut self.rs.sink, || ObsEvent::Adjust {
-            minute,
-            requested: actions.len(),
-            applied,
-            keepalive_mb: kam,
-        });
+        self.rs.summary.downgrades += requested as u64;
     }
 
     /// Tick stage 3 (fleet): account downtime and move scheduled functions
@@ -1122,14 +1078,14 @@ impl<'a> RuntimeSession<'a> {
         if self.rs.nodes.len() < 2 {
             return;
         }
-        // Re-sync the session footprint with whatever the adjustment and
-        // node-health stages dirtied, then detach it so the loop below can
-        // borrow `self.rs` mutably (migrations never touch the ledger, so
-        // the snapshot stays valid for the whole stage).
+        // Refill the footprint after the adjustment and node-health stages,
+        // then detach it so the loop below can borrow `self.rs` mutably
+        // (migrations never touch the ledger, so the snapshot stays valid
+        // for the whole stage).
         self.rs
             .ledger
-            .patch_minute_footprint(&self.rt.families, minute, &mut self.fp);
-        let footprint = std::mem::take(&mut self.fp);
+            .fill_minute_footprint(&self.rt.families, minute, &mut self.plan.fp);
+        let footprint = std::mem::take(&mut self.plan.fp);
         let pause = self.fleet.migration.pause_ms;
         for k in 0..self.rs.nodes.len() {
             let Some(cap) = self.rs.nodes[k].spec.capacity.keepalive_mb else {
@@ -1196,7 +1152,7 @@ impl<'a> RuntimeSession<'a> {
                 });
             }
         }
-        self.fp = footprint;
+        self.plan.fp = footprint;
     }
 
     /// Tick stage 5: per-node capacity enforcement — when a node's
@@ -1214,13 +1170,11 @@ impl<'a> RuntimeSession<'a> {
         {
             return;
         }
-        // Catch up on any dirt left by the earlier stages (policy actions,
-        // node-loss evictions); rebalance migrations never touch the ledger,
-        // so after this patch the footprint is exactly this minute's plan.
+        // This minute's plan after policy actions and node-loss evictions.
         self.rs
             .ledger
-            .patch_minute_footprint(&self.rt.families, minute, &mut self.fp);
-        let footprint = std::mem::take(&mut self.fp);
+            .fill_minute_footprint(&self.rt.families, minute, &mut self.plan.fp);
+        let footprint = std::mem::take(&mut self.plan.fp);
         let mut pressured = false;
         // Nodes partition functions, so flattening node k's plan never
         // touches a model counted for node k+1 — the shared footprint
@@ -1259,7 +1213,7 @@ impl<'a> RuntimeSession<'a> {
             );
             self.apply_pressure_actions(minute, &outcome.actions);
         }
-        self.fp = footprint;
+        self.plan.fp = footprint;
         if pressured {
             self.rs.summary.pressure_minutes += 1;
         }
@@ -1439,7 +1393,7 @@ impl<'a> RuntimeSession<'a> {
             }
         }
 
-        self.invoked_this_minute = true;
+        self.plan.invoked = true;
         emit(&mut rs.sink, || ObsEvent::Arrival {
             at_ms: now,
             func,

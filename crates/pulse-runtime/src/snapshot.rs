@@ -26,7 +26,7 @@ use crate::metrics::{RequestRecord, RuntimeSummary};
 use crate::node::{NodeFaultKind, NodeHealth};
 use pulse_core::global::FlattenScratch;
 use pulse_core::priority::PriorityStructure;
-use pulse_core::schedule::{MinuteFootprint, ScheduleLedger};
+use pulse_core::schedule::ScheduleLedger;
 use pulse_models::Profiler;
 use pulse_obs::{Record, RecordBuilder};
 use pulse_sim::policy::KeepAlivePolicy;
@@ -34,6 +34,7 @@ use pulse_sim::recover::{
     check_fingerprint, decode_ledger_row, encode_ledger, fingerprint_of, RecoverError,
     SNAPSHOT_VERSION,
 };
+use pulse_sim::PlanState;
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 
@@ -356,7 +357,7 @@ impl RuntimeSession<'_> {
             .u64("plan", fingerprint_of(rs.injector.plan()))
             .u64("fleet", fingerprint_of(&self.fleet))
             .str("policy", self.policy.name())
-            .bool("invoked", self.invoked_this_minute)
+            .bool("invoked", self.plan.invoked)
             .bool("fallback", rs.prev_fallback)
             .u64("minute_requests", rs.minute_requests)
             .u64("minute_violations", rs.minute_violations)
@@ -387,7 +388,7 @@ impl RuntimeSession<'_> {
         push(
             &mut doc,
             RecordBuilder::new("demand")
-                .f64_list("history", &self.demand_history)
+                .f64_list("history", &self.plan.demand_history)
                 .finish(),
         );
         push(&mut doc, summary_row(&rs.summary));
@@ -650,8 +651,8 @@ impl Runtime {
         let mut nodes: Vec<Option<(NodeRt, PriorityStructure)>> =
             (0..fleet.nodes.len()).map(|_| None).collect();
         // `for_families` so the rebuilt ledger carries the same incremental
-        // index as a fresh session's; decoded rows repopulate it via
-        // `replace`, deterministically rebuilding every cached total.
+        // index as a fresh session's; decoded rows repopulate its alive sets
+        // via `replace`.
         let mut ledger = ScheduleLedger::for_families(&self.families);
 
         for line in lines {
@@ -911,10 +912,7 @@ impl Runtime {
             policy,
             fleet,
             rs,
-            demand_history,
-            invoked_this_minute: head.bool("invoked").map_err(c)?,
-            fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
+            plan: PlanState::new(demand_history, head.bool("invoked").map_err(c)?),
             flatten_scratch: FlattenScratch::default(),
         })
     }

@@ -77,9 +77,7 @@ impl Simulator {
             metrics: RunMetrics::new(policy.name(), minutes),
             policy,
             ledger: ScheduleLedger::new(self.families.len()),
-            fp: MinuteFootprint::default(),
-            demand_history: Vec::with_capacity(minutes),
-            invoked_last_minute: false,
+            plan: PlanState::new(Vec::with_capacity(minutes), false),
             next: 0,
             minutes: minutes as Minute,
             sink: None,
@@ -196,14 +194,107 @@ impl Simulator {
             policy,
             metrics,
             ledger,
-            fp: MinuteFootprint::default(),
-            demand_history,
-            invoked_last_minute: head.bool("invoked").map_err(c)?,
+            plan: PlanState::new(demand_history, head.bool("invoked").map_err(c)?),
             next: head.u64("next").map_err(c)?,
             minutes: self.trace.minutes() as Minute,
             sink: None,
             prev_fallback: head.bool("fallback").map_err(c)?,
         })
+    }
+}
+
+/// The per-minute global layer both engines run: Algorithm 1's peak check
+/// on the schedules' keep-alive demand, then Algorithm 2's actions applied to
+/// that minute of the ledger. A [`SimSession`] and the runtime's session each
+/// own one and call [`Self::adjust`] once per minute, so the two engines plan
+/// through the same code.
+#[derive(Debug, Clone, Default)]
+pub struct PlanState {
+    /// What the schedules *asked* to keep alive each minute
+    /// (pre-adjustment), MB; the prior of the policy's peak detection.
+    /// Feeding post-flattening values back into the prior would drag the
+    /// detector's baseline into a death spiral (every flatten lowers the
+    /// prior, which makes the next minute a "peak" again). What was actually
+    /// kept alive (post-adjustment) drives billing instead.
+    pub demand_history: Vec<f64>,
+    /// Whether any function was invoked since the last [`Self::adjust`].
+    /// The engine sets it on every served arrival; the next adjust takes it.
+    pub invoked: bool,
+    /// Footprint buffer, refilled in place each minute by
+    /// [`ScheduleLedger::fill_minute_footprint`] (no per-minute `Vec`
+    /// churn). Its alive set goes to the policy as is, which may mutate it
+    /// while selecting victims, so it mirrors the ledger only until the
+    /// policy runs: a later reader refills it.
+    pub fp: MinuteFootprint,
+}
+
+impl PlanState {
+    /// Plan state resuming from `demand_history` and the `invoked` flag.
+    pub fn new(demand_history: Vec<f64>, invoked: bool) -> Self {
+        Self {
+            demand_history,
+            invoked,
+            fp: MinuteFootprint::default(),
+        }
+    }
+
+    /// Run minute `t`'s cross-function adjustment: fill the footprint, derive
+    /// Algorithm 1's period flag ([`begins_keepalive_period`]), ask the
+    /// policy for actions on the footprint's alive set, record the minute's
+    /// demand, then apply each action to minute `t` of `ledger`, emitting its
+    /// [`ObsEvent::Downgrade`]/[`ObsEvent::Evict`] and finally the minute's
+    /// [`ObsEvent::Adjust`]. Returns how many actions the policy requested.
+    pub fn adjust(
+        &mut self,
+        policy: &mut dyn KeepAlivePolicy,
+        ledger: &mut ScheduleLedger,
+        families: &[ModelFamily],
+        t: Minute,
+        sink: &mut Option<&mut dyn TraceSink>,
+    ) -> usize {
+        ledger.fill_minute_footprint(families, t, &mut self.fp);
+        let current_kam = self.fp.total_mb;
+        let invoked = std::mem::take(&mut self.invoked);
+        let first_minute = begins_keepalive_period(invoked, current_kam, &self.demand_history);
+        let actions = policy.adjust_minute(
+            t,
+            &self.demand_history,
+            first_minute,
+            current_kam,
+            &mut self.fp.alive,
+        );
+        self.demand_history.push(current_kam);
+        // Apply action-by-action (the exact loop `apply_actions` runs) so
+        // each one's applied/ignored outcome can be reported.
+        let mut applied = 0usize;
+        for a in &actions {
+            let moved = ledger.apply_action(t, a);
+            applied += usize::from(moved);
+            emit(sink, || match *a {
+                DowngradeAction::Downgrade { func, from, to } => ObsEvent::Downgrade {
+                    minute: t,
+                    func,
+                    from,
+                    to,
+                    source: ActionSource::Policy,
+                    applied: moved,
+                },
+                DowngradeAction::Evict { func, from } => ObsEvent::Evict {
+                    minute: t,
+                    func,
+                    from,
+                    source: ActionSource::Policy,
+                    applied: moved,
+                },
+            });
+        }
+        emit(sink, || ObsEvent::Adjust {
+            minute: t,
+            requested: actions.len(),
+            applied,
+            keepalive_mb: current_kam,
+        });
+        actions.len()
     }
 }
 
@@ -215,20 +306,7 @@ pub struct SimSession<'a> {
     policy: &'a mut dyn KeepAlivePolicy,
     metrics: RunMetrics,
     ledger: ScheduleLedger,
-    /// Session-owned footprint buffer, refilled in place each minute by
-    /// [`ScheduleLedger::fill_minute_footprint`] (no per-minute Vec churn).
-    /// Its alive set goes to the policy as is, which may mutate it while
-    /// selecting victims: nothing reads it after the policy returns, and
-    /// the billed value is re-metered from the ledger.
-    fp: MinuteFootprint,
-    // `demand_history` records what the schedules *asked* to keep alive each
-    // minute (pre-adjustment) and drives the policy's peak detection —
-    // feeding post-flattening values back into the prior would drag the
-    // detector's baseline into a death spiral (every flatten lowers the
-    // prior, which makes the next minute a "peak" again). What was actually
-    // kept alive (post-adjustment) drives billing and the reported series.
-    demand_history: Vec<f64>,
-    invoked_last_minute: bool,
+    plan: PlanState,
     next: Minute,
     minutes: Minute,
     /// Attached observer, if any. Disabled/absent sinks cost one branch per
@@ -308,7 +386,7 @@ impl<'a> SimSession<'a> {
             .u64("workload", self.sim.workload_fingerprint())
             .str("policy", self.policy.name())
             .u64("next", self.next)
-            .bool("invoked", self.invoked_last_minute)
+            .bool("invoked", self.plan.invoked)
             .bool("fallback", self.prev_fallback)
             .finish();
         doc.push('\n');
@@ -316,7 +394,7 @@ impl<'a> SimSession<'a> {
         doc.push('\n');
         doc.push_str(
             &RecordBuilder::new("demand")
-                .f64_list("history", &self.demand_history)
+                .f64_list("history", &self.plan.demand_history)
                 .finish(),
         );
         doc.push('\n');
@@ -325,56 +403,20 @@ impl<'a> SimSession<'a> {
         Ok(doc)
     }
 
-    /// Stage 1: cross-function adjustment on the pre-invocation alive set,
-    /// then re-meter. Returns the billed keep-alive memory of the minute —
-    /// what the schedules keep alive at `t` post-adjustment. (Schedules
-    /// produced by invocations at `t` begin at `t + 1`, and cold-start
-    /// execution memory is in-use, not keep-alive.)
+    /// Stage 1: cross-function adjustment on the pre-invocation alive set
+    /// ([`PlanState::adjust`]), then re-meter. Returns the billed keep-alive
+    /// memory of the minute — what the schedules keep alive at `t`
+    /// post-adjustment. (Schedules produced by invocations at `t` begin at
+    /// `t + 1`, and cold-start execution memory is in-use, not keep-alive.)
     fn stage_adjust(&mut self, t: Minute) -> f64 {
-        self.ledger
-            .fill_minute_footprint(&self.sim.families, t, &mut self.fp);
-        let current_kam = self.fp.total_mb;
-        let first_minute =
-            begins_keepalive_period(self.invoked_last_minute, current_kam, &self.demand_history);
-        let actions = self.policy.adjust_minute(
+        let requested = self.plan.adjust(
+            &mut *self.policy,
+            &mut self.ledger,
+            &self.sim.families,
             t,
-            &self.demand_history,
-            first_minute,
-            current_kam,
-            &mut self.fp.alive,
+            &mut self.sink,
         );
-        self.demand_history.push(current_kam);
-        self.metrics.downgrades += actions.len() as u64;
-        // Apply action-by-action (the exact loop `apply_actions` runs) so
-        // each one's applied/ignored outcome can be reported.
-        let mut applied = 0usize;
-        for a in &actions {
-            let moved = self.ledger.apply_action(t, a);
-            applied += usize::from(moved);
-            emit(&mut self.sink, || match *a {
-                DowngradeAction::Downgrade { func, from, to } => ObsEvent::Downgrade {
-                    minute: t,
-                    func,
-                    from,
-                    to,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-                DowngradeAction::Evict { func, from } => ObsEvent::Evict {
-                    minute: t,
-                    func,
-                    from,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-            });
-        }
-        emit(&mut self.sink, || ObsEvent::Adjust {
-            minute: t,
-            requested: actions.len(),
-            applied,
-            keepalive_mb: current_kam,
-        });
+        self.metrics.downgrades += requested as u64;
         // Post-action re-meter: the full sweep in ascending function order,
         // the billing contract both engines share.
         self.ledger.keep_alive_mb_at(&self.sim.families, t)
@@ -385,7 +427,6 @@ impl<'a> SimSession<'a> {
     /// followers reuse it warm), and every invoked function gets a fresh
     /// schedule. Returns `(requests, cold starts)` for the minute.
     fn stage_serve(&mut self, t: Minute) -> (u64, u64) {
-        self.invoked_last_minute = false;
         let mut minute_requests = 0u64;
         let mut minute_cold = 0u64;
         for f in 0..self.sim.families.len() {
@@ -393,7 +434,7 @@ impl<'a> SimSession<'a> {
             if count == 0 {
                 continue;
             }
-            self.invoked_last_minute = true;
+            self.plan.invoked = true;
             minute_requests += count;
             let fam = &self.sim.families[f];
             let alive = self.ledger.alive_variant_at(f, t);

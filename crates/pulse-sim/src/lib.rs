@@ -58,7 +58,7 @@ pub mod recover;
 pub mod runner;
 pub mod watchdog;
 
-pub use engine::{SimSession, Simulator};
+pub use engine::{PlanState, SimSession, Simulator};
 pub use metrics::RunMetrics;
 pub use policy::{KeepAlivePolicy, MinuteObservation};
 pub use recover::{RecoverError, SNAPSHOT_VERSION};

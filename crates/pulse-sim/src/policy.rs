@@ -56,8 +56,10 @@ pub trait KeepAlivePolicy: Send {
     ///   `t == 1` branch;
     /// * `current_kam_mb` — keep-alive memory at `t` before adjustment;
     /// * `alive` — alive containers at `t`, in function order, with
-    ///   `invocation_probability` zeroed; implementations mutate it in step
-    ///   with the actions they return.
+    ///   `invocation_probability` zeroed. It is the engine's own footprint
+    ///   buffer ([`crate::engine::PlanState::fp`]), not a copy: implementations
+    ///   may mutate it in step with the actions they return, and the engine
+    ///   refills it before reading it again.
     ///
     /// The PULSE policies fill `Ip` for the alive models only when they
     /// act: [`crate::policies::PulsePolicy`] and the forecast-integrated

@@ -432,9 +432,9 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     }
 }
 
-/// Assert that two ledgers (one possibly carrying a warm incremental cache,
-/// one freshly rebuilt by restore) answer every metered and footprint query
-/// bit-identically to each other *and* to the full sweep.
+/// Assert that two ledgers (one possibly carrying a warm incremental index,
+/// one freshly rebuilt by restore) fill every minute footprint
+/// bit-identically to the full sweep, and so to each other.
 fn assert_ledgers_equivalent(
     fams: &[ModelFamily],
     live: &pulse::core::schedule::ScheduleLedger,
@@ -443,38 +443,34 @@ fn assert_ledgers_equivalent(
     what: &str,
 ) {
     use pulse::core::schedule::MinuteFootprint;
-    let mut a = live.clone();
-    let mut b = restored.clone();
     let mut fa = MinuteFootprint::default();
     let mut fb = MinuteFootprint::default();
     for t in 0..horizon {
-        let sweep = live.keep_alive_mb_at(fams, t);
-        assert_eq!(
-            a.metered_kam_mb(fams, t).to_bits(),
-            sweep.to_bits(),
-            "{what}: live metered != sweep at minute {t}"
-        );
-        assert_eq!(
-            b.metered_kam_mb(fams, t).to_bits(),
-            sweep.to_bits(),
-            "{what}: restored metered != sweep at minute {t}"
-        );
-        a.fill_minute_footprint(fams, t, &mut fa);
-        b.fill_minute_footprint(fams, t, &mut fb);
-        assert_eq!(fa.alive, fb.alive, "{what}: alive sets differ at {t}");
-        assert_eq!(
-            fa.total_mb.to_bits(),
-            fb.total_mb.to_bits(),
-            "{what}: footprint totals differ at minute {t}"
-        );
+        // Compared with the sweep's footprint, not `keep_alive_mb_at`: that
+        // is a `Sum` whose empty-minute identity is -0.0, while footprint
+        // totals start at +0.0.
+        let sweep = live.minute_footprint(fams, t);
+        live.fill_minute_footprint(fams, t, &mut fa);
+        restored.fill_minute_footprint(fams, t, &mut fb);
+        for (fp, side) in [(&fa, "live"), (&fb, "restored")] {
+            assert_eq!(
+                fp.alive, sweep.alive,
+                "{what}: {side} alive set != sweep at minute {t}"
+            );
+            assert_eq!(
+                fp.total_mb.to_bits(),
+                sweep.total_mb.to_bits(),
+                "{what}: {side} footprint total != sweep at minute {t}"
+            );
+        }
     }
 }
 
 /// Restore rebuilds the ledger deterministically: after a mid-run snapshot,
-/// the restored session's metered and footprint reads are bit-identical to
-/// the uninterrupted session's and to the full sweep, on both engines. The
+/// the restored session's footprint reads are bit-identical to the
+/// uninterrupted session's and to the full sweep, on both engines. The
 /// simulator meters by sweep; the runtime's ledger carries the incremental
-/// cache (dirty sets, running totals), which restore must rebuild.
+/// index (per-minute alive sets), which restore must rebuild.
 #[test]
 fn restored_ledger_rebuilds_incremental_cache_deterministically() {
     use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};

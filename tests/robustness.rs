@@ -1067,3 +1067,86 @@ fn extreme_config_values_do_not_break_pulse() {
         assert!(m.keepalive_cost_usd >= 0.0);
     }
 }
+
+/// FNV-1a over the bit patterns of every node's billed series, in node order.
+fn node_series_digest(s: &pulse::runtime::RuntimeSummary) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for node in &s.node_summaries {
+        for mb in &node.memory_at_tick_mb {
+            for byte in mb.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn capped_fleet_stages_produce_pinned_outputs() {
+    use pulse::runtime::{
+        FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan, NodeSpec, Runtime, RuntimeConfig,
+    };
+    // Exact outputs of capped multi-node runs, where the rebalancer and the
+    // capacity enforcer both read the minute footprint every tick. Under
+    // PULSE the uniform fleet stays below its caps (it pins the crash path
+    // and billing); the heterogeneous one migrates and downgrades.
+    let trace = pulse::trace::synth::azure_like_12_with_horizon(7, 240);
+    let fams = zoo12();
+    let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
+    let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
+    let uniform = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.45))
+        .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 240));
+    let hetero = FleetConfig::heterogeneous(vec![
+        NodeSpec::nominal("big", NodeCapacity::gb(8.0)),
+        NodeSpec::nominal("slow", NodeCapacity::gb(4.0)).with_speed_factor(1.5),
+        NodeSpec::nominal("cheap", NodeCapacity::gb(4.0)).with_price_factor(0.5),
+    ])
+    .with_node_faults(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 240));
+    // (name, fleet, cost bits, pressure downgrades, evictions, migrations,
+    //  node-loss evictions, digest of every node's billed series)
+    let pins = [
+        (
+            "uniform",
+            uniform,
+            0x4001_5cec_b1b6_37a6_u64,
+            0,
+            0,
+            0,
+            0,
+            0x71e7_f54a_39ab_959a_u64,
+        ),
+        (
+            "hetero",
+            hetero,
+            0x3ffd_8248_94c4_47bd,
+            21,
+            14,
+            40,
+            0,
+            0x5fb6_2d89_eb8f_5704,
+        ),
+    ];
+    let (mut pressure_downgrades, mut migrations) = (0, 0);
+    for (name, fleet, cost_bits, downgrades, evictions, migrated, node_loss, digest) in pins {
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let s = rt.session(&mut policy, &FaultPlan::none(), fleet).finish();
+        assert_eq!(s.keepalive_cost_usd.to_bits(), cost_bits, "{name}: cost");
+        assert_eq!(
+            s.pressure_downgrades, downgrades,
+            "{name}: pressure downgrades"
+        );
+        assert_eq!(s.evictions, evictions, "{name}: evictions");
+        assert_eq!(s.migrations, migrated, "{name}: migrations");
+        assert_eq!(
+            s.node_loss_evictions, node_loss,
+            "{name}: node-loss evictions"
+        );
+        assert_eq!(node_series_digest(&s), digest, "{name}: per-node series");
+        pressure_downgrades += s.pressure_downgrades;
+        migrations += s.migrations;
+    }
+    // Both fleet stages must stay exercised, or the pins above prove nothing.
+    assert!(pressure_downgrades > 0, "capacity enforcement never acted");
+    assert!(migrations > 0, "the rebalancer never migrated");
+}
