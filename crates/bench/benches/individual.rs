@@ -13,8 +13,6 @@
 #![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pulse_core::individual::IndividualOptimizer;
-use pulse_core::thresholds::SchemeT1;
 use pulse_core::types::{Minute, PulseConfig};
 use pulse_core::PulseEngine;
 use pulse_models::zoo;
@@ -50,11 +48,11 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
+    // The whole per-invocation plan: the combined estimate of every gap in
+    // the window and the variant it selects, built in the plan's buffer.
     c.bench_function("schedule_after_invocation", |b| {
         let (e, last) = history(1000);
-        let probs = e.probabilities(0, last);
-        let opt = IndividualOptimizer::new(10);
-        b.iter(|| opt.schedule(last, &probs, 3, &SchemeT1))
+        b.iter(|| e.schedule_after_invocation(0, last))
     });
 
     c.bench_function("record_invocation", |b| {

@@ -1,6 +1,6 @@
 //! Figure 9a: per-peak decision overhead — PULSE's greedy downgrade loop vs
 //! the exact branch-and-bound MILP on identical peak instances, plus the
-//! heap-vs-scan victim-selection comparison at fleet scale.
+//! production victim heap vs the scan oracle at fleet scale.
 //!
 //! Run with `PULSE_BENCH_JSON=BENCH_policy_overhead.json cargo bench --bench
 //! policy_overhead` to append machine-readable points to the trajectory
@@ -56,9 +56,12 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Victim selection at fleet scale: the re-score-every-model scan vs the
-    // epoch-lazy priority heap (both produce bit-identical actions; the
-    // heap pays `O(log n)` per eviction instead of `O(n)`).
+    // Victim selection at fleet scale: the re-score-every-model scan oracle
+    // vs the production victim heap (both produce bit-identical actions).
+    // The scan normalizes the whole priority structure and re-scores every
+    // alive model per action; the heap scores the alive set once per bounds
+    // epoch on maintained Equation 1 bounds and pays `O(log alive)` per
+    // action, with no work sized by the fleet.
     let mut group = c.benchmark_group("flatten_victim_selection");
     for &n in &[12usize, 100, 1000] {
         let (fams, alive, total) = peak_instance(n);

@@ -16,7 +16,7 @@
 
 use crate::convert::window_to_len;
 use crate::global::{flatten_peak_scratch, AliveModel, FlattenOutcome, FlattenScratch};
-use crate::individual::{IndividualOptimizer, KeepAliveSchedule};
+use crate::individual::KeepAliveSchedule;
 use crate::interarrival::{GapProbabilities, InterArrivalModel};
 use crate::peak::PeakDetector;
 use crate::priority::PriorityStructure;
@@ -58,7 +58,6 @@ pub struct PulseEngine {
     arrivals: Vec<InterArrivalModel>,
     priority: PriorityStructure,
     detector: PeakDetector,
-    optimizer: IndividualOptimizer,
     config: PulseConfig,
     /// Reused by Algorithm 2 so repeated peaks allocate no
     /// per-pass victim-selection state. Pure scratch: carries no state
@@ -99,7 +98,6 @@ impl PulseEngine {
             arrivals: vec![InterArrivalModel::new(config.keepalive_minutes); n],
             priority: PriorityStructure::new(n),
             detector: PeakDetector::new(config.km_threshold, window_to_len(config.local_window)),
-            optimizer: IndividualOptimizer::new(config.keepalive_minutes),
             config,
             scratch: FlattenScratch::default(),
         })
@@ -141,10 +139,9 @@ impl PulseEngine {
     }
 
     /// Export the engine's mutable state for checkpointing: the per-function
-    /// arrival minutes and the priority counts. The peak detector and the
-    /// individual optimizer are pure functions of the configuration and carry
-    /// no mutable state, so this pair is the engine's complete resumable
-    /// state.
+    /// arrival minutes and the priority counts. The peak detector is a pure
+    /// function of the configuration and carries no mutable state, so this
+    /// pair is the engine's complete resumable state.
     pub fn export_state(&self) -> (Vec<Vec<Minute>>, Vec<u64>) {
         (
             self.arrivals
@@ -204,24 +201,25 @@ impl PulseEngine {
     /// Call [`Self::record_invocation`] first so the plan reflects the
     /// just-observed arrival.
     pub fn schedule_after_invocation(&self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        let probs = self.probabilities(f, t);
-        let n = self.families[f].n_variants();
         match self.config.scheme {
-            SchemeKind::T1 => self.optimizer.schedule(t, &probs, n, &SchemeT1),
-            SchemeKind::T2 => self.optimizer.schedule(t, &probs, n, &SchemeT2),
+            SchemeKind::T1 => self.schedule_with_scheme(f, t, &SchemeT1),
+            SchemeKind::T2 => self.schedule_with_scheme(f, t, &SchemeT2),
         }
     }
 
-    /// Plan a window with an explicit scheme object (for scheme ablations).
+    /// Plan a window with an explicit threshold scheme (for ablations): each
+    /// minute's combined gap probability selects its variant in place, so
+    /// the plan is the only allocation.
     pub fn schedule_with_scheme(
         &self,
         f: FuncId,
         t: Minute,
-        scheme: &dyn ThresholdScheme,
+        scheme: &(impl ThresholdScheme + ?Sized),
     ) -> KeepAliveSchedule {
-        let probs = self.probabilities(f, t);
-        self.optimizer
-            .schedule(t, &probs, self.families[f].n_variants(), scheme)
+        let n = self.families[f].n_variants();
+        let plan =
+            self.arrivals[f].map_combined(t, self.config.local_window, |p| scheme.select(p, n));
+        KeepAliveSchedule::new(t, plan)
     }
 
     /// `Ip` — the probability that function `f` is invoked at minute `t`,

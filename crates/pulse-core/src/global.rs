@@ -11,16 +11,16 @@
 //!
 //! # Victim selection
 //!
-//! The production path ([`flatten_peak`]) selects each victim from a
-//! min-heap keyed by utility, `O(log n)` per action, instead of re-scoring
-//! every alive model per iteration. Because a priority bump can move
-//! Equation 1's min/max count bounds — which shifts *every* normalized
-//! priority — the heap is epoch-based: a bump that leaves the bounds
-//! unchanged re-keys only the touched entry
-//! ([`PriorityStructure::normalized_single`]), while a bump that moves them
-//! rebuilds the heap wholesale. Both regimes compute bit-identical scores to
-//! the linear-scan reference ([`flatten_peak_scan`]), so the chosen victims,
-//! actions, and final memory are bit-identical too (tests pin this).
+//! The production path ([`flatten_peak`]) scores only the alive models, on
+//! Equation 1's maintained count bounds
+//! ([`PriorityStructure::normalized_single`], `O(1)` each), and selects
+//! each victim from a min-heap keyed by utility. A bump that leaves the
+//! bounds unchanged re-keys only the touched position; a bump that moves
+//! them shifts every normalized priority, so the heap is rebuilt over the
+//! alive set (a new epoch). A peak costs `O(alive + actions·log alive)`,
+//! with nothing sized by the fleet. Both regimes compute bit-identical
+//! scores to the linear-scan oracle ([`flatten_peak_scan`]), so the chosen
+//! victims, actions, and final memory are bit-identical too (tests pin it).
 
 use crate::priority::PriorityStructure;
 use crate::probability::Probability;
@@ -29,7 +29,7 @@ use crate::utility::utility_value;
 use pulse_models::{ModelFamily, VariantId};
 use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One model currently kept alive at the peak minute, as seen by the global
 /// optimizer.
@@ -131,9 +131,10 @@ fn utility_score(m: &AliveModel, fam: &ModelFamily, pr: f64) -> f64 {
 }
 
 /// Reference implementation of [`flatten_peak`]: the original
-/// re-score-every-alive-model linear scan, `O(n)` per action. Kept public so
-/// tests and benches can pin the heap-based production path against it
-/// bit-for-bit.
+/// re-score-every-alive-model linear scan, `O(n)` per action (it normalizes
+/// the whole priority structure each iteration). A test oracle only: kept
+/// public so tests and benches can pin the heap-based production path
+/// against it bit-for-bit.
 pub fn flatten_peak_scan(
     alive: &mut Vec<AliveModel>,
     families: &[ModelFamily],
@@ -181,81 +182,31 @@ impl PartialEq for VictimEntry {
 impl Eq for VictimEntry {}
 
 /// Reusable state of the heap-based downgrade loop
-/// ([`flatten_peak_scratch`]): the victim heap, the maintained normalized
-/// priorities, per-position stamps, and the count histogram tracking
-/// Equation 1's bounds. Engines own one and reuse it across peaks so the
-/// hot path allocates nothing in steady state.
+/// ([`flatten_peak_scratch`]): the victim heap and per-position stamps.
+/// Engines own one and reuse it across peaks so the hot path allocates
+/// nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct FlattenScratch {
     heap: BinaryHeap<Reverse<VictimEntry>>,
-    pr: Vec<f64>,
     stamps: Vec<u64>,
-    seen: Vec<bool>,
-    hist: BTreeMap<u64, usize>,
 }
 
-/// `(min, max)` keys of the count histogram (callers never consult it
-/// empty; zeros are a defensive fallback).
-fn hist_bounds(hist: &BTreeMap<u64, usize>) -> (u64, u64) {
-    let lo = hist.keys().next().copied().unwrap_or(0);
-    let hi = hist.keys().next_back().copied().unwrap_or(0);
-    (lo, hi)
-}
-
-/// Whether every alive entry names a distinct function tracked by the
-/// priority structure — the precondition for single-entry re-keys.
-fn funcs_unique(seen: &mut Vec<bool>, alive: &[AliveModel], n_models: usize) -> bool {
-    seen.clear();
-    seen.resize(n_models, false);
-    for m in alive {
-        let Some(mark) = seen.get_mut(m.func) else {
-            return false;
-        };
-        if std::mem::replace(mark, true) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Give position `pos` a fresh stamp (invalidating any queued entry for it)
-/// and queue its current score.
-fn requeue(
-    scratch: &mut FlattenScratch,
+/// The heap entry for position `pos` under count bounds `(lo, hi)`.
+fn entry(
     alive: &[AliveModel],
     families: &[ModelFamily],
+    priority: &PriorityStructure,
+    (lo, hi): (u64, u64),
     pos: usize,
-    tick: &mut u64,
-) {
-    *tick += 1;
-    scratch.stamps[pos] = *tick;
+    stamp: u64,
+) -> Reverse<VictimEntry> {
     let m = &alive[pos];
-    scratch.heap.push(Reverse(VictimEntry {
-        score: utility_score(m, &families[m.func], scratch.pr[m.func]),
+    let pr = priority.normalized_single(m.func, lo, hi);
+    Reverse(VictimEntry {
+        score: utility_score(m, &families[m.func], pr),
         pos,
-        stamp: *tick,
-    }));
-}
-
-/// Rebuild the heap and stamps wholesale from the current alive set and
-/// normalized priorities (a new epoch).
-fn rebuild_heap(
-    scratch: &mut FlattenScratch,
-    alive: &[AliveModel],
-    families: &[ModelFamily],
-    tick: &mut u64,
-) {
-    *tick += 1;
-    scratch.heap.clear();
-    scratch.stamps.clear();
-    scratch.stamps.resize(alive.len(), *tick);
-    for (pos, m) in alive.iter().enumerate() {
-        scratch.heap.push(Reverse(VictimEntry {
-            score: utility_score(m, &families[m.func], scratch.pr[m.func]),
-            pos,
-            stamp: *tick,
-        }));
-    }
+        stamp,
+    })
 }
 
 /// Pop entries until one describes a live position with a current stamp.
@@ -273,11 +224,13 @@ fn pop_victim(
 }
 
 /// [`flatten_peak`] with a caller-owned [`FlattenScratch`], so repeated
-/// flattening passes reuse the heap and buffers. This is the production
-/// `O(log n)`-per-action path; its victims, actions, and bookkeeping are
-/// bit-identical to [`flatten_peak_scan`]. Alive sets with duplicate or
-/// untracked function ids (never produced by the engines) fall back to the
-/// scan, whose semantics under those inputs are the contract.
+/// flattening passes reuse the heap and stamps. This is the production
+/// `O(alive + actions·log alive)` path; its victims, actions, and
+/// bookkeeping are bit-identical to [`flatten_peak_scan`].
+///
+/// Precondition: the alive entries name distinct functions, each tracked by
+/// `priority` (checked by a debug assertion). The engines keep one schedule
+/// per function, so they never present duplicates.
 pub fn flatten_peak_scratch(
     scratch: &mut FlattenScratch,
     alive: &mut Vec<AliveModel>,
@@ -286,31 +239,38 @@ pub fn flatten_peak_scratch(
     current_kam_mb: f64,
     target_kam_mb: f64,
 ) -> FlattenOutcome {
-    if !funcs_unique(&mut scratch.seen, alive, priority.len()) {
-        return flatten_peak_scan(alive, families, priority, current_kam_mb, target_kam_mb);
-    }
+    debug_assert!(
+        {
+            let mut seen = std::collections::HashSet::with_capacity(alive.len());
+            alive
+                .iter()
+                .all(|m| m.func < priority.len() && seen.insert(m.func))
+        },
+        "alive set must name distinct functions tracked by the priority structure"
+    );
     let mut kam = current_kam_mb;
     let mut actions = Vec::new();
-    let mut built = false;
-    let mut stale_bounds = false;
     let mut tick: u64 = 0;
-    let mut bounds = (0u64, 0u64);
+    // The bounds the queued scores were computed under; `None` until the
+    // heap is (re)built over the alive set.
+    let mut epoch: Option<(u64, u64)> = None;
 
     while kam > target_kam_mb && !alive.is_empty() {
-        if !built {
-            built = true;
-            scratch.hist.clear();
-            for &c in priority.counts() {
-                *scratch.hist.entry(c).or_insert(0) += 1;
+        let bounds = match epoch {
+            Some(bounds) => bounds,
+            None => {
+                let bounds = priority.count_bounds().unwrap_or_default();
+                tick += 1;
+                scratch.heap.clear();
+                scratch.stamps.clear();
+                scratch.stamps.resize(alive.len(), tick);
+                scratch.heap.extend(
+                    (0..alive.len()).map(|p| entry(alive, families, priority, bounds, p, tick)),
+                );
+                epoch = Some(bounds);
+                bounds
             }
-            bounds = hist_bounds(&scratch.hist);
-            scratch.pr = priority.normalized();
-            rebuild_heap(scratch, alive, families, &mut tick);
-        } else if stale_bounds {
-            stale_bounds = false;
-            scratch.pr = priority.normalized();
-            rebuild_heap(scratch, alive, families, &mut tick);
-        }
+        };
 
         let Some((idx, func, from)) = pop_victim(scratch, alive) else {
             break; // unreachable: every live position has a queued entry
@@ -339,31 +299,18 @@ pub fn flatten_peak_scratch(
         // "Update Priority Structure with +1 for m".
         priority.bump(func);
 
-        // Maintain the count histogram; if the bump moved Equation 1's
-        // bounds, every normalized priority may have shifted — flag a
-        // wholesale rebuild. Otherwise only this function's priority (and
-        // the touched position's score) changed: O(log n) re-key.
-        let new_count = priority.count(func);
-        let old_count = new_count - 1;
-        if let Some(n) = scratch.hist.get_mut(&old_count) {
-            *n -= 1;
-            if *n == 0 {
-                scratch.hist.remove(&old_count);
-            }
-        }
-        *scratch.hist.entry(new_count).or_insert(0) += 1;
-        let new_bounds = hist_bounds(&scratch.hist);
-        if new_bounds == bounds {
-            scratch.pr[func] = priority.normalized_single(func, bounds.0, bounds.1);
-            // Position `idx` now holds either the downgraded victim (new
-            // variant, new priority) or the tail element `swap_remove` moved
-            // in (new position): either way it needs a fresh stamp + entry.
-            if !evicted || idx < alive.len() {
-                requeue(scratch, alive, families, idx, &mut tick);
-            }
-        } else {
-            bounds = new_bounds;
-            stale_bounds = true;
+        // If the bump moved Equation 1's bounds, every normalized priority
+        // may have shifted: rebuild next iteration. Otherwise only position
+        // `idx` changed — it holds the downgraded victim (new variant, new
+        // priority) or the tail element `swap_remove` moved in (new
+        // position) — so it alone gets a fresh stamp and entry.
+        if priority.count_bounds() != Some(bounds) {
+            epoch = None;
+        } else if !evicted || idx < alive.len() {
+            tick += 1;
+            scratch.stamps[idx] = tick;
+            let e = entry(alive, families, priority, bounds, idx, tick);
+            scratch.heap.push(e);
         }
     }
 
@@ -743,42 +690,6 @@ mod tests {
             assert_outcomes_identical(&scan, &heap);
             assert_eq!(pr_scan, pr_heap, "peak {peak}");
         }
-    }
-
-    /// Duplicate function ids are outside the engines' contract; the heap
-    /// path must detect them and produce the scan's semantics anyway.
-    #[test]
-    fn duplicate_funcs_fall_back_to_scan_semantics() {
-        let fams = families();
-        let dup = |ip: f64| {
-            vec![
-                AliveModel {
-                    func: 1,
-                    variant: 2,
-                    invocation_probability: ip,
-                },
-                AliveModel {
-                    func: 1,
-                    variant: 1,
-                    invocation_probability: 0.0,
-                },
-                AliveModel {
-                    func: 0,
-                    variant: 2,
-                    invocation_probability: 0.0,
-                },
-            ]
-        };
-        let mut alive_scan = dup(0.4);
-        let mut alive_heap = dup(0.4);
-        let mut pr_scan = PriorityStructure::new(fams.len());
-        let mut pr_heap = PriorityStructure::new(fams.len());
-        let kam = total_mem(&alive_scan, &fams);
-        let scan = flatten_peak_scan(&mut alive_scan, &fams, &mut pr_scan, kam, kam * 0.3);
-        let heap = flatten_peak(&mut alive_heap, &fams, &mut pr_heap, kam, kam * 0.3);
-        assert_outcomes_identical(&scan, &heap);
-        assert_eq!(alive_scan, alive_heap);
-        assert_eq!(pr_scan, pr_heap);
     }
 
     #[test]

@@ -120,7 +120,8 @@ impl KeepAliveSchedule {
     }
 }
 
-/// The function-centric optimizer: probabilities → per-minute variant plan.
+/// The function-centric optimizer over a precomputed distribution (the
+/// ablations' path; [`crate::PulseEngine`] plans in one buffer instead).
 #[derive(Debug, Clone, Copy)]
 pub struct IndividualOptimizer {
     /// Keep-alive window length, minutes.

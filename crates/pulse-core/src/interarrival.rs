@@ -16,11 +16,13 @@
 //! keep-alive window (`window + 1` counters plus the in-window and total
 //! gap counts), updated in O(1) per recorded arrival. The local side is
 //! recomputed per query from the slice of the arrival log inside
-//! `[now − local_window, now]`, found by binary search, so a query costs
-//! O(log history + local_window + window) no matter how long the history
-//! grows, and O(log history + local_window) without allocating for a single
-//! gap ([`InterArrivalModel::invocation_probability_at`]). The log itself
-//! is kept because it is the model's checkpoint format.
+//! `[now − local_window, now]`: arrival minutes are distinct, so it lies in
+//! the last `local_window + 1` arrivals up to `now`, and a query at or after
+//! the last arrival (every engine query) binary-searches only those. A
+//! query costs O(local_window + window) however long the history grows; a
+//! plan allocates one buffer (`map_combined`), a single gap none
+//! ([`InterArrivalModel::invocation_probability_at`]). The log itself is
+//! kept because it is the model's checkpoint format.
 //!
 //! Every estimate is carried as the validated [`Probability`] newtype from
 //! the moment it leaves the count ratios, so downstream policy code never
@@ -93,16 +95,16 @@ struct GapTally {
 }
 
 impl GapTally {
-    /// Tally gap `k` over consecutive pairs of `arrivals`, counting gaps up
-    /// to `window` as in-window.
-    fn over(arrivals: &[Minute], k: u64, window: u64) -> Self {
+    /// The totals over consecutive pairs of `arrivals`, counting gaps up to
+    /// `window` as in-window and passing each in-window gap to `count`.
+    fn over(arrivals: &[Minute], window: u64, mut count: impl FnMut(u64)) -> Self {
         let mut tally = Self::default();
         for pair in arrivals.windows(2) {
             let gap = pair[1] - pair[0];
             tally.total += 1;
             if gap <= window {
                 tally.in_window += 1;
-                tally.count += u64::from(gap == k);
+                count(gap);
             }
         }
         tally
@@ -270,8 +272,12 @@ impl InterArrivalModel {
     /// `now` (inclusive): at most `local_window + 1` of them.
     fn local_slice(&self, now: Minute, local_window: u32) -> &[Minute] {
         let from = now.saturating_sub(u64::from(local_window));
-        let upto = &self.arrivals[..self.arrivals.partition_point(|&a| a <= now)];
-        &upto[upto.partition_point(|&a| a < from)..]
+        let end = match self.arrivals.last() {
+            Some(&last) if last > now => self.arrivals.partition_point(|&a| a <= now),
+            _ => self.arrivals.len(),
+        };
+        let tail = &self.arrivals[end.saturating_sub(window_to_len(local_window) + 1)..end];
+        &tail[tail.partition_point(|&a| a < from)..]
     }
 
     /// Empirical gap distribution over the full history.
@@ -290,12 +296,38 @@ impl InterArrivalModel {
     /// When one of the two is uninformed (no in-window gaps in range), the
     /// other is used alone, so sparse functions still get a usable estimate.
     pub fn probabilities(&self, now: Minute, local_window: u32) -> GapProbabilities {
-        let local = GapCounts::over(self.local_slice(now, local_window), self.window());
-        GapProbabilities {
-            probs: (0..local.counts.len())
-                .map(|k| GapTally::combine(local.tally(k), self.global.tally(k)))
-                .collect(),
+        let mut probs = Vec::with_capacity(window_to_len(self.window()) + 1);
+        probs.push(Probability::ZERO);
+        self.map_combined(now, local_window, |p| {
+            probs.push(p);
+            0
+        });
+        GapProbabilities { probs }
+    }
+
+    /// [`Self::probabilities`] of every gap `1..=window`, mapped through
+    /// `f`, in one buffer: the local gaps are counted into it, then slot
+    /// `k − 1` is overwritten, in ascending `k`, with `f` of gap `k`'s
+    /// combined estimate. The planner's plan is this buffer.
+    pub(crate) fn map_combined(
+        &self,
+        now: Minute,
+        local_window: u32,
+        mut f: impl FnMut(Probability) -> usize,
+    ) -> Vec<usize> {
+        let window = self.window();
+        let mut buf = vec![0; window_to_len(window)];
+        let slice = self.local_slice(now, local_window);
+        // In-window gaps lie in `1..=window`: arrival minutes are distinct.
+        let local = GapTally::over(slice, window.into(), |g| buf[gap_to_index(g - 1)] += 1);
+        for (i, slot) in buf.iter_mut().enumerate() {
+            let local = GapTally {
+                count: len_to_u64(*slot),
+                ..local
+            };
+            *slot = f(GapTally::combine(local, self.global.tally(i + 1)));
         }
+        buf
     }
 
     /// `Ip` — the probability that the next invocation comes at minute `t`:
@@ -308,9 +340,13 @@ impl InterArrivalModel {
         let window = u64::from(self.window());
         match self.last_arrival() {
             Some(last) if t > last && t - last <= window => {
-                let k = t - last;
-                let local = GapTally::over(self.local_slice(t, local_window), k, window);
-                GapTally::combine(local, self.global.tally(gap_to_index(k)))
+                let (k, mut count) = (t - last, 0);
+                let slice = self.local_slice(t, local_window);
+                let local = GapTally::over(slice, window, |g| count += u64::from(g == k));
+                GapTally::combine(
+                    GapTally { count, ..local },
+                    self.global.tally(gap_to_index(k)),
+                )
             }
             _ => Probability::ZERO,
         }

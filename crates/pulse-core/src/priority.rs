@@ -9,24 +9,33 @@
 //! one model (e.g. a low-accuracy YOLO) from always paying for peaks.
 //! "To minimize memory overhead, the priority structure is implemented as an
 //! array."
+//!
+//! Equation 1's count bounds are maintained across bumps, so
+//! [`PriorityStructure::count_bounds`] is a field read, not an `O(n)` scan,
+//! and [`PriorityStructure::normalized_single`] scores one model in `O(1)`.
 
 use crate::convert::u64_to_f64;
 use pulse_models::stats::normalize_min_max;
-use serde::{Deserialize, Serialize};
 
-/// Downgrade-count array with Equation 1 normalization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Downgrade-count array with Equation 1 normalization. Only the counts are
+/// state (checkpoints carry [`Self::counts`]); the maintained bounds are
+/// derived from them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityStructure {
     counts: Vec<u64>,
+    /// Smallest count (0 when tracking no models).
+    lo: u64,
+    /// Largest count (0 when tracking no models).
+    hi: u64,
+    /// Number of models whose count is `lo`.
+    at_lo: usize,
 }
 
 impl PriorityStructure {
     /// Zero-initialized structure for `n_models` models ("this initialization
     /// occurs immediately after the system has started").
     pub fn new(n_models: usize) -> Self {
-        Self {
-            counts: vec![0; n_models],
-        }
+        Self::from_counts(vec![0; n_models])
     }
 
     /// The raw downgrade counts, one per model. Exposed for checkpointing:
@@ -35,9 +44,18 @@ impl PriorityStructure {
         &self.counts
     }
 
-    /// Rebuild a structure from a previously captured [`Self::counts`] slice.
+    /// Rebuild a structure from a previously captured [`Self::counts`] slice
+    /// (the restore path): recomputes the maintained bounds in `O(n)`.
     pub fn from_counts(counts: Vec<u64>) -> Self {
-        Self { counts }
+        let lo = counts.iter().copied().min().unwrap_or(0);
+        let hi = counts.iter().copied().max().unwrap_or(0);
+        let at_lo = counts.iter().filter(|&&c| c == lo).count();
+        Self {
+            counts,
+            lo,
+            hi,
+            at_lo,
+        }
     }
 
     /// Number of models tracked.
@@ -56,9 +74,21 @@ impl PriorityStructure {
     }
 
     /// Record one downgrade of model `m` ("update priority structure with +1
-    /// for m").
+    /// for m"), keeping Equation 1's bounds current: `O(1)`, except for the
+    /// recount when the last model at the minimum moves up.
     pub fn bump(&mut self, m: usize) {
-        self.counts[m] += 1;
+        let old = self.counts[m];
+        self.counts[m] = old + 1;
+        self.hi = self.hi.max(old + 1);
+        if old == self.lo {
+            self.at_lo -= 1;
+            if self.at_lo == 0 {
+                // Every other count was already above `lo`, so `m`'s new
+                // count `lo + 1` is the new minimum.
+                self.lo += 1;
+                self.at_lo = self.counts.iter().filter(|&&c| c == self.lo).count();
+            }
+        }
     }
 
     /// Equation 1 normalization of the whole structure: values in `[0, 1]`,
@@ -69,29 +99,17 @@ impl PriorityStructure {
         normalize_min_max(&xs)
     }
 
-    /// Normalized priority of a single model (recomputes the whole
-    /// normalization — callers in the downgrade loop should use
-    /// [`Self::normalized`] once per iteration instead).
-    pub fn normalized_of(&self, m: usize) -> f64 {
-        self.normalized()[m]
-    }
-
     /// Count bounds `(min, max)` across all models — the inputs to Equation
-    /// 1's normalization. `None` when tracking no models. `O(n)`; the
-    /// heap-based downgrade loop computes this once and maintains it
-    /// incrementally across bumps.
+    /// 1's normalization. `None` when tracking no models. `O(1)`: the
+    /// bounds are maintained by [`Self::bump`].
     pub fn count_bounds(&self) -> Option<(u64, u64)> {
-        let lo = self.counts.iter().copied().min()?;
-        let hi = self.counts.iter().copied().max()?;
-        Some((lo, hi))
+        (!self.counts.is_empty()).then_some((self.lo, self.hi))
     }
 
-    /// Equation 1 normalization of one model given precomputed count
-    /// bounds: bit-identical to `self.normalized()[m]` whenever `lo`/`hi`
-    /// equal [`Self::count_bounds`] (counts convert to f64 exactly, and a
-    /// float min/max fold over exact values equals the converted integer
-    /// bounds). This is the `O(1)` re-key the heap-based downgrade loop
-    /// uses when a bump leaves the bounds unchanged.
+    /// Equation 1 normalization of one model given count bounds:
+    /// bit-identical to `self.normalized()[m]` whenever `lo`/`hi` equal
+    /// [`Self::count_bounds`] (counts convert to f64 exactly, and a float
+    /// min/max fold over exact values equals the converted integer bounds).
     #[allow(clippy::float_cmp)] // exact u64-derived values; Equation 1's degenerate-range test
     pub fn normalized_single(&self, m: usize, lo: u64, hi: u64) -> f64 {
         let x = u64_to_f64(self.counts[m]);
@@ -151,8 +169,8 @@ mod tests {
         for v in p.normalized() {
             assert!((0.0..=1.0).contains(&v));
         }
-        assert_eq!(p.normalized_of(3), 1.0);
-        assert_eq!(p.normalized_of(2), 0.0);
+        assert_eq!(p.normalized()[3], 1.0);
+        assert_eq!(p.normalized()[2], 0.0);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use pulse_core::engine::PulseEngine;
-use pulse_core::global::AliveModel;
+use pulse_core::global::{flatten_peak_scan, flatten_peak_scratch, AliveModel, FlattenScratch};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::peak::PeakDetector;
+use pulse_core::priority::PriorityStructure;
 use pulse_core::probability::Probability;
 use pulse_core::thresholds::{CustomThresholds, ThresholdScheme};
 use pulse_core::types::{PulseConfig, SchemeKind};
@@ -280,9 +281,107 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// The priority structure's maintained Equation 1 bounds equal an
+    /// `O(n)` recomputation after any restore and bump sequence (counts
+    /// start close together, so bumps keep moving both bounds), and the
+    /// `O(1)` normalized priority equals the whole normalization bit for
+    /// bit.
+    #[test]
+    fn priority_bounds_are_maintained_exactly(
+        counts in proptest::collection::vec(0u64..3, 0..12),
+        bumps in proptest::collection::vec(0usize..64, 0..80),
+    ) {
+        let mut p = PriorityStructure::from_counts(counts);
+        check_priority_bounds(&p)?;
+        for b in bumps {
+            if p.is_empty() {
+                break;
+            }
+            p.bump(b % p.len());
+            check_priority_bounds(&p)?;
+        }
+    }
+
+    /// The production victim heap equals the linear-scan oracle bit for
+    /// bit — actions, final memory, the post-peak alive set and every
+    /// priority count — on random alive sets over pre-seeded counts that
+    /// bumps move mid-peak, across two consecutive peaks sharing one
+    /// scratch. Targets run from unsatisfiable (everything evicted) to no
+    /// action at all.
+    #[test]
+    fn flatten_heap_matches_scan_oracle_bitwise(
+        fns in proptest::collection::vec(
+            (0u64..3, any::<bool>(), 0usize..4, 0.0f64..1.0),
+            1..40,
+        ),
+        fracs in (-0.1f64..1.0, -0.1f64..1.0),
+    ) {
+        let zoo = zoo::standard();
+        let fams: Vec<_> = (0..fns.len()).map(|f| zoo[f % zoo.len()].clone()).collect();
+        let counts: Vec<u64> = fns.iter().map(|f| f.0).collect();
+        let alive: Vec<AliveModel> = fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.1)
+            .map(|(func, f)| AliveModel {
+                func,
+                variant: f.2 % fams[func].n_variants(),
+                invocation_probability: f.3,
+            })
+            .collect();
+        let mut pr_scan = PriorityStructure::from_counts(counts);
+        let mut pr_heap = pr_scan.clone();
+        let mut scratch = FlattenScratch::default();
+        for frac in [fracs.0, fracs.1] {
+            let kam: f64 = alive
+                .iter()
+                .map(|m| fams[m.func].variant(m.variant).memory_mb)
+                .sum();
+            let target = kam * frac;
+            let mut alive_scan = alive.clone();
+            let mut alive_heap = alive.clone();
+            let scan = flatten_peak_scan(&mut alive_scan, &fams, &mut pr_scan, kam, target);
+            let heap = flatten_peak_scratch(
+                &mut scratch,
+                &mut alive_heap,
+                &fams,
+                &mut pr_heap,
+                kam,
+                target,
+            );
+            prop_assert_eq!(&scan.actions, &heap.actions);
+            prop_assert_eq!(scan.final_kam_mb.to_bits(), heap.final_kam_mb.to_bits());
+            prop_assert_eq!(scan.flattened, heap.flattened);
+            prop_assert_eq!(&alive_scan, &alive_heap);
+            prop_assert_eq!(&pr_scan, &pr_heap);
+            check_priority_bounds(&pr_heap)?;
+        }
+    }
+}
+
+/// The maintained bounds of `p` equal a recomputation from its counts, a
+/// structure rebuilt from those counts equals `p`, and every model's
+/// single-model normalization equals the whole normalization bitwise.
+fn check_priority_bounds(p: &PriorityStructure) -> Result<(), TestCaseError> {
+    let c = p.counts();
+    let want = c.iter().copied().min().zip(c.iter().copied().max());
+    prop_assert_eq!(p.count_bounds(), want);
+    prop_assert_eq!(&PriorityStructure::from_counts(c.to_vec()), p);
+    let full = p.normalized();
+    if let Some((lo, hi)) = want {
+        for (m, v) in full.iter().enumerate() {
+            prop_assert_eq!(p.normalized_single(m, lo, hi).to_bits(), v.to_bits());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     /// The incremental inter-arrival model reproduces the whole-log oracle
-    /// bit for bit: arbitrary logs (gaps longer than the window included),
-    /// windows, local windows and query times, including queries at or
+    /// bit for bit: arbitrary and dense logs (gaps longer than the window
+    /// included), windows, local windows and query times, including queries at or
     /// before the last arrival. The single-gap `Ip` query equals the full
     /// estimate at `t − last`, and a model rebuilt from its log equals the
     /// one recorded arrival by arrival.
@@ -290,12 +389,26 @@ proptest! {
     fn interarrival_model_matches_whole_log_oracle_bitwise(
         start in 0u64..400,
         gaps in proptest::collection::vec(0u64..80, 0..120),
+        dense in any::<bool>(),
         window in 1u32..=30,
         local_window in 1u32..200,
         queries in proptest::collection::vec((any::<bool>(), 0u64..100_000), 1..10),
     ) {
         use pulse_core::interarrival::InterArrivalModel;
 
+        // A dense log ends, after its random prefix, with an arrival every
+        // minute for longer than the local window, so a query at or before
+        // the last arrival sees a local slice of exactly `local_window + 1`
+        // arrivals, the most the window-bounded search keeps. Short local
+        // windows make that edge observable: a slice one arrival short
+        // changes the estimate when it leaves no local gap at all.
+        let local_window = if dense { local_window % 8 + 1 } else { local_window };
+        let mut gaps = gaps;
+        if dense {
+            gaps.resize(gaps.len() + local_window as usize + 40, 1);
+        }
+        let mut queries = queries;
+        queries.push((true, 0)); // exactly at the last arrival
         let mut recorded = InterArrivalModel::new(window);
         let mut t = start;
         recorded.record(t);

@@ -12,8 +12,10 @@
 #![allow(clippy::cast_possible_truncation)] // test-local minute counts fit usize
 
 use proptest::prelude::*;
-use pulse::core::global::{AliveModel, DowngradeAction};
+use pulse::core::global::{flatten_peak_scan, AliveModel, DowngradeAction};
 use pulse::core::individual::KeepAliveSchedule;
+use pulse::core::peak::PeakDetector;
+use pulse::core::priority::PriorityStructure;
 use pulse::core::types::{FuncId, Minute};
 use pulse::models::VariantId;
 use pulse::prelude::*;
@@ -262,5 +264,108 @@ fn sim_sweep_and_runtime_index_agree_bitwise_under_pulse_peaks() {
             s.memory_series_mb == r.memory_at_tick_mb,
             "seed {seed}: billed series differ"
         );
+    }
+}
+
+/// PULSE with Algorithm 2 run by the linear-scan oracle: a `PulseEngine`
+/// records invocations, plans windows and supplies `Ip`, while this
+/// policy's own detector and priority structure run Algorithms 1 and 2
+/// with `flatten_peak_scan`. `PulsePolicy` flattens with the production
+/// victim heap, so the two runs differ only in how victims are selected.
+struct ScanPulse {
+    engine: PulseEngine,
+    detector: PeakDetector,
+    priority: PriorityStructure,
+    peaks: u64,
+}
+
+impl ScanPulse {
+    fn new(families: Vec<ModelFamily>) -> Self {
+        let cfg = PulseConfig::default();
+        let n = families.len();
+        Self {
+            detector: PeakDetector::new(cfg.km_threshold, cfg.local_window as usize),
+            engine: PulseEngine::new(families, cfg),
+            priority: PriorityStructure::new(n),
+            peaks: 0,
+        }
+    }
+}
+
+impl KeepAlivePolicy for ScanPulse {
+    fn name(&self) -> &str {
+        "pulse"
+    }
+
+    fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
+        self.engine.record_invocation(f, t);
+        self.engine.schedule_after_invocation(f, t)
+    }
+
+    fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
+        self.engine.family(f).highest_id()
+    }
+
+    fn adjust_minute(
+        &mut self,
+        t: Minute,
+        mem_history: &[f64],
+        first_minute_of_period: bool,
+        current_kam_mb: f64,
+        alive: &mut Vec<AliveModel>,
+    ) -> Vec<DowngradeAction> {
+        let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
+        if !self.detector.is_peak(current_kam_mb, prior) {
+            return Vec::new();
+        }
+        self.peaks += 1;
+        for m in alive.iter_mut() {
+            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
+        }
+        flatten_peak_scan(
+            alive,
+            self.engine.families(),
+            &mut self.priority,
+            current_kam_mb,
+            self.detector.flatten_target(prior),
+        )
+        .actions
+    }
+}
+
+/// End-to-end pin for Algorithm 2: the production victim heap inside
+/// `PulsePolicy` and the linear-scan oracle produce bitwise-equal run
+/// metrics on the paper's 12-function trace over more than a day and on a
+/// 1000-function fleet, where a peak holds hundreds of alive models and
+/// priority bumps keep moving Equation 1's bounds mid-peak.
+#[test]
+fn pulse_victim_heap_matches_scan_oracle_end_to_end() {
+    let cases = [
+        pulse::trace::synth::azure_like_12_with_horizon(1, 2160),
+        pulse::trace::synth::azure_like_n_with_horizon(1000, 1, 120),
+    ];
+    for trace in cases {
+        let n = trace.n_functions();
+        let fams = round_robin_assignment(&pulse::models::zoo::standard(), n);
+        let sim = Simulator::new(trace, fams.clone());
+        let heap = sim.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
+        let mut oracle = ScanPulse::new(fams);
+        let scan = sim.run(&mut oracle);
+        assert!(oracle.peaks > 0, "{n} functions: no peak fired");
+        assert!(scan.downgrades > 0, "{n} functions: no victim selected");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(heap.policy, scan.policy);
+        assert_eq!(heap.downgrades, scan.downgrades, "{n} functions");
+        assert_eq!(heap.warm_starts, scan.warm_starts, "{n} functions");
+        assert_eq!(heap.cold_starts, scan.cold_starts, "{n} functions");
+        for (name, a, b) in [
+            ("cost", heap.keepalive_cost_usd, scan.keepalive_cost_usd),
+            ("service", heap.service_time_s, scan.service_time_s),
+            ("accuracy", heap.accuracy_sum_pct, scan.accuracy_sum_pct),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{n} functions: {name} {a} vs {b}");
+        }
+        assert_eq!(bits(&heap.memory_series_mb), bits(&scan.memory_series_mb));
+        assert_eq!(bits(&heap.cost_series_usd), bits(&scan.cost_series_usd));
     }
 }
