@@ -9,7 +9,7 @@
 //! comparisons with zero (`x == 0.0` passes it), the case this rule is for.
 
 use crate::diagnostics::Diagnostic;
-use crate::rules::{Context, Rule, Scope};
+use crate::rules::{Rule, Scope};
 use crate::source::SourceFile;
 
 /// See module docs.
@@ -28,7 +28,7 @@ impl Rule for FloatCmp {
         Scope::Only(&["pulse-core", "pulse-sim"])
     }
 
-    fn check(&self, file: &SourceFile, _ctx: &Context) -> Vec<Diagnostic> {
+    fn check(&self, file: &SourceFile) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (i, line) in file.masked_lines.iter().enumerate() {
             let lineno = i + 1;
@@ -129,7 +129,7 @@ mod tests {
 
     fn check(text: &str) -> Vec<Diagnostic> {
         let f = SourceFile::parse(PathBuf::from("x.rs"), "pulse-core", text);
-        FloatCmp.check(&f, &Context::default())
+        FloatCmp.check(&f)
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! rule.
 
 use crate::diagnostics::Diagnostic;
-use crate::rules::{Context, Rule, Scope};
+use crate::rules::{Rule, Scope};
 use crate::source::SourceFile;
 use std::path::Path;
 
@@ -44,7 +44,7 @@ impl Rule for LedgerSweep {
         Scope::AllCrates
     }
 
-    fn check(&self, file: &SourceFile, _ctx: &Context) -> Vec<Diagnostic> {
+    fn check(&self, file: &SourceFile) -> Vec<Diagnostic> {
         if file.path == Path::new(LEDGER_MODULE) {
             return Vec::new();
         }
@@ -88,7 +88,7 @@ mod tests {
 
     fn check_at(path: &str, text: &str) -> Vec<Diagnostic> {
         let f = SourceFile::parse(PathBuf::from(path), "pulse-sim", text);
-        LedgerSweep.check(&f, &Context::default())
+        LedgerSweep.check(&f)
     }
 
     fn check(text: &str) -> Vec<Diagnostic> {
@@ -126,7 +126,7 @@ mod tests {
             "pulse-core",
             "for f in 0..self.ledger.n_functions() {}\nfor f in 0..schedules.len() {}\n",
         );
-        assert!(LedgerSweep.check(&f, &Context::default()).is_empty());
+        assert!(LedgerSweep.check(&f).is_empty());
     }
 
     #[test]

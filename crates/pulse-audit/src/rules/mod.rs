@@ -1,36 +1,24 @@
 //! The rule registry: one module per rule.
 //!
-//! Adding a rule is three steps (see DESIGN.md "Static analysis &
-//! invariants"): create a module implementing [`Rule`], add it to
-//! [`registry`], and cover it with good/bad fixture tests. A rule earns its
-//! place only if rustc or clippy cannot make the check: `unwrap`/`expect`/
-//! `panic`, raw `as` casts and missing docs are workspace lints instead.
+//! Adding a rule is three steps (see DESIGN.md §8): create a module
+//! implementing [`Rule`], add it to [`registry`], and cover it with
+//! firing/clean/waived unit tests. A rule earns its place only if rustc,
+//! clippy (the workspace `[lints]` table and `clippy.toml`), a type or a test
+//! cannot make the check.
+//!
+//! Every rule is a text rule over the masked line view of a single file
+//! ([`SourceFile::masked_lines`]), so patterns inside strings and comments
+//! never match.
 //!
 //! Waivers use `// audit:allow(<rule-name>): <justification>` on the
 //! offending line or on a comment line directly above it; the framework
 //! rejects waivers with an empty justification.
-//!
-//! Rules come in two families sharing one trait:
-//! - **text rules** (v1) scan the masked line view of a single file;
-//! - **semantic rules** (v2) consume the token stream and item index in the
-//!   [`Context`] — bindings classified by type, function signatures, spawn
-//!   sites, and cross-file facts like "which functions return a `HashMap`".
 
-pub mod atomic_ordering;
 pub mod float_cmp;
-pub mod float_reduce;
-pub mod hashmap_iter;
 pub mod ledger_sweep;
-pub mod obs_event_coverage;
-pub mod obs_sim_time;
-pub mod probability_usage;
-pub mod shared_mut_scope;
 pub mod unseeded_rng;
-pub mod variant_sentinel;
-pub mod wall_clock;
 
 use crate::diagnostics::Diagnostic;
-pub use crate::index::Context;
 use crate::source::SourceFile;
 
 /// Which crates a rule applies to.
@@ -57,33 +45,22 @@ pub trait Rule {
     /// Stable rule name, used in diagnostics and waiver comments.
     fn name(&self) -> &'static str;
 
-    /// One-line description for `--list-rules` and the SARIF rule table.
+    /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
 
     /// Crates the rule applies to.
     fn scope(&self) -> Scope;
 
-    /// Scan one file; return all violations. Text rules ignore `ctx`;
-    /// semantic rules read the file's token index and the cross-file facts
-    /// from it.
-    fn check(&self, file: &SourceFile, ctx: &Context) -> Vec<Diagnostic>;
+    /// Scan one file; return all violations.
+    fn check(&self, file: &SourceFile) -> Vec<Diagnostic>;
 }
 
 /// All registered rules, in reporting order.
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(float_cmp::FloatCmp),
-        Box::new(wall_clock::WallClock),
-        Box::new(obs_sim_time::ObsSimTime),
-        Box::new(obs_event_coverage::ObsEventCoverage),
-        Box::new(probability_usage::ProbabilityUsage),
-        Box::new(variant_sentinel::VariantSentinel),
         Box::new(ledger_sweep::LedgerSweep),
-        Box::new(hashmap_iter::HashMapIterOrder),
         Box::new(unseeded_rng::UnseededRng),
-        Box::new(float_reduce::FloatReduceOrder),
-        Box::new(atomic_ordering::AtomicOrdering),
-        Box::new(shared_mut_scope::SharedMutInScope),
     ]
 }
 
@@ -129,20 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_are_unique_and_kebab() {
-        let rules = registry();
-        assert!(rules.len() >= 12, "the audit ships at least 12 rules");
-        let mut names: Vec<_> = rules.iter().map(|r| r.name()).collect();
+    fn registry_holds_the_three_rules_no_lint_can_express() {
+        let mut names: Vec<_> = registry().iter().map(|r| r.name()).collect();
         names.sort_unstable();
-        let n = names.len();
-        names.dedup();
-        assert_eq!(names.len(), n, "duplicate rule names");
-        for name in names {
-            assert!(
-                name.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
-                "{name} is not kebab-case"
-            );
-        }
+        assert_eq!(names, ["float-cmp", "ledger-sweep", "unseeded-rng"]);
     }
 
     #[test]

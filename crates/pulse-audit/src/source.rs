@@ -28,8 +28,6 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// Name of the crate the file belongs to (e.g. `pulse-core`).
     pub krate: String,
-    /// Raw text lines (for hints and justification checks).
-    pub raw_lines: Vec<String>,
     /// Lines with string/char contents and comments blanked out.
     pub masked_lines: Vec<String>,
     /// Comment text per line (tail `//` comments and block-comment spans).
@@ -44,29 +42,17 @@ pub struct SourceFile {
 impl SourceFile {
     /// Parse `text` as the contents of `path` inside crate `krate`.
     pub fn parse(path: PathBuf, krate: &str, text: &str) -> Self {
-        let raw_lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        let (masked_lines, comment_lines) = mask(text, raw_lines.len());
+        let (masked_lines, comment_lines) = mask(text, text.lines().count());
         let in_test = test_regions(&masked_lines);
         let waivers = collect_waivers(&comment_lines, &masked_lines);
         Self {
             path,
             krate: krate.to_owned(),
-            raw_lines,
             masked_lines,
             comment_lines,
             in_test,
             waivers,
         }
-    }
-
-    /// Number of lines.
-    pub fn len(&self) -> usize {
-        self.raw_lines.len()
-    }
-
-    /// True for an empty file.
-    pub fn is_empty(&self) -> bool {
-        self.raw_lines.is_empty()
     }
 
     /// True when 1-based `line` carries a waiver for `rule`.

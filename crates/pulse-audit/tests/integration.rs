@@ -44,11 +44,11 @@ fn mixed_fixture_fires_expected_rules_only() {
             "pulse-core",
             "/// Doc.\npub fn z(p: f64) -> bool { p == 0.5 }\n",
         ),
-        // Wall-clock in a deterministic crate → fires.
+        // A literal RNG seed in library code → fires.
         file(
             "crates/pulse-sim/src/e.rs",
             "pulse-sim",
-            "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
+            "pub fn rng() -> SmallRng { SmallRng::seed_from_u64(7) }\n",
         ),
     ];
     let out = audit_files(&files);
@@ -61,7 +61,7 @@ fn mixed_fixture_fires_expected_rules_only() {
     assert!(fired.contains(&("crates/pulse-sim/src/a.rs", "float-cmp")));
     assert!(fired.contains(&("crates/pulse-core/src/c.rs", "float-cmp")));
     assert!(fired.contains(&("crates/pulse-core/src/d.rs", "float-cmp")));
-    assert!(fired.contains(&("crates/pulse-sim/src/e.rs", "wall-clock")));
+    assert!(fired.contains(&("crates/pulse-sim/src/e.rs", "unseeded-rng")));
     // The #[cfg(test)] file and the waived line stay silent.
     assert!(!fired.iter().any(|(p, _)| *p == "crates/pulse-sim/src/b.rs"));
     assert_eq!(

@@ -1,67 +1,44 @@
-//! Regression pins against real workspace source. Memory-ordering bugs
-//! cannot be distinguished behaviorally on x86 (its hardware model is
-//! stronger than Relaxed), so the fix in `pulse-sim`'s worker-abort path is
-//! pinned structurally: the audit's own `atomic-ordering` rule must stay
-//! silent on `runner.rs`, and the abort flag's accesses must carry the
+//! Regression pins against real workspace source and configuration.
+//!
+//! Memory-ordering bugs cannot be distinguished behaviorally on x86 (its
+//! hardware model is stronger than Relaxed), so `pulse-sim`'s worker-abort
+//! flag is pinned structurally: clippy.toml disallows `AtomicBool` outside
+//! its `AbortFlag` wrapper, and the wrapper's two accesses must carry the
 //! Acquire/Release pair the failure-context handoff relies on.
 //!
-//! The lint opt-in is pinned the same way: the checks clippy and rustc make
-//! for the audit (`unwrap`/`expect`/`panic`, casts, missing docs) only reach
-//! a crate whose manifest carries `[lints] workspace = true`.
+//! The lint configuration is pinned the same way: the checks clippy and
+//! rustc make for the workspace only reach a crate whose manifest carries
+//! `[lints] workspace = true`, and the determinism guards only hold while
+//! `clippy.toml` lists them.
 
-// The source-loading helper sits outside `#[test]` fns, where the
+// The source-loading helpers sit outside `#[test]` fns, where the
 // allow-unwrap-in-tests exemption does not reach.
 #![allow(clippy::unwrap_used)]
 
 use std::path::{Path, PathBuf};
 
-use pulse_audit::audit_files;
-use pulse_audit::source::SourceFile;
-
-fn runner_source() -> (PathBuf, String) {
-    // Integration tests run with the crate under test as CWD; the workspace
-    // root is two levels up.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../pulse-sim/src/runner.rs")
-        .canonicalize()
-        .unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    (path, text)
-}
-
-#[test]
-fn sim_runner_abort_flag_passes_the_atomic_ordering_rule() {
-    let (path, text) = runner_source();
-    let file = SourceFile::parse(path, "pulse-sim", &text);
-    let findings: Vec<String> = audit_files(std::slice::from_ref(&file))
-        .diagnostics
-        .into_iter()
-        .filter(|d| d.rule == "atomic-ordering")
-        .map(|d| d.to_string())
-        .collect();
-    assert!(
-        findings.is_empty(),
-        "worker-abort flag regressed to a too-weak ordering:\n{findings:?}"
-    );
-}
-
 #[test]
 fn sim_runner_abort_flag_uses_acquire_release_pair() {
-    let (_, text) = runner_source();
+    let text =
+        std::fs::read_to_string(workspace_root().join("crates/pulse-sim/src/runner.rs")).unwrap();
     // The flag is raised with Release so the failing worker's writes (the
     // failure context) are published, and polled with Acquire so siblings
     // observe them. Both halves must survive refactors.
     assert!(
-        text.contains("abort.store(true, Ordering::Release)"),
-        "abort raise no longer uses Ordering::Release"
+        text.contains("struct AbortFlag("),
+        "the abort flag lost its AbortFlag wrapper"
     );
     assert!(
-        text.contains("abort.load(Ordering::Acquire)"),
-        "abort poll no longer uses Ordering::Acquire"
+        text.contains("self.0.store(true, Ordering::Release)"),
+        "AbortFlag::raise no longer uses Ordering::Release"
     );
     assert!(
-        !text.contains("abort.load(Ordering::Relaxed)")
-            && !text.contains("abort.store(true, Ordering::Relaxed)"),
+        text.contains("self.0.load(Ordering::Acquire)"),
+        "AbortFlag::is_raised no longer uses Ordering::Acquire"
+    );
+    assert!(
+        !text.contains("self.0.load(Ordering::Relaxed)")
+            && !text.contains("self.0.store(true, Ordering::Relaxed)"),
         "abort flag regressed to Ordering::Relaxed"
     );
 }
@@ -82,6 +59,20 @@ fn toml_table(text: &str, header: &str) -> Vec<String> {
         .take_while(|l| !l.starts_with('['))
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+/// The `path = "..."` values of the top-level TOML array `key = [ ... ]`.
+fn toml_array_paths(text: &str, key: &str) -> Vec<String> {
+    text.lines()
+        .map(str::trim)
+        .skip_while(|l| !l.starts_with(&format!("{key} = [")))
+        .skip(1)
+        .take_while(|l| !l.starts_with(']'))
+        .filter_map(|l| {
+            let (_, rest) = l.split_once("path = \"")?;
+            rest.split_once('"').map(|(path, _)| path.to_owned())
+        })
         .collect()
 }
 
@@ -121,6 +112,24 @@ fn every_crate_opts_into_the_workspace_lint_table() {
                 .iter()
                 .any(|l| *l == format!("{lint} = \"warn\"") || *l == format!("{lint} = \"deny\"")),
             "workspace lint table lacks `{lint}`: {table:?}"
+        );
+    }
+
+    // The determinism guards (DESIGN.md §8): wall clock, hash-container
+    // iteration order, raw atomic flags.
+    let clippy_toml = std::fs::read_to_string(root.join("clippy.toml")).unwrap();
+    for (table, path) in [
+        ("disallowed-methods", "std::time::Instant::now"),
+        ("disallowed-methods", "std::time::SystemTime::now"),
+        ("disallowed-methods", "std::time::SystemTime::elapsed"),
+        ("disallowed-types", "std::time::SystemTime"),
+        ("disallowed-types", "std::collections::HashMap"),
+        ("disallowed-types", "std::collections::HashSet"),
+        ("disallowed-types", "std::sync::atomic::AtomicBool"),
+    ] {
+        assert!(
+            toml_array_paths(&clippy_toml, table).contains(&path.to_owned()),
+            "clippy.toml `{table}` lacks `{path}`"
         );
     }
 

@@ -241,7 +241,7 @@ pub fn flatten_peak_scratch(
 ) -> FlattenOutcome {
     debug_assert!(
         {
-            let mut seen = std::collections::HashSet::with_capacity(alive.len());
+            let mut seen = std::collections::BTreeSet::new();
             alive
                 .iter()
                 .all(|m| m.func < priority.len() && seen.insert(m.func))

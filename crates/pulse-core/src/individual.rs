@@ -33,8 +33,13 @@ pub struct KeepAliveSchedule {
 }
 
 impl KeepAliveSchedule {
-    /// Build from an explicit plan (offset 1 first).
+    /// Build from a plan of alive variants (offset 1 first). Plans with dead
+    /// minutes go through [`Self::from_slots`].
     pub fn new(invoked_at: Minute, plan: Vec<VariantId>) -> Self {
+        debug_assert!(
+            plan.iter().all(|&v| !Slot::from_raw(v).is_hole()),
+            "KeepAliveSchedule::new takes alive variants; plan holes with from_slots"
+        );
         Self { invoked_at, plan }
     }
 
@@ -50,10 +55,7 @@ impl KeepAliveSchedule {
     /// Schedule that keeps `variant` alive for the whole window — the shape
     /// of the fixed OpenWhisk policy and of the all-low/all-high baselines.
     pub fn constant(invoked_at: Minute, variant: VariantId, window: u32) -> Self {
-        Self {
-            invoked_at,
-            plan: vec![variant; window_to_len(window)],
-        }
+        Self::new(invoked_at, vec![variant; window_to_len(window)])
     }
 
     /// Window length in minutes.
@@ -62,30 +64,27 @@ impl KeepAliveSchedule {
     }
 
     /// Variant kept alive at minute-offset `m` (1-based), `None` outside the
-    /// window.
+    /// window or at a hole.
     pub fn variant_at_offset(&self, m: u64) -> Option<VariantId> {
-        if m == 0 {
-            return None;
-        }
-        self.plan.get(gap_to_index(m - 1)).copied()
+        self.slot_at_offset(m).and_then(Slot::alive)
     }
 
-    /// Variant kept alive at absolute minute `t`, `None` outside the window.
+    /// Variant kept alive at absolute minute `t`, `None` outside the window
+    /// or at a hole.
     pub fn variant_at(&self, t: Minute) -> Option<VariantId> {
-        t.checked_sub(self.invoked_at)
-            .and_then(|m| self.variant_at_offset(m))
+        self.slot_at(t).and_then(Slot::alive)
     }
 
     /// Typed slot at minute-offset `m` (1-based), `None` outside the window.
-    /// Unlike [`Self::variant_at_offset`], holes come back as
-    /// [`Slot::Hole`] instead of the raw sentinel.
     pub fn slot_at_offset(&self, m: u64) -> Option<Slot> {
-        self.variant_at_offset(m).map(Slot::from_raw)
+        let i = gap_to_index(m.checked_sub(1)?);
+        self.plan.get(i).copied().map(Slot::from_raw)
     }
 
     /// Typed slot at absolute minute `t`, `None` outside the window.
     pub fn slot_at(&self, t: Minute) -> Option<Slot> {
-        self.variant_at(t).map(Slot::from_raw)
+        t.checked_sub(self.invoked_at)
+            .and_then(|m| self.slot_at_offset(m))
     }
 
     /// Last minute covered by the window.
@@ -93,30 +92,26 @@ impl KeepAliveSchedule {
         self.invoked_at + len_to_u64(self.plan.len())
     }
 
-    /// Iterate `(absolute minute, variant)` pairs of the plan.
-    pub fn iter(&self) -> impl Iterator<Item = (Minute, VariantId)> + '_ {
+    /// Iterate `(absolute minute, slot)` pairs of the plan.
+    pub fn iter(&self) -> impl Iterator<Item = (Minute, Slot)> + '_ {
         self.plan
             .iter()
             .enumerate()
-            .map(move |(i, &v)| (self.invoked_at + 1 + len_to_u64(i), v))
-    }
-
-    /// Mutable access for the global optimizer's downgrades: replace the
-    /// variant at absolute minute `t` (no-op outside the window).
-    pub fn set_variant_at(&mut self, t: Minute, v: VariantId) {
-        if let Some(m) = t.checked_sub(self.invoked_at) {
-            if m >= 1 {
-                if let Some(slot) = self.plan.get_mut(gap_to_index(m - 1)) {
-                    *slot = v;
-                }
-            }
-        }
+            .map(move |(i, &v)| (self.invoked_at + 1 + len_to_u64(i), Slot::from_raw(v)))
     }
 
     /// Replace the typed slot at absolute minute `t` (no-op outside the
     /// window) — [`crate::schedule::ScheduleLedger`]'s write path.
     pub fn set_slot_at(&mut self, t: Minute, slot: Slot) {
-        self.set_variant_at(t, slot.into_raw());
+        let Some(m) = t
+            .checked_sub(self.invoked_at)
+            .and_then(|m| m.checked_sub(1))
+        else {
+            return;
+        };
+        if let Some(raw) = self.plan.get_mut(gap_to_index(m)) {
+            *raw = slot.into_raw();
+        }
     }
 }
 
@@ -231,23 +226,38 @@ mod tests {
     }
 
     #[test]
-    fn set_variant_at_mutates_only_in_window() {
+    fn set_slot_at_mutates_only_in_window() {
         let mut s = KeepAliveSchedule::constant(10, 2, 5);
-        s.set_variant_at(12, 0);
+        s.set_slot_at(12, Slot::Alive(0));
+        s.set_slot_at(14, Slot::Hole);
         assert_eq!(s.variant_at(12), Some(0));
         assert_eq!(s.variant_at(13), Some(2));
+        // A hole is reported as a slot, never as a variant.
+        assert_eq!(s.slot_at(14), Some(Slot::Hole));
+        assert_eq!(s.variant_at(14), None);
         // Out-of-window writes are ignored.
-        s.set_variant_at(10, 0);
-        s.set_variant_at(16, 0);
-        s.set_variant_at(3, 0);
+        s.set_slot_at(10, Slot::Alive(0));
+        s.set_slot_at(16, Slot::Alive(0));
+        s.set_slot_at(3, Slot::Alive(0));
         assert_eq!(s.variant_at(11), Some(2));
+        assert_eq!(s.window(), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "plan holes with from_slots")]
+    fn new_rejects_a_raw_hole() {
+        let _ = KeepAliveSchedule::new(0, vec![0, usize::MAX]);
     }
 
     #[test]
     fn iter_yields_absolute_minutes() {
-        let s = KeepAliveSchedule::new(20, vec![0, 1, 2]);
+        let s = KeepAliveSchedule::from_slots(20, [Slot::Alive(0), Slot::Hole, Slot::Alive(2)]);
         let got: Vec<_> = s.iter().collect();
-        assert_eq!(got, vec![(21, 0), (22, 1), (23, 2)]);
+        assert_eq!(
+            got,
+            vec![(21, Slot::Alive(0)), (22, Slot::Hole), (23, Slot::Alive(2))]
+        );
     }
 
     #[test]

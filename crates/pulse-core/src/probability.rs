@@ -19,9 +19,10 @@
 //!   [`Probability::and`], [`Probability::complement`]) debug-assert their
 //!   results, so invariant breakage is caught where it happens.
 //!
-//! The `pulse-audit` `probability` rule requires the probability-bearing
-//! modules (`interarrival`, `thresholds`, `utility`) to route their values
-//! through this type.
+//! The probability-bearing modules (`interarrival`, `thresholds`,
+//! `utility`) route their values through this type; the
+//! `probability_math_is_typed_at_its_boundaries` test pins their entry
+//! points' signatures.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -137,6 +138,33 @@ impl fmt::Display for Probability {
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
+
+    /// The modules whose math is about probabilities — gap mass, Equation
+    /// 2's `Pr`/`Ip` terms, threshold bands — carry the newtype across
+    /// their boundaries: each entry point coerces to a `Probability`-typed
+    /// fn pointer, so retyping one as a bare `f64` fails to compile.
+    #[test]
+    fn probability_math_is_typed_at_its_boundaries() {
+        use crate::interarrival::InterArrivalModel;
+        use crate::thresholds::ThresholdScheme;
+        use crate::types::Minute;
+        use pulse_models::VariantId;
+
+        let ip: fn(&InterArrivalModel, Minute, u32) -> Probability =
+            InterArrivalModel::invocation_probability_at;
+        let uv: fn(f64, Probability, Probability) -> f64 = crate::utility::utility_value;
+        let select: fn(&(dyn ThresholdScheme + 'static), Probability, usize) -> VariantId =
+            <dyn ThresholdScheme>::select;
+
+        let mut model = InterArrivalModel::new(10);
+        for t in [0, 2, 4, 6] {
+            model.record(t);
+        }
+        let p = ip(&model, 8, 60);
+        assert!((0.0..=1.0).contains(&p.value()));
+        assert!(uv(0.5, p, Probability::ZERO) <= 3.0);
+        assert!(select(&crate::thresholds::SchemeT1, p, 3) < 3);
+    }
 
     #[test]
     fn new_accepts_unit_interval_only() {

@@ -10,9 +10,9 @@
 //! * [`Slot`] — a typed per-minute slot: [`Slot::Alive`] with a variant, or
 //!   [`Slot::Hole`] (a planned-but-dead minute, used by oracle and
 //!   forecast-integrated policies that keep containers alive at
-//!   non-contiguous minutes). The raw encoding inside
-//!   [`KeepAliveSchedule`]'s plan vector is the [`HOLE`] sentinel; `Slot` is
-//!   the only supported way to produce or consume it.
+//!   non-contiguous minutes). [`KeepAliveSchedule`] stores a hole as a
+//!   private sentinel variant id; no public method takes or returns it, so
+//!   `Slot` is the only way to produce or consume one.
 //! * [`ScheduleLedger`] — the per-function schedule table with the footprint
 //!   and billing queries ([`ScheduleLedger::alive_variant_at`],
 //!   [`ScheduleLedger::keep_alive_mb_at`],
@@ -59,10 +59,9 @@ use std::collections::BTreeMap;
 
 /// Raw in-plan marker for a "dead" minute inside a schedule: the container
 /// is not alive even though the plan covers the minute. This is the storage
-/// encoding of [`Slot::Hole`]; code outside this module should use [`Slot`]
-/// rather than comparing against the sentinel (the `variant-sentinel` audit
-/// rule enforces this).
-pub const HOLE: VariantId = usize::MAX;
+/// encoding of [`Slot::Hole`] (it keeps `KeepAliveSchedule`'s serialized
+/// plan a flat list of ids); it never crosses the crate boundary.
+const HOLE: VariantId = usize::MAX;
 
 /// One minute of a keep-alive plan, typed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +75,7 @@ pub enum Slot {
 
 impl Slot {
     /// Decode a raw plan entry ([`HOLE`] ⇒ [`Slot::Hole`]).
-    pub fn from_raw(raw: VariantId) -> Self {
+    pub(crate) fn from_raw(raw: VariantId) -> Self {
         if raw == HOLE {
             Slot::Hole
         } else {
@@ -85,7 +84,7 @@ impl Slot {
     }
 
     /// Encode for plan storage ([`Slot::Hole`] ⇒ [`HOLE`]).
-    pub fn into_raw(self) -> VariantId {
+    pub(crate) fn into_raw(self) -> VariantId {
         match self {
             Slot::Alive(v) => v,
             Slot::Hole => HOLE,
@@ -167,8 +166,8 @@ impl LedgerIndex {
 
     /// Remove every alive minute of `sched` (for function `f`) from the index.
     fn remove_schedule(&mut self, f: FuncId, sched: &KeepAliveSchedule) {
-        for (t, raw) in sched.iter() {
-            if !Slot::from_raw(raw).is_hole() {
+        for (t, slot) in sched.iter() {
+            if !slot.is_hole() {
                 self.remove(f, t);
             }
         }
@@ -176,8 +175,8 @@ impl LedgerIndex {
 
     /// Add every alive minute of `sched` (for function `f`) to the index.
     fn add_schedule(&mut self, f: FuncId, sched: &KeepAliveSchedule) {
-        for (t, raw) in sched.iter() {
-            if Slot::from_raw(raw).is_hole() || t < self.retired_before {
+        for (t, slot) in sched.iter() {
+            if slot.is_hole() || t < self.retired_before {
                 continue;
             }
             let funcs = self.states.entry(t).or_default();

@@ -30,7 +30,7 @@ proptest! {
         }
         prop_assert_eq!(s.variant_at(invoked_at), None);
         prop_assert_eq!(s.variant_at(invoked_at + plan.len() as u64 + 1), None);
-        let collected: Vec<_> = s.iter().map(|(_, v)| v).collect();
+        let collected: Vec<_> = s.iter().filter_map(|(_, slot)| slot.alive()).collect();
         prop_assert_eq!(collected, plan);
     }
 

@@ -24,6 +24,8 @@ use std::time::Instant;
 
 /// Micro-benchmark: per-peak decision latency of both optimizers over
 /// randomized peak instances. Returns (greedy seconds, milp seconds) pairs.
+// Fig. 9a reports solver wall time; the timing never steers a decision.
+#[allow(clippy::disallowed_methods)]
 pub fn overhead_samples(n_instances: usize, seed: u64) -> Vec<(f64, f64)> {
     let zoo = pulse_models::zoo::standard();
     let mut rng = SmallRng::seed_from_u64(seed);

@@ -20,6 +20,8 @@ use pulse_trace::scale::replicate;
 use std::time::Instant;
 
 /// Fleet-size sweep: wall-clock per simulated minute and per invocation.
+// The sweep's output is wall time; the simulation itself never sees it.
+#[allow(clippy::disallowed_methods)]
 pub fn run_scalability(cfg: &ExpConfig) -> String {
     let base = cfg.trace();
     let zoo = cfg.zoo();
@@ -105,6 +107,8 @@ mod tests {
     }
 
     #[test]
+    // The claim under test is about wall time.
+    #[allow(clippy::disallowed_methods)]
     fn overhead_per_minute_grows_sublinearly_enough() {
         // 4× the functions must not cost 40× the wall clock (per-minute work
         // is linear in fleet size; the claim is no super-linear blow-up).

@@ -36,6 +36,8 @@ struct Cli {
     help: bool,
 }
 
+// Per-experiment wall time is printed for the operator only.
+#[allow(clippy::disallowed_methods)]
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&raw) {

@@ -8,7 +8,7 @@
 //! integration experiment uses a single node type, so that stage is elided —
 //! exactly as the paper does.)
 
-use crate::fft::{fft, next_pow2, Complex};
+use crate::fft::{fft, next_pow2};
 
 /// Top-k harmonic forecaster over a sliding history of per-minute counts.
 #[derive(Debug, Clone)]
@@ -77,24 +77,34 @@ impl FftPredictor {
         let n = next_pow2(self.buffer.len());
         let spectrum = fft(&self.buffer);
         let half = n / 2;
-        // Rank positive-frequency bins by magnitude.
-        let mut bins: Vec<(usize, Complex)> = (1..=half).map(|k| (k, spectrum[k])).collect();
-        bins.sort_by(|a, b| {
-            b.1.abs()
-                .partial_cmp(&a.1.abs())
-                .expect("finite magnitudes")
-        });
+        // Rank positive-frequency bins by magnitude, computing each
+        // magnitude (a `hypot`) once rather than twice per comparison. The
+        // sort is stable, so ties keep ascending frequency order.
+        let mut bins: Vec<(usize, f64)> = (1..=half).map(|k| (k, spectrum[k].abs())).collect();
+        bins.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite magnitudes"));
         bins.truncate(self.top_k);
-        let dc = spectrum[0].re / n as f64;
+        // Per-harmonic terms that do not depend on the horizon offset, each
+        // the leading sub-product of the term it replaces, so every sum
+        // keeps its operand order and the forecast its bits.
+        let n_f = n as f64;
+        let harmonics: Vec<Harmonic> = bins
+            .iter()
+            .map(|&(k, magnitude)| {
+                let scale = if k == half { 1.0 } else { 2.0 };
+                Harmonic {
+                    amplitude: scale / n_f * magnitude,
+                    angular: std::f64::consts::TAU * k as f64,
+                    phase: spectrum[k].arg(),
+                }
+            })
+            .collect();
+        let dc = spectrum[0].re / n_f;
         (1..=horizon)
             .map(|m| {
                 let t = (self.buffer.len() - 1 + m) as f64;
                 let mut x = dc;
-                for &(k, z) in &bins {
-                    let scale = if k == half { 1.0 } else { 2.0 };
-                    x += scale / n as f64
-                        * z.abs()
-                        * (std::f64::consts::TAU * k as f64 * t / n as f64 + z.arg()).cos();
+                for h in &harmonics {
+                    x += h.amplitude * (h.angular * t / n_f + h.phase).cos();
                 }
                 x
             })
@@ -111,6 +121,17 @@ impl FftPredictor {
             .map(|(i, _)| i as u64 + 1)
             .collect()
     }
+}
+
+/// One kept harmonic of [`FftPredictor::forecast`]: the value at time `t`
+/// is `amplitude · cos(angular · t / N + phase)`.
+struct Harmonic {
+    /// `(2/N)·|X_k|` (`(1/N)·|X_k|` at the Nyquist bin).
+    amplitude: f64,
+    /// `2π·k`.
+    angular: f64,
+    /// `arg X_k`.
+    phase: f64,
 }
 
 impl Default for FftPredictor {

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use pulse_forecast::ar::{autocovariance, levinson_durbin, ArModel};
-use pulse_forecast::fft::{fft, ifft, naive_dft, Complex};
+use pulse_forecast::fft::{fft, ifft, naive_dft, next_pow2, Complex};
 use pulse_forecast::wild::{HybridHistogram, WildConfig};
 use pulse_forecast::FftPredictor;
 
@@ -133,5 +133,72 @@ proptest! {
         let cc = (a * b).conj();
         let cd = a.conj() * b.conj();
         prop_assert!((cc.re - cd.re).abs() < 1e-9 && (cc.im - cd.im).abs() < 1e-9);
+    }
+}
+
+/// `FftPredictor::forecast` as it stood before its bin ranking computed each
+/// magnitude once and its horizon loop hoisted the per-harmonic terms: the
+/// bitwise oracle for the production forecaster. `history` is the window
+/// the predictor holds.
+// FFT magnitudes of a finite buffer are finite, as in the original.
+#[allow(clippy::unwrap_used)]
+fn forecast_oracle(history: &[f64], top_k: usize, horizon: usize) -> Vec<f64> {
+    if history.is_empty() {
+        return vec![0.0; horizon];
+    }
+    let n = next_pow2(history.len());
+    let spectrum = fft(history);
+    let half = n / 2;
+    let mut bins: Vec<(usize, Complex)> = (1..=half).map(|k| (k, spectrum[k])).collect();
+    bins.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).unwrap());
+    bins.truncate(top_k);
+    let dc = spectrum[0].re / n as f64;
+    (1..=horizon)
+        .map(|m| {
+            let t = (history.len() - 1 + m) as f64;
+            let mut x = dc;
+            for &(k, z) in &bins {
+                let scale = if k == half { 1.0 } else { 2.0 };
+                x += scale / n as f64
+                    * z.abs()
+                    * (std::f64::consts::TAU * k as f64 * t / n as f64 + z.arg()).cos();
+            }
+            x
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The production forecaster equals the oracle bit for bit, on sparse
+    /// integer counts (many tied magnitudes, the shape of real invocation
+    /// histories) and on arbitrary reals, across window sizes that do and
+    /// do not fill the sliding history.
+    #[test]
+    fn icebreaker_forecast_matches_the_oracle_bitwise(
+        counts in proptest::collection::vec(0u32..4, 0..300),
+        reals in proptest::collection::vec(-5.0f64..5.0, 0..40),
+        use_reals in any::<bool>(),
+        history_len in 2usize..260,
+        top_k in 1usize..12,
+        horizon in 0usize..24,
+    ) {
+        let samples: Vec<f64> = if use_reals {
+            reals
+        } else {
+            counts.iter().map(|&c| f64::from(c)).collect()
+        };
+        let mut p = FftPredictor::with_params(history_len, top_k, 0.5);
+        for &x in &samples {
+            p.push(x);
+        }
+        let window = &samples[samples.len().saturating_sub(history_len)..];
+        let got: Vec<u64> = p.forecast(horizon).iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = forecast_oracle(window, top_k, horizon)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn table_i_service_times_match_published() {
         let rows = table_i_rows();
-        let by_name: std::collections::HashMap<_, _> =
+        let by_name: std::collections::BTreeMap<_, _> =
             rows.iter().map(|r| (r.0.as_str(), r.1)).collect();
         assert!((by_name["GPT-Small"] - 12.90).abs() < 1e-12);
         assert!((by_name["BERT-Large"] - 2.21).abs() < 1e-12);

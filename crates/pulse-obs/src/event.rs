@@ -3,11 +3,11 @@
 //! Every *engine* event carries *simulation* time only — a minute index for
 //! tick-pipeline events or a millisecond offset for the event-driven
 //! runtime's request-level events. No wall clock anywhere: traces from the
-//! same seed are byte-identical across machines and reruns (the
-//! `obs-sim-time` audit rule pins this). The one deliberate exception is
-//! the `serve_*` family: those are *harness-side* telemetry from the
-//! online serving front door (pulse-serve), whose whole point is wall-clock
-//! throughput and decision latency. They are never emitted by an engine
+//! same seed are byte-identical across machines and reruns (`clippy.toml`
+//! disallows `Instant::now` and `SystemTime` workspace-wide). The one
+//! deliberate exception is the `serve_*` family: those are *harness-side*
+//! telemetry from the online serving front door (pulse-serve), whose whole
+//! point is wall-clock throughput and decision latency. They are never emitted by an engine
 //! replay, so engine-trace determinism is untouched.
 //!
 //! The JSONL encoding is one flat object per line with a `"type"`
@@ -602,9 +602,47 @@ impl ObsEvent {
 mod tests {
     use super::*;
 
-    /// One exemplar of every variant — kept in sync with the enum by the
-    /// `kind` match (adding a variant without extending this list fails the
-    /// exhaustiveness check there first).
+    /// Expands to `variant_name`, a wildcard-free match over the listed
+    /// `ObsEvent` variants, and `VARIANTS`, the same list as strings. A new
+    /// variant does not compile until it is listed, and the round-trip test
+    /// fails until `exemplars()` reaches its arm.
+    macro_rules! every_variant {
+        ($($v:ident),+ $(,)?) => {
+            const VARIANTS: &[&str] = &[$(stringify!($v)),+];
+
+            fn variant_name(ev: &ObsEvent) -> &'static str {
+                match ev {
+                    $(ObsEvent::$v { .. } => stringify!($v),)+
+                }
+            }
+        };
+    }
+
+    every_variant!(
+        RunStart,
+        Adjust,
+        Downgrade,
+        Evict,
+        Serve,
+        Arrival,
+        Shed,
+        Degrade,
+        Reap,
+        Watchdog,
+        Bill,
+        NodeDown,
+        NodeRecovered,
+        Migrate,
+        ServeStart,
+        ServeBackpressure,
+        ServeTick,
+        ServeSummary,
+        JournalEpoch,
+        Checkpoint,
+    );
+
+    /// One exemplar of every variant (the round-trip test checks that they
+    /// reach every arm of `variant_name`).
     fn exemplars() -> Vec<ObsEvent> {
         vec![
             ObsEvent::RunStart {
@@ -714,11 +752,18 @@ mod tests {
 
     #[test]
     fn every_event_round_trips_through_jsonl() {
+        let mut reached = Vec::new();
         for ev in exemplars() {
             let line = ev.to_json();
             let back = ObsEvent::from_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, ev, "{line}");
+            reached.push(variant_name(&ev));
         }
+        let missing: Vec<_> = VARIANTS.iter().filter(|v| !reached.contains(v)).collect();
+        assert!(
+            missing.is_empty(),
+            "variants without an exemplar: {missing:?}"
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`ObsEvent`] — the typed taxonomy both engines emit: adjust, serve,
 //!   bill, downgrade, evict, shed, degrade, reap, watchdog transitions, and
 //!   the fleet lifecycle (node down/recovered, container migration), each
-//!   timestamped in monotonic *simulation* time (never wall clock — the
-//!   `obs-sim-time` audit rule enforces this);
+//!   timestamped in monotonic *simulation* time (never wall clock —
+//!   `clippy.toml` disallows the clock APIs);
 //! * [`CounterRegistry`] / [`HistogramRegistry`] — cheap named metrics with
 //!   commutative [`CounterRegistry::merge`], built for per-worker
 //!   aggregation in the parallel campaign runner;

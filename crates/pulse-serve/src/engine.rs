@@ -158,7 +158,9 @@ pub fn replay(
 
 /// One timed engine step: wall-clock the decision, classify it, and emit a
 /// [`ObsEvent::ServeTick`] when a virtual minute completes.
-#[allow(clippy::too_many_arguments)]
+// Wall time is measured here, never fed back: the step itself sees only the
+// virtual clock.
+#[allow(clippy::too_many_arguments, clippy::disallowed_methods)]
 fn timed_step(
     session: &mut RuntimeSession<'_>,
     decision_ns: &mut Histogram,
@@ -212,6 +214,9 @@ fn drain_through(
 /// Shedding happens at two independent layers, both reported: the channel
 /// (front door, counted in [`ServeReport::front_door_dropped`]) and the
 /// engine's admission control ([`ServeReport::engine_shed`]).
+// Live serving maps the wall clock onto the virtual cursor: that mapping is
+// this mode's purpose, and `replay` is its clock-free twin.
+#[allow(clippy::disallowed_methods)]
 pub fn serve_live(
     stream: ArrivalStream,
     families: Vec<ModelFamily>,
@@ -334,6 +339,8 @@ pub fn serve_live(
 /// never blocking on the consumer — a full channel drops the arrival and
 /// counts it. With pacing, the producer sleeps so each arrival is offered
 /// no earlier than its virtual timestamp maps to on the wall clock.
+// Pacing an open-loop load generator needs the wall clock.
+#[allow(clippy::disallowed_methods)]
 fn spawn_producer(
     arrivals: Vec<Arrival>,
     tx: SyncSender<Arrival>,

@@ -16,7 +16,33 @@ use pulse_obs::{CounterRegistry, HistogramRegistry};
 use pulse_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Raised by the first failing worker so siblings stop claiming new runs
+/// instead of grinding through the rest of a doomed campaign.
+///
+/// The raise is a `Release` store and the poll an `Acquire` load: a sibling
+/// that observes the flag also observes every write the failing worker
+/// published before raising it. This is the workspace's only `AtomicBool`
+/// (clippy.toml disallows the type elsewhere), so the pair is spelled once.
+#[derive(Debug, Default)]
+struct AbortFlag(
+    // The one sanctioned AtomicBool: its accesses are fixed by the two
+    // methods below.
+    #[allow(clippy::disallowed_types)] std::sync::atomic::AtomicBool,
+);
+
+impl AbortFlag {
+    /// Signal every worker to stop claiming runs.
+    fn raise(&self) {
+        self.0.store(true, Ordering::Release);
+    }
+
+    /// Whether some worker has raised the flag.
+    fn is_raised(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+}
 
 /// Configuration of a multi-run campaign.
 #[derive(Debug, Clone, Copy)]
@@ -111,9 +137,7 @@ pub fn run_many_observed(
         .max(1)
         .min(cfg.n_runs.max(1));
     let next = AtomicUsize::new(0);
-    // Raised by the first failing worker so siblings stop claiming new runs
-    // instead of grinding through the rest of a doomed campaign.
-    let abort = AtomicBool::new(false);
+    let abort = AbortFlag::default();
     let results: Mutex<Vec<(usize, RunMetrics)>> = Mutex::new(Vec::with_capacity(cfg.n_runs));
     let obs_parts: Mutex<Vec<(CounterRegistry, HistogramRegistry)>> =
         Mutex::new(Vec::with_capacity(threads));
@@ -136,11 +160,7 @@ pub fn run_many_observed(
                 let h_cold = histograms.histogram("run_cold_starts");
                 let h_downgrades = histograms.histogram("run_downgrades");
                 loop {
-                    // Acquire pairs with the failing worker's Release store:
-                    // a sibling that observes the flag also observes every
-                    // write the failing worker published before raising it
-                    // (in particular the failure-context message).
-                    if abort.load(Ordering::Acquire) {
+                    if abort.is_raised() {
                         break;
                     }
                     let r = next.fetch_add(1, Ordering::Relaxed);
@@ -174,7 +194,7 @@ pub fn run_many_observed(
                             local.push((r, m));
                         }
                         Err(payload) => {
-                            abort.store(true, Ordering::Release);
+                            abort.raise();
                             let cause = panic_message(payload.as_ref());
                             let zoo_idx: Vec<String> = assignment
                                 .iter()

@@ -155,6 +155,21 @@ pub fn to_simple_csv(trace: &Trace) -> String {
     out
 }
 
+/// Validate a simple-format header line, returning its column count: a
+/// name column and at least one minute (a trace covers at least one minute,
+/// so a one-column header could only yield rows no trace can hold).
+fn simple_header_width(header: &str) -> Result<usize, ParseError> {
+    let want = header.split(',').count();
+    if want < 2 {
+        return Err(ParseError::ColumnCount {
+            line: 1,
+            got: want,
+            want: 2,
+        });
+    }
+    Ok(want)
+}
+
 /// Parse one data row of the simple format (`name,c0,c1,…`).
 fn parse_simple_row(line: &str, lineno: usize, want: usize) -> Result<FunctionTrace, ParseError> {
     let mut cells = line.split(',');
@@ -182,7 +197,7 @@ fn parse_simple_row(line: &str, lineno: usize, want: usize) -> Result<FunctionTr
 pub fn from_simple_csv(s: &str) -> Result<Trace, ParseError> {
     let mut lines = s.lines().enumerate();
     let (_, header) = lines.next().ok_or(ParseError::Empty)?;
-    let want = header.split(',').count();
+    let want = simple_header_width(header)?;
     let mut functions = Vec::new();
     for (i, line) in lines {
         if line.trim().is_empty() {
@@ -203,7 +218,7 @@ pub fn from_simple_csv(s: &str) -> Result<Trace, ParseError> {
 pub fn from_simple_csv_lenient(s: &str) -> Result<(Trace, QuarantineReport), ParseError> {
     let mut lines = s.lines().enumerate();
     let (_, header) = lines.next().ok_or(ParseError::Empty)?;
-    let want = header.split(',').count();
+    let want = simple_header_width(header)?;
     let mut functions = Vec::new();
     let mut report = QuarantineReport::default();
     for (i, line) in lines {
@@ -435,6 +450,15 @@ mod tests {
     fn simple_rejects_ragged_rows() {
         let err = from_simple_csv("function,0,1\nfa,1\n").unwrap_err();
         assert!(matches!(err, ParseError::ColumnCount { line: 2, .. }));
+        // A header without minutes would admit rows with no counts, which
+        // no trace can hold: both parsers reject it before reading a row.
+        let err = ParseError::ColumnCount {
+            line: 1,
+            got: 1,
+            want: 2,
+        };
+        assert_eq!(from_simple_csv("a\nb\n").unwrap_err(), err);
+        assert_eq!(from_simple_csv_lenient("a\nb\n").unwrap_err(), err);
     }
 
     #[test]

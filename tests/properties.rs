@@ -317,9 +317,10 @@ proptest! {
 }
 
 proptest! {
-    /// Arbitrary garbage — and arbitrary corruptions of a valid snapshot —
-    /// are rejected with a typed error on both engines; restore never
-    /// panics.
+    /// Arbitrary garbage — and arbitrary corruptions of a valid snapshot,
+    /// trace CSV (simple and Azure schema) and checkpoint journal — are
+    /// rejected with a typed error (or a quarantine) by both engines'
+    /// restore, both trace parsers and journal replay; none of them panics.
     #[test]
     fn corrupt_snapshots_fail_soft_never_panic(
         garbage_bytes in proptest::collection::vec(any::<u8>(), 0..200),
@@ -328,6 +329,7 @@ proptest! {
     ) {
         use pulse::prelude::*;
         use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
+        use pulse::trace::csv;
         let trace = Trace::new(vec![FunctionTrace::new("f", vec![1, 0, 2, 0, 1, 0, 0, 1])]);
         let fams = vec![zoo::bert()];
         let sim = Simulator::new(trace.clone(), fams.clone());
@@ -342,22 +344,37 @@ proptest! {
         let garbage = String::from_utf8_lossy(&garbage_bytes).into_owned();
         let splice = String::from_utf8_lossy(&splice_bytes).into_owned();
 
-        // Corrupt the valid snapshot: truncate at an arbitrary char
-        // boundary and splice arbitrary printable bytes in.
-        let cut = ((snap.len() as f64) * cut_frac) as usize;
-        let cut = (0..=cut).rev().find(|&i| snap.is_char_boundary(i)).unwrap_or(0);
-        let corrupted = format!("{}{}", &snap[..cut], splice);
+        // Corrupt a valid document: truncate at an arbitrary char boundary
+        // and splice arbitrary printable bytes in.
+        let corrupt = |doc: &str| {
+            let cut = ((doc.len() as f64) * cut_frac) as usize;
+            let cut = (0..=cut).rev().find(|&i| doc.is_char_boundary(i)).unwrap_or(0);
+            format!("{}{}", &doc[..cut], splice)
+        };
+        let mut journal = pulse::obs::JournalSink::new(Vec::new());
+        journal.checkpoint(&snap);
+        let journal = String::from_utf8(journal.into_inner()).unwrap();
+        let docs = [
+            garbage,
+            corrupt(&snap),
+            corrupt(&csv::to_simple_csv(&trace)),
+            corrupt(&csv::to_azure_day_csv(&trace, 0)),
+            corrupt(&journal),
+        ];
 
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
         let cluster = ClusterConfig::unlimited();
-        for doc in [garbage.as_str(), corrupted.as_str()] {
+        for doc in &docs {
             // Either a typed error, or (for corruptions that happen to stay
             // well-formed, e.g. a truncation splicing into a valid prefix)
-            // a successful restore — but never a panic.
+            // a successful parse — but never a panic.
             let mut p = make();
             let _ = sim.restore(&mut p, doc);
             let mut p = make();
             let _ = rt.restore(&mut p, &FaultPlan::none(), cluster, doc);
+            let _ = csv::from_simple_csv_lenient(doc);
+            let _ = csv::parse_azure_day_lenient(doc);
+            let _ = pulse::obs::replay_journal(doc);
         }
     }
 }
