@@ -1,9 +1,22 @@
 //! The discrete-event core: a time-ordered event queue.
 //!
-//! A binary heap keyed by `(time_ms, sequence)` — the sequence number makes
+//! Every event is keyed by `(time_ms, sequence)`. The sequence number makes
 //! event ordering fully deterministic when timestamps tie (heaps are not
 //! stable), which the validation experiments rely on.
+//!
+//! The queue has two parts. A session's minute ticks are known up front and
+//! fire in order, so they are a *run* `next_minute..minutes` beside the
+//! heap, not heap entries. Tick `m` carries the key `(m · MS_PER_MINUTE, m)`:
+//! the session reserves sequence numbers `0..minutes` for its ticks before
+//! anything else is pushed. The binary heap holds everything else: seeded
+//! arrivals, node faults, SLO timers and in-flight completions.
+//! [`EventQueue::pop`] and [`EventQueue::peek_time`] take whichever of the
+//! run's head and the heap's top has the smaller `(time, seq)` key. That is
+//! exactly the order one heap holding both would pop, exact ties at minute
+//! boundaries included, while each push and pop stays as shallow as the
+//! handful of in-flight events allows.
 
+use crate::MS_PER_MINUTE;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -105,11 +118,16 @@ pub enum Event {
     },
 }
 
-/// Deterministic time-ordered queue.
+/// Deterministic time-ordered queue: a heap of scheduled events plus the
+/// run of pending minute ticks (see the module docs).
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<(u64, u64, EventKeyed)>>,
     seq: u64,
+    /// The next pending minute tick; ticks `next_minute..minutes` are due.
+    next_minute: u64,
+    /// One past the last minute tick.
+    minutes: u64,
 }
 
 /// Wrapper giving `Event` a total order for the heap (order among equal
@@ -131,48 +149,95 @@ impl Ord for EventKeyed {
 }
 
 impl EventQueue {
-    /// Empty queue.
+    /// Empty queue without minute ticks.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Schedule `event` at absolute time `at_ms`.
+    /// A queue holding the minute ticks `0..minutes` and nothing else. The
+    /// ticks take sequence numbers `0..minutes` and the first
+    /// [`Self::push`] stamps `minutes`: the keys that pushing each
+    /// [`Event::MinuteTick`] at `m · MS_PER_MINUTE` into an empty queue
+    /// would give.
+    pub fn with_minute_ticks(minutes: u64) -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: minutes,
+            next_minute: 0,
+            minutes,
+        }
+    }
+
+    /// Schedule `event` at absolute time `at_ms`. Minute ticks are not
+    /// pushed: they come from [`Self::with_minute_ticks`].
     pub fn push(&mut self, at_ms: u64, event: Event) {
+        debug_assert!(
+            !matches!(event, Event::MinuteTick { .. }),
+            "minute ticks live in the tick run"
+        );
         self.heap
             .push(Reverse((at_ms, self.seq, EventKeyed(event))));
         self.seq += 1;
     }
 
+    /// The run's head tick, when it is the next event: a tick is pending
+    /// and its `(time, seq)` key is not above the heap's top.
+    fn next_tick(&self) -> Option<u64> {
+        let m = self.next_minute;
+        let due = m < self.minutes
+            && self
+                .heap
+                .peek()
+                .is_none_or(|Reverse((t, s, _))| (m * MS_PER_MINUTE, m) <= (*t, *s));
+        due.then_some(m)
+    }
+
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(u64, Event)> {
+        if let Some(minute) = self.next_tick() {
+            self.next_minute += 1;
+            return Some((minute * MS_PER_MINUTE, Event::MinuteTick { minute }));
+        }
         self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
+    }
+
+    /// The earliest event and its timestamp, without removing it.
+    pub fn peek(&self) -> Option<(u64, Event)> {
+        if let Some(minute) = self.next_tick() {
+            return Some((minute * MS_PER_MINUTE, Event::MinuteTick { minute }));
+        }
+        self.heap.peek().map(|Reverse((t, _, e))| (*t, e.0.clone()))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((t, ..))| *t)
+        self.peek().map(|(t, _)| t)
     }
 
-    /// Number of pending events.
+    /// Number of pending events, pending minute ticks included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        let ticks = usize::try_from(self.minutes - self.next_minute).unwrap_or(usize::MAX);
+        self.heap.len().saturating_add(ticks)
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.next_minute == self.minutes
     }
 
-    /// The pending events as `(time_ms, seq, event)` triples sorted by the
-    /// heap's total order, for checkpointing. Together with
-    /// [`Self::next_seq`] and [`Self::from_parts`] this round-trips the
-    /// queue: the key multiset and sequence counter fully determine every
-    /// future pop.
+    /// The pending events as `(time_ms, seq, event)` triples sorted by
+    /// their `(time, seq)` keys, pending minute ticks included, for
+    /// checkpointing. Together with [`Self::next_seq`] and
+    /// [`Self::from_parts`] this round-trips the queue: the key multiset
+    /// and sequence counter fully determine every future pop.
     pub fn snapshot_entries(&self) -> Vec<(u64, u64, Event)> {
+        let ticks = (self.next_minute..self.minutes)
+            .map(|m| (m * MS_PER_MINUTE, m, Event::MinuteTick { minute: m }));
         let mut entries: Vec<(u64, u64, Event)> = self
             .heap
             .iter()
             .map(|Reverse((t, s, e))| (*t, *s, e.0.clone()))
+            .chain(ticks)
             .collect();
         entries.sort_by_key(|&(t, s, _)| (t, s));
         entries
@@ -183,38 +248,211 @@ impl EventQueue {
         self.seq
     }
 
-    /// Rebuild a queue from a previously captured [`Self::snapshot_entries`]
-    /// list and [`Self::next_seq`] counter.
-    pub fn from_parts(entries: Vec<(u64, u64, Event)>, next_seq: u64) -> Self {
-        Self {
-            heap: entries
-                .into_iter()
-                .map(|(t, s, e)| Reverse((t, s, EventKeyed(e))))
-                .collect(),
-            seq: next_seq,
+    /// Rebuild the queue of a `minutes`-tick session from a previously
+    /// captured [`Self::snapshot_entries`] list and [`Self::next_seq`]
+    /// counter. The [`Event::MinuteTick`] entries go back into the run, so
+    /// they must be its tail `k..minutes` for some `k`, each keyed
+    /// `(m · MS_PER_MINUTE, m)`; anything else is an error naming the
+    /// offending tick.
+    pub fn from_parts(
+        entries: Vec<(u64, u64, Event)>,
+        next_seq: u64,
+        minutes: u64,
+    ) -> Result<Self, String> {
+        let mut ticks = Vec::new();
+        let mut heap = Vec::with_capacity(entries.len());
+        for (t, s, e) in entries {
+            match e {
+                Event::MinuteTick { minute } => ticks.push((t, s, minute)),
+                e => heap.push(Reverse((t, s, EventKeyed(e)))),
+            }
         }
+        ticks.sort_unstable_by_key(|&(_, _, m)| m);
+        let first = u64::try_from(ticks.len())
+            .ok()
+            .and_then(|n| minutes.checked_sub(n))
+            .ok_or_else(|| {
+                format!(
+                    "{} pending minute ticks in a {minutes}-minute session",
+                    ticks.len()
+                )
+            })?;
+        for (due, &(t, s, minute)) in (first..).zip(&ticks) {
+            if minute != due || s != minute || t != minute * MS_PER_MINUTE {
+                return Err(format!(
+                    "pending minute ticks must be minutes {first}..{minutes}, each at \
+                     minute * {MS_PER_MINUTE} ms with seq = minute; found minute {minute} \
+                     at {t} ms with seq {s} where minute {due} was due"
+                ));
+            }
+        }
+        Ok(Self {
+            heap: heap.into(),
+            seq: next_seq,
+            next_minute: first,
+            minutes,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The all-heap queue the tick run replaced, kept as the ordering
+    /// oracle: every event, minute ticks included, is a heap entry.
+    #[derive(Debug, Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(u64, u64, EventKeyed)>>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        /// The session's start: ticks `0..minutes` pushed first.
+        fn with_minute_ticks(minutes: u64) -> Self {
+            let mut q = Self::default();
+            for m in 0..minutes {
+                q.push(m * MS_PER_MINUTE, Event::MinuteTick { minute: m });
+            }
+            q
+        }
+
+        fn push(&mut self, at_ms: u64, event: Event) {
+            self.heap
+                .push(Reverse((at_ms, self.seq, EventKeyed(event))));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(u64, Event)> {
+            self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
+        }
+
+        fn peek(&self) -> Option<(u64, Event)> {
+            self.heap.peek().map(|Reverse((t, _, e))| (*t, e.0.clone()))
+        }
+
+        fn peek_time(&self) -> Option<u64> {
+            self.heap.peek().map(|Reverse((t, ..))| *t)
+        }
+
+        fn snapshot_entries(&self) -> Vec<(u64, u64, Event)> {
+            let mut entries: Vec<(u64, u64, Event)> = self
+                .heap
+                .iter()
+                .map(|Reverse((t, s, e))| (*t, *s, e.0.clone()))
+                .collect();
+            entries.sort_by_key(|&(t, s, _)| (t, s));
+            entries
+        }
+
+        fn from_parts(entries: Vec<(u64, u64, Event)>, next_seq: u64) -> Self {
+            Self {
+                heap: entries
+                    .into_iter()
+                    .map(|(t, s, e)| Reverse((t, s, EventKeyed(e))))
+                    .collect(),
+                seq: next_seq,
+            }
+        }
+    }
+
+    /// The events a session pushes at minute boundaries, plus arrivals.
+    fn event(kind: u8, x: usize) -> Event {
+        match kind {
+            0 => Event::ExecDone {
+                func: x,
+                req: x,
+                gen: 0,
+            },
+            1 => Event::ProvisionDone { func: x, epoch: 1 },
+            2 => Event::NodeDown { node: x, fault: x },
+            3 => Event::NodeRecovered { node: x, fault: x },
+            _ => Event::Arrival { func: x, req: x },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random pushes (a third of them exactly on a minute boundary)
+        /// interleaved with pops, peeks, length checks and snapshot
+        /// round-trips pop in exactly the all-heap queue's order.
+        #[test]
+        fn tick_run_pops_exactly_like_the_all_heap_queue(
+            minutes in 0u64..8,
+            ops in proptest::collection::vec(
+                (0u8..10, 0u64..9, 0u8..3, 1u64..MS_PER_MINUTE, 0usize..4),
+                0..120,
+            ),
+        ) {
+            let mut q = EventQueue::with_minute_ticks(minutes);
+            let mut oracle = HeapQueue::with_minute_ticks(minutes);
+            for (op, minute, tie, offset, x) in ops {
+                match op {
+                    0..=4 => {
+                        let at = minute * MS_PER_MINUTE + if tie == 0 { 0 } else { offset };
+                        q.push(at, event(op, x));
+                        oracle.push(at, event(op, x));
+                    }
+                    5 | 6 => prop_assert_eq!(q.pop(), oracle.pop()),
+                    7 => {
+                        prop_assert_eq!(q.peek_time(), oracle.peek_time());
+                        prop_assert_eq!(q.peek(), oracle.peek());
+                        prop_assert_eq!(q.len(), oracle.heap.len());
+                        prop_assert_eq!(q.is_empty(), oracle.heap.is_empty());
+                    }
+                    _ => {
+                        let entries = q.snapshot_entries();
+                        prop_assert_eq!(&entries, &oracle.snapshot_entries());
+                        prop_assert_eq!(q.next_seq(), oracle.seq);
+                        q = EventQueue::from_parts(entries.clone(), q.next_seq(), minutes)
+                            .map_err(TestCaseError::fail)?;
+                        oracle = HeapQueue::from_parts(entries, oracle.seq);
+                    }
+                }
+            }
+            loop {
+                let (a, b) = (q.pop(), oracle.pop());
+                prop_assert_eq!(&a, &b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
 
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(30, Event::MinuteTick { minute: 0 });
-        q.push(10, Event::Arrival { func: 0, req: 0 });
+    fn pops_in_time_order_and_ticks_win_exact_ties() {
+        let mut q = EventQueue::with_minute_ticks(2);
         q.push(
-            20,
+            MS_PER_MINUTE,
             Event::ExecDone {
                 func: 0,
                 req: 0,
                 gen: 0,
             },
         );
-        let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
-        assert_eq!(times, vec![10, 20, 30]);
+        q.push(30, Event::NodeDown { node: 0, fault: 0 });
+        q.push(10, Event::Arrival { func: 0, req: 0 });
+        let popped: Vec<(u64, Event)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            popped,
+            vec![
+                (0, Event::MinuteTick { minute: 0 }),
+                (10, Event::Arrival { func: 0, req: 0 }),
+                (30, Event::NodeDown { node: 0, fault: 0 }),
+                (MS_PER_MINUTE, Event::MinuteTick { minute: 1 }),
+                (
+                    MS_PER_MINUTE,
+                    Event::ExecDone {
+                        func: 0,
+                        req: 0,
+                        gen: 0,
+                    },
+                ),
+            ]
+        );
     }
 
     #[test]
@@ -235,27 +473,27 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(7, Event::MinuteTick { minute: 0 });
-        assert_eq!(q.peek_time(), Some(7));
+        let mut q = EventQueue::with_minute_ticks(1);
+        assert_eq!(q.peek_time(), Some(0));
+        assert_eq!(q.peek(), Some((0, Event::MinuteTick { minute: 0 })));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek(), None);
     }
 
     #[test]
     fn snapshot_round_trip_preserves_pop_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_minute_ticks(3);
         q.push(5, Event::Arrival { func: 1, req: 1 });
         q.push(5, Event::Arrival { func: 2, req: 2 });
-        q.push(3, Event::MinuteTick { minute: 0 });
-        q.push(9, Event::NodeDown { node: 1, fault: 0 });
-        q.pop(); // drop the tick so seq and contents diverge
+        q.push(MS_PER_MINUTE, Event::NodeDown { node: 1, fault: 0 });
+        q.pop(); // drop the first tick so seq and contents diverge
         let entries = q.snapshot_entries();
-        assert_eq!(entries.len(), 3);
-        let mut rebuilt = EventQueue::from_parts(entries, q.next_seq());
+        assert_eq!(entries.len(), 5);
+        let mut rebuilt = EventQueue::from_parts(entries, q.next_seq(), 3).unwrap();
         rebuilt.push(5, Event::Arrival { func: 9, req: 9 });
         q.push(5, Event::Arrival { func: 9, req: 9 });
         loop {
@@ -268,12 +506,57 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_tick_runs_that_are_not_the_keyed_tail() {
+        let mut q = EventQueue::with_minute_ticks(5);
+        q.push(7, Event::Arrival { func: 0, req: 0 });
+        q.pop(); // tick 0
+        let entries = q.snapshot_entries();
+        let tick_at = |m: u64| {
+            entries
+                .iter()
+                .position(|e| e.2 == Event::MinuteTick { minute: m })
+                .unwrap()
+        };
+        let next = q.next_seq();
+        assert!(EventQueue::from_parts(entries.clone(), next, 5).is_ok());
+
+        let mut gapped = entries.clone();
+        gapped.remove(tick_at(2));
+        let mut headless = entries.clone();
+        headless.remove(tick_at(1));
+        let mut tailless = entries.clone();
+        tailless.remove(tick_at(4));
+        let mut misseq = entries.clone();
+        misseq[tick_at(3)].1 = next;
+        let mut mistimed = entries.clone();
+        mistimed[tick_at(3)].0 += 1;
+        let mut extra = entries.clone();
+        extra.push((0, 0, Event::MinuteTick { minute: 0 }));
+        let mut duplicated = entries.clone();
+        duplicated.push(entries[tick_at(4)].clone());
+        for (what, bad) in [
+            ("gapped", gapped),
+            ("misseq", misseq),
+            ("mistimed", mistimed),
+            ("duplicated", duplicated),
+            ("tailless", tailless),
+        ] {
+            let err = EventQueue::from_parts(bad, next, 5).unwrap_err();
+            assert!(err.contains("minute"), "{what}: {err}");
+        }
+        // Dropping the run's head leaves a valid (shorter) tail.
+        assert!(EventQueue::from_parts(headless, next, 5).is_ok());
+        // More ticks than the session has minutes.
+        assert!(EventQueue::from_parts(extra, next, 4).is_err());
+    }
+
+    #[test]
     fn interleaved_push_pop() {
         let mut q = EventQueue::new();
-        q.push(10, Event::MinuteTick { minute: 1 });
-        q.push(5, Event::MinuteTick { minute: 0 });
+        q.push(10, Event::Arrival { func: 0, req: 1 });
+        q.push(5, Event::Arrival { func: 0, req: 0 });
         assert_eq!(q.pop().unwrap().0, 5);
-        q.push(7, Event::MinuteTick { minute: 2 });
+        q.push(7, Event::Arrival { func: 0, req: 2 });
         assert_eq!(q.pop().unwrap().0, 7);
         assert_eq!(q.pop().unwrap().0, 10);
     }

@@ -696,7 +696,9 @@ impl Runtime {
         let n = self.families.len();
         let minutes = self.trace.minutes() as u64;
         let mut rs = RunState {
-            queue: EventQueue::new(),
+            // Minute ticks take sequence numbers 0..minutes, ahead of every
+            // event pushed below.
+            queue: EventQueue::with_minute_ticks(minutes),
             fns: (0..n)
                 .map(|_| FnState {
                     container: None,
@@ -732,14 +734,9 @@ impl Runtime {
         };
         let mut req_func: Vec<usize> = Vec::new();
 
-        // Minute ticks.
-        for m in 0..minutes {
-            rs.queue
-                .push(m * MS_PER_MINUTE, Event::MinuteTick { minute: m });
-        }
         // Node fault windows (fleet runs only; an empty plan pushes nothing,
         // preserving event sequence numbers — the bit-identity contract).
-        // Scheduled after the ticks so that at equal timestamps the minute
+        // Sequenced after the ticks so that at equal timestamps the minute
         // tick bills first, and before that minute's arrivals.
         for (i, f) in fleet.node_faults.faults.iter().enumerate() {
             assert!(
@@ -851,6 +848,14 @@ impl<'a> RuntimeSession<'a> {
     /// through one minute's events without processing the next minute tick.
     pub fn peek_time(&self) -> Option<u64> {
         self.rs.queue.peek_time()
+    }
+
+    /// The next queued event and its timestamp (ms), without processing
+    /// it: the event the next [`Self::step`] returns. Lets a caller decide
+    /// per event kind what to do around the step, e.g. time only arrivals
+    /// and minute ticks.
+    pub fn peek(&self) -> Option<(u64, Event)> {
+        self.rs.queue.peek()
     }
 
     /// Arrivals shed by admission control so far (tiers 1 and 2). The live

@@ -856,7 +856,12 @@ impl Runtime {
                 decode_event(qk[i], [qa[i], qb[i], qc[i], qd[i]])?,
             ));
         }
-        let queue = EventQueue::from_parts(entries, head.u64("next_seq").map_err(c)?);
+        let queue = EventQueue::from_parts(
+            entries,
+            head.u64("next_seq").map_err(c)?,
+            self.trace.minutes() as u64,
+        )
+        .map_err(RecoverError::corrupt)?;
 
         let fns: Vec<FnState> = fns
             .into_iter()
@@ -922,10 +927,12 @@ impl Runtime {
 mod tests {
     use super::super::{Runtime, RuntimeConfig};
     use crate::cluster::NodeCapacity;
+    use crate::event::Event;
     use crate::fault::FaultPlan;
     use crate::fleet::FleetConfig;
     use crate::node::NodeFaultPlan;
     use pulse_core::types::PulseConfig;
+    use pulse_obs::{Record, RecordBuilder};
     use pulse_sim::assignment::round_robin_assignment;
     use pulse_sim::policies::{OpenWhiskFixed, PulsePolicy};
     use pulse_sim::recover::RecoverError;
@@ -1043,6 +1050,87 @@ mod tests {
                 rt.restore(&mut p5, &plan, fleet.clone(), garbage).is_err(),
                 "garbage {garbage:?} must fail soft"
             );
+        }
+    }
+
+    /// Rewrite the snapshot's queue row: `edit` sees each entry's columns
+    /// `[t, s, kind, a, b, c, d]`, may change them, and returns whether to
+    /// keep the entry.
+    fn with_queue_row(snap: &str, edit: impl Fn(&mut [u64]) -> bool) -> String {
+        const COLS: [&str; 7] = ["t", "s", "kind", "a", "b", "c", "d"];
+        snap.lines()
+            .map(|line| {
+                let rec = Record::parse(line).unwrap();
+                if rec.kind() != "queue" {
+                    return line.to_string();
+                }
+                let cols: Vec<Vec<u64>> = COLS.iter().map(|k| rec.u64_list(k).unwrap()).collect();
+                let mut out = vec![Vec::new(); COLS.len()];
+                for i in 0..cols[0].len() {
+                    let mut entry: Vec<u64> = cols.iter().map(|c| c[i]).collect();
+                    if edit(&mut entry) {
+                        for (o, v) in out.iter_mut().zip(entry) {
+                            o.push(v);
+                        }
+                    }
+                }
+                COLS.iter()
+                    .zip(&out)
+                    .fold(RecordBuilder::new("queue"), |b, (k, v)| b.u64_list(k, v))
+                    .finish()
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn restore_rejects_a_gapped_or_misseqd_tick_run_as_corrupt() {
+        let (rt, fams, plan, fleet) = fixture();
+        let mut p = pulse(&fams);
+        let mut sess = rt.session(&mut p, &plan, fleet.clone());
+        // Ticks `first..HORIZON` are still pending at the kill point.
+        let mut first = 0;
+        for _ in 0..200 {
+            if let Some((_, Event::MinuteTick { .. })) = sess.step() {
+                first += 1;
+            }
+        }
+        assert!(
+            first + 2 < HORIZON as u64,
+            "the kill point must leave ticks pending"
+        );
+        let snap = sess.snapshot().unwrap();
+        drop(sess);
+        const TICK: u64 = 7;
+        let minute = |m: u64| move |k: &mut [u64]| !(k[2] == TICK && k[3] == m);
+
+        // Untouched, the rewrite is the identity.
+        assert_eq!(with_queue_row(&snap, |_| true), snap);
+        let broken = [
+            ("gapped", with_queue_row(&snap, minute(first + 1))),
+            (
+                "tailless",
+                with_queue_row(&snap, minute(HORIZON as u64 - 1)),
+            ),
+            (
+                "misseq",
+                with_queue_row(&snap, |k| {
+                    if k[2] == TICK && k[3] == first + 1 {
+                        k[1] += 1;
+                    }
+                    true
+                }),
+            ),
+        ];
+        for (what, doc) in broken {
+            let mut p2 = pulse(&fams);
+            match rt.restore(&mut p2, &plan, fleet.clone(), &doc) {
+                Err(RecoverError::Corrupt { message }) => {
+                    assert!(message.contains("minute ticks"), "{what}: {message}");
+                }
+                Err(e) => panic!("{what}: expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("{what}: a broken tick run restored"),
+            }
         }
     }
 }

@@ -18,10 +18,14 @@
 //! (the determinism suite pins this). [`serve_live`] maps wall time onto the
 //! virtual timeline (optionally scaled), so minute ticks — and therefore
 //! keep-alive decisions — happen *online*, while requests race in through
-//! the channel. Per-decision wall latency is recorded into a pulse-obs
-//! [`Histogram`] around each `step`, but never feeds back into any
-//! decision: summaries from a live run remain a pure function of the
-//! admitted stream.
+//! the channel. Its consumer reads the clock only for what it records: it
+//! polls the channel with `try_recv` and falls back to a 5 ms
+//! `recv_timeout` only when the channel is empty, and it peeks each event
+//! before stepping it, so only `Arrival` steps (into `decision_ns`) and
+//! `MinuteTick` steps (into `tick_ns`) are wall-clocked into pulse-obs
+//! [`Histogram`]s; completions, timers and faults step untimed. Wall time
+//! never feeds back into any decision: summaries from a live run remain a
+//! pure function of the admitted stream.
 
 use crate::loadgen::{Arrival, ArrivalStream};
 use pulse_models::ModelFamily;
@@ -33,7 +37,7 @@ use pulse_runtime::{
 use pulse_sim::policy::KeepAlivePolicy;
 use pulse_trace::{FunctionTrace, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -156,26 +160,34 @@ pub fn replay(
     session.finish()
 }
 
-/// One timed engine step: wall-clock the decision, classify it, and emit a
-/// [`ObsEvent::ServeTick`] when a virtual minute completes.
+/// Step the session once through `next`, the event [`RuntimeSession::peek`]
+/// returned. Only steps whose wall time is recorded read the clock: an
+/// `Arrival` is timed into `decision_ns`, and a `MinuteTick` into `tick_ns`
+/// and followed by an [`ObsEvent::ServeTick`]. Every other event steps
+/// untimed.
 // Wall time is measured here, never fed back: the step itself sees only the
 // virtual clock.
 #[allow(clippy::too_many_arguments, clippy::disallowed_methods)]
 fn timed_step(
     session: &mut RuntimeSession<'_>,
+    next: &Event,
     decision_ns: &mut Histogram,
     tick_ns: &mut Histogram,
     admitted: u64,
     dropped: &AtomicU64,
     sink: &mut Option<&mut dyn TraceSink>,
-) -> bool {
-    let t0 = Instant::now();
-    let stepped = session.step();
-    let elapsed = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    match stepped {
-        Some((_, Event::Arrival { .. })) => decision_ns.record(elapsed),
-        Some((_, Event::MinuteTick { minute })) => {
-            tick_ns.record(elapsed);
+) {
+    let nanos = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    match *next {
+        Event::Arrival { .. } => {
+            let t0 = Instant::now();
+            session.step();
+            decision_ns.record(nanos(t0));
+        }
+        Event::MinuteTick { minute } => {
+            let t0 = Instant::now();
+            session.step();
+            tick_ns.record(nanos(t0));
             let shed = session.shed_so_far() + dropped.load(Ordering::Relaxed);
             let queue_depth = session.pending_events();
             emit(sink, || ObsEvent::ServeTick {
@@ -185,10 +197,10 @@ fn timed_step(
                 queue_depth,
             });
         }
-        Some(_) => {}
-        None => return false,
+        _ => {
+            session.step();
+        }
     }
-    true
 }
 
 /// Drain every queued engine event with timestamp ≤ `upto`.
@@ -201,9 +213,30 @@ fn drain_through(
     dropped: &AtomicU64,
     sink: &mut Option<&mut dyn TraceSink>,
 ) {
-    while session.peek_time().is_some_and(|t| t <= upto)
-        && timed_step(session, decision_ns, tick_ns, admitted, dropped, sink)
-    {}
+    while let Some((t, next)) = session.peek() {
+        if t > upto {
+            break;
+        }
+        timed_step(
+            session,
+            &next,
+            decision_ns,
+            tick_ns,
+            admitted,
+            dropped,
+            sink,
+        );
+    }
+}
+
+/// The next arrival off the channel: take a queued one without touching the
+/// clock, and wait up to 5 ms only when the channel is empty.
+fn next_arrival(rx: &Receiver<Arrival>) -> Result<Arrival, RecvTimeoutError> {
+    match rx.try_recv() {
+        Ok(a) => Ok(a),
+        Err(TryRecvError::Empty) => rx.recv_timeout(Duration::from_millis(5)),
+        Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+    }
 }
 
 /// Serve `stream` live: an open-loop producer thread pushes arrivals into
@@ -248,7 +281,7 @@ pub fn serve_live(
     let mut cursor = 0u64;
     let start = Instant::now();
     loop {
-        match rx.recv_timeout(Duration::from_millis(5)) {
+        match next_arrival(&rx) {
             Ok(a) => {
                 // The virtual clock never runs backwards: a request racing
                 // in behind an already-processed timestamp is admitted *now*
@@ -289,14 +322,15 @@ pub fn serve_live(
         }
     }
     // Producer done: run the tail of the virtual timeline out.
-    while timed_step(
+    drain_through(
         &mut session,
+        u64::MAX,
         &mut decision_ns,
         &mut tick_ns,
         admitted,
         &dropped,
         &mut sink,
-    ) {}
+    );
     let _ = producer.join();
 
     let wall = start.elapsed();

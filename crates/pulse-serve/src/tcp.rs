@@ -72,13 +72,26 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// Read the next frame's payload; `Ok(None)` on clean EOF at a frame
-    /// boundary.
+    /// boundary. A stream that ends partway through a length prefix or a
+    /// payload is an `UnexpectedEof` error.
     pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        // `read_exact` reports a clean EOF and one 1–3 bytes into the
+        // prefix alike, so the prefix is read by hand.
         let mut len_buf = [0u8; 4];
-        match self.inner.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
+        let mut got = 0;
+        while got < len_buf.len() {
+            match self.inner.read(&mut len_buf[got..]) {
+                Ok(0) if got == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!("stream ended {got} bytes into a 4-byte length prefix"),
+                    ))
+                }
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
         let len = u32::from_le_bytes(len_buf);
         if len > MAX_PAYLOAD_LEN {
@@ -141,6 +154,7 @@ pub fn spawn_ingress(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -185,6 +199,76 @@ mod tests {
         bytes.truncate(9); // length prefix + partial payload
         let mut reader = FrameReader::new(Cursor::new(bytes));
         assert!(reader.next_arrival().is_err());
+    }
+
+    #[test]
+    fn partial_length_prefix_is_an_error_not_a_clean_eof() {
+        let frame = encode_arrival(&Arrival { at_ms: 5, func: 1 });
+        for cut in 1..4 {
+            let mut reader = FrameReader::new(Cursor::new(frame[..cut].to_vec()));
+            let err = reader.next_frame().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        // One whole frame, then 1–3 stray bytes: the frame, then an error.
+        for cut in 1..4 {
+            let mut bytes = frame.to_vec();
+            bytes.extend_from_slice(&frame[..cut]);
+            let mut reader = FrameReader::new(Cursor::new(bytes));
+            assert!(reader.next_arrival().unwrap().is_some());
+            assert!(reader.next_arrival().is_err(), "cut at {cut}");
+        }
+        assert_eq!(
+            FrameReader::new(Cursor::new(Vec::new()))
+                .next_frame()
+                .unwrap(),
+            None
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, and arbitrary frames, never panic the codec:
+        /// each read yields an arrival, a clean EOF or a typed error, and
+        /// since every arrival consumes at least a 4-byte prefix the loop
+        /// ends within `len / 4 + 1` reads.
+        #[test]
+        fn arbitrary_bytes_give_frames_or_typed_errors(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            lens in proptest::collection::vec(0u8..20, 0..6),
+        ) {
+            prop_assert_eq!(decode_arrival(&bytes).is_ok(), bytes.len() == ARRIVAL_PAYLOAD_LEN);
+            // Plausible framing around the arbitrary bytes reaches the
+            // payload paths too, not only the length cap.
+            let mut framed = Vec::new();
+            let mut rest = &bytes[..];
+            for len in lens {
+                let take = usize::from(len).min(rest.len());
+                framed.extend_from_slice(&u32::from(len).to_le_bytes());
+                framed.extend_from_slice(&rest[..take]);
+                rest = &rest[take..];
+            }
+            for input in [bytes.clone(), framed] {
+                let mut reader = FrameReader::new(Cursor::new(input.clone()));
+                let mut calls = 0;
+                loop {
+                    calls += 1;
+                    prop_assert!(calls <= input.len() / 4 + 1, "{} reads of {} bytes", calls, input.len());
+                    match reader.next_arrival() {
+                        Ok(Some(_)) => {}
+                        Ok(None) => break,
+                        Err(e) => {
+                            prop_assert!(
+                                matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                                "untyped error {:?}",
+                                e
+                            );
+                            break;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

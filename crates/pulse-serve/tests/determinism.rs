@@ -1,15 +1,17 @@
 //! The serving determinism suite: bit-identical load generation across
 //! seeds, and the pinned serve-vs-replay equivalence — feeding a generated
 //! stream through pulse-serve on the simulated clock must match
-//! a finished `Runtime::session` over the binned trace bitwise.
+//! a finished `Runtime::session` over the binned trace bitwise, and an
+//! unpaced live run must match a synchronous re-drive of its stream.
 
 use pulse_core::types::PulseConfig;
 use pulse_obs::{MemorySink, ObsEvent};
 use pulse_runtime::Runtime;
-use pulse_serve::engine::{replay, ServeConfig};
+use pulse_serve::engine::{replay, serve_live, LiveOptions, ServeConfig};
 use pulse_serve::loadgen::{ArrivalStream, LoadGenConfig, LoadMode};
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{OpenWhiskFixed, PulsePolicy};
+use pulse_trace::{FunctionTrace, Trace};
 
 const MODES: [LoadMode; 3] = [
     LoadMode::Poisson { rate_per_min: 4.0 },
@@ -164,4 +166,71 @@ fn traced_replay_matches_traced_batch_run() {
         .filter(|e| matches!(e, ObsEvent::Shed { .. }))
         .count();
     assert_eq!(arrivals.len() + shed, stream.len());
+}
+
+/// Unpaced `serve_live` with a channel that holds the whole stream admits
+/// every arrival at the running maximum of the timestamps seen and steps
+/// every event due by then. A session driven that way on this thread must
+/// give the same records, cost bits and memory series; and the live run
+/// records one decision sample per admitted arrival and one tick sample per
+/// minute, so stepping the other events untimed loses no sample.
+#[test]
+fn unpaced_live_matches_a_synchronous_redrive_bitwise() {
+    for mode in MODES {
+        let stream = ArrivalStream::generate(&cfg(mode, 31));
+        let minutes = stream.minutes() as u64;
+        let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
+        let config = ServeConfig::default();
+
+        let mut live_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
+        let live = serve_live(
+            stream.clone(),
+            families.clone(),
+            &mut live_policy,
+            &config,
+            &LiveOptions {
+                channel_capacity: stream.len() + 1,
+                speedup: None,
+            },
+            "test",
+            None,
+        );
+
+        let zero = Trace::new(
+            stream
+                .trace()
+                .functions()
+                .iter()
+                .map(|f| FunctionTrace::new(f.name.clone(), vec![0; f.per_minute.len()]))
+                .collect(),
+        );
+        let rt = Runtime::new(zero, families.clone(), config.runtime);
+        let mut redrive_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
+        let mut session = rt.session(&mut redrive_policy, &config.plan, config.cluster);
+        let mut cursor = 0;
+        for a in stream.arrivals() {
+            cursor = a.at_ms.max(cursor);
+            session.admit_at(cursor, a.func);
+            while session.peek_time().is_some_and(|t| t <= cursor) {
+                session.step();
+            }
+        }
+        let redriven = session.finish();
+
+        let label = mode.label();
+        assert_eq!(live.front_door_dropped, 0, "{label}");
+        assert_eq!(live.admitted, stream.len() as u64, "{label}");
+        assert_eq!(live.summary.records, redriven.records, "{label}");
+        assert_eq!(
+            live.summary.keepalive_cost_usd.to_bits(),
+            redriven.keepalive_cost_usd.to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            live.summary.memory_at_tick_mb, redriven.memory_at_tick_mb,
+            "{label}"
+        );
+        assert_eq!(live.decision_ns.count(), live.admitted, "{label}");
+        assert_eq!(live.tick_ns.count(), minutes, "{label}");
+    }
 }
