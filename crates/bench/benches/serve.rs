@@ -3,7 +3,8 @@
 //! thread, wall-clock decision timing). Throughput is per *arrival*, so the
 //! numbers read directly as sustainable requests per second.
 //!
-//! Run with `PULSE_BENCH_JSON=BENCH_serve.json cargo bench --bench serve`
+//! Run with
+//! `PULSE_BENCH_JSON=BENCH_serve.json cargo bench -p pulse-bench --bench serve`
 //! to append machine-readable points to the trajectory file.
 
 #![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
@@ -50,15 +51,27 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // The full live pipeline: producer thread, bounded channel, wall-clock
-    // histograms. Unthrottled, so this measures pipeline capacity.
+    // histograms. Unthrottled, so this measures pipeline capacity. Both
+    // bounds exceed the ~100k offered arrivals, so every arrival is admitted
+    // and decided: a faster consumer finishes sooner instead of doing more
+    // work in the same wall time (with tighter bounds most arrivals would be
+    // dropped at the front door or shed, and how many depends on speed).
+    let all_admitted = 1 << 17;
     let demo = DemoConfig {
         rps: 50_000,
         seconds: 2,
         functions: FUNCTIONS,
         seed: 42,
-        max_pending: 4_096,
-        channel_capacity: 65_536,
+        max_pending: all_admitted,
+        channel_capacity: all_admitted,
     };
+    let check = run_demo(&demo, None);
+    assert_eq!(
+        (check.front_door_dropped, check.engine_shed),
+        (0, 0),
+        "serve_live must admit every offered arrival"
+    );
+    assert!(check.admitted > 0);
     let mut group = c.benchmark_group("serve_live");
     group.throughput(Throughput::Elements(demo.expected_arrivals()));
     group.bench_function("demo_100k_arrivals", |b| b.iter(|| run_demo(&demo, None)));

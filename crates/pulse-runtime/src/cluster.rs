@@ -10,18 +10,16 @@
 //!   policy's plan exceeds it at a minute tick, the runtime flattens the
 //!   overage with Algorithm 2's utility-ordered downgrade loop (the same
 //!   `Uv` machinery PULSE uses for peaks), emitting
-//!   [`OpsEvent::PressureDowngrade`]/[`OpsEvent::Evicted`] instead of
-//!   failing provisioning;
+//!   `ObsEvent::Downgrade`/`ObsEvent::Evict` instead of failing
+//!   provisioning;
 //! * [`AdmissionControl`] — a bound on the global pending queue (requests
 //!   waiting for provisioning or a concurrency slot). Arrivals that cannot
 //!   start immediately once the backlog is full are shed with
-//!   [`OpsEvent::Overloaded`] instead of queueing forever.
+//!   `ObsEvent::Shed` instead of queueing forever.
 //!
-//! [`OpsEvent`] also records the policy watchdog's fallback transitions
-//! (see `pulse_sim::watchdog`), giving one ordered operational log per run
-//! in `RuntimeSummary::ops_events`.
-
-use pulse_models::VariantId;
+//! Each action is counted in the `RuntimeSummary` and emitted once to the
+//! session's trace sink, alongside the policy watchdog's switches (see
+//! `pulse_sim::watchdog`): the `ObsEvent` stream is the run's one event log.
 
 /// Megabytes per gigabyte (keep-alive footprints are tracked in MB).
 const MB_PER_GB: f64 = 1024.0;
@@ -107,77 +105,6 @@ impl ClusterConfig {
     pub fn is_unlimited(&self) -> bool {
         self.capacity.keepalive_mb.is_none() && self.admission.max_pending.is_none()
     }
-}
-
-/// One operational event logged by the robustness layer, in event order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OpsEvent {
-    /// Capacity pressure downgraded a kept-alive model one rung.
-    PressureDowngrade {
-        /// Minute tick at which the enforcer ran.
-        minute: u64,
-        /// Affected function.
-        func: usize,
-        /// Variant before the downgrade.
-        from: VariantId,
-        /// Variant after the downgrade.
-        to: VariantId,
-    },
-    /// Capacity pressure evicted a kept-alive model entirely.
-    Evicted {
-        /// Minute tick at which the enforcer ran.
-        minute: u64,
-        /// Affected function.
-        func: usize,
-        /// Variant that was evicted.
-        from: VariantId,
-    },
-    /// An arrival was shed by admission control.
-    Overloaded {
-        /// Arrival time, ms.
-        at_ms: u64,
-        /// The function the request targeted.
-        func: usize,
-        /// The shed request's index in `RuntimeSummary::records`.
-        req: usize,
-    },
-    /// The policy watchdog switched to its safe fallback.
-    WatchdogFallback {
-        /// Minute tick at which the switch was observed.
-        minute: u64,
-    },
-    /// The policy watchdog recovered to the inner policy.
-    WatchdogRecover {
-        /// Minute tick at which the recovery was observed.
-        minute: u64,
-    },
-    /// A node-level fault struck (fleet runs only).
-    NodeDown {
-        /// Minute at which the fault struck.
-        minute: u64,
-        /// Affected node.
-        node: usize,
-        /// What kind of fault.
-        kind: crate::node::NodeFaultKind,
-    },
-    /// A node healed fully (no fault window covers it anymore).
-    NodeRecovered {
-        /// Minute at which the node came back up.
-        minute: u64,
-        /// Affected node.
-        node: usize,
-    },
-    /// The rebalancer migrated a warm container between nodes.
-    Migrated {
-        /// Minute tick at which the rebalancer ran.
-        minute: u64,
-        /// Owning function.
-        func: usize,
-        /// Source node.
-        from_node: usize,
-        /// Destination node.
-        to_node: usize,
-    },
 }
 
 #[cfg(test)]

@@ -27,7 +27,13 @@
 //! * **two-tier admission**: the global front door
 //!   ([`FleetConfig::admission`]) sheds before per-function queues grow
 //!   unbounded, and [`FleetConfig::node_admission`] bounds each node's
-//!   waiting backlog separately.
+//!   waiting backlog separately. A shed of either tier counts in
+//!   `RuntimeSummary::shed_requests` (tier 2 also in `node_shed_requests`).
+//!
+//! Each of these actions is counted in the `RuntimeSummary` and emitted
+//! once to the session's trace sink (`ObsEvent::NodeDown`,
+//! `NodeRecovered`, `Migrate`, `Shed`): the `ObsEvent` stream is the one
+//! event log.
 //!
 //! The transparency contract mirrors the cluster layer's: a
 //! [`ClusterConfig`] converts (`From`) to one nominal node with no node

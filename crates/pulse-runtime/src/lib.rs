@@ -64,7 +64,7 @@ pub mod metrics;
 pub mod node;
 pub mod runtime;
 
-pub use cluster::{AdmissionControl, ClusterConfig, NodeCapacity, OpsEvent};
+pub use cluster::{AdmissionControl, ClusterConfig, NodeCapacity};
 pub use container::{ContainerState, LiveContainer};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultInjector, FaultPlan, FaultRates, RetryPolicy};

@@ -3,10 +3,10 @@
 //! injection — failure/retry/degradation/timeout counters with availability
 //! and goodput. Under a cluster configuration (capacity / admission /
 //! watchdog, see [`crate::cluster`]) the summary additionally counts shed
-//! requests, pressure evictions/downgrades and fallback minutes, and carries
-//! the ordered [`OpsEvent`] log.
+//! requests, pressure evictions/downgrades and fallback minutes. The
+//! summary holds counters only: the ordered record of each action is the
+//! `ObsEvent` stream the session emits to its trace sink.
 
-use crate::cluster::OpsEvent;
 use pulse_models::stats;
 
 /// One served (or failed) request.
@@ -37,7 +37,9 @@ impl RequestRecord {
 /// Summary of one runtime execution.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeSummary {
-    /// All requests, completion-ordered.
+    /// All requests, indexed by request id. Ids are assigned as requests
+    /// enter the session (seeded in `(minute, func)` order at session build,
+    /// or one per `RuntimeSession::admit_at`), not in completion order.
     pub records: Vec<RequestRecord>,
     /// Keep-alive cost, USD (billed per GB-ms of warm container time).
     pub keepalive_cost_usd: f64,
@@ -71,8 +73,9 @@ pub struct RuntimeSummary {
     /// Containers reaped because the *cheapest* variant also failed to
     /// provision (the ladder offered no further fallback).
     pub reaped: u64,
-    /// Arrivals shed by admission control (they count as failed requests in
-    /// [`Self::availability`] and [`Self::goodput`] via their records).
+    /// Arrivals shed by admission control, either tier (they count as
+    /// failed requests in [`Self::availability`] and [`Self::goodput`] via
+    /// their records).
     pub shed_requests: u64,
     /// Kept-alive models evicted by node-capacity pressure.
     pub evictions: u64,
@@ -84,10 +87,6 @@ pub struct RuntimeSummary {
     pub pressure_minutes: u64,
     /// Minute ticks spent with the policy watchdog in its safe fallback.
     pub fallback_minutes: u64,
-    /// Ordered operational log: capacity evictions/downgrades, sheds,
-    /// watchdog transitions, and — under a fleet — node faults/recoveries
-    /// and migrations.
-    pub ops_events: Vec<OpsEvent>,
     /// Warm-container migrations performed by the fleet rebalancer.
     pub migrations: u64,
     /// Total charged migration pause, ms (each migration pauses its

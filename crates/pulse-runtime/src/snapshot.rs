@@ -17,13 +17,12 @@
 //! [`RecoverError`](pulse_sim::recover::RecoverError).
 
 use super::{DurationSampler, FnState, NodeRt, RunState, Runtime, RuntimeSession};
-use crate::cluster::OpsEvent;
 use crate::container::{ContainerState, LiveContainer};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::fleet::FleetConfig;
 use crate::metrics::{RequestRecord, RuntimeSummary};
-use crate::node::{NodeFaultKind, NodeHealth};
+use crate::node::NodeHealth;
 use pulse_core::global::FlattenScratch;
 use pulse_core::priority::PriorityStructure;
 use pulse_core::schedule::ScheduleLedger;
@@ -36,7 +35,6 @@ use pulse_sim::recover::{
 };
 use pulse_sim::PlanState;
 use rand::rngs::SmallRng;
-use std::collections::VecDeque;
 
 /// Encode one queued [`Event`] as `(kind code, 4 packed args)`.
 fn encode_event(e: &Event) -> (u64, [u64; 4]) {
@@ -60,158 +58,77 @@ fn encode_event(e: &Event) -> (u64, [u64; 4]) {
     }
 }
 
-/// Decode an event written by [`encode_event`].
-// Ids were written from usize by encode_event.
-#[allow(clippy::cast_possible_truncation)]
-fn decode_event(kind: u64, a: [u64; 4]) -> Result<Event, RecoverError> {
+/// Sizes of the tables a restored snapshot's ids index into.
+struct Tables {
+    funcs: usize,
+    reqs: usize,
+    nodes: usize,
+    faults: usize,
+}
+
+/// Read `id` as an index into a table of `len` entries; out of range is
+/// corrupt, so a well-formed but foreign id can never panic the resumed run.
+fn index(what: &str, id: u64, len: usize) -> Result<usize, RecoverError> {
+    usize::try_from(id)
+        .ok()
+        .filter(|&i| i < len)
+        .ok_or_else(|| RecoverError::corrupt(format!("{what} {id} out of range 0..{len}")))
+}
+
+/// Decode an event written by [`encode_event`], checking every id against
+/// its table.
+fn decode_event(kind: u64, a: [u64; 4], t: &Tables) -> Result<Event, RecoverError> {
     let [x, y, z, w] = a;
+    let func = || index("function", x, t.funcs);
+    let req = || index("request", y, t.reqs);
     Ok(match kind {
         0 => Event::Arrival {
-            func: x as usize,
-            req: y as usize,
+            func: func()?,
+            req: req()?,
         },
         1 => Event::ProvisionDone {
-            func: x as usize,
+            func: func()?,
             epoch: y,
         },
         2 => Event::ExecDone {
-            func: x as usize,
-            req: y as usize,
+            func: func()?,
+            req: req()?,
             gen: z,
         },
         3 => Event::ProvisionFailed {
-            func: x as usize,
+            func: func()?,
             epoch: y,
         },
         4 => Event::ExecFailed {
-            func: x as usize,
-            req: y as usize,
+            func: func()?,
+            req: req()?,
             epoch: z,
             gen: w,
         },
         5 => Event::RequestTimeout {
-            func: x as usize,
-            req: y as usize,
+            func: func()?,
+            req: req()?,
         },
         6 => Event::RetryRequest {
-            func: x as usize,
-            req: y as usize,
+            func: func()?,
+            req: req()?,
         },
         7 => Event::MinuteTick { minute: x },
         8 => Event::NodeDown {
-            node: x as usize,
-            fault: y as usize,
+            node: index("node", x, t.nodes)?,
+            fault: index("fault", y, t.faults)?,
         },
         9 => Event::NodeRecovered {
-            node: x as usize,
-            fault: y as usize,
+            node: index("node", x, t.nodes)?,
+            fault: index("fault", y, t.faults)?,
         },
         10 => Event::MigrationDone {
-            func: x as usize,
+            func: func()?,
             epoch: y,
         },
         other => {
             return Err(RecoverError::corrupt(format!(
                 "unknown event kind code {other}"
-            )))
-        }
-    })
-}
-
-/// Encode an [`OpsEvent`] as `(code, 4 packed u64 args, 1 f64 arg)`.
-fn encode_ops(e: &OpsEvent) -> (u64, [u64; 4], f64) {
-    match *e {
-        OpsEvent::PressureDowngrade {
-            minute,
-            func,
-            from,
-            to,
-        } => (0, [minute, func as u64, from as u64, to as u64], 0.0),
-        OpsEvent::Evicted { minute, func, from } => (1, [minute, func as u64, from as u64, 0], 0.0),
-        OpsEvent::Overloaded { at_ms, func, req } => (2, [at_ms, func as u64, req as u64, 0], 0.0),
-        OpsEvent::WatchdogFallback { minute } => (3, [minute, 0, 0, 0], 0.0),
-        OpsEvent::WatchdogRecover { minute } => (4, [minute, 0, 0, 0], 0.0),
-        OpsEvent::NodeDown { minute, node, kind } => {
-            let (k, slow) = encode_fault_kind(kind);
-            (5, [minute, node as u64, k, 0], slow)
-        }
-        OpsEvent::NodeRecovered { minute, node } => (6, [minute, node as u64, 0, 0], 0.0),
-        OpsEvent::Migrated {
-            minute,
-            func,
-            from_node,
-            to_node,
-        } => (
-            7,
-            [minute, func as u64, from_node as u64, to_node as u64],
-            0.0,
-        ),
-    }
-}
-
-/// Decode an ops event written by [`encode_ops`].
-// Ids were written from usize by encode_ops.
-#[allow(clippy::cast_possible_truncation)]
-fn decode_ops(code: u64, a: [u64; 4], x: f64) -> Result<OpsEvent, RecoverError> {
-    let [p, q, r, s] = a;
-    Ok(match code {
-        0 => OpsEvent::PressureDowngrade {
-            minute: p,
-            func: q as usize,
-            from: r as usize,
-            to: s as usize,
-        },
-        1 => OpsEvent::Evicted {
-            minute: p,
-            func: q as usize,
-            from: r as usize,
-        },
-        2 => OpsEvent::Overloaded {
-            at_ms: p,
-            func: q as usize,
-            req: r as usize,
-        },
-        3 => OpsEvent::WatchdogFallback { minute: p },
-        4 => OpsEvent::WatchdogRecover { minute: p },
-        5 => OpsEvent::NodeDown {
-            minute: p,
-            node: q as usize,
-            kind: decode_fault_kind(r, x)?,
-        },
-        6 => OpsEvent::NodeRecovered {
-            minute: p,
-            node: q as usize,
-        },
-        7 => OpsEvent::Migrated {
-            minute: p,
-            func: q as usize,
-            from_node: r as usize,
-            to_node: s as usize,
-        },
-        other => {
-            return Err(RecoverError::corrupt(format!(
-                "unknown ops event code {other}"
-            )))
-        }
-    })
-}
-
-fn encode_fault_kind(kind: NodeFaultKind) -> (u64, f64) {
-    match kind {
-        NodeFaultKind::Crash => (0, 0.0),
-        NodeFaultKind::Partition => (1, 0.0),
-        NodeFaultKind::Degraded { slowdown } => (2, slowdown),
-    }
-}
-
-fn decode_fault_kind(code: u64, slowdown: f64) -> Result<NodeFaultKind, RecoverError> {
-    Ok(match code {
-        0 => NodeFaultKind::Crash,
-        1 => NodeFaultKind::Partition,
-        2 => NodeFaultKind::Degraded { slowdown },
-        other => {
-            return Err(RecoverError::corrupt(format!(
-                "unknown fault kind code {other}"
             )))
         }
     })
@@ -318,7 +235,6 @@ fn decode_summary(rec: &Record) -> Result<RuntimeSummary, RecoverError> {
         pressure_downgrades: rec.u64("pressure_down").map_err(c)?,
         pressure_minutes: rec.u64("pressure_min").map_err(c)?,
         fallback_minutes: rec.u64("fallback_min").map_err(c)?,
-        ops_events: Vec::new(),
         migrations: rec.u64("migrations").map_err(c)?,
         migration_pause_ms: rec.u64("migration_pause").map_err(c)?,
         node_crashes: rec.u64("node_crashes").map_err(c)?,
@@ -333,13 +249,74 @@ fn decode_summary(rec: &Record) -> Result<RuntimeSummary, RecoverError> {
     })
 }
 
+/// The `(func, req)` a request-carrying event names.
+fn event_request(e: &Event) -> Option<(usize, usize)> {
+    match *e {
+        Event::Arrival { func, req }
+        | Event::ExecDone { func, req, .. }
+        | Event::ExecFailed { func, req, .. }
+        | Event::RequestTimeout { func, req }
+        | Event::RetryRequest { func, req } => Some((func, req)),
+        _ => None,
+    }
+}
+
+/// Decode one function's `"fn"` row; `rungs` is the length of its
+/// quality ladder.
+fn decode_fn(rec: &Record, rungs: usize, t: &Tables) -> Result<FnState, RecoverError> {
+    let c = |e: pulse_obs::ParseError| RecoverError::corrupt(e);
+    let reqs = |key: &str| {
+        rec.u64_list(key)
+            .map_err(c)?
+            .into_iter()
+            .map(|r| index("request", r, t.reqs))
+            .collect::<Result<Vec<usize>, _>>()
+    };
+    let container = if rec.bool("cont").map_err(c)? {
+        Some(LiveContainer {
+            variant: index("variant", rec.u64("cvariant").map_err(c)?, rungs)?,
+            state: decode_container_state(rec.u64("cstate").map_err(c)?)?,
+            busy: u32::try_from(rec.u64("cbusy").map_err(c)?).map_err(RecoverError::corrupt)?,
+            warm_since_ms: rec.u64("cwarm").map_err(c)?,
+            epoch: rec.u64("cepoch").map_err(c)?,
+        })
+    } else {
+        None
+    };
+    // Every execution start pushes its request onto `executing` and bumps
+    // `in_flight`; every end undoes both.
+    let executing = reqs("executing")?;
+    let in_flight = rec.u64("in_flight").map_err(c)?;
+    if usize::try_from(in_flight).ok() != Some(executing.len()) {
+        return Err(RecoverError::corrupt(format!(
+            "in_flight {in_flight} disagrees with {} executing requests",
+            executing.len()
+        )));
+    }
+    Ok(FnState {
+        container,
+        waiting: reqs("waiting")?.into(),
+        in_flight: u32::try_from(in_flight).map_err(RecoverError::corrupt)?,
+        executing,
+        node: index("node", rec.u64("node").map_err(c)?, t.nodes)?,
+        scheduled_minute: rec
+            .bool("sched_set")
+            .map_err(c)?
+            .then(|| rec.u64("sched").map_err(c))
+            .transpose()?,
+        epoch: rec.u64("epoch").map_err(c)?,
+        provision_attempts: u32::try_from(rec.u64("attempts").map_err(c)?)
+            .map_err(RecoverError::corrupt)?,
+    })
+}
+
 impl RuntimeSession<'_> {
     /// Capture the full resumable state of this run as a versioned snapshot
     /// document. Restoring it with [`Runtime::restore`] (same
     /// workload/plan/fleet, a fresh same-seeded policy) and stepping to
     /// completion is bit-identical to never having stopped — counters, cost,
-    /// per-request records, ops events and the emitted observability stream
-    /// all included. Fails with
+    /// per-request records and the emitted observability stream all
+    /// included. Fails with
     /// [`RecoverError::NotCheckpointable`] when the policy cannot export its
     /// state.
     pub fn snapshot(&self) -> Result<String, RecoverError> {
@@ -392,35 +369,6 @@ impl RuntimeSession<'_> {
                 .finish(),
         );
         push(&mut doc, summary_row(&rs.summary));
-
-        let (mut code, mut oa, mut ob, mut oc, mut od, mut ox) = (
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        );
-        for e in &rs.summary.ops_events {
-            let (k, [p, q, r, s], x) = encode_ops(e);
-            code.push(k);
-            oa.push(p);
-            ob.push(q);
-            oc.push(r);
-            od.push(s);
-            ox.push(x);
-        }
-        push(
-            &mut doc,
-            RecordBuilder::new("ops")
-                .u64_list("code", &code)
-                .u64_list("a", &oa)
-                .u64_list("b", &ob)
-                .u64_list("c", &oc)
-                .u64_list("d", &od)
-                .f64_list("x", &ox)
-                .finish(),
-        );
 
         push(
             &mut doc,
@@ -644,10 +592,10 @@ impl Runtime {
         let mut policy_state = None;
         let mut demand_history = None;
         let mut summary = None;
-        let mut ops = None;
         let mut reqs = None;
         let mut queue = None;
-        let mut fns: Vec<Option<FnState>> = (0..n).map(|_| None).collect();
+        // Fn rows index the request table, so they decode once it is known.
+        let mut fn_rows: Vec<Option<Record>> = (0..n).map(|_| None).collect();
         let mut nodes: Vec<Option<(NodeRt, PriorityStructure)>> =
             (0..fleet.nodes.len()).map(|_| None).collect();
         // `for_families` so the rebuilt ledger carries the same incremental
@@ -681,25 +629,6 @@ impl Runtime {
                 "policy" => policy_state = Some(rec.str("state").map_err(c)?.to_string()),
                 "demand" => demand_history = Some(rec.f64_list("history").map_err(c)?),
                 "summary" => summary = Some(decode_summary(&rec)?),
-                "ops" => {
-                    let code = rec.u64_list("code").map_err(c)?;
-                    let a = rec.u64_list("a").map_err(c)?;
-                    let b = rec.u64_list("b").map_err(c)?;
-                    let d2 = rec.u64_list("c").map_err(c)?;
-                    let d3 = rec.u64_list("d").map_err(c)?;
-                    let x = rec.f64_list("x").map_err(c)?;
-                    if [a.len(), b.len(), d2.len(), d3.len(), x.len()]
-                        .iter()
-                        .any(|&l| l != code.len())
-                    {
-                        return Err(RecoverError::corrupt("ops row lists disagree in length"));
-                    }
-                    let mut events = Vec::with_capacity(code.len());
-                    for i in 0..code.len() {
-                        events.push(decode_ops(code[i], [a[i], b[i], d2[i], d3[i]], x[i])?);
-                    }
-                    ops = Some(events);
-                }
                 "reqs" => reqs = Some(rec),
                 "queue" => queue = Some(rec),
                 "fn" => {
@@ -709,44 +638,7 @@ impl Runtime {
                             "fn row targets function {f} of {n}"
                         )));
                     }
-                    let container = if rec.bool("cont").map_err(c)? {
-                        Some(LiveContainer {
-                            variant: rec.u64("cvariant").map_err(c)? as usize,
-                            state: decode_container_state(rec.u64("cstate").map_err(c)?)?,
-                            busy: u32::try_from(rec.u64("cbusy").map_err(c)?)
-                                .map_err(RecoverError::corrupt)?,
-                            warm_since_ms: rec.u64("cwarm").map_err(c)?,
-                            epoch: rec.u64("cepoch").map_err(c)?,
-                        })
-                    } else {
-                        None
-                    };
-                    fns[f] = Some(FnState {
-                        container,
-                        waiting: rec
-                            .u64_list("waiting")
-                            .map_err(c)?
-                            .into_iter()
-                            .map(|r| r as usize)
-                            .collect::<VecDeque<usize>>(),
-                        in_flight: u32::try_from(rec.u64("in_flight").map_err(c)?)
-                            .map_err(RecoverError::corrupt)?,
-                        executing: rec
-                            .u64_list("executing")
-                            .map_err(c)?
-                            .into_iter()
-                            .map(|r| r as usize)
-                            .collect(),
-                        node: rec.usize("node").map_err(c)?,
-                        scheduled_minute: rec
-                            .bool("sched_set")
-                            .map_err(c)?
-                            .then(|| rec.u64("sched").map_err(c))
-                            .transpose()?,
-                        epoch: rec.u64("epoch").map_err(c)?,
-                        provision_attempts: u32::try_from(rec.u64("attempts").map_err(c)?)
-                            .map_err(RecoverError::corrupt)?,
-                    });
+                    fn_rows[f] = Some(rec);
                 }
                 "node" => {
                     let k = rec.usize("idx").map_err(c)?;
@@ -773,7 +665,7 @@ impl Runtime {
                     nd.migrations_out = rec.u64("migr_out").map_err(c)?;
                     nodes[k] = Some((nd, PriorityStructure::from_counts(pressure)));
                 }
-                "sched" => decode_ledger_row(&mut ledger, &rec)?,
+                "sched" => decode_ledger_row(&mut ledger, &self.families, &rec)?,
                 other => {
                     return Err(RecoverError::corrupt(format!(
                         "unknown snapshot row kind {other:?}"
@@ -788,10 +680,8 @@ impl Runtime {
             policy_state.ok_or_else(|| RecoverError::corrupt("snapshot lacks a policy row"))?;
         let demand_history =
             demand_history.ok_or_else(|| RecoverError::corrupt("snapshot lacks a demand row"))?;
-        let mut summary =
+        let summary =
             summary.ok_or_else(|| RecoverError::corrupt("snapshot lacks a summary row"))?;
-        summary.ops_events =
-            ops.ok_or_else(|| RecoverError::corrupt("snapshot lacks an ops row"))?;
         let reqs = reqs.ok_or_else(|| RecoverError::corrupt("snapshot lacks a reqs row"))?;
         let queue_rec = queue.ok_or_else(|| RecoverError::corrupt("snapshot lacks a queue row"))?;
 
@@ -848,13 +738,47 @@ impl Runtime {
         {
             return Err(RecoverError::corrupt("queue row lists disagree in length"));
         }
+        let tables = Tables {
+            funcs: n,
+            reqs: len,
+            nodes: fleet.nodes.len(),
+            faults: fleet.node_faults.faults.len(),
+        };
         let mut entries = Vec::with_capacity(qt.len());
         for i in 0..qt.len() {
             entries.push((
                 qt[i],
                 qs[i],
-                decode_event(qk[i], [qa[i], qb[i], qc[i], qd[i]])?,
+                decode_event(qk[i], [qa[i], qb[i], qc[i], qd[i]], &tables)?,
             ));
+        }
+        let fns: Vec<FnState> = fn_rows
+            .into_iter()
+            .enumerate()
+            .map(|(f, rec)| {
+                let rec = rec.ok_or_else(|| {
+                    RecoverError::corrupt(format!("snapshot lacks the fn row of {f}"))
+                })?;
+                decode_fn(&rec, self.families[f].variants.len(), &tables)
+            })
+            .collect::<Result<_, _>>()?;
+        // A request a function holds or an event names is served from that
+        // function's ladder.
+        let held = fns.iter().enumerate().flat_map(|(f, st)| {
+            st.waiting
+                .iter()
+                .chain(&st.executing)
+                .map(move |&req| (f, req))
+        });
+        let named = entries.iter().filter_map(|(_, _, e)| event_request(e));
+        for (f, req) in held.chain(named) {
+            let rungs = self.families[f].variants.len();
+            if usize::try_from(variant[req]).map_or(true, |v| v >= rungs) {
+                return Err(RecoverError::corrupt(format!(
+                    "request {req} of function {f}: variant {} out of range 0..{rungs}",
+                    variant[req]
+                )));
+            }
         }
         let queue = EventQueue::from_parts(
             entries,
@@ -863,13 +787,6 @@ impl Runtime {
         )
         .map_err(RecoverError::corrupt)?;
 
-        let fns: Vec<FnState> = fns
-            .into_iter()
-            .enumerate()
-            .map(|(f, st)| {
-                st.ok_or_else(|| RecoverError::corrupt(format!("snapshot lacks the fn row of {f}")))
-            })
-            .collect::<Result<_, _>>()?;
         let (nodes, pressure_priority): (Vec<NodeRt>, Vec<PriorityStructure>) = nodes
             .into_iter()
             .enumerate()
@@ -935,7 +852,7 @@ mod tests {
     use pulse_obs::{Record, RecordBuilder};
     use pulse_sim::assignment::round_robin_assignment;
     use pulse_sim::policies::{OpenWhiskFixed, PulsePolicy};
-    use pulse_sim::recover::RecoverError;
+    use pulse_sim::recover::{RecoverError, SNAPSHOT_VERSION};
 
     const HORIZON: usize = 240;
 
@@ -1017,12 +934,17 @@ mod tests {
         let snap = sess.snapshot().unwrap();
         drop(sess);
 
-        let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
-        let mut p2 = pulse(&fams);
-        assert!(matches!(
-            rt.restore(&mut p2, &plan, fleet.clone(), &skewed),
-            Err(RecoverError::VersionSkew { found: 9, .. })
-        ));
+        // A future version and the previous one (which still carried an
+        // ops row) are both skew, never a half-read document.
+        let current = format!("\"version\":{SNAPSHOT_VERSION}");
+        for found in [9, 1] {
+            let skewed = snap.replacen(&current, &format!("\"version\":{found}"), 1);
+            let mut p2 = pulse(&fams);
+            assert!(matches!(
+                rt.restore(&mut p2, &plan, fleet.clone(), &skewed),
+                Err(RecoverError::VersionSkew { found: f, .. }) if f == found
+            ));
+        }
 
         let mut other = OpenWhiskFixed::new(&fams);
         assert!(matches!(
@@ -1131,6 +1053,117 @@ mod tests {
                 Err(e) => panic!("{what}: expected Corrupt, got {e:?}"),
                 Ok(_) => panic!("{what}: a broken tick run restored"),
             }
+        }
+    }
+
+    /// Apply `edit` to the first row of type `kind` (the other rows are
+    /// kept verbatim).
+    fn with_row(snap: &str, kind: &str, edit: impl Fn(&str) -> String) -> String {
+        let tag = format!("{{\"type\":\"{kind}\",");
+        let mut done = false;
+        snap.lines()
+            .map(|line| {
+                if done || !line.starts_with(&tag) {
+                    return line.to_string();
+                }
+                done = true;
+                edit(line)
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Replace the value of `"key":"…"` (a packed list) in one row.
+    fn set_list(line: &str, key: &str, value: &str) -> String {
+        let open = format!("\"{key}\":\"");
+        let start = line.find(&open).expect("row has the key") + open.len();
+        let end = start + line[start..].find('"').expect("closing quote");
+        format!("{}{value}{}", &line[..start], &line[end..])
+    }
+
+    /// A snapshot of the fleet fixture after 200 events, and a restore of
+    /// `doc` against the same configuration that must fail as corrupt with
+    /// a message naming `what`.
+    fn assert_out_of_range(edit: impl Fn(&str) -> String, what: &str) {
+        let (rt, fams, plan, fleet) = fixture();
+        let mut p = pulse(&fams);
+        let mut sess = rt.session(&mut p, &plan, fleet.clone());
+        for _ in 0..200 {
+            sess.step();
+        }
+        let snap = sess.snapshot().unwrap();
+        drop(sess);
+        let doc = edit(&snap);
+        assert_ne!(doc, snap, "the edit must change the snapshot");
+        let mut p2 = pulse(&fams);
+        match rt.restore(&mut p2, &plan, fleet, &doc) {
+            Err(RecoverError::Corrupt { message }) => {
+                assert!(
+                    message.contains(what) && message.contains("out of range"),
+                    "{message}"
+                );
+            }
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("an out-of-range {what} restored"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_fn_row_on_a_missing_node() {
+        // The fixture fleet has 3 nodes; a leading 7 makes the id ≥ 70.
+        assert_out_of_range(
+            |snap| with_row(snap, "fn", |l| l.replacen("\"node\":", "\"node\":7", 1)),
+            "node",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_waiting_and_executing_ids_past_the_request_table() {
+        for key in ["waiting", "executing"] {
+            assert_out_of_range(
+                |snap| with_row(snap, "fn", |l| set_list(l, key, "999999")),
+                "request",
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_request_variants_off_their_functions_ladder() {
+        // Every zoo ladder has fewer than 99 rungs.
+        assert_out_of_range(
+            |snap| {
+                with_row(snap, "reqs", |l| {
+                    let reqs = Record::parse(l).unwrap().u64_list("variant").unwrap();
+                    set_list(l, "variant", &vec!["99"; reqs.len()].join(","))
+                })
+            },
+            "variant",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_queued_events_that_index_past_their_tables() {
+        const ARRIVAL: u64 = 0;
+        const NODE_DOWN: u64 = 8;
+        // Columns: [t, s, kind, a, b, c, d].
+        let cases: [(u64, usize, &str); 4] = [
+            (ARRIVAL, 3, "function"),
+            (ARRIVAL, 4, "request"),
+            (NODE_DOWN, 3, "node"),
+            (NODE_DOWN, 4, "fault"),
+        ];
+        for (kind, col, what) in cases {
+            assert_out_of_range(
+                |snap| {
+                    with_queue_row(snap, |k| {
+                        if k[2] == kind {
+                            k[col] = 999_999;
+                        }
+                        true
+                    })
+                },
+                what,
+            );
         }
     }
 }

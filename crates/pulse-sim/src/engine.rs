@@ -171,7 +171,7 @@ impl Simulator {
                     demand_history = Some(rec.f64_list("history").map_err(c)?);
                 }
                 "policy" => policy_state = Some(rec.str("state").map_err(c)?.to_string()),
-                "sched" => decode_ledger_row(&mut ledger, &rec)?,
+                "sched" => decode_ledger_row(&mut ledger, &self.families, &rec)?,
                 other => {
                     return Err(RecoverError::corrupt(format!(
                         "unknown snapshot row kind {other:?}"
@@ -886,7 +886,8 @@ mod tests {
         drop(session);
 
         // Version skew is detected before anything else is trusted.
-        let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
+        let current = format!("\"version\":{SNAPSHOT_VERSION}");
+        let skewed = snap.replacen(&current, "\"version\":9", 1);
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(matches!(
             sim.restore(&mut q, &skewed),
@@ -915,8 +916,7 @@ mod tests {
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(sim.restore(&mut q, "").is_err());
         assert!(sim.restore(&mut q, "not json").is_err());
-        assert!(sim
-            .restore(&mut q, "{\"type\":\"snapshot\",\"version\":1}")
-            .is_err());
+        let bare = format!("{{\"type\":\"snapshot\",\"version\":{SNAPSHOT_VERSION}}}");
+        assert!(sim.restore(&mut q, &bare).is_err());
     }
 }

@@ -18,11 +18,12 @@
 use crate::metrics::RunMetrics;
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::schedule::{ScheduleLedger, Slot};
+use pulse_models::ModelFamily;
 use pulse_obs::{Record, RecordBuilder};
 
 /// Version stamped into every snapshot header; restore rejects any other
 /// value with [`RecoverError::VersionSkew`].
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a snapshot could not be restored. Every failure mode is typed and
 /// soft: restore never panics on foreign input.
@@ -173,31 +174,42 @@ pub fn encode_ledger(doc: &mut String, ledger: &ScheduleLedger) {
     }
 }
 
-/// Apply one `"sched"` row to `ledger`.
-#[allow(clippy::cast_possible_truncation)] // variant ids are small zoo indices
-pub fn decode_ledger_row(ledger: &mut ScheduleLedger, rec: &Record) -> Result<(), RecoverError> {
+/// Apply one `"sched"` row to `ledger`, whose function `f` serves
+/// `families[f]`: every alive slot must name a rung of that ladder.
+pub fn decode_ledger_row(
+    ledger: &mut ScheduleLedger,
+    families: &[ModelFamily],
+    rec: &Record,
+) -> Result<(), RecoverError> {
     let f = rec.usize("func").map_err(RecoverError::corrupt)?;
-    if f >= ledger.n_functions() {
+    let n = ledger.n_functions().min(families.len());
+    if f >= n {
         return Err(RecoverError::corrupt(format!(
-            "sched row targets function {f} of {}",
-            ledger.n_functions()
+            "sched row targets function {f} of {n}"
         )));
     }
+    let rungs = families[f].variants.len();
     let at = rec.u64("at").map_err(RecoverError::corrupt)?;
-    let slots = rec.u64_list("slots").map_err(RecoverError::corrupt)?;
-    ledger.replace(
-        f,
-        KeepAliveSchedule::from_slots(
-            at,
-            slots.into_iter().map(|v| {
-                if v == HOLE_SLOT {
-                    Slot::Hole
-                } else {
-                    Slot::Alive(v as usize)
-                }
-            }),
-        ),
-    );
+    let slots = rec
+        .u64_list("slots")
+        .map_err(RecoverError::corrupt)?
+        .into_iter()
+        .map(|v| {
+            if v == HOLE_SLOT {
+                return Ok(Slot::Hole);
+            }
+            usize::try_from(v)
+                .ok()
+                .filter(|&v| v < rungs)
+                .map(Slot::Alive)
+                .ok_or_else(|| {
+                    RecoverError::corrupt(format!(
+                        "sched row of function {f} names variant {v} of {rungs}"
+                    ))
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    ledger.replace(f, KeepAliveSchedule::from_slots(at, slots));
     Ok(())
 }
 
@@ -260,10 +272,11 @@ mod tests {
         let mut doc = String::new();
         encode_ledger(&mut doc, &ledger);
         let mut back = ScheduleLedger::new(3);
+        let fams = vec![pulse_models::zoo::gpt(); 3];
         for line in doc.lines().filter(|l| !l.is_empty()) {
             let rec = Record::parse(line).map_err(RecoverError::corrupt).unwrap();
             assert_eq!(rec.kind(), "sched");
-            decode_ledger_row(&mut back, &rec).unwrap();
+            decode_ledger_row(&mut back, &fams, &rec).unwrap();
         }
         for f in 0..3 {
             for t in 0..20 {
@@ -275,13 +288,23 @@ mod tests {
 
     #[test]
     fn ledger_row_out_of_range_is_typed() {
-        let rec =
-            Record::parse("{\"type\":\"sched\",\"func\":9,\"at\":0,\"slots\":\"1\"}").unwrap();
+        let fams = vec![pulse_models::zoo::bert(); 2];
         let mut ledger = ScheduleLedger::new(2);
-        assert!(matches!(
-            decode_ledger_row(&mut ledger, &rec),
-            Err(RecoverError::Corrupt { .. })
-        ));
+        // A function past the ledger, and a variant past BERT's 2 rungs.
+        for row in [
+            "{\"type\":\"sched\",\"func\":9,\"at\":0,\"slots\":\"1\"}",
+            "{\"type\":\"sched\",\"func\":1,\"at\":0,\"slots\":\"1,2\"}",
+        ] {
+            let rec = Record::parse(row).unwrap();
+            assert!(matches!(
+                decode_ledger_row(&mut ledger, &fams, &rec),
+                Err(RecoverError::Corrupt { .. })
+            ));
+        }
+        assert!(
+            ledger.schedule(1).is_none(),
+            "a rejected row installs nothing"
+        );
     }
 
     #[test]

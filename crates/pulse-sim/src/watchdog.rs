@@ -78,15 +78,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// One state transition taken by the watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogTransition {
-    /// The minute whose observation triggered the switch.
-    pub minute: Minute,
-    /// True when the switch entered fallback, false when it recovered.
-    pub to_fallback: bool,
-}
-
 /// A [`KeepAlivePolicy`] wrapper that falls back to the fixed 10-minute
 /// OpenWhisk baseline when the inner policy breaches its guardrails, with
 /// enter/exit hysteresis. See the module docs for semantics.
@@ -104,7 +95,6 @@ pub struct Watchdog<P> {
     streak_breached: u32,
     streak_healthy: u32,
     in_fallback: bool,
-    transitions: Vec<WatchdogTransition>,
     fallback_minutes: u64,
 }
 
@@ -125,7 +115,6 @@ impl<P: KeepAlivePolicy> Watchdog<P> {
             streak_breached: 0,
             streak_healthy: 0,
             in_fallback: false,
-            transitions: Vec::new(),
             fallback_minutes: 0,
         }
     }
@@ -133,11 +122,6 @@ impl<P: KeepAlivePolicy> Watchdog<P> {
     /// The wrapped policy.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// State transitions taken so far, in order.
-    pub fn transitions(&self) -> &[WatchdogTransition] {
-        &self.transitions
     }
 
     /// Minutes spent in fallback so far.
@@ -237,16 +221,8 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
 
         if !self.in_fallback && self.streak_breached >= self.cfg.enter_after.max(1) {
             self.in_fallback = true;
-            self.transitions.push(WatchdogTransition {
-                minute: obs.minute,
-                to_fallback: true,
-            });
         } else if self.in_fallback && self.streak_healthy >= self.cfg.exit_after.max(1) {
             self.in_fallback = false;
-            self.transitions.push(WatchdogTransition {
-                minute: obs.minute,
-                to_fallback: false,
-            });
         }
         if self.in_fallback {
             self.fallback_minutes += 1;
@@ -267,12 +243,6 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
             win_violations.push(v);
             win_keepalive.push(mb);
         }
-        let tr_minutes: Vec<u64> = self.transitions.iter().map(|t| t.minute).collect();
-        let tr_fallback: Vec<u64> = self
-            .transitions
-            .iter()
-            .map(|t| u64::from(t.to_fallback))
-            .collect();
         Some(
             RecordBuilder::new("watchdog")
                 .u64_list("win_requests", &win_requests)
@@ -285,8 +255,6 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
                 .u64("streak_healthy", u64::from(self.streak_healthy))
                 .bool("in_fallback", self.in_fallback)
                 .u64("fallback_minutes", self.fallback_minutes)
-                .u64_list("transition_minutes", &tr_minutes)
-                .u64_list("transition_to_fallback", &tr_fallback)
                 .str("inner", &inner)
                 .finish(),
         )
@@ -303,11 +271,6 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
         let win_keepalive = rec.f64_list("win_keepalive_mb").map_err(err)?;
         if win_requests.len() != win_violations.len() || win_requests.len() != win_keepalive.len() {
             return Err("watchdog window series lengths differ".to_string());
-        }
-        let tr_minutes = rec.u64_list("transition_minutes").map_err(err)?;
-        let tr_fallback = rec.u64_list("transition_to_fallback").map_err(err)?;
-        if tr_minutes.len() != tr_fallback.len() {
-            return Err("watchdog transition series lengths differ".to_string());
         }
         let streak_breached = u32::try_from(rec.u64("streak_breached").map_err(err)?)
             .map_err(|_| "streak_breached overflows u32".to_string())?;
@@ -327,14 +290,6 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
         self.streak_healthy = streak_healthy;
         self.in_fallback = rec.bool("in_fallback").map_err(err)?;
         self.fallback_minutes = rec.u64("fallback_minutes").map_err(err)?;
-        self.transitions = tr_minutes
-            .iter()
-            .zip(&tr_fallback)
-            .map(|(&minute, &fb)| WatchdogTransition {
-                minute,
-                to_fallback: fb != 0,
-            })
-            .collect();
         Ok(())
     }
 }
@@ -391,7 +346,6 @@ mod tests {
             w.observe_minute(&obs);
             assert!(!w.in_fallback(), "flapped at minute {t}");
         }
-        assert!(w.transitions().is_empty());
         assert_eq!(w.fallback_minutes(), 0);
     }
 
@@ -419,10 +373,8 @@ mod tests {
         // Window (5) must flush the bad minutes, then 4 healthy in a row —
         // recovery is not instant.
         assert!(t >= 6, "recovered too eagerly at {t}");
-        assert_eq!(w.transitions().len(), 2);
-        assert!(w.transitions()[0].to_fallback);
-        assert!(!w.transitions()[1].to_fallback);
-        assert!(w.fallback_minutes() > 0);
+        // In fallback from the tripping minute 2 up to, not including, `t`.
+        assert_eq!(w.fallback_minutes(), t - 2);
     }
 
     #[test]
@@ -480,7 +432,6 @@ mod tests {
             w.observe_minute(&bad_minute(t));
         }
         assert!(!w.in_fallback());
-        assert!(w.transitions().is_empty());
         assert_eq!(w.fallback_minutes(), 0);
         assert_eq!(w.name(), "watchdog(openwhisk-fixed-10min)");
     }

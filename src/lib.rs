@@ -68,7 +68,7 @@ pub mod prelude {
     pub use pulse_runtime::{
         AdmissionControl, ClusterConfig, FaultPlan, FaultRates, FleetConfig, MigrationConfig,
         NodeCapacity, NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec, NodeSummary,
-        OpsEvent, RetryPolicy, Runtime, RuntimeConfig,
+        RetryPolicy, Runtime, RuntimeConfig,
     };
     pub use pulse_sim::policies::{
         FixedVariant, IdealOracle, IntelligentOracle, OpenWhiskFixed, PulsePolicy, RandomMix,

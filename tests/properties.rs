@@ -341,6 +341,15 @@ proptest! {
         }
         let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
         drop(sess);
+        let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
+        let cluster = ClusterConfig::unlimited();
+        let mut p = make();
+        let mut sess = rt.session(&mut p, &FaultPlan::none(), cluster);
+        for _ in 0..6 {
+            sess.step();
+        }
+        let rt_snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        drop(sess);
         let garbage = String::from_utf8_lossy(&garbage_bytes).into_owned();
         let splice = String::from_utf8_lossy(&splice_bytes).into_owned();
 
@@ -357,21 +366,23 @@ proptest! {
         let docs = [
             garbage,
             corrupt(&snap),
+            corrupt(&rt_snap),
             corrupt(&csv::to_simple_csv(&trace)),
             corrupt(&csv::to_azure_day_csv(&trace, 0)),
             corrupt(&journal),
         ];
 
-        let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let cluster = ClusterConfig::unlimited();
         for doc in &docs {
             // Either a typed error, or (for corruptions that happen to stay
             // well-formed, e.g. a truncation splicing into a valid prefix)
-            // a successful parse — but never a panic.
+            // a successful parse that then runs to completion — but never a
+            // panic.
             let mut p = make();
             let _ = sim.restore(&mut p, doc);
             let mut p = make();
-            let _ = rt.restore(&mut p, &FaultPlan::none(), cluster, doc);
+            if let Ok(resumed) = rt.restore(&mut p, &FaultPlan::none(), cluster, doc) {
+                resumed.finish();
+            }
             let _ = csv::from_simple_csv_lenient(doc);
             let _ = csv::parse_azure_day_lenient(doc);
             let _ = pulse::obs::replay_journal(doc);

@@ -124,7 +124,6 @@ fn assert_summaries_bit_identical(
     assert_eq!(a.pressure_downgrades, b.pressure_downgrades, "{name}");
     assert_eq!(a.pressure_minutes, b.pressure_minutes, "{name}");
     assert_eq!(a.fallback_minutes, b.fallback_minutes, "{name}");
-    assert_eq!(a.ops_events, b.ops_events, "{name}: ops events diverged");
     assert_eq!(a.migrations, b.migrations, "{name}");
     assert_eq!(a.migration_pause_ms, b.migration_pause_ms, "{name}");
     assert_eq!(a.node_crashes, b.node_crashes, "{name}");
@@ -288,6 +287,16 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
     );
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
     let fleet = FleetConfig::uniform(1, NodeCapacity::unlimited());
+    // Guardrails tight enough that the faulted run trips before the kill
+    // point under every CI seed (the default ones never trip at seed 21),
+    // so the snapshot carries a watchdog that has already switched.
+    let cfg = WatchdogConfig {
+        window: 5,
+        max_violation_rate: 0.1,
+        enter_after: 2,
+        exit_after: 3,
+        ..WatchdogConfig::default()
+    };
     let make = || {
         Watchdog::new(
             Box::new(pulse::sim::policies::PulsePolicy::new(
@@ -295,14 +304,30 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
                 PulseConfig::default(),
             )),
             &fams,
-            WatchdogConfig::default(),
+            cfg,
         )
     };
+    let switches = |sink: &MemorySink| -> Vec<(u64, bool)> {
+        sink.events()
+            .iter()
+            .filter_map(|e| match *e {
+                ObsEvent::Watchdog { minute, fallback } => Some((minute, fallback)),
+                _ => None,
+            })
+            .collect()
+    };
     let mut whole_p = make();
-    let whole = rt.session(&mut whole_p, &plan, fleet.clone()).finish();
+    let mut whole_sink = MemorySink::new();
+    let whole = rt
+        .session(&mut whole_p, &plan, fleet.clone())
+        .traced(&mut whole_sink)
+        .finish();
 
     let mut p1 = make();
-    let mut sess = rt.session(&mut p1, &plan, fleet.clone());
+    let mut head_sink = MemorySink::new();
+    let mut sess = rt
+        .session(&mut p1, &plan, fleet.clone())
+        .traced(&mut head_sink);
     for _ in 0..1500 {
         if sess.step().is_none() {
             break;
@@ -310,12 +335,28 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
     }
     let snap = sess.snapshot().expect("watchdog snapshot");
     drop(sess);
+    let head = switches(&head_sink);
+    assert!(
+        head.iter().any(|&(_, fallback)| fallback),
+        "the watchdog must enter fallback before the kill point: {head:?}"
+    );
 
     let mut p2 = make();
+    let mut tail_sink = MemorySink::new();
     let resumed = rt
         .restore(&mut p2, &plan, fleet, &snap)
-        .expect("watchdog restore");
-    assert_summaries_bit_identical("watchdog(pulse)", &whole, &resumed.finish());
+        .expect("watchdog restore")
+        .traced(&mut tail_sink)
+        .finish();
+    assert_summaries_bit_identical("watchdog(pulse)", &whole, &resumed);
+    // The resumed run's switches are exactly the uninterrupted run's tail.
+    let all = switches(&whole_sink);
+    assert_eq!(all[..head.len()], head[..], "switches before the kill");
+    assert_eq!(
+        all[head.len()..],
+        switches(&tail_sink)[..],
+        "switches after the restore"
+    );
 }
 
 #[test]
@@ -393,7 +434,8 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     drop(sess);
 
     // Version skew.
-    let skewed = snap.replacen("\"version\":1", "\"version\":77", 1);
+    let current = format!("\"version\":{}", pulse::sim::recover::SNAPSHOT_VERSION);
+    let skewed = snap.replacen(&current, "\"version\":77", 1);
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     assert!(matches!(
         sim.restore(&mut p, &skewed),
