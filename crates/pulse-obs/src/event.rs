@@ -31,6 +31,9 @@ pub enum ActionSource {
     Policy,
     /// Node-capacity enforcement flattening a footprint over the hard cap.
     Pressure,
+    /// Fleet health: the function's node is down and no live node can host
+    /// its keep-alive model, so the slot is evicted.
+    NodeLoss,
 }
 
 impl ActionSource {
@@ -38,6 +41,7 @@ impl ActionSource {
         match self {
             ActionSource::Policy => "policy",
             ActionSource::Pressure => "pressure",
+            ActionSource::NodeLoss => "node_loss",
         }
     }
 
@@ -45,6 +49,7 @@ impl ActionSource {
         match s {
             "policy" => Ok(ActionSource::Policy),
             "pressure" => Ok(ActionSource::Pressure),
+            "node_loss" => Ok(ActionSource::NodeLoss),
             other => Err(ParseError::new(format!("unknown action source {other:?}"))),
         }
     }
@@ -794,6 +799,26 @@ mod tests {
                 applied: true,
             }
         );
+    }
+
+    #[test]
+    fn every_action_source_round_trips_by_name() {
+        for (source, name) in [
+            (ActionSource::Policy, "policy"),
+            (ActionSource::Pressure, "pressure"),
+            (ActionSource::NodeLoss, "node_loss"),
+        ] {
+            let ev = ObsEvent::Evict {
+                minute: 2,
+                func: 1,
+                from: 0,
+                source,
+                applied: true,
+            };
+            let line = ev.to_json();
+            assert!(line.contains(&format!("\"source\":\"{name}\"")), "{line}");
+            assert_eq!(ObsEvent::from_json(&line).unwrap(), ev);
+        }
     }
 
     #[test]

@@ -123,6 +123,21 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Record `v` with weight `n`: the same state as `n` calls of
+    /// [`Self::record`] (the sum saturates), and a no-op when `n` is 0. A
+    /// sampler that times one event in `n` records each timed value this
+    /// way, so `count` stays exact and the rest become estimates.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(v)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count

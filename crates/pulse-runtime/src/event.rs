@@ -17,7 +17,7 @@
 //! handful of in-flight events allows.
 
 use crate::MS_PER_MINUTE;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Runtime events.
@@ -122,7 +122,7 @@ pub enum Event {
 /// run of pending minute ticks (see the module docs).
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, EventKeyed)>>,
+    heap: BinaryHeap<Entry>,
     seq: u64,
     /// The next pending minute tick; ticks `next_minute..minutes` are due.
     next_minute: u64,
@@ -130,23 +130,45 @@ pub struct EventQueue {
     minutes: u64,
 }
 
-/// Wrapper giving `Event` a total order for the heap (order among equal
-/// timestamps is by insertion sequence; the event payload order is never
-/// consulted, but `Ord` must exist).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EventKeyed(Event);
+/// One heap entry: `event` scheduled at `t` with insertion sequence `s`.
+/// The two keys stay separate `u64`s (a stored `u128` would pad the entry
+/// from 56 to 64 bytes); only the comparison packs them.
+#[derive(Debug)]
+struct Entry {
+    t: u64,
+    s: u64,
+    event: Event,
+}
 
-impl PartialOrd for EventKeyed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Entry {
+    /// `(t, s)` as one integer, `t` in the high half: one `u128` compare
+    /// orders keys exactly as the lexicographic `(t, s)` tuple compare.
+    fn key(&self) -> u128 {
+        (u128::from(self.t) << 64) | u128::from(self.s)
+    }
+}
+
+// Reversed so the max-heap pops the smallest key; the payload is never
+// compared (sequence numbers are unique, so keys never tie).
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for EventKeyed {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
     }
 }
+
+impl Eq for Entry {}
 
 impl EventQueue {
     /// Empty queue without minute ticks.
@@ -175,8 +197,11 @@ impl EventQueue {
             !matches!(event, Event::MinuteTick { .. }),
             "minute ticks live in the tick run"
         );
-        self.heap
-            .push(Reverse((at_ms, self.seq, EventKeyed(event))));
+        self.heap.push(Entry {
+            t: at_ms,
+            s: self.seq,
+            event,
+        });
         self.seq += 1;
     }
 
@@ -188,7 +213,7 @@ impl EventQueue {
             && self
                 .heap
                 .peek()
-                .is_none_or(|Reverse((t, s, _))| (m * MS_PER_MINUTE, m) <= (*t, *s));
+                .is_none_or(|e| (m * MS_PER_MINUTE, m) <= (e.t, e.s));
         due.then_some(m)
     }
 
@@ -198,7 +223,7 @@ impl EventQueue {
             self.next_minute += 1;
             return Some((minute * MS_PER_MINUTE, Event::MinuteTick { minute }));
         }
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
+        self.heap.pop().map(|e| (e.t, e.event))
     }
 
     /// The earliest event and its timestamp, without removing it.
@@ -206,7 +231,7 @@ impl EventQueue {
         if let Some(minute) = self.next_tick() {
             return Some((minute * MS_PER_MINUTE, Event::MinuteTick { minute }));
         }
-        self.heap.peek().map(|Reverse((t, _, e))| (*t, e.0.clone()))
+        self.heap.peek().map(|e| (e.t, e.event.clone()))
     }
 
     /// Timestamp of the next event without removing it.
@@ -236,7 +261,7 @@ impl EventQueue {
         let mut entries: Vec<(u64, u64, Event)> = self
             .heap
             .iter()
-            .map(|Reverse((t, s, e))| (*t, *s, e.0.clone()))
+            .map(|e| (e.t, e.s, e.event.clone()))
             .chain(ticks)
             .collect();
         entries.sort_by_key(|&(t, s, _)| (t, s));
@@ -264,7 +289,7 @@ impl EventQueue {
         for (t, s, e) in entries {
             match e {
                 Event::MinuteTick { minute } => ticks.push((t, s, minute)),
-                e => heap.push(Reverse((t, s, EventKeyed(e)))),
+                event => heap.push(Entry { t, s, event }),
             }
         }
         ticks.sort_unstable_by_key(|&(_, _, m)| m);
@@ -299,8 +324,27 @@ impl EventQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
-    /// The all-heap queue the tick run replaced, kept as the ordering
+    /// Gives `Event` the total order a tuple heap key needs without ever
+    /// consulting the payload: all events compare equal.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct EventKeyed(Event);
+
+    impl PartialOrd for EventKeyed {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for EventKeyed {
+        fn cmp(&self, _other: &Self) -> Ordering {
+            Ordering::Equal
+        }
+    }
+
+    /// The all-heap queue with `Reverse<(time, seq, event)>` tuple entries
+    /// that the tick run and the packed key replaced, kept as the ordering
     /// oracle: every event, minute ticks included, is a heap entry.
     #[derive(Debug, Default)]
     struct HeapQueue {
@@ -375,14 +419,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Random pushes (a third of them exactly on a minute boundary)
-        /// interleaved with pops, peeks, length checks and snapshot
-        /// round-trips pop in exactly the all-heap queue's order.
+        /// Random pushes (a third of them exactly on a minute boundary),
+        /// pushes at `u64::MAX` (a saturated request timeout) and bursts
+        /// sharing one timestamp across many sequence numbers, interleaved
+        /// with pops, peeks, length checks and snapshot round-trips, pop in
+        /// exactly the all-heap tuple queue's order.
         #[test]
         fn tick_run_pops_exactly_like_the_all_heap_queue(
             minutes in 0u64..8,
             ops in proptest::collection::vec(
-                (0u8..10, 0u64..9, 0u8..3, 1u64..MS_PER_MINUTE, 0usize..4),
+                (0u8..12, 0u64..9, 0u8..3, 1u64..MS_PER_MINUTE, 0usize..4),
                 0..120,
             ),
         ) {
@@ -395,8 +441,22 @@ mod tests {
                         q.push(at, event(op, x));
                         oracle.push(at, event(op, x));
                     }
-                    5 | 6 => prop_assert_eq!(q.pop(), oracle.pop()),
-                    7 => {
+                    5 => {
+                        q.push(u64::MAX, event(0, x));
+                        oracle.push(u64::MAX, event(0, x));
+                    }
+                    6 => {
+                        // One exact timestamp (a minute boundary, or the top
+                        // of the range) for a burst of up to 32 pushes.
+                        let at = if tie == 0 { u64::MAX } else { minute * MS_PER_MINUTE };
+                        for k in 0..=(offset % 32) {
+                            let kind = u8::try_from(k % 5).unwrap_or(0);
+                            q.push(at, event(kind, x));
+                            oracle.push(at, event(kind, x));
+                        }
+                    }
+                    7 | 8 => prop_assert_eq!(q.pop(), oracle.pop()),
+                    9 => {
                         prop_assert_eq!(q.peek_time(), oracle.peek_time());
                         prop_assert_eq!(q.peek(), oracle.peek());
                         prop_assert_eq!(q.len(), oracle.heap.len());

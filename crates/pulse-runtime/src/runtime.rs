@@ -104,6 +104,15 @@ pub struct RuntimeConfig {
     pub stochastic_seed: Option<u64>,
 }
 
+impl RuntimeConfig {
+    /// The most requests one function executes at once (`usize::MAX` when
+    /// unbounded).
+    pub(crate) fn concurrency_cap(&self) -> usize {
+        self.max_concurrency
+            .map_or(usize::MAX, |c| usize::try_from(c).unwrap_or(usize::MAX))
+    }
+}
+
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
@@ -163,9 +172,8 @@ struct FnState {
     container: Option<LiveContainer>,
     /// Requests waiting for provisioning or a concurrency slot.
     waiting: VecDeque<usize>,
-    /// In-flight request count (for the concurrency cap).
-    in_flight: u32,
-    /// Requests currently executing (so a node crash can abort them).
+    /// Requests currently executing: its length is the in-flight count the
+    /// concurrency cap bounds, and a node crash aborts its members.
     executing: Vec<usize>,
     /// Node hosting this function's container (index into the fleet).
     node: usize,
@@ -257,7 +265,8 @@ struct RunState<'a> {
     summary: RuntimeSummary,
     sampler: DurationSampler,
     injector: FaultInjector,
-    cap: u32,
+    /// Concurrency cap per function: the most `executing` requests.
+    cap: usize,
     /// Requests currently waiting across all functions (for provisioning or
     /// a concurrency slot) — the backlog admission control bounds.
     pending: usize,
@@ -378,7 +387,6 @@ impl RunState<'_> {
     /// Begin executing `req` on `func`'s warm container, drawing the
     /// execution duration and (under faults) a possible mid-execution crash.
     fn start_exec(&mut self, fam: &ModelFamily, func: usize, req: usize, now: u64) {
-        self.fns[func].in_flight += 1;
         self.fns[func].executing.push(req);
         let mut epoch = 0;
         if let Some(c) = self.fns[func].container.as_mut() {
@@ -445,7 +453,7 @@ impl RunState<'_> {
         if !can_serve {
             return;
         }
-        while self.fns[func].in_flight < self.cap {
+        while self.fns[func].executing.len() < self.cap {
             let Some(req) = self.fns[func].waiting.pop_front() else {
                 break;
             };
@@ -539,17 +547,16 @@ impl RunState<'_> {
         }
         self.summary.exec_crashes += 1;
         // A live-generation crash event implies an execution this function
-        // started and never completed, so the slot count must be positive —
-        // a zero here means a completion was double-counted somewhere
+        // started and never completed, so `req` must still be executing —
+        // a miss here means a completion was double-counted somewhere
         // (crash-abort paths bump `req_gen`, so their stale events return
-        // above). Assert in debug; saturate in release so a production run
-        // degrades to a slot leak instead of a panic.
+        // above). Assert in debug; in release a miss frees no slot.
+        let pos = self.fns[func].executing.iter().position(|&r| r == req);
         debug_assert!(
-            self.fns[func].in_flight > 0,
-            "exec-crash completion for function {func} (request {req}) with no in-flight work — duplicate completion?"
+            pos.is_some(),
+            "exec-crash completion for function {func} (request {req}) that is not executing — duplicate completion?"
         );
-        self.fns[func].in_flight = self.fns[func].in_flight.saturating_sub(1);
-        if let Some(pos) = self.fns[func].executing.iter().position(|&r| r == req) {
+        if let Some(pos) = pos {
             self.fns[func].executing.swap_remove(pos);
         }
         let same_container = self.fns[func]
@@ -601,7 +608,7 @@ impl RunState<'_> {
                     self.records[req].accuracy_pct = fam.variant(v).accuracy_pct;
                     self.req_warm_variant[req] = v;
                 }
-                if self.fns[func].in_flight < self.cap {
+                if self.fns[func].executing.len() < self.cap {
                     self.start_exec(fam, func, req, now);
                 } else {
                     self.pending += 1;
@@ -703,7 +710,6 @@ impl Runtime {
                 .map(|_| FnState {
                     container: None,
                     waiting: VecDeque::new(),
-                    in_flight: 0,
                     executing: Vec::new(),
                     node: 0,
                     scheduled_minute: None,
@@ -720,7 +726,7 @@ impl Runtime {
             summary: RuntimeSummary::default(),
             sampler: DurationSampler::new(self.config.stochastic_seed),
             injector: FaultInjector::new(plan),
-            cap: self.config.max_concurrency.unwrap_or(u32::MAX),
+            cap: self.config.concurrency_cap(),
             pending: 0,
             pressure_priority: (0..fleet.nodes.len())
                 .map(|_| PriorityStructure::new(n))
@@ -1060,8 +1066,15 @@ impl<'a> RuntimeSession<'a> {
             match self.rs.place_for(&self.rt.families, mem) {
                 Some(k) => self.rs.fns[f].node = k,
                 None => {
-                    self.rs.ledger.apply_eviction(f, minute);
+                    let applied = self.rs.ledger.apply_eviction(f, minute);
                     self.rs.summary.node_loss_evictions += 1;
+                    emit(&mut self.rs.sink, || ObsEvent::Evict {
+                        minute,
+                        func: f,
+                        from: v,
+                        source: ActionSource::NodeLoss,
+                        applied,
+                    });
                 }
             }
         }
@@ -1343,7 +1356,7 @@ impl<'a> RuntimeSession<'a> {
         // cannot start executing immediately joins the pending backlog; once
         // the backlog is full it is shed — no schedule refresh, no
         // provisioning, the policy never hears about it.
-        let starts_now = matches!(held, Some((true, _))) && rs.fns[func].in_flight < rs.cap;
+        let starts_now = matches!(held, Some((true, _))) && rs.fns[func].executing.len() < rs.cap;
         if let Some(max_pending) = self.fleet.admission.max_pending {
             if !starts_now && rs.pending >= max_pending {
                 rs.summary.shed_requests += 1;
@@ -1377,7 +1390,7 @@ impl<'a> RuntimeSession<'a> {
                 rs.records[req].warm = true;
                 rs.records[req].accuracy_pct = fam.variant(v).accuracy_pct;
                 rs.req_warm_variant[req] = v;
-                if rs.fns[func].in_flight < rs.cap {
+                if rs.fns[func].executing.len() < rs.cap {
                     rs.start_exec(fam, func, req, now);
                 } else {
                     rs.pending += 1;
@@ -1468,7 +1481,6 @@ impl<'a> RuntimeSession<'a> {
             rs.records[req].done_ms = now;
             rs.req_done[req] = true;
         }
-        rs.fns[func].in_flight -= 1;
         if let Some(pos) = rs.fns[func].executing.iter().position(|&r| r == req) {
             rs.fns[func].executing.swap_remove(pos);
         }
@@ -1524,7 +1536,6 @@ impl<'a> RuntimeSession<'a> {
             self.rs.fns[f].container = None;
             if abort_in_flight {
                 let aborted = std::mem::take(&mut self.rs.fns[f].executing);
-                self.rs.fns[f].in_flight = 0;
                 for r in aborted {
                     self.rs.req_gen[r] += 1; // the queued completion is now stale
                     if self.rs.req_done[r] {
@@ -2281,6 +2292,51 @@ mod tests {
             )),
             s.evictions
         );
+
+        // Both nodes of a 2-node fleet crash together: the health stage
+        // cannot re-place anyone, so every scheduled function is evicted
+        // with a `node_loss` event, one per counted eviction.
+        let faults = [0, 1]
+            .into_iter()
+            .fold(crate::node::NodeFaultPlan::none(), |plan, node| {
+                plan.with(crate::node::NodeFault {
+                    node,
+                    kind: NodeFaultKind::Crash,
+                    at_minute: 120,
+                    duration_minutes: 15,
+                })
+            });
+        let fleet = FleetConfig::uniform(2, NodeCapacity::unlimited()).with_node_faults(faults);
+        let mut mem = MemorySink::new();
+        let s = rt
+            .session(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &FaultPlan::none(),
+                fleet,
+            )
+            .traced(&mut mem)
+            .finish();
+        let node_loss_evicts = mem.count(|e| {
+            matches!(
+                e,
+                ObsEvent::Evict {
+                    source: ActionSource::NodeLoss,
+                    ..
+                }
+            )
+        }) as u64;
+        assert!(s.node_loss_evictions > 0, "a fleet-wide outage must evict");
+        assert_eq!(node_loss_evicts, s.node_loss_evictions);
+        assert_eq!(
+            mem.count(|e| matches!(
+                e,
+                ObsEvent::Evict {
+                    source: ActionSource::Pressure,
+                    ..
+                }
+            )) as u64,
+            s.evictions
+        );
     }
 
     #[test]
@@ -2397,10 +2453,10 @@ mod tests {
         // Regression for the in-flight accounting: serialize a long backlog
         // through one container (cap 1) with every execution fated to crash,
         // then crash the node at minute 1 while an execution is in flight.
-        // The node crash zeroes `in_flight` and bumps the request's
+        // The node crash empties `executing` and bumps the request's
         // generation, so the already-queued ExecFailed for that execution is
         // a *duplicate* completion — it must be dropped by the generation
-        // check before the (debug-asserted) decrement, and the run must
+        // check before the (debug-asserted) removal, and the run must
         // complete with the accounting intact.
         // Seed 4 is pinned: the fault RNG's crash points leave request 8's
         // crashing execution straddling the minute-1 tick, so the node crash

@@ -283,8 +283,8 @@ fn decode_fn(rec: &Record, rungs: usize, t: &Tables) -> Result<FnState, RecoverE
     } else {
         None
     };
-    // Every execution start pushes its request onto `executing` and bumps
-    // `in_flight`; every end undoes both.
+    // The in-flight count is `executing.len()`; the stored field is kept
+    // so documents stay byte-identical, and a mismatch marks corruption.
     let executing = reqs("executing")?;
     let in_flight = rec.u64("in_flight").map_err(c)?;
     if usize::try_from(in_flight).ok() != Some(executing.len()) {
@@ -296,7 +296,6 @@ fn decode_fn(rec: &Record, rungs: usize, t: &Tables) -> Result<FnState, RecoverE
     Ok(FnState {
         container,
         waiting: reqs("waiting")?.into(),
-        in_flight: u32::try_from(in_flight).map_err(RecoverError::corrupt)?,
         executing,
         node: index("node", rec.u64("node").map_err(c)?, t.nodes)?,
         scheduled_minute: rec
@@ -464,7 +463,7 @@ impl RuntimeSession<'_> {
             let mut row = RecordBuilder::new("fn")
                 .usize("func", f)
                 .usize("node", st.node)
-                .u64("in_flight", u64::from(st.in_flight))
+                .usize("in_flight", st.executing.len())
                 .u64("epoch", st.epoch)
                 .u64("attempts", u64::from(st.provision_attempts))
                 .bool("sched_set", st.scheduled_minute.is_some())
@@ -819,7 +818,7 @@ impl Runtime {
                 profiler: Profiler::default(),
             },
             injector,
-            cap: self.config.max_concurrency.unwrap_or(u32::MAX),
+            cap: self.config.concurrency_cap(),
             pending,
             pressure_priority,
             nodes,

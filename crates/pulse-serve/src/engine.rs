@@ -21,11 +21,14 @@
 //! the channel. Its consumer reads the clock only for what it records: it
 //! polls the channel with `try_recv` and falls back to a 5 ms
 //! `recv_timeout` only when the channel is empty, and it peeks each event
-//! before stepping it, so only `Arrival` steps (into `decision_ns`) and
-//! `MinuteTick` steps (into `tick_ns`) are wall-clocked into pulse-obs
-//! [`Histogram`]s; completions, timers and faults step untimed. Wall time
-//! never feeds back into any decision: summaries from a live run remain a
-//! pure function of the admitted stream.
+//! before stepping it. Every `MinuteTick` step is wall-clocked into
+//! `tick_ns`; one `Arrival` step in 16, counted by arrival index, is
+//! wall-clocked into `decision_ns` with a weight of the 16 steps it stands
+//! for, so that histogram's count equals the admitted arrivals exactly and
+//! its mean and percentiles are unbiased estimates. Completions, timers,
+//! faults and the other arrivals step untimed. Wall time never feeds back
+//! into any decision: summaries from a live run remain a pure function of
+//! the admitted stream.
 
 use crate::loadgen::{Arrival, ArrivalStream};
 use pulse_models::ModelFamily;
@@ -95,7 +98,10 @@ pub struct ServeReport {
     /// Arrivals shed by the engine's admission control.
     pub engine_shed: u64,
     /// Wall-clock nanoseconds per arrival decision (`step` over an
-    /// `Arrival` event).
+    /// `Arrival` event). One arrival step in 16 is timed, and each timed
+    /// value is recorded with the weight of the steps it stands for: the
+    /// count equals `admitted`, sum, mean and percentiles are estimates,
+    /// and `min`/`max` cover the timed steps only.
     pub decision_ns: Histogram,
     /// Wall-clock nanoseconds per minute-tick pipeline run.
     pub tick_ns: Histogram,
@@ -108,14 +114,14 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Median per-decision latency, ns (bucket upper bound; 0 if nothing
-    /// was admitted).
+    /// Median per-decision latency, ns (bucket upper bound of the sampled
+    /// estimate; 0 if nothing was admitted).
     pub fn p50_decision_ns(&self) -> u64 {
         self.decision_ns.approx_percentile(50).unwrap_or(0)
     }
 
-    /// p99 per-decision latency, ns (bucket upper bound; 0 if nothing was
-    /// admitted).
+    /// p99 per-decision latency, ns (bucket upper bound of the sampled
+    /// estimate; 0 if nothing was admitted).
     pub fn p99_decision_ns(&self) -> u64 {
         self.decision_ns.approx_percentile(99).unwrap_or(0)
     }
@@ -160,72 +166,106 @@ pub fn replay(
     session.finish()
 }
 
-/// Step the session once through `next`, the event [`RuntimeSession::peek`]
-/// returned. Only steps whose wall time is recorded read the clock: an
-/// `Arrival` is timed into `decision_ns`, and a `MinuteTick` into `tick_ns`
-/// and followed by an [`ObsEvent::ServeTick`]. Every other event steps
-/// untimed.
-// Wall time is measured here, never fed back: the step itself sees only the
-// virtual clock.
-#[allow(clippy::too_many_arguments, clippy::disallowed_methods)]
-fn timed_step(
-    session: &mut RuntimeSession<'_>,
-    next: &Event,
-    decision_ns: &mut Histogram,
-    tick_ns: &mut Histogram,
-    admitted: u64,
-    dropped: &AtomicU64,
-    sink: &mut Option<&mut dyn TraceSink>,
-) {
-    let nanos = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    match *next {
-        Event::Arrival { .. } => {
-            let t0 = Instant::now();
-            session.step();
-            decision_ns.record(nanos(t0));
-        }
-        Event::MinuteTick { minute } => {
-            let t0 = Instant::now();
-            session.step();
-            tick_ns.record(nanos(t0));
-            let shed = session.shed_so_far() + dropped.load(Ordering::Relaxed);
-            let queue_depth = session.pending_events();
-            emit(sink, || ObsEvent::ServeTick {
-                minute,
-                admitted,
-                shed,
-                queue_depth,
-            });
-        }
-        _ => {
-            session.step();
-        }
-    }
+/// Arrival steps are wall-clocked one in this many, by arrival index.
+const SAMPLE_EVERY: u64 = 16;
+
+/// The live consumer's step timing: every minute tick is timed into
+/// `tick_ns`; arrival step `k` is timed when `k % SAMPLE_EVERY == 0`, and
+/// each timed value enters `decision_ns` weighted by the arrival steps it
+/// stands for (itself and the untimed ones up to the next timed step). So
+/// `decision_ns.count()` equals the arrival steps taken, while its sum,
+/// mean and percentiles are estimates and its `min`/`max` cover timed
+/// steps only.
+#[derive(Default)]
+struct StepTimer {
+    decision_ns: Histogram,
+    tick_ns: Histogram,
+    /// Arrival steps taken.
+    arrivals: u64,
+    /// The latest timed arrival step, not yet recorded: its wall time and
+    /// its arrival index. Its weight is known once the next timed step
+    /// comes or [`Self::flush`] runs.
+    pending: Option<(u64, u64)>,
 }
 
-/// Drain every queued engine event with timestamp ≤ `upto`.
-fn drain_through(
-    session: &mut RuntimeSession<'_>,
-    upto: u64,
-    decision_ns: &mut Histogram,
-    tick_ns: &mut Histogram,
-    admitted: u64,
-    dropped: &AtomicU64,
-    sink: &mut Option<&mut dyn TraceSink>,
-) {
-    while let Some((t, next)) = session.peek() {
-        if t > upto {
-            break;
+impl StepTimer {
+    /// Record the pending timed arrival step, weighted by the arrival steps
+    /// taken since it (itself included).
+    fn flush(&mut self) {
+        if let Some((ns, at)) = self.pending.take() {
+            self.decision_ns.record_n(ns, self.arrivals - at);
         }
-        timed_step(
-            session,
-            &next,
-            decision_ns,
-            tick_ns,
-            admitted,
-            dropped,
-            sink,
-        );
+    }
+
+    /// Step the session once through `next`, the event
+    /// [`RuntimeSession::peek`] returned. Only steps whose wall time is
+    /// recorded read the clock: a sampled `Arrival` (see [`StepTimer`]), and
+    /// every `MinuteTick`, which is followed by an [`ObsEvent::ServeTick`].
+    /// Every other event steps untimed.
+    // Wall time is measured here, never fed back: the step itself sees only
+    // the virtual clock.
+    #[allow(clippy::disallowed_methods)]
+    fn step(
+        &mut self,
+        session: &mut RuntimeSession<'_>,
+        next: &Event,
+        admitted: u64,
+        dropped: &AtomicU64,
+        sink: &mut Option<&mut dyn TraceSink>,
+    ) {
+        let nanos = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        match *next {
+            Event::Arrival { .. } if self.arrivals.is_multiple_of(SAMPLE_EVERY) => {
+                self.flush();
+                let t0 = Instant::now();
+                session.step();
+                self.pending = Some((nanos(t0), self.arrivals));
+                self.arrivals += 1;
+            }
+            Event::Arrival { .. } => {
+                session.step();
+                self.arrivals += 1;
+            }
+            Event::MinuteTick { minute } => {
+                let t0 = Instant::now();
+                session.step();
+                self.tick_ns.record(nanos(t0));
+                let shed = session.shed_so_far() + dropped.load(Ordering::Relaxed);
+                let queue_depth = session.pending_events();
+                emit(sink, || ObsEvent::ServeTick {
+                    minute,
+                    admitted,
+                    shed,
+                    queue_depth,
+                });
+            }
+            _ => {
+                session.step();
+            }
+        }
+    }
+
+    /// Drain every queued engine event with timestamp ≤ `upto`.
+    fn drain_through(
+        &mut self,
+        session: &mut RuntimeSession<'_>,
+        upto: u64,
+        admitted: u64,
+        dropped: &AtomicU64,
+        sink: &mut Option<&mut dyn TraceSink>,
+    ) {
+        while let Some((t, next)) = session.peek() {
+            if t > upto {
+                break;
+            }
+            self.step(session, &next, admitted, dropped, sink);
+        }
+    }
+
+    /// The finished histograms, `(decision_ns, tick_ns)`.
+    fn finish(mut self) -> (Histogram, Histogram) {
+        self.flush();
+        (self.decision_ns, self.tick_ns)
     }
 }
 
@@ -241,8 +281,8 @@ fn next_arrival(rx: &Receiver<Arrival>) -> Result<Arrival, RecvTimeoutError> {
 
 /// Serve `stream` live: an open-loop producer thread pushes arrivals into
 /// a bounded channel while this thread admits them into the engine and
-/// steps it, recording per-decision wall latency. `mode_label` tags the
-/// [`ObsEvent::ServeStart`] telemetry (e.g. `"demo"`, `"live"`).
+/// steps it, recording sampled per-decision wall latency. `mode_label`
+/// tags the [`ObsEvent::ServeStart`] telemetry (e.g. `"demo"`, `"live"`).
 ///
 /// Shedding happens at two independent layers, both reported: the channel
 /// (front door, counted in [`ServeReport::front_door_dropped`]) and the
@@ -275,8 +315,7 @@ pub fn serve_live(
     let dropped = Arc::new(AtomicU64::new(0));
     let producer = spawn_producer(arrivals, tx, Arc::clone(&dropped), opts.speedup);
 
-    let mut decision_ns = Histogram::new();
-    let mut tick_ns = Histogram::new();
+    let mut timer = StepTimer::default();
     let mut admitted = 0u64;
     let mut cursor = 0u64;
     let start = Instant::now();
@@ -289,15 +328,7 @@ pub fn serve_live(
                 cursor = cursor.max(a.at_ms);
                 session.admit_at(cursor, a.func);
                 admitted += 1;
-                drain_through(
-                    &mut session,
-                    cursor,
-                    &mut decision_ns,
-                    &mut tick_ns,
-                    admitted,
-                    &dropped,
-                    &mut sink,
-                );
+                timer.drain_through(&mut session, cursor, admitted, &dropped, &mut sink);
             }
             Err(RecvTimeoutError::Timeout) => {
                 // A paced lull still advances the virtual clock, so minute
@@ -307,31 +338,16 @@ pub fn serve_live(
                     #[allow(clippy::cast_possible_truncation)]
                     let vnow = (start.elapsed().as_secs_f64() * 1_000.0 * speedup) as u64;
                     cursor = cursor.max(vnow.min(minutes * MS_PER_MINUTE));
-                    drain_through(
-                        &mut session,
-                        cursor,
-                        &mut decision_ns,
-                        &mut tick_ns,
-                        admitted,
-                        &dropped,
-                        &mut sink,
-                    );
+                    timer.drain_through(&mut session, cursor, admitted, &dropped, &mut sink);
                 }
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     // Producer done: run the tail of the virtual timeline out.
-    drain_through(
-        &mut session,
-        u64::MAX,
-        &mut decision_ns,
-        &mut tick_ns,
-        admitted,
-        &dropped,
-        &mut sink,
-    );
+    timer.drain_through(&mut session, u64::MAX, admitted, &dropped, &mut sink);
     let _ = producer.join();
+    let (decision_ns, tick_ns) = timer.finish();
 
     let wall = start.elapsed();
     let wall_ms = u64::try_from(wall.as_millis()).unwrap_or(u64::MAX);
@@ -461,6 +477,48 @@ mod tests {
             4,
             "one serve_tick per virtual minute"
         );
+    }
+
+    #[test]
+    fn sampled_decision_histogram_counts_every_admitted_arrival() {
+        // Stream lengths that end partway through a 16-step sampling
+        // period (including streams shorter than one period): the sample
+        // weights must still sum to the admitted count.
+        let families = round_robin_assignment(&pulse_models::zoo::standard(), 2);
+        let mut partial = 0;
+        for (seed, rate_per_min) in [(11, 3.0), (12, 30.0), (13, 30.0), (14, 90.0)] {
+            let stream = ArrivalStream::generate(&LoadGenConfig {
+                functions: 2,
+                minutes: 2,
+                mode: LoadMode::Poisson { rate_per_min },
+                seed,
+            });
+            let total = stream.len() as u64;
+            partial += usize::from(!total.is_multiple_of(SAMPLE_EVERY));
+            let mut policy = PulsePolicy::new(families.clone(), PulseConfig::default());
+            let report = serve_live(
+                stream,
+                families.clone(),
+                &mut policy,
+                &ServeConfig::default(),
+                &LiveOptions {
+                    channel_capacity: total as usize + 1,
+                    speedup: None,
+                },
+                "test",
+                None,
+            );
+            assert_eq!(report.admitted, total);
+            let h = &report.decision_ns;
+            assert_eq!(h.count(), report.admitted, "{total} arrivals");
+            let (min, max) = (h.min().unwrap(), h.max().unwrap());
+            assert!(
+                min as f64 <= h.mean() && h.mean() <= max as f64,
+                "{total} arrivals: min {min}, mean {}, max {max}",
+                h.mean()
+            );
+        }
+        assert!(partial >= 3, "streams must end mid-period");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   with the runtime's own trace expansion so replays are bit-exact;
 //! * [`engine`] — the transport/policy split: a bounded
 //!   `sync_channel` front door feeding a [`pulse_runtime::RuntimeSession`],
-//!   with wall-clock decision latency recorded into pulse-obs histograms.
+//!   with wall-clock decision latency sampled (one arrival step in 16,
+//!   weighted so the count stays exact) into pulse-obs histograms.
 //!   [`engine::replay`] runs the same stream on the simulated clock,
 //!   bit-identical to a finished `Runtime::session` on the binned trace;
 //! * [`demo`] — the single-box throughput demo behind
