@@ -51,19 +51,18 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // The full live pipeline: producer thread, bounded channel, wall-clock
-    // histograms. Unthrottled, so this measures pipeline capacity. Both
-    // bounds exceed the ~100k offered arrivals, so every arrival is admitted
-    // and decided: a faster consumer finishes sooner instead of doing more
-    // work in the same wall time (with tighter bounds most arrivals would be
-    // dropped at the front door or shed, and how many depends on speed).
-    let all_admitted = 1 << 17;
+    // histograms. Unthrottled, so this measures pipeline capacity. The
+    // demo's channel holds the whole stream and `max_pending` exceeds the
+    // ~100k offered arrivals, so every arrival is admitted and decided: a
+    // faster consumer finishes sooner instead of doing more work in the
+    // same wall time (with a tighter bound most arrivals would be shed, and
+    // how many depends on speed).
     let demo = DemoConfig {
         rps: 50_000,
         seconds: 2,
         functions: FUNCTIONS,
         seed: 42,
-        max_pending: all_admitted,
-        channel_capacity: all_admitted,
+        max_pending: 1 << 17,
     };
     let check = run_demo(&demo, None);
     assert_eq!(

@@ -15,9 +15,6 @@ use pulse_serve::{run_demo, DemoConfig, ServeReport};
 /// Engine admission bound: pending work beyond this is shed by the engine's
 /// own admission control (a decision, not a stall).
 const MAX_PENDING: usize = 4_096;
-/// Ingress channel bound: arrivals beyond this are dropped at the front
-/// door and counted.
-const CHANNEL_CAPACITY: usize = 65_536;
 
 /// Run the live serving demo at `cfg.serve`'s rate and duration and render
 /// its report.
@@ -28,7 +25,6 @@ pub fn run(cfg: &ExpConfig) -> String {
         functions: 12,
         seed: cfg.seed,
         max_pending: MAX_PENDING,
-        channel_capacity: CHANNEL_CAPACITY,
     };
     let mut sink = cfg.open_trace();
     let mut dyn_sink = sink.as_mut().map(|s| s as &mut dyn TraceSink);

@@ -12,9 +12,9 @@
 //!   the fleet lifecycle (node down/recovered, container migration), each
 //!   timestamped in monotonic *simulation* time (never wall clock —
 //!   `clippy.toml` disallows the clock APIs);
-//! * [`CounterRegistry`] / [`HistogramRegistry`] — cheap named metrics with
-//!   commutative [`CounterRegistry::merge`], built for per-worker
-//!   aggregation in the parallel campaign runner;
+//! * [`Histogram`] — a fixed-footprint log-bucketed histogram with a
+//!   commutative [`Histogram::merge`], which the live serving loop records
+//!   its wall-clock decision and tick times into;
 //! * [`JournalSink`] / [`replay_journal`] — the write-ahead journal for
 //!   crash-consistent checkpointing: epoch headers, embedded snapshot
 //!   records ([`RecordBuilder`]/[`Record`] is the open-schema flat-record
@@ -52,5 +52,5 @@ pub use journal::{
 };
 pub use json::ParseError;
 pub use record::{Record, RecordBuilder};
-pub use registry::{CounterId, CounterRegistry, Histogram, HistogramId, HistogramRegistry};
+pub use registry::Histogram;
 pub use sink::{emit, JsonlSink, MemorySink, NullSink, TraceSink};

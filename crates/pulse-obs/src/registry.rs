@@ -1,78 +1,8 @@
-//! Cheap named metrics: counters and log-bucketed histograms.
+//! A cheap log-bucketed histogram.
 //!
-//! Registries are built for the parallel campaign runner's shape: each
-//! worker owns a private registry, records into it with index-based ids
-//! (no hashing, no locking on the hot path), and the per-worker registries
-//! are [`CounterRegistry::merge`]d after the workers join. Merging is
-//! commutative and associative, so the merged totals are independent of
-//! worker scheduling — a determinism property the campaign tests rely on.
-
-/// Handle to one registered counter (an index; `Copy`, cheap to pass).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CounterId(usize);
-
-/// A set of named monotonic counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterRegistry {
-    names: Vec<&'static str>,
-    values: Vec<u64>,
-}
-
-impl CounterRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `name` (or find it, if already registered) and return its id.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.names.iter().position(|&n| n == name) {
-            return CounterId(i);
-        }
-        self.names.push(name);
-        self.values.push(0);
-        CounterId(self.names.len() - 1)
-    }
-
-    /// Add `n` to a counter.
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        if let Some(v) = self.values.get_mut(id.0) {
-            *v = v.saturating_add(n);
-        }
-    }
-
-    /// Increment a counter by one.
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Current value of `name` (0 when never registered).
-    pub fn get(&self, name: &str) -> u64 {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .and_then(|i| self.values.get(i).copied())
-            .unwrap_or(0)
-    }
-
-    /// All `(name, value)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.names.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// Fold another registry into this one, matching counters by name and
-    /// registering any the other has that this one lacks.
-    pub fn merge(&mut self, other: &CounterRegistry) {
-        for (name, value) in other.iter() {
-            let id = self.counter(name);
-            self.add(id, value);
-        }
-    }
-}
-
-/// Handle to one registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HistogramId(usize);
+//! [`Histogram`] keeps a fixed footprint (one bucket per bit length), is
+//! exact for `count`/`sum`/`min`/`max`, and merges commutatively. The live
+//! serving loop records its per-decision and per-tick wall times into it.
 
 /// Number of power-of-two buckets: bucket `i` holds values whose bit length
 /// is `i` (bucket 0 = the value 0, bucket 64 = values ≥ 2⁶³).
@@ -204,102 +134,10 @@ impl Histogram {
     }
 }
 
-/// A set of named histograms, mirroring [`CounterRegistry`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramRegistry {
-    names: Vec<&'static str>,
-    hists: Vec<Histogram>,
-}
-
-impl HistogramRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `name` (or find it) and return its id.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(i) = self.names.iter().position(|&n| n == name) {
-            return HistogramId(i);
-        }
-        self.names.push(name);
-        self.hists.push(Histogram::new());
-        HistogramId(self.names.len() - 1)
-    }
-
-    /// Record one sample into a histogram.
-    pub fn record(&mut self, id: HistogramId, v: u64) {
-        if let Some(h) = self.hists.get_mut(id.0) {
-            h.record(v);
-        }
-    }
-
-    /// The histogram registered under `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&Histogram> {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .and_then(|i| self.hists.get(i))
-    }
-
-    /// All `(name, histogram)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.names.iter().copied().zip(self.hists.iter())
-    }
-
-    /// Fold another registry into this one, matching by name.
-    pub fn merge(&mut self, other: &HistogramRegistry) {
-        for (name, hist) in other.iter() {
-            let id = self.histogram(name);
-            if let Some(h) = self.hists.get_mut(id.0) {
-                h.merge(hist);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_register_add_and_merge_by_name() {
-        let mut a = CounterRegistry::new();
-        let runs = a.counter("runs");
-        let colds = a.counter("cold_starts");
-        a.inc(runs);
-        a.add(colds, 5);
-        assert_eq!(a.counter("runs"), runs, "re-registration finds the id");
-        assert_eq!(a.get("runs"), 1);
-        assert_eq!(a.get("absent"), 0);
-
-        let mut b = CounterRegistry::new();
-        // Registered in a different order, plus a name `a` lacks.
-        let extra = b.counter("extra");
-        let runs_b = b.counter("runs");
-        b.inc(extra);
-        b.add(runs_b, 9);
-        a.merge(&b);
-        assert_eq!(a.get("runs"), 10);
-        assert_eq!(a.get("extra"), 1);
-        assert_eq!(a.get("cold_starts"), 5);
-    }
-
-    #[test]
-    fn counter_merge_is_order_independent() {
-        let mk = |n: u64| {
-            let mut r = CounterRegistry::new();
-            let id = r.counter("x");
-            r.add(id, n);
-            r
-        };
-        let mut ab = mk(3);
-        ab.merge(&mk(4));
-        let mut ba = mk(4);
-        ba.merge(&mk(3));
-        assert_eq!(ab.get("x"), ba.get("x"));
-    }
 
     #[test]
     fn histogram_tracks_exact_aggregates() {
@@ -354,30 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_registry_merges_by_name() {
-        let mut a = HistogramRegistry::new();
-        let cost = a.histogram("run_cost");
-        a.record(cost, 100);
-        let mut b = HistogramRegistry::new();
-        let other = b.histogram("run_cold_starts");
-        b.record(other, 2);
-        let cost_b = b.histogram("run_cost");
-        b.record(cost_b, 300);
-        a.merge(&b);
-        let merged = a.get("run_cost").unwrap();
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.sum(), 400);
-        assert_eq!(a.get("run_cold_starts").unwrap().count(), 1);
-        assert!(a.get("absent").is_none());
-    }
-
-    #[test]
     fn saturation_not_overflow() {
-        let mut c = CounterRegistry::new();
-        let id = c.counter("big");
-        c.add(id, u64::MAX);
-        c.inc(id);
-        assert_eq!(c.get("big"), u64::MAX);
         let mut h = Histogram::new();
         h.record(u64::MAX);
         h.record(u64::MAX);

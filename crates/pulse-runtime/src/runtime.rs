@@ -291,6 +291,29 @@ struct RunState<'a> {
 }
 
 impl RunState<'_> {
+    /// Open the bookkeeping of a new request for `func` arriving at `at_ms`
+    /// (its record and per-request slots) and queue its arrival, returning
+    /// the request id.
+    // `admit_at` runs once per live arrival; without the hint this stays an
+    // out-of-line call there.
+    #[inline]
+    fn push_arrival(&mut self, at_ms: u64, func: usize) -> usize {
+        let req = self.records.len();
+        self.records.push(RequestRecord {
+            arrival_ms: at_ms,
+            done_ms: at_ms,
+            warm: false,
+            accuracy_pct: 0.0,
+            failed: false,
+        });
+        self.req_warm_variant.push(0);
+        self.req_retries.push(0);
+        self.req_done.push(false);
+        self.req_gen.push(0);
+        self.queue.push(at_ms, Event::Arrival { func, req });
+        req
+    }
+
     /// Combined duration multiplier of the node hosting `func`.
     fn node_time_factor(&self, func: usize) -> f64 {
         self.nodes[self.fns[func].node].time_factor()
@@ -772,20 +795,8 @@ impl Runtime {
             for f in 0..n {
                 let count = self.trace.function(f).at(m) as u64;
                 for at in arrival_times_in_minute(m, count) {
-                    let req = rs.records.len();
-                    rs.records.push(RequestRecord {
-                        arrival_ms: at,
-                        done_ms: at,
-                        warm: false,
-                        accuracy_pct: 0.0,
-                        failed: false,
-                    });
+                    rs.push_arrival(at, f);
                     req_func.push(f);
-                    rs.req_warm_variant.push(0);
-                    rs.req_retries.push(0);
-                    rs.req_done.push(false);
-                    rs.req_gen.push(0);
-                    rs.queue.push(at, Event::Arrival { func: f, req });
                 }
             }
         }
@@ -897,19 +908,7 @@ impl<'a> RuntimeSession<'a> {
             self.rt.families.len()
         );
         let rs = &mut self.rs;
-        let req = rs.records.len();
-        rs.records.push(RequestRecord {
-            arrival_ms: at_ms,
-            done_ms: at_ms,
-            warm: false,
-            accuracy_pct: 0.0,
-            failed: false,
-        });
-        rs.req_warm_variant.push(0);
-        rs.req_retries.push(0);
-        rs.req_done.push(false);
-        rs.req_gen.push(0);
-        rs.queue.push(at_ms, Event::Arrival { func, req });
+        let req = rs.push_arrival(at_ms, func);
         if let Some(t) = rs.injector.plan().request_timeout_ms {
             rs.queue
                 .push(at_ms.saturating_add(t), Event::RequestTimeout { func, req });

@@ -25,8 +25,6 @@ pub struct DemoConfig {
     pub seed: u64,
     /// Engine admission bound (pending-queue backpressure tier).
     pub max_pending: usize,
-    /// Ingress channel bound (front-door backpressure tier).
-    pub channel_capacity: usize,
 }
 
 impl DemoConfig {
@@ -37,9 +35,12 @@ impl DemoConfig {
 }
 
 /// Run the open-loop demo: Poisson arrivals at `cfg.rps`, unthrottled
-/// producer, PULSE keep-alive policy online. Serve telemetry
-/// (`serve_start` / `serve_tick` / `serve_backpressure` / `serve_summary`)
-/// goes to `sink`.
+/// producer, PULSE keep-alive policy online. The ingress channel holds the
+/// whole generated stream, so no arrival is dropped at the front door and
+/// the achieved rate measures the consumer, not how many arrivals it
+/// happened to catch; the engine's admission bound still sheds. Serve
+/// telemetry (`serve_start` / `serve_tick` / `serve_backpressure` /
+/// `serve_summary`) goes to `sink`.
 // A demo runs for a handful of minutes.
 #[allow(clippy::cast_possible_truncation)]
 pub fn run_demo(cfg: &DemoConfig, sink: Option<&mut dyn TraceSink>) -> ServeReport {
@@ -59,7 +60,7 @@ pub fn run_demo(cfg: &DemoConfig, sink: Option<&mut dyn TraceSink>) -> ServeRepo
     let mut policy = PulsePolicy::new(families.clone(), PulseConfig::default());
     let config = ServeConfig::default().with_max_pending(cfg.max_pending);
     let opts = LiveOptions {
-        channel_capacity: cfg.channel_capacity,
+        channel_capacity: stream.len(),
         speedup: None,
     };
     serve_live(stream, families, &mut policy, &config, &opts, "demo", sink)

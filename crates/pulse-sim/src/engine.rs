@@ -38,11 +38,6 @@ impl Simulator {
     /// Simulator over `trace` with one model family per function and AWS
     /// Lambda pricing.
     pub fn new(trace: Trace, families: Vec<ModelFamily>) -> Self {
-        Self::with_cost(trace, families, CostModel::aws_lambda())
-    }
-
-    /// Simulator with a custom cost model.
-    pub fn with_cost(trace: Trace, families: Vec<ModelFamily>, cost: CostModel) -> Self {
         assert_eq!(
             trace.n_functions(),
             families.len(),
@@ -51,7 +46,7 @@ impl Simulator {
         Self {
             trace,
             families,
-            cost,
+            cost: CostModel::aws_lambda(),
         }
     }
 

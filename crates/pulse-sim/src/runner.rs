@@ -12,7 +12,6 @@ use crate::metrics::{Aggregate, RunMetrics};
 use crate::policy::KeepAlivePolicy;
 use parking_lot::Mutex;
 use pulse_models::ModelFamily;
-use pulse_obs::{CounterRegistry, HistogramRegistry};
 use pulse_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -69,42 +68,6 @@ impl Default for MultiRunConfig {
 /// Builds a policy for one run, given the run's family assignment and seed.
 pub type PolicyFactory<'a> = dyn Fn(&[ModelFamily], u64) -> Box<dyn KeepAlivePolicy> + Sync + 'a;
 
-/// Campaign-level observability: counters and histograms accumulated
-/// per-worker during [`run_many_observed`] and merged after the workers
-/// join. Because registry merging is commutative and associative, the
-/// totals are independent of worker scheduling.
-///
-/// Counters: `runs`, `invocations`, `cold_starts`, `warm_starts`,
-/// `downgrades`. Histograms (one sample per run): `run_cost_uusd`
-/// (keep-alive cost in micro-USD), `run_cold_starts`, `run_downgrades`.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignObs {
-    /// Number of per-worker registries merged into the totals.
-    pub workers: usize,
-    /// Campaign-wide counters.
-    pub counters: CounterRegistry,
-    /// Campaign-wide per-run distribution histograms.
-    pub histograms: HistogramRegistry,
-}
-
-/// Keep-alive cost in micro-USD for histogram bucketing (costs are tiny
-/// fractions of a dollar, so whole USD would collapse every run into
-/// bucket 0).
-fn usd_to_micro(usd: f64) -> u64 {
-    let micro = (usd * 1e6).round();
-    if micro.is_finite() && micro > 0.0 {
-        // Guarded: non-negative, finite, and clamped below u64::MAX.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        if micro >= 1.8e19 {
-            u64::MAX
-        } else {
-            micro as u64
-        }
-    } else {
-        0
-    }
-}
-
 /// Run the campaign: for each run, draw a random assignment from `zoo`,
 /// build a policy via `factory`, simulate the whole trace, and return the
 /// per-run metrics (ordered by run index, per-minute series dropped to keep
@@ -115,18 +78,6 @@ pub fn run_many(
     cfg: &MultiRunConfig,
     factory: &PolicyFactory<'_>,
 ) -> Vec<RunMetrics> {
-    run_many_observed(trace, zoo, cfg, factory).0
-}
-
-/// [`run_many`] plus campaign observability: each worker keeps a private
-/// [`CounterRegistry`]/[`HistogramRegistry`] (no shared mutable state on
-/// the hot path) and the registries are merged once after the scope joins.
-pub fn run_many_observed(
-    trace: &Trace,
-    zoo: &[ModelFamily],
-    cfg: &MultiRunConfig,
-    factory: &PolicyFactory<'_>,
-) -> (Vec<RunMetrics>, CampaignObs) {
     let threads = cfg
         .threads
         .unwrap_or_else(|| {
@@ -139,8 +90,6 @@ pub fn run_many_observed(
     let next = AtomicUsize::new(0);
     let abort = AbortFlag::default();
     let results: Mutex<Vec<(usize, RunMetrics)>> = Mutex::new(Vec::with_capacity(cfg.n_runs));
-    let obs_parts: Mutex<Vec<(CounterRegistry, HistogramRegistry)>> =
-        Mutex::new(Vec::with_capacity(threads));
     // First failed run's diagnostic context (run index, seed, assignment),
     // so a 1000-run campaign that dies names the exact run to replay.
     let failure: Mutex<Option<String>> = Mutex::new(None);
@@ -149,16 +98,6 @@ pub fn run_many_observed(
         for _ in 0..threads {
             s.spawn(|_| {
                 let mut local: Vec<(usize, RunMetrics)> = Vec::new();
-                let mut counters = CounterRegistry::new();
-                let c_runs = counters.counter("runs");
-                let c_invocations = counters.counter("invocations");
-                let c_cold = counters.counter("cold_starts");
-                let c_warm = counters.counter("warm_starts");
-                let c_downgrades = counters.counter("downgrades");
-                let mut histograms = HistogramRegistry::new();
-                let h_cost = histograms.histogram("run_cost_uusd");
-                let h_cold = histograms.histogram("run_cold_starts");
-                let h_downgrades = histograms.histogram("run_downgrades");
                 loop {
                     if abort.is_raised() {
                         break;
@@ -179,14 +118,6 @@ pub fn run_many_observed(
                     }));
                     match run {
                         Ok(mut m) => {
-                            counters.inc(c_runs);
-                            counters.add(c_invocations, m.invocations());
-                            counters.add(c_cold, m.cold_starts);
-                            counters.add(c_warm, m.warm_starts);
-                            counters.add(c_downgrades, m.downgrades);
-                            histograms.record(h_cost, usd_to_micro(m.keepalive_cost_usd));
-                            histograms.record(h_cold, m.cold_starts);
-                            histograms.record(h_downgrades, m.downgrades);
                             // Series are per-minute × n_runs — drop to bound
                             // memory.
                             m.memory_series_mb = Vec::new();
@@ -217,7 +148,6 @@ pub fn run_many_observed(
                     }
                 }
                 results.lock().extend(local);
-                obs_parts.lock().push((counters, histograms));
             });
         }
     });
@@ -236,17 +166,7 @@ pub fn run_many_observed(
     let mut runs = results.into_inner();
     runs.sort_by_key(|&(r, _)| r);
     debug_assert_eq!(runs.len(), cfg.n_runs, "every run produces one result");
-
-    let parts = obs_parts.into_inner();
-    let mut obs = CampaignObs {
-        workers: parts.len(),
-        ..CampaignObs::default()
-    };
-    for (counters, histograms) in &parts {
-        obs.counters.merge(counters);
-        obs.histograms.merge(histograms);
-    }
-    (runs.into_iter().map(|(_, m)| m).collect(), obs)
+    runs.into_iter().map(|(_, m)| m).collect()
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -436,59 +356,21 @@ mod tests {
     }
 
     #[test]
-    fn observed_campaign_counters_match_metrics_and_scheduling() {
-        let trace = synth::azure_like_12_with_horizon(3, 400);
-        let z = zoo::standard();
-        let factory: Box<PolicyFactory<'_>> =
-            Box::new(|fams, _| Box::new(PulsePolicy::new(fams.to_vec(), PulseConfig::default())));
-        let (runs, obs) = run_many_observed(&trace, &z, &small_cfg(6), factory.as_ref());
-        // Counters reconcile exactly with the per-run metrics.
-        assert_eq!(obs.counters.get("runs"), 6);
-        let invocations: u64 = runs.iter().map(RunMetrics::invocations).sum();
-        assert_eq!(obs.counters.get("invocations"), invocations);
-        assert_eq!(
-            obs.counters.get("cold_starts"),
-            runs.iter().map(|m| m.cold_starts).sum::<u64>()
-        );
-        assert_eq!(
-            obs.counters.get("warm_starts"),
-            runs.iter().map(|m| m.warm_starts).sum::<u64>()
-        );
-        assert_eq!(
-            obs.counters.get("downgrades"),
-            runs.iter().map(|m| m.downgrades).sum::<u64>()
-        );
-        // Histograms carry one sample per run.
-        for name in ["run_cost_uusd", "run_cold_starts", "run_downgrades"] {
-            assert_eq!(obs.histograms.get(name).expect(name).count(), 6, "{name}");
-        }
-        assert!(obs.histograms.get("run_cost_uusd").unwrap().sum() > 0);
-        // Merged totals are independent of worker scheduling.
-        let seq_cfg = MultiRunConfig {
-            threads: Some(1),
-            ..small_cfg(6)
-        };
-        let (seq_runs, seq_obs) = run_many_observed(&trace, &z, &seq_cfg, factory.as_ref());
-        assert_eq!(runs, seq_runs);
-        assert_eq!(seq_obs.workers, 1);
-        assert_eq!(obs.counters, seq_obs.counters);
-        let pairs: Vec<_> = obs.histograms.iter().collect();
-        let seq_pairs: Vec<_> = seq_obs.histograms.iter().collect();
-        assert_eq!(pairs, seq_pairs);
-    }
-
-    #[test]
     fn single_thread_matches_parallel() {
         let trace = synth::azure_like_12_with_horizon(3, 500);
         let z = zoo::standard();
-        let factory: Box<PolicyFactory<'_>> =
+        let openwhisk: Box<PolicyFactory<'_>> =
             Box::new(|fams, _| Box::new(OpenWhiskFixed::new(fams)));
-        let par = run_many(&trace, &z, &small_cfg(4), factory.as_ref());
+        let pulse: Box<PolicyFactory<'_>> =
+            Box::new(|fams, _| Box::new(PulsePolicy::new(fams.to_vec(), PulseConfig::default())));
         let seq_cfg = MultiRunConfig {
             threads: Some(1),
             ..small_cfg(4)
         };
-        let seq = run_many(&trace, &z, &seq_cfg, factory.as_ref());
-        assert_eq!(par, seq);
+        for factory in [openwhisk, pulse] {
+            let par = run_many(&trace, &z, &small_cfg(4), factory.as_ref());
+            let seq = run_many(&trace, &z, &seq_cfg, factory.as_ref());
+            assert_eq!(par, seq);
+        }
     }
 }

@@ -12,13 +12,15 @@
 //!   two-week [`Trace`], so the real trace can be dropped into the
 //!   reproduction when available.
 //!
-//! Both parsers are **strict by default**: the first malformed row aborts
-//! the parse with a [`ParseError`]. Real production dumps are messier than
-//! fixtures, so each has a `_lenient` twin ([`from_simple_csv_lenient`],
-//! [`parse_azure_day_lenient`]) that *quarantines* malformed rows — ragged
-//! column counts, unparsable/negative/NaN count cells — into a
-//! [`QuarantineReport`] and parses everything else, failing only when no
-//! usable row survives.
+//! Each format is read by one row loop that *quarantines* malformed rows —
+//! ragged column counts, unparsable/negative/NaN count cells — into a
+//! [`QuarantineReport`] and parses everything else. Two readings of it are
+//! public per format. The strict ones ([`from_simple_csv`],
+//! [`parse_azure_day`]) fail with the first quarantined row's [`ParseError`].
+//! The lenient ones ([`from_simple_csv_lenient`], [`parse_azure_day_lenient`])
+//! return the report beside the rows, which suits real production dumps
+//! that are messier than fixtures, and fail only when no usable row
+//! survives.
 
 use crate::trace::{FunctionTrace, Trace};
 use crate::MINUTES_PER_DAY;
@@ -192,23 +194,69 @@ fn parse_simple_row(line: &str, lineno: usize, want: usize) -> Result<FunctionTr
     Ok(FunctionTrace::new(name, counts))
 }
 
-/// Parse the simple one-row-per-function format, aborting on the first
-/// malformed row. See [`from_simple_csv_lenient`] for the quarantining twin.
-pub fn from_simple_csv(s: &str) -> Result<Trace, ParseError> {
+/// The one row loop both formats share: validate the header with
+/// `header_width`, parse every non-blank data row with `parse_row`, and
+/// quarantine each row that fails under the name `row_name` reads from it.
+/// Errors only on a missing or malformed header.
+fn parse_rows<T>(
+    s: &str,
+    header_width: fn(&str) -> Result<usize, ParseError>,
+    parse_row: fn(&str, usize, usize) -> Result<T, ParseError>,
+    row_name: fn(&str) -> String,
+) -> Result<(Vec<T>, QuarantineReport), ParseError> {
     let mut lines = s.lines().enumerate();
     let (_, header) = lines.next().ok_or(ParseError::Empty)?;
-    let want = simple_header_width(header)?;
-    let mut functions = Vec::new();
+    let want = header_width(header)?;
+    let mut rows = Vec::new();
+    let mut report = QuarantineReport::default();
     for (i, line) in lines {
         if line.trim().is_empty() {
             continue;
         }
-        functions.push(parse_simple_row(line, i + 1, want)?);
+        match parse_row(line, i + 1, want) {
+            Ok(row) => {
+                report.accepted += 1;
+                rows.push(row);
+            }
+            Err(reason) => report.note(QuarantinedRow {
+                line: i + 1,
+                name: row_name(line),
+                reason,
+            }),
+        }
     }
-    if functions.is_empty() {
-        return Err(ParseError::Empty);
+    Ok((rows, report))
+}
+
+/// The strict reading of [`parse_rows`]: the first quarantined row's
+/// reason, else [`ParseError::Empty`] when no row was read.
+fn strict<T>((rows, report): (Vec<T>, QuarantineReport)) -> Result<Vec<T>, ParseError> {
+    match report.rows.into_iter().next() {
+        Some(row) => Err(row.reason),
+        None => nonempty(rows),
     }
-    Ok(Trace::new(functions))
+}
+
+/// `rows`, or [`ParseError::Empty`] when none survived.
+fn nonempty<T>(rows: Vec<T>) -> Result<Vec<T>, ParseError> {
+    if rows.is_empty() {
+        Err(ParseError::Empty)
+    } else {
+        Ok(rows)
+    }
+}
+
+/// A simple-format row's name: its first cell.
+fn simple_row_name(line: &str) -> String {
+    line.split(',').next().unwrap_or("").to_string()
+}
+
+/// Parse the simple one-row-per-function format, failing with the first
+/// malformed row's error. See [`from_simple_csv_lenient`] for the reading
+/// that quarantines such rows instead.
+pub fn from_simple_csv(s: &str) -> Result<Trace, ParseError> {
+    let parsed = parse_rows(s, simple_header_width, parse_simple_row, simple_row_name)?;
+    Ok(Trace::new(strict(parsed)?))
 }
 
 /// Parse the simple format, quarantining malformed rows (ragged columns,
@@ -216,31 +264,8 @@ pub fn from_simple_csv(s: &str) -> Result<Trace, ParseError> {
 /// when the input has no header or no row parses; the report records every
 /// row that was set aside.
 pub fn from_simple_csv_lenient(s: &str) -> Result<(Trace, QuarantineReport), ParseError> {
-    let mut lines = s.lines().enumerate();
-    let (_, header) = lines.next().ok_or(ParseError::Empty)?;
-    let want = simple_header_width(header)?;
-    let mut functions = Vec::new();
-    let mut report = QuarantineReport::default();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_simple_row(line, i + 1, want) {
-            Ok(f) => {
-                report.accepted += 1;
-                functions.push(f);
-            }
-            Err(reason) => report.note(QuarantinedRow {
-                line: i + 1,
-                name: line.split(',').next().unwrap_or("").to_string(),
-                reason,
-            }),
-        }
-    }
-    if functions.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    Ok((Trace::new(functions), report))
+    let (rows, report) = parse_rows(s, simple_header_width, parse_simple_row, simple_row_name)?;
+    Ok((Trace::new(nonempty(rows)?), report))
 }
 
 /// Serialize one day of a workload in the Azure schema
@@ -323,62 +348,37 @@ fn azure_header_width(header: &str) -> Result<usize, ParseError> {
     Ok(want)
 }
 
-/// Parse one Azure day file (`HashOwner,HashApp,HashFunction,Trigger,1..1440`),
-/// aborting on the first malformed row. See [`parse_azure_day_lenient`] for
-/// the quarantining twin.
-pub fn parse_azure_day(s: &str) -> Result<AzureDay, ParseError> {
-    let mut lines = s.lines().enumerate();
-    let (_, header) = lines.next().ok_or(ParseError::Empty)?;
-    let want = azure_header_width(header)?;
+/// An Azure row's name: its `owner/app/function` key as far as it reads.
+fn azure_row_name(line: &str) -> String {
+    let c: Vec<&str> = line.splitn(4, ',').collect();
+    match c.as_slice() {
+        [o, a, f, ..] => format!("{o}/{a}/{f}"),
+        _ => simple_row_name(line),
+    }
+}
+
+/// Key the parsed Azure rows; a repeated key keeps its last row.
+fn azure_day(rows: Vec<(String, Vec<u32>)>) -> AzureDay {
     let mut functions = BTreeMap::new();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, counts) = parse_azure_row(line, i + 1, want)?;
-        functions.insert(key, counts);
-    }
-    if functions.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    Ok(AzureDay { functions })
+    functions.extend(rows);
+    AzureDay { functions }
+}
+
+/// Parse one Azure day file (`HashOwner,HashApp,HashFunction,Trigger,1..1440`),
+/// failing with the first malformed row's error. See
+/// [`parse_azure_day_lenient`] for the reading that quarantines such rows
+/// instead.
+pub fn parse_azure_day(s: &str) -> Result<AzureDay, ParseError> {
+    let parsed = parse_rows(s, azure_header_width, parse_azure_row, azure_row_name)?;
+    Ok(azure_day(strict(parsed)?))
 }
 
 /// Parse one Azure day file, quarantining malformed rows instead of
 /// aborting. The header must still be well-formed (a broken header means the
 /// file is not this format at all), and at least one row must parse.
 pub fn parse_azure_day_lenient(s: &str) -> Result<(AzureDay, QuarantineReport), ParseError> {
-    let mut lines = s.lines().enumerate();
-    let (_, header) = lines.next().ok_or(ParseError::Empty)?;
-    let want = azure_header_width(header)?;
-    let mut functions = BTreeMap::new();
-    let mut report = QuarantineReport::default();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_azure_row(line, i + 1, want) {
-            Ok((key, counts)) => {
-                report.accepted += 1;
-                functions.insert(key, counts);
-            }
-            Err(reason) => report.note(QuarantinedRow {
-                line: i + 1,
-                name: {
-                    let c: Vec<&str> = line.splitn(4, ',').collect();
-                    match c.as_slice() {
-                        [o, a, f, ..] => format!("{o}/{a}/{f}"),
-                        _ => line.split(',').next().unwrap_or("").to_string(),
-                    }
-                },
-                reason,
-            }),
-        }
-    }
-    if functions.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    Ok((AzureDay { functions }, report))
+    let (rows, report) = parse_rows(s, azure_header_width, parse_azure_row, azure_row_name)?;
+    Ok((azure_day(nonempty(rows)?), report))
 }
 
 /// Concatenate consecutive Azure day files into one workload. Functions

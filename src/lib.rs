@@ -62,9 +62,7 @@ pub use pulse_trace as trace;
 pub mod prelude {
     pub use pulse_core::{PulseConfig, PulseEngine, ScheduleLedger, Slot};
     pub use pulse_models::{CostModel, ModelFamily, VariantSpec};
-    pub use pulse_obs::{
-        CounterRegistry, HistogramRegistry, JsonlSink, MemorySink, NullSink, ObsEvent, TraceSink,
-    };
+    pub use pulse_obs::{JsonlSink, MemorySink, NullSink, ObsEvent, TraceSink};
     pub use pulse_runtime::{
         AdmissionControl, ClusterConfig, FaultPlan, FaultRates, FleetConfig, MigrationConfig,
         NodeCapacity, NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec, NodeSummary,

@@ -363,14 +363,48 @@ proptest! {
         let mut journal = pulse::obs::JournalSink::new(Vec::new());
         journal.checkpoint(&snap);
         let journal = String::from_utf8(journal.into_inner()).unwrap();
+        // A cut inside a second row leaves one clean row beside a bad one.
+        let two = Trace::new(vec![
+            FunctionTrace::new("f", vec![1, 0, 2, 0]),
+            FunctionTrace::new("g", vec![0, 3, 0, 1]),
+        ]);
         let docs = [
             garbage,
             corrupt(&snap),
             corrupt(&rt_snap),
             corrupt(&csv::to_simple_csv(&trace)),
             corrupt(&csv::to_azure_day_csv(&trace, 0)),
+            corrupt(&csv::to_simple_csv(&two)),
+            corrupt(&csv::to_azure_day_csv(&two, 0)),
             corrupt(&journal),
         ];
+
+        // Strict parsing is the lenient parse with no row quarantined:
+        // `Ok` exactly when lenient is `Ok` with a clean report, and
+        // otherwise the first quarantined row's reason (or lenient's own
+        // header error).
+        fn agree<T: PartialEq + std::fmt::Debug>(
+            strict: Result<T, csv::ParseError>,
+            lenient: Result<(T, csv::QuarantineReport), csv::ParseError>,
+        ) -> Result<(), TestCaseError> {
+            match (strict, lenient) {
+                (Ok(t), Ok((l, report))) => {
+                    prop_assert!(report.is_clean(), "strict accepted a quarantined row");
+                    prop_assert_eq!(t, l);
+                }
+                (Err(e), Ok((_, report))) => {
+                    prop_assert!(!report.is_clean(), "strict failed a clean parse: {}", e);
+                    prop_assert_eq!(&e, &report.rows[0].reason);
+                }
+                (Ok(_), Err(e)) => prop_assert!(false, "lenient failed ({}) where strict parsed", e),
+                (Err(s), Err(l)) => {
+                    if l != csv::ParseError::Empty {
+                        prop_assert_eq!(s, l);
+                    }
+                }
+            }
+            Ok(())
+        }
 
         for doc in &docs {
             // Either a typed error, or (for corruptions that happen to stay
@@ -383,8 +417,8 @@ proptest! {
             if let Ok(resumed) = rt.restore(&mut p, &FaultPlan::none(), cluster, doc) {
                 resumed.finish();
             }
-            let _ = csv::from_simple_csv_lenient(doc);
-            let _ = csv::parse_azure_day_lenient(doc);
+            agree(csv::from_simple_csv(doc), csv::from_simple_csv_lenient(doc))?;
+            agree(csv::parse_azure_day(doc), csv::parse_azure_day_lenient(doc))?;
             let _ = pulse::obs::replay_journal(doc);
         }
     }
