@@ -92,11 +92,10 @@ impl Probability {
     /// inter-arrival model ("uninformed") and scheme T2 ("reserve the lowest
     /// variant for p = 0") branch on. This is the one sanctioned exact float
     /// comparison on probabilities: 0.0 is produced literally, never by
-    /// rounding.
+    /// rounding. It is the single entry in `FLOAT_CMP_ALLOWED`, the allow
+    /// list of the float-literal scan in `tests/workspace_pins.rs`.
     #[inline]
-    #[allow(clippy::float_cmp)]
     pub fn is_zero(self) -> bool {
-        // audit:allow(float-cmp): exact zero is assigned (never computed), so the sentinel compares exactly by design
         self.0 == 0.0
     }
 

@@ -491,6 +491,37 @@ mod tests {
             ledger.keep_alive_mb_at(&fams, 7),
             fams[0].variant(2).memory_mb
         );
+
+        // Billing sums in ascending function order, and every bitwise
+        // engine pin depends on that order. Two functions cannot show it;
+        // twelve zoo memories are not integers, so the descending fold of
+        // the same ledger lands on other bits.
+        let fams = zoo_families(12);
+        let mut ledger = ScheduleLedger::new(fams.len());
+        for (f, fam) in fams.iter().enumerate() {
+            ledger.replace(f, KeepAliveSchedule::constant(0, f % fam.n_variants(), 5));
+        }
+        let alive_mb: Vec<f64> = (0..fams.len())
+            .filter_map(|f| {
+                let v = ledger.alive_variant_at(f, 3)?;
+                Some(fams[f].variant(v).memory_mb)
+            })
+            .collect();
+        let ascending = alive_mb.iter().fold(0.0, |acc, mb| acc + mb);
+        let descending = alive_mb.iter().rev().fold(0.0, |acc, mb| acc + mb);
+        assert_ne!(
+            ascending.to_bits(),
+            descending.to_bits(),
+            "the fixture no longer tells the two orders apart"
+        );
+        assert_eq!(
+            ledger.keep_alive_mb_at(&fams, 3).to_bits(),
+            ascending.to_bits()
+        );
+        assert_eq!(
+            ledger.minute_footprint(&fams, 3).total_mb.to_bits(),
+            ascending.to_bits()
+        );
     }
 
     #[test]

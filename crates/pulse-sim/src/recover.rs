@@ -152,7 +152,6 @@ const HOLE_SLOT: u64 = u64::MAX;
 /// (functions without a schedule are omitted; restore starts from an empty
 /// ledger of the same width).
 pub fn encode_ledger(doc: &mut String, ledger: &ScheduleLedger) {
-    // audit:allow(ledger-sweep): checkpoint codec serializes every function
     for f in 0..ledger.n_functions() {
         let Some(s) = ledger.schedule(f) else {
             continue;
