@@ -38,22 +38,6 @@ fn bench(c: &mut Criterion) {
         }
         b.iter(|| p.predict_active(10))
     });
-
-    // The other forecasters on the same series, for the predictor shoot-out.
-    let counts: Vec<f64> = signal(240).iter().map(|x| x.abs()).collect();
-    c.bench_function("holt_winters_forecast_240min", |b| {
-        let mut hw = pulse_forecast::HoltWinters::hourly();
-        for &x in &counts {
-            hw.push(x);
-        }
-        b.iter(|| hw.forecast(10))
-    });
-    c.bench_function("ar_fit_and_forecast_240min", |b| {
-        b.iter(|| {
-            let m = pulse_forecast::ar::ArModel::fit_auto(&counts, 5);
-            m.forecast(&counts, 10)
-        })
-    });
 }
 
 criterion_group! {

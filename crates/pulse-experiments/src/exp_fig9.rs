@@ -9,7 +9,7 @@
 
 use crate::common::ExpConfig;
 use crate::milp_policy::MilpPolicy;
-use crate::report::{fmt, Table};
+use crate::report::{fmt, wall_clock, Table};
 use pulse_core::global::{flatten_peak, AliveModel};
 use pulse_core::priority::PriorityStructure;
 use pulse_core::types::PulseConfig;
@@ -76,6 +76,13 @@ pub fn accuracy_comparison(cfg: &ExpConfig) -> (f64, f64) {
 /// Render Figure 9.
 pub fn run(cfg: &ExpConfig) -> String {
     let samples = overhead_samples(cfg.n_runs.clamp(10, 200), cfg.seed);
+    let (pulse_acc, milp_acc) = accuracy_comparison(cfg);
+    render(&samples, pulse_acc, milp_acc)
+}
+
+/// Figure 9 from its measurements: the latency table and ratio line are
+/// wall-clock lines, the accuracy table is deterministic.
+pub(crate) fn render(samples: &[(f64, f64)], pulse_acc: f64, milp_acc: f64) -> String {
     let greedy: Vec<f64> = samples.iter().map(|&(g, _)| g).collect();
     let milp: Vec<f64> = samples.iter().map(|&(_, m)| m).collect();
     let ratio: Vec<f64> = samples
@@ -101,14 +108,13 @@ pub fn run(cfg: &ExpConfig) -> String {
         format!("{:.2e}", percentile(&milp, 50.0)),
         format!("{:.2e}", percentile(&milp, 99.0)),
     ]);
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "MILP/greedy latency ratio: mean {}x, p50 {}x\n\n",
+    out.push_str(&wall_clock(&table.render()));
+    out.push_str(&wall_clock(&format!(
+        "MILP/greedy latency ratio: mean {}x, p50 {}x",
         fmt(mean(&ratio), 0),
         fmt(percentile(&ratio, 50.0), 0)
-    ));
-    let (pulse_acc, milp_acc) = accuracy_comparison(cfg);
-    out.push_str("== Figure 9b: delivered accuracy ==\n");
+    )));
+    out.push_str("\n== Figure 9b: delivered accuracy ==\n");
     let mut t2 = Table::new(
         "End-to-end accuracy (same workload & assignment)",
         &["Technique", "Accuracy (%)"],

@@ -11,7 +11,7 @@
 //!   10- and 20-minute windows.
 
 use crate::common::{improvement_higher_better, improvement_lower_better, ExpConfig};
-use crate::report::{fmt, pct, Table};
+use crate::report::{fmt, pct, wall_clock, Table};
 use pulse_core::types::PulseConfig;
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{OpenWhiskFixed, PulsePolicy};
@@ -19,40 +19,67 @@ use pulse_sim::Simulator;
 use pulse_trace::scale::replicate;
 use std::time::Instant;
 
+/// One fleet size of the scalability sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScaleRow {
+    pub functions: usize,
+    pub invocations: u64,
+    pub minutes: usize,
+    pub downgrades: u64,
+    /// Wall-clock seconds of the PULSE run.
+    pub wall_s: f64,
+}
+
 /// Fleet-size sweep: wall-clock per simulated minute and per invocation.
 // The sweep's output is wall time; the simulation itself never sees it.
 #[allow(clippy::disallowed_methods)]
 pub fn run_scalability(cfg: &ExpConfig) -> String {
     let base = cfg.trace();
     let zoo = cfg.zoo();
-    let mut table = Table::new(
+    let rows: Vec<ScaleRow> = [1usize, 4, 16, 64]
+        .into_iter()
+        .map(|factor| {
+            let trace = replicate(&base, factor, 37);
+            let fams = round_robin_assignment(&zoo, trace.n_functions());
+            let sim = Simulator::new(trace.clone(), fams.clone());
+            let start = Instant::now();
+            let m = sim.run(&mut PulsePolicy::new(fams, PulseConfig::default()));
+            ScaleRow {
+                functions: trace.n_functions(),
+                invocations: m.invocations(),
+                minutes: trace.minutes(),
+                downgrades: m.downgrades,
+                wall_s: start.elapsed().as_secs_f64(),
+            }
+        })
+        .collect();
+    render_scalability(&rows)
+}
+
+/// The sweep's deterministic counts, then its wall-clock table.
+pub(crate) fn render_scalability(rows: &[ScaleRow]) -> String {
+    let mut counts = Table::new(
         "Scalability: PULSE simulation overhead vs fleet size",
-        &[
-            "Functions",
-            "Invocations",
-            "Wall (s)",
-            "us/sim-minute",
-            "us/invocation",
-            "Downgrades",
-        ],
+        &["Functions", "Invocations", "Downgrades"],
     );
-    for factor in [1usize, 4, 16, 64] {
-        let trace = replicate(&base, factor, 37);
-        let fams = round_robin_assignment(&zoo, trace.n_functions());
-        let sim = Simulator::new(trace.clone(), fams.clone());
-        let start = Instant::now();
-        let m = sim.run(&mut PulsePolicy::new(fams, PulseConfig::default()));
-        let wall = start.elapsed().as_secs_f64();
-        table.row(vec![
-            trace.n_functions().to_string(),
-            m.invocations().to_string(),
-            fmt(wall, 2),
-            fmt(wall / trace.minutes() as f64 * 1e6, 1),
-            fmt(wall / m.invocations().max(1) as f64 * 1e6, 2),
-            m.downgrades.to_string(),
+    let mut timings = Table::new(
+        "Scalability wall clock",
+        &["Functions", "Wall (s)", "us/sim-minute", "us/invocation"],
+    );
+    for r in rows {
+        counts.row(vec![
+            r.functions.to_string(),
+            r.invocations.to_string(),
+            r.downgrades.to_string(),
+        ]);
+        timings.row(vec![
+            r.functions.to_string(),
+            fmt(r.wall_s, 2),
+            fmt(r.wall_s / r.minutes as f64 * 1e6, 1),
+            fmt(r.wall_s / r.invocations.max(1) as f64 * 1e6, 2),
         ]);
     }
-    table.render()
+    counts.render() + &wall_clock(&timings.render())
 }
 
 /// Keep-alive duration sweep: PULSE vs the fixed policy at the same window.

@@ -9,6 +9,7 @@
 //! `serve_summary`) lands in the JSONL stream.
 
 use crate::common::ExpConfig;
+use crate::report::WALL_CLOCK_MARK;
 use pulse_obs::{emit, ObsEvent, TraceSink};
 use pulse_serve::{run_demo, DemoConfig, ServeReport};
 
@@ -37,7 +38,8 @@ pub fn run(cfg: &ExpConfig) -> String {
     render(&demo, &report)
 }
 
-fn render(demo: &DemoConfig, r: &ServeReport) -> String {
+/// The serve report; its throughput and latency lines are wall-clock lines.
+pub(crate) fn render(demo: &DemoConfig, r: &ServeReport) -> String {
     let generated = r.admitted + r.front_door_dropped;
     let wall_s = r.wall_ms as f64 / 1e3;
     let mut out = String::new();
@@ -55,17 +57,17 @@ fn render(demo: &DemoConfig, r: &ServeReport) -> String {
         r.admitted, r.front_door_dropped, r.engine_shed
     ));
     out.push_str(&format!(
-        "achieved           : {:.0} req/s over {:.2} s of wall clock\n",
+        "{WALL_CLOCK_MARK} achieved           : {:.0} req/s over {:.2} s of wall clock\n",
         r.rps, wall_s
     ));
     // Histogram percentiles are power-of-two bucket upper bounds, hence "<=".
     out.push_str(&format!(
-        "decision latency   : p50 <= {} ns, p99 <= {} ns\n",
+        "{WALL_CLOCK_MARK} decision latency   : p50 <= {} ns, p99 <= {} ns\n",
         r.p50_decision_ns(),
         r.p99_decision_ns()
     ));
     out.push_str(&format!(
-        "minute-tick cost   : p99 <= {} ns across {} ticks\n",
+        "{WALL_CLOCK_MARK} minute-tick cost   : p99 <= {} ns across {} ticks\n",
         r.tick_ns.approx_percentile(99).unwrap_or(0),
         r.tick_ns.count()
     ));

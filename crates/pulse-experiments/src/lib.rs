@@ -25,9 +25,7 @@ pub mod exp_fig5_fig6;
 pub mod exp_fig8;
 pub mod exp_fig9;
 pub mod exp_fleet;
-pub mod exp_nodes;
 pub mod exp_overload;
-pub mod exp_predictors;
 pub mod exp_recover;
 pub mod exp_scalability;
 pub mod exp_sensitivity;
@@ -65,8 +63,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "chaos",
     "fleet",
     "characterize",
-    "predictors",
-    "nodes",
     "overload",
     "recover",
     "serve",
@@ -99,8 +95,6 @@ pub fn run_experiment(name: &str, cfg: &ExpConfig) -> Result<String, String> {
         "chaos" => exp_chaos::run(cfg),
         "fleet" => exp_fleet::run(cfg),
         "characterize" => exp_characterize::run(cfg),
-        "predictors" => exp_predictors::run(cfg),
-        "nodes" => exp_nodes::run(cfg),
         "overload" => exp_overload::run(cfg),
         "recover" => exp_recover::run(cfg),
         "serve" => exp_serve::run(cfg),
@@ -131,5 +125,75 @@ mod tests {
             ..ExpConfig::quick()
         };
         assert!(run_experiment("table3", &cfg).is_ok());
+    }
+
+    /// The lines a `grep -v '^~'` keeps: what `results/quick.txt` pins.
+    fn unmarked(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter(|l| !l.starts_with(report::WALL_CLOCK_MARK))
+            .collect()
+    }
+
+    /// Every wall-clock value sits on a marked line: the same measurements
+    /// rendered with two different sets of timings (of different widths,
+    /// too) read the same once the marked lines are dropped.
+    #[test]
+    fn wall_clock_values_sit_on_marked_lines() {
+        let fast = [(1.2e-6, 3.4e-4), (2.5e-6, 5.0e-5), (9.0e-7, 1.1e-2)];
+        let slow = [(3.3e-5, 0.25), (9.9e-10, 12.5), (4.0e-3, 4.0e-3)];
+        let (a, b) = (
+            exp_fig9::render(&fast, 80.12, 79.34),
+            exp_fig9::render(&slow, 80.12, 79.34),
+        );
+        assert_ne!(a, b);
+        assert_eq!(unmarked(&a), unmarked(&b));
+
+        let rows = |wall_s: [f64; 2]| {
+            [(12, 12_552, 3_545), (768, 803_328, 297)]
+                .into_iter()
+                .zip(wall_s)
+                .map(
+                    |((functions, invocations, downgrades), wall_s)| exp_scalability::ScaleRow {
+                        functions,
+                        invocations,
+                        minutes: 5_760,
+                        downgrades,
+                        wall_s,
+                    },
+                )
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = (
+            exp_scalability::render_scalability(&rows([0.01, 0.36])),
+            exp_scalability::render_scalability(&rows([1.5, 1234.5])),
+        );
+        assert_ne!(a, b);
+        assert_eq!(unmarked(&a), unmarked(&b));
+
+        let demo = pulse_serve::DemoConfig {
+            rps: 2_000,
+            seconds: 1,
+            functions: 3,
+            seed: 7,
+            max_pending: 64,
+        };
+        let measured = pulse_serve::run_demo(&demo, None);
+        let mut slower = measured.clone();
+        slower.wall_ms = measured.wall_ms * 1_000 + 12_345;
+        slower.rps = measured.rps / 1_000.0 + 0.5;
+        for (h, ns) in [
+            (&mut slower.decision_ns, 1 << 20),
+            (&mut slower.tick_ns, 1 << 30),
+        ] {
+            let count = h.count();
+            *h = pulse_obs::Histogram::new();
+            h.record_n(ns, count);
+        }
+        let (a, b) = (
+            exp_serve::render(&demo, &measured),
+            exp_serve::render(&demo, &slower),
+        );
+        assert_ne!(a, b);
+        assert_eq!(unmarked(&a), unmarked(&b));
     }
 }

@@ -3,8 +3,14 @@
 //! ```text
 //! pulse-exp [--quick|--full] [--seed N] [--runs N] [--horizon MIN]
 //!           [--demo] [--rps N] [--duration SECS]
-//!           [--out DIR] [--trace-out FILE] [all | <exp>...]
+//!           [--trace-out FILE] [all | <exp>...]
 //! ```
+//!
+//! Reports go to stdout (redirect to keep them: `pulse-exp fig6a >
+//! fig6a.txt`); per-experiment wall times go to stderr. Every value that
+//! depends on the wall clock sits on a line starting with
+//! [`pulse_experiments::report::WALL_CLOCK_MARK`], so `grep -v '^~'` leaves
+//! the deterministic part, which `results/quick.txt` pins for `--quick all`.
 //!
 //! * `--quick` (default): 4-day trace, 30 runs — minutes of wall clock.
 //! * `--full`: the paper-scale setup — 14-day trace, 1000 runs.
@@ -32,7 +38,6 @@ use pulse_experiments::{run_experiment, ExpConfig, ServeOptions, EXPERIMENTS};
 struct Cli {
     cfg: ExpConfig,
     names: Vec<String>,
-    out_dir: Option<std::path::PathBuf>,
     help: bool,
 }
 
@@ -54,12 +59,6 @@ fn main() {
     }
     let cfg = cli.cfg;
     let mut names = cli.names;
-    if let Some(dir) = &cli.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-    }
     if let Some(path) = &cfg.trace_out {
         // Truncate once here; experiments open the file in append mode so
         // several sweeps in one invocation share the stream.
@@ -85,13 +84,6 @@ fn main() {
         match run_experiment(&name, &cfg) {
             Ok(report) => {
                 println!("{report}");
-                if let Some(dir) = &cli.out_dir {
-                    let path = dir.join(format!("{name}.txt"));
-                    if let Err(e) = std::fs::write(&path, &report) {
-                        eprintln!("error: cannot write {}: {e}", path.display());
-                        failed = true;
-                    }
-                }
                 eprintln!("[{name} done in {:.1?}]", started.elapsed());
             }
             Err(e) => {
@@ -126,7 +118,6 @@ fn parse_args(raw: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         cfg: ExpConfig::quick(),
         names: Vec::new(),
-        out_dir: None,
         help: false,
     };
     let mut it = tokens.iter().peekable();
@@ -146,9 +137,6 @@ fn parse_args(raw: &[String]) -> Result<Cli, String> {
             "--duration" => {
                 cli.cfg.serve.seconds =
                     parse_num(take_value(&mut it, "--duration")?, "--duration")?;
-            }
-            "--out" => {
-                cli.out_dir = Some(std::path::PathBuf::from(take_value(&mut it, "--out")?));
             }
             "--trace-out" => {
                 cli.cfg.trace_out = Some(std::path::PathBuf::from(take_value(
@@ -185,7 +173,7 @@ fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
 
 fn print_usage() {
     eprintln!(
-        "usage: pulse-exp [--quick|--full] [--seed N] [--runs N] [--horizon MIN] [--demo] [--rps N] [--duration SECS] [--out DIR] [--trace-out FILE] [all | <exp>...]\n\
+        "usage: pulse-exp [--quick|--full] [--seed N] [--runs N] [--horizon MIN] [--demo] [--rps N] [--duration SECS] [--trace-out FILE] [all | <exp>...]\n\
          experiments: {}",
         EXPERIMENTS.join(" ")
     );
@@ -250,13 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn experiment_names_and_out_dir_still_parse() {
-        let a = parse(&["--trace-out=t.jsonl", "--out", "results", "fig4", "fig5"]).unwrap();
+    fn experiment_names_and_trace_out_still_parse() {
+        let a = parse(&["--trace-out=t.jsonl", "fig4", "fig5"]).unwrap();
         assert_eq!(
             a.cfg.trace_out.as_deref(),
             Some(std::path::Path::new("t.jsonl"))
         );
-        assert_eq!(a.out_dir.as_deref(), Some(std::path::Path::new("results")));
         assert_eq!(a.names, ["fig4", "fig5"]);
     }
 }

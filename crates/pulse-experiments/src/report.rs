@@ -99,6 +99,18 @@ impl Table {
     }
 }
 
+/// The prefix of every report line whose content depends on the wall
+/// clock, so `grep -v '^~'` keeps exactly the deterministic part of a
+/// report — the part `results/quick.txt` pins.
+pub const WALL_CLOCK_MARK: &str = "~";
+
+/// Prefix every line of `text` with [`WALL_CLOCK_MARK`].
+pub fn wall_clock(text: &str) -> String {
+    text.lines()
+        .map(|l| format!("{WALL_CLOCK_MARK} {l}\n"))
+        .collect()
+}
+
 /// Format a float with `d` decimals.
 pub fn fmt(x: f64, d: usize) -> String {
     format!("{x:.d$}")

@@ -77,14 +77,9 @@ proptest! {
     fn ar_forecast_is_finite(
         xs in proptest::collection::vec(0.1f64..1e3, 3..100),
         order in 0usize..5,
-        horizon in 1usize..20,
     ) {
-        let m = ArModel::fit(&xs, order);
-        let fc = m.forecast(&xs, horizon);
-        prop_assert_eq!(fc.len(), horizon);
-        for v in fc {
-            prop_assert!(v.is_finite());
-        }
+        prop_assert!(ArModel::fit(&xs, order).forecast_one(&xs).is_finite());
+        prop_assert!(ArModel::fit_auto(&xs, order).forecast_one(&xs).is_finite());
     }
 
     #[test]
