@@ -1,12 +1,10 @@
-//! Fleet configuration: N heterogeneous nodes behind one global scheduler.
+//! Fleet configuration: N nodes behind one global scheduler.
 //!
 //! [`FleetConfig`] is the multi-node generalization of
 //! [`crate::cluster::ClusterConfig`]. The runtime places every cold start on
-//! the live node with the best net utility (capacity headroom discounted by
-//! the node's price and speed factors — the IceBreaker-style signal seeded
-//! in `exp_nodes`), enforces each node's keep-alive cap separately with
-//! Algorithm 2's utility-ordered downgrade loop, and bills each node's
-//! footprint at its own price factor.
+//! the live node with the most capacity headroom after the placement,
+//! enforces each node's keep-alive cap separately with Algorithm 2's
+//! utility-ordered downgrade loop, and bills each node's footprint.
 //!
 //! Robustness semantics layered on top:
 //!
@@ -20,15 +18,12 @@
 //!   the most headroom. Per-node planned footprints come from the ledger's
 //!   minute footprint, filled from its per-minute alive set (DESIGN.md
 //!   §16), so the tick cost scales with the alive functions, not the fleet
-//!   size. A migration is a charged pause
-//!   ([`MigrationConfig::pause_ms`]) during which the container cannot
-//!   serve — orders of magnitude cheaper than a cold start, and counted in
-//!   `RuntimeSummary::migrations` / `migration_pause_ms`;
-//! * **two-tier admission**: the global front door
-//!   ([`FleetConfig::admission`]) sheds before per-function queues grow
-//!   unbounded, and [`FleetConfig::node_admission`] bounds each node's
-//!   waiting backlog separately. A shed of either tier counts in
-//!   `RuntimeSummary::shed_requests` (tier 2 also in `node_shed_requests`).
+//!   size. A migration is a charged 200 ms pause during which the container
+//!   cannot serve — orders of magnitude cheaper than a cold start, and
+//!   counted in `RuntimeSummary::migrations` / `migration_pause_ms`;
+//! * **admission**: the global front door ([`FleetConfig::admission`])
+//!   sheds before per-function queues grow unbounded; each shed counts in
+//!   `RuntimeSummary::shed_requests`.
 //!
 //! Each of these actions is counted in the `RuntimeSummary` and emitted
 //! once to the session's trace sink (`ObsEvent::NodeDown`,
@@ -44,43 +39,21 @@
 use crate::cluster::{AdmissionControl, ClusterConfig, NodeCapacity};
 use crate::node::{NodeFaultPlan, NodeSpec};
 
-/// Warm-container migration accounting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MigrationConfig {
-    /// Charged pause while a warm container moves between nodes, ms. The
-    /// container keeps its variant and warm state but cannot serve until the
-    /// pause elapses. Must be far below a cold start for migration to pay
-    /// off (the default, 200 ms, is ~10–100× cheaper than the model zoo's
-    /// cold starts).
-    pub pause_ms: u64,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        Self { pause_ms: 200 }
-    }
-}
-
-/// A fleet of heterogeneous nodes plus its robustness knobs.
+/// A fleet of nodes plus its robustness knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// The nodes, indexed by position. Must be non-empty.
     pub nodes: Vec<NodeSpec>,
-    /// Global front-door admission control (tier 1): bounds the total
-    /// pending backlog across the whole fleet.
+    /// Global front-door admission control: bounds the total pending
+    /// backlog across the whole fleet.
     pub admission: AdmissionControl,
-    /// Per-node admission bound (tier 2): max requests waiting on any single
-    /// node before its arrivals are shed; `None` = unbounded.
-    pub node_admission: Option<usize>,
     /// Deterministic node-level fault schedule.
     pub node_faults: NodeFaultPlan,
-    /// Migration cost accounting.
-    pub migration: MigrationConfig,
 }
 
 /// The single-node fleet equivalent to a cluster: one nominal node with the
 /// cluster's capacity, the cluster's admission bound as the global front
-/// door, no per-node bound, no node faults.
+/// door, no node faults.
 impl From<ClusterConfig> for FleetConfig {
     fn from(cluster: ClusterConfig) -> Self {
         Self::single(NodeSpec::nominal("node0", cluster.capacity)).with_admission(cluster.admission)
@@ -93,9 +66,7 @@ impl FleetConfig {
         Self {
             nodes: vec![spec],
             admission: AdmissionControl::unbounded(),
-            node_admission: None,
             node_faults: NodeFaultPlan::none(),
-            migration: MigrationConfig::default(),
         }
     }
 
@@ -108,21 +79,7 @@ impl FleetConfig {
                 .map(|k| NodeSpec::nominal(format!("node{k}"), capacity))
                 .collect(),
             admission: AdmissionControl::unbounded(),
-            node_admission: None,
             node_faults: NodeFaultPlan::none(),
-            migration: MigrationConfig::default(),
-        }
-    }
-
-    /// A fleet over explicit node specs.
-    pub fn heterogeneous(nodes: Vec<NodeSpec>) -> Self {
-        assert!(!nodes.is_empty(), "a fleet needs at least one node");
-        Self {
-            nodes,
-            admission: AdmissionControl::unbounded(),
-            node_admission: None,
-            node_faults: NodeFaultPlan::none(),
-            migration: MigrationConfig::default(),
         }
     }
 
@@ -132,27 +89,14 @@ impl FleetConfig {
         self
     }
 
-    /// Builder: bound each node's waiting backlog.
-    pub fn with_node_admission(mut self, max_waiting: usize) -> Self {
-        self.node_admission = Some(max_waiting);
-        self
-    }
-
     /// Builder: attach a node-level fault schedule.
     pub fn with_node_faults(mut self, plan: NodeFaultPlan) -> Self {
         self.node_faults = plan;
         self
     }
-
-    /// Builder: override migration accounting.
-    pub fn with_migration(mut self, migration: MigrationConfig) -> Self {
-        self.migration = migration;
-        self
-    }
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
     use crate::node::{NodeFault, NodeFaultKind};
@@ -166,10 +110,7 @@ mod tests {
         let fleet = FleetConfig::from(cluster);
         assert_eq!(fleet.nodes.len(), 1);
         assert_eq!(fleet.nodes[0].capacity, cluster.capacity);
-        assert_eq!(fleet.nodes[0].speed_factor, 1.0);
-        assert_eq!(fleet.nodes[0].price_factor, 1.0);
         assert_eq!(fleet.admission, cluster.admission);
-        assert_eq!(fleet.node_admission, None);
         assert!(fleet.node_faults.is_none());
     }
 
@@ -184,23 +125,19 @@ mod tests {
     fn builders_compose() {
         let fleet = FleetConfig::uniform(2, NodeCapacity::unlimited())
             .with_admission(AdmissionControl::bounded(10))
-            .with_node_admission(4)
             .with_node_faults(NodeFaultPlan::none().with(NodeFault {
                 node: 1,
                 kind: NodeFaultKind::Crash,
                 at_minute: 5,
                 duration_minutes: 2,
-            }))
-            .with_migration(MigrationConfig { pause_ms: 50 });
+            }));
         assert_eq!(fleet.admission.max_pending, Some(10));
-        assert_eq!(fleet.node_admission, Some(4));
         assert_eq!(fleet.node_faults.faults.len(), 1);
-        assert_eq!(fleet.migration.pause_ms, 50);
     }
 
     #[test]
     #[should_panic(expected = "at least one node")]
     fn empty_fleet_rejected() {
-        let _ = FleetConfig::heterogeneous(Vec::new());
+        let _ = FleetConfig::uniform(0, NodeCapacity::unlimited());
     }
 }

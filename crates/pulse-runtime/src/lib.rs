@@ -35,10 +35,10 @@
 //!    the `pulse_sim::watchdog` policy fallback (a `ClusterConfig` passed to
 //!    `Runtime::session`; see `pulse-exp overload`).
 //! 5. **Fleet-robustness experiments** — a multi-node generalization
-//!    ([`fleet`] + [`node`]): heterogeneous nodes behind a net-utility
-//!    global placer, deterministic node-level faults (crash / straggler /
-//!    partition with heal times), warm-container migration off pressured
-//!    nodes, and two-tier admission (a `FleetConfig` passed to
+//!    ([`fleet`] + [`node`]): nodes with their own keep-alive caps behind a
+//!    headroom-ranked global placer, deterministic node-level faults (crash /
+//!    straggler / partition with heal times), warm-container migration off
+//!    pressured nodes, and global admission (a `FleetConfig` passed to
 //!    `Runtime::session`; see `pulse-exp fleet`). A 1-node fleet with no
 //!    node faults is bit-identical to the equivalent `ClusterConfig` run.
 //!
@@ -68,7 +68,7 @@ pub use cluster::{AdmissionControl, ClusterConfig, NodeCapacity};
 pub use container::{ContainerState, LiveContainer};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultInjector, FaultPlan, FaultRates, RetryPolicy};
-pub use fleet::{FleetConfig, MigrationConfig};
+pub use fleet::FleetConfig;
 pub use metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 pub use node::{NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec};
 pub use runtime::{arrival_times_in_minute, Runtime, RuntimeConfig, RuntimeSession};

@@ -73,9 +73,8 @@ pub struct RuntimeSummary {
     /// Containers reaped because the *cheapest* variant also failed to
     /// provision (the ladder offered no further fallback).
     pub reaped: u64,
-    /// Arrivals shed by admission control, either tier (they count as
-    /// failed requests in [`Self::availability`] and [`Self::goodput`] via
-    /// their records).
+    /// Arrivals shed by admission control (they count as failed requests
+    /// in [`Self::availability`] and [`Self::goodput`] via their records).
     pub shed_requests: u64,
     /// Kept-alive models evicted by node-capacity pressure.
     pub evictions: u64,
@@ -90,7 +89,7 @@ pub struct RuntimeSummary {
     /// Warm-container migrations performed by the fleet rebalancer.
     pub migrations: u64,
     /// Total charged migration pause, ms (each migration pauses its
-    /// container for `MigrationConfig::pause_ms`).
+    /// container for 200 ms).
     pub migration_pause_ms: u64,
     /// Node-crash fault windows that struck.
     pub node_crashes: u64,
@@ -108,9 +107,6 @@ pub struct RuntimeSummary {
     /// Cold starts that failed outright because no live node could take the
     /// placement (counted as failed requests).
     pub placement_failures: u64,
-    /// Arrivals shed by the per-node admission bound (tier 2); also counted
-    /// in [`Self::shed_requests`].
-    pub node_shed_requests: u64,
     /// Per-node accounting, in node order. Always one entry per fleet node
     /// (a plain cluster run has exactly one, the implicit `node0`).
     pub node_summaries: Vec<NodeSummary>,
@@ -121,8 +117,7 @@ pub struct RuntimeSummary {
 pub struct NodeSummary {
     /// Node name (from its [`crate::node::NodeSpec`]).
     pub name: String,
-    /// Keep-alive cost billed for memory held on this node, USD (already
-    /// scaled by the node's price factor).
+    /// Keep-alive cost billed for memory held on this node, USD.
     pub keepalive_cost_usd: f64,
     /// This node's keep-alive memory at each minute tick, MB. Summing these
     /// across nodes reproduces `RuntimeSummary::memory_at_tick_mb` exactly.

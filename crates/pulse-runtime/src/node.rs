@@ -1,12 +1,10 @@
-//! Node modeling for the fleet layer: heterogeneous specs, health, and a
+//! Node modeling for the fleet layer: node specs, health, and a
 //! deterministic node-level fault plan.
 //!
-//! A [`NodeSpec`] describes one machine of the fleet — its keep-alive
-//! capacity plus speed/price factors in the style of the IceBreaker node
-//! types the placement experiments use (`exp_nodes`): a factor of `1.0` is
-//! the nominal node the single-node engine always assumed, a speed factor
-//! above `1.0` runs slower, a price factor above `1.0` bills keep-alive
-//! memory at a premium.
+//! A [`NodeSpec`] describes one machine of the fleet: a name and its
+//! keep-alive capacity. Every node runs at the nominal speed and price the
+//! single-node engine assumes, so nodes differ only in how much memory they
+//! can keep alive and in the faults that strike them.
 //!
 //! The [`NodeFaultPlan`] is the fleet-level analogue of
 //! [`crate::fault::FaultPlan`], but deliberately *pure data*: every fault is
@@ -16,44 +14,24 @@
 //! [`NodeFaultPlan::correlated_outage`], [`NodeFaultPlan::stragglers`])
 //! produce the scenario shapes the `pulse-exp fleet` sweep uses.
 
-/// Heterogeneous node description.
+/// One node of a fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Display name (used in per-node summaries and the fleet sweep).
     pub name: String,
     /// Keep-alive memory cap of this node.
     pub capacity: crate::cluster::NodeCapacity,
-    /// Duration multiplier for executions and provisioning on this node;
-    /// `1.0` = nominal, `2.0` = twice as slow.
-    pub speed_factor: f64,
-    /// Keep-alive billing multiplier for memory held on this node; `1.0` =
-    /// nominal price.
-    pub price_factor: f64,
 }
 
 impl NodeSpec {
-    /// A nominal node (`speed_factor == price_factor == 1.0`) with the given
-    /// capacity — the shape a `ClusterConfig` converts to, and therefore
-    /// the shape whose behavior is bit-identical to the single-node engine.
+    /// A node with the given capacity — the shape a `ClusterConfig`
+    /// converts to, and therefore the shape whose behavior is bit-identical
+    /// to the single-node engine.
     pub fn nominal(name: impl Into<String>, capacity: crate::cluster::NodeCapacity) -> Self {
         Self {
             name: name.into(),
             capacity,
-            speed_factor: 1.0,
-            price_factor: 1.0,
         }
-    }
-
-    /// Builder: set the speed factor.
-    pub fn with_speed_factor(mut self, f: f64) -> Self {
-        self.speed_factor = f;
-        self
-    }
-
-    /// Builder: set the price factor.
-    pub fn with_price_factor(mut self, f: f64) -> Self {
-        self.price_factor = f;
-        self
     }
 }
 
@@ -264,17 +242,6 @@ impl NodeHealth {
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
-    use crate::cluster::NodeCapacity;
-
-    #[test]
-    fn nominal_node_is_unit_factors() {
-        let n = NodeSpec::nominal("n0", NodeCapacity::unlimited());
-        assert_eq!(n.speed_factor, 1.0);
-        assert_eq!(n.price_factor, 1.0);
-        let slow = n.clone().with_speed_factor(2.0).with_price_factor(0.5);
-        assert_eq!(slow.speed_factor, 2.0);
-        assert_eq!(slow.price_factor, 0.5);
-    }
 
     #[test]
     fn rolling_crashes_rotate_nodes() {

@@ -85,6 +85,12 @@ use pulse_sim::PlanState;
 use pulse_trace::Trace;
 use std::collections::VecDeque;
 
+/// Charged pause while a warm container moves between nodes, ms. The
+/// container keeps its variant and warm state but cannot serve until the
+/// pause elapses; at ~10–100× below the model zoo's cold starts, a
+/// migration pays off against the eviction it replaces.
+const MIGRATION_PAUSE_MS: u64 = 200;
+
 // Checkpoint/restore lives in a child module so it can reach the private run
 // state without widening any visibility (`src/snapshot.rs`, remapped here).
 #[path = "snapshot.rs"]
@@ -188,7 +194,7 @@ struct FnState {
 struct NodeRt {
     spec: NodeSpec,
     health: NodeHealth,
-    /// Keep-alive cost billed to this node (price-factor scaled), USD.
+    /// Keep-alive cost billed to this node, USD.
     cost_usd: f64,
     /// This node's billed footprint per minute tick, MB.
     billed_series: Vec<f64>,
@@ -210,15 +216,10 @@ impl NodeRt {
             migrations_out: 0,
         }
     }
-
-    /// Combined duration multiplier currently in force on this node.
-    fn time_factor(&self) -> f64 {
-        self.spec.speed_factor * self.health.time_scale()
-    }
 }
 
 /// Scale a sampled duration by a node's time factor. Exactly the identity
-/// when the factor is exactly `1.0` (the nominal-node fast path the 1-node
+/// when the factor is exactly `1.0` (the healthy-node fast path the 1-node
 /// bit-identity contract relies on).
 // Saturating cast of a rounded, positive service time in ms.
 #[allow(clippy::cast_possible_truncation)]
@@ -314,9 +315,9 @@ impl RunState<'_> {
         req
     }
 
-    /// Combined duration multiplier of the node hosting `func`.
+    /// Duration multiplier currently in force on the node hosting `func`.
     fn node_time_factor(&self, func: usize) -> f64 {
-        self.nodes[self.fns[func].node].time_factor()
+        self.nodes[self.fns[func].node].health.time_scale()
     }
 
     /// Can the node currently hosting `func` accept new work?
@@ -324,47 +325,43 @@ impl RunState<'_> {
         self.nodes[self.fns[func].node].health.accepts_work()
     }
 
-    /// Requests waiting across the functions hosted on `node` (the per-node
-    /// backlog the tier-2 admission bound applies to).
-    fn node_waiting(&self, node: usize) -> usize {
-        self.fns
-            .iter()
-            .filter(|st| st.node == node)
-            .map(|st| st.waiting.len())
-            .sum()
+    /// Capacity headroom `node` keeps after taking a `needed_mb` container,
+    /// as a fraction of its cap: negative when the container would put it
+    /// over, `-∞` for a zero cap and `1` for an uncapped node.
+    fn headroom(&self, families: &[ModelFamily], node: usize, needed_mb: f64) -> f64 {
+        match self.nodes[node].spec.capacity.keepalive_mb {
+            Some(cap) if cap > 0.0 => (cap - self.node_used_mb(families, node) - needed_mb) / cap,
+            Some(_) => f64::NEG_INFINITY,
+            None => 1.0,
+        }
     }
 
     /// Place a cold start needing `needed_mb` MB: the live node with the
-    /// best net utility — capacity headroom (after the placement) discounted
-    /// by the node's price and speed factors, ties to the lowest index.
-    /// `None` only when no node accepts work.
+    /// most headroom (floored at zero for a node the placement would put
+    /// over its cap), ties to the lowest index. `None` only when no node
+    /// accepts work.
     fn place_for(&self, families: &[ModelFamily], needed_mb: f64) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (k, node) in self.nodes.iter().enumerate() {
             if !node.health.accepts_work() {
                 continue;
             }
-            let headroom = match node.spec.capacity.keepalive_mb {
-                Some(cap) if cap > 0.0 => {
-                    let used = self.node_used_mb(families, k);
-                    ((cap - used - needed_mb) / cap).max(0.0)
-                }
-                Some(_) => 0.0,
-                None => 1.0,
-            };
-            let utility = (1.0 + headroom) / (node.spec.price_factor * node.spec.speed_factor);
-            if best.is_none_or(|(_, bu)| utility > bu) {
-                best = Some((k, utility));
+            // Scored as `1 + headroom`, not bare headroom: headrooms a
+            // rounding step apart then tie to the lower index, which keeps
+            // every placement where the pinned fleet outputs expect it.
+            let score = 1.0 + self.headroom(families, k, needed_mb).max(0.0);
+            if best.is_none_or(|(_, bs)| score > bs) {
+                best = Some((k, score));
             }
         }
         best.map(|(k, _)| k)
     }
 
     /// Best live node other than `exclude` with actual room for a
-    /// `needed_mb` container (same net-utility score as
-    /// [`Self::place_for`], but a node that would immediately be over its
-    /// own cap is not a valid migration target — that would just move the
-    /// pressure). `None` when nowhere fits.
+    /// `needed_mb` container (ranked like [`Self::place_for`], but a node
+    /// that would immediately be over its own cap is not a valid migration
+    /// target — that would just move the pressure). `None` when nowhere
+    /// fits.
     fn migration_target(
         &self,
         families: &[ModelFamily],
@@ -376,20 +373,13 @@ impl RunState<'_> {
             if k == exclude || !node.health.accepts_work() {
                 continue;
             }
-            let headroom = match node.spec.capacity.keepalive_mb {
-                Some(cap) if cap > 0.0 => {
-                    let h = (cap - self.node_used_mb(families, k) - needed_mb) / cap;
-                    if h < 0.0 {
-                        continue;
-                    }
-                    h
-                }
-                Some(_) => continue,
-                None => 1.0,
-            };
-            let utility = (1.0 + headroom) / (node.spec.price_factor * node.spec.speed_factor);
-            if best.is_none_or(|(_, bu)| utility > bu) {
-                best = Some((k, utility));
+            let headroom = self.headroom(families, k, needed_mb);
+            if headroom < 0.0 {
+                continue;
+            }
+            let score = 1.0 + headroom;
+            if best.is_none_or(|(_, bs)| score > bs) {
+                best = Some((k, score));
             }
         }
         best.map(|(k, _)| k)
@@ -703,8 +693,8 @@ impl Runtime {
     /// — a [`ClusterConfig`] (one finite node: keep-alive memory capped by
     /// [`ClusterConfig::capacity`], overage flattened by utility-ordered
     /// pressure downgrades, backlog bounded by [`ClusterConfig::admission`])
-    /// or a multi-node [`FleetConfig`] (net-utility placement, per-node
-    /// capacity, migration, two-tier admission and node faults; see
+    /// or a multi-node [`FleetConfig`] (headroom placement, per-node
+    /// capacity, migration, global admission and node faults; see
     /// [`crate::fleet`]). A cluster is exactly its one-node fleet (the
     /// `From` conversion), so both shapes run one implementation.
     ///
@@ -875,7 +865,7 @@ impl<'a> RuntimeSession<'a> {
         self.rs.queue.peek()
     }
 
-    /// Arrivals shed by admission control so far (tiers 1 and 2). The live
+    /// Arrivals shed by admission control so far. The live
     /// serving front door reports this mid-run, per minute tick, without
     /// waiting for [`Self::finish`].
     pub fn shed_so_far(&self) -> u64 {
@@ -1082,9 +1072,9 @@ impl<'a> RuntimeSession<'a> {
     /// Tick stage 4 (fleet): migrate idle warm containers off nodes whose
     /// planned keep-alive footprint exceeds their capacity, before the
     /// pressure enforcer starts downgrading. A migration is a charged pause
-    /// ([`crate::fleet::MigrationConfig::pause_ms`] during which the
-    /// container queues arrivals like a provisioning one) — much cheaper
-    /// than the cold start an eviction would cause. Single-node fleets skip
+    /// ([`MIGRATION_PAUSE_MS`], during which the container queues arrivals
+    /// like a provisioning one) — much cheaper than the cold start an
+    /// eviction would cause. Single-node fleets skip
     /// this stage entirely.
     fn stage_rebalance(&mut self, now: u64, minute: u64) {
         if self.rs.nodes.len() < 2 {
@@ -1098,7 +1088,6 @@ impl<'a> RuntimeSession<'a> {
             .ledger
             .fill_minute_footprint(&self.rt.families, minute, &mut self.plan.fp);
         let footprint = std::mem::take(&mut self.plan.fp);
-        let pause = self.fleet.migration.pause_ms;
         for k in 0..self.rs.nodes.len() {
             let Some(cap) = self.rs.nodes[k].spec.capacity.keepalive_mb else {
                 continue;
@@ -1142,12 +1131,13 @@ impl<'a> RuntimeSession<'a> {
                     c.state = ContainerState::Provisioning;
                     c.epoch = epoch;
                 }
-                self.rs
-                    .queue
-                    .push(now + pause, Event::MigrationDone { func: f, epoch });
+                self.rs.queue.push(
+                    now + MIGRATION_PAUSE_MS,
+                    Event::MigrationDone { func: f, epoch },
+                );
                 planned -= mem;
                 self.rs.summary.migrations += 1;
-                self.rs.summary.migration_pause_ms += pause;
+                self.rs.summary.migration_pause_ms += MIGRATION_PAUSE_MS;
                 self.rs.nodes[k].migrations_out += 1;
                 self.rs.nodes[to].migrations_in += 1;
                 emit(&mut self.rs.sink, || ObsEvent::Migrate {
@@ -1256,10 +1246,9 @@ impl<'a> RuntimeSession<'a> {
     }
 
     /// Tick stage 6: materialize containers per the post-adjustment plan
-    /// and bill the minute, per node (each node's footprint priced by its
-    /// own price factor). Billing is schedule-driven: fault outcomes below
-    /// never change what this minute costs. With one nominal node the sums
-    /// collapse bitwise to the single-node cluster accounting.
+    /// and bill the minute, per node. Billing is schedule-driven: fault
+    /// outcomes below never change what this minute costs. With one node
+    /// the sums collapse bitwise to the single-node cluster accounting.
     #[allow(clippy::needless_range_loop)] // parallel per-function tables
     fn stage_materialize_and_bill(&mut self, now: u64, minute: u64) {
         let rs = &mut self.rs;
@@ -1314,15 +1303,11 @@ impl<'a> RuntimeSession<'a> {
         let mut minute_cost = 0.0f64;
         for (k, nd) in rs.nodes.iter_mut().enumerate() {
             billed += billed_node[k];
-            // Multiplying by the price factor is exact (IEEE) so the
-            // nominal factor of 1.0 cannot perturb the cluster-compatible
-            // cost stream.
             let node_cost = self
                 .rt
                 .config
                 .cost
-                .keepalive_cost_usd_per_minutes(billed_node[k], 1.0)
-                * nd.spec.price_factor;
+                .keepalive_cost_usd_per_minutes(billed_node[k], 1.0);
             nd.cost_usd += node_cost;
             nd.billed_series.push(billed_node[k]);
             minute_cost += node_cost;
@@ -1351,7 +1336,7 @@ impl<'a> RuntimeSession<'a> {
             .as_ref()
             .map(|c| (c.is_warm(), c.variant));
 
-        // Admission control, tier 1 (global front door): an arrival that
+        // Admission control (global front door): an arrival that
         // cannot start executing immediately joins the pending backlog; once
         // the backlog is full it is shed — no schedule refresh, no
         // provisioning, the policy never hears about it.
@@ -1359,18 +1344,6 @@ impl<'a> RuntimeSession<'a> {
         if let Some(max_pending) = self.fleet.admission.max_pending {
             if !starts_now && rs.pending >= max_pending {
                 rs.summary.shed_requests += 1;
-                emit(&mut rs.sink, || ObsEvent::Shed { at_ms: now, func });
-                rs.fail_request(req, now);
-                return;
-            }
-        }
-        // Admission control, tier 2 (per-node backlog): the bound applies to
-        // the node currently hosting the function, keeping one pressured
-        // node's queue from absorbing the whole fleet's arrivals.
-        if let Some(max_node) = self.fleet.node_admission {
-            if !starts_now && rs.node_waiting(rs.fns[func].node) >= max_node {
-                rs.summary.shed_requests += 1;
-                rs.summary.node_shed_requests += 1;
                 emit(&mut rs.sink, || ObsEvent::Shed { at_ms: now, func });
                 rs.fail_request(req, now);
                 return;
@@ -2142,7 +2115,7 @@ mod tests {
 
     #[test]
     fn traced_cluster_run_event_counts_match_summary_counters() {
-        use crate::cluster::NodeCapacity;
+        use crate::cluster::{AdmissionControl, NodeCapacity};
         use pulse_obs::{ActionSource, MemorySink, ObsEvent};
         let trace = pulse_trace::synth::azure_like_12_with_horizon(41, 300);
         let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
@@ -2213,7 +2186,7 @@ mod tests {
         }
 
         // A capped 3-node fleet with single-slot containers, rolling
-        // crashes plus one partition and one straggler, and a per-node
+        // crashes plus one partition and one straggler, and a global
         // backlog bound small enough to shed: every fleet action is counted
         // once in the summary and emitted once to the sink.
         let rt = Runtime::new(
@@ -2239,7 +2212,7 @@ mod tests {
             });
         let fleet = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.15))
             .with_node_faults(faults)
-            .with_node_admission(1);
+            .with_admission(AdmissionControl::bounded(1));
         let mut mem = MemorySink::new();
         let s = rt
             .session(
@@ -2254,9 +2227,8 @@ mod tests {
             count(|e| matches!(e, ObsEvent::Shed { .. })),
             s.shed_requests
         );
-        assert!(s.node_shed_requests > 0, "the per-node bound must shed");
+        assert!(s.shed_requests > 0, "the backlog bound must shed");
         assert!(s.migrations > 0, "pressured nodes must migrate");
-        assert!(s.shed_requests >= s.node_shed_requests);
         assert_eq!(
             count(|e| matches!(e, ObsEvent::Migrate { .. })),
             s.migrations

@@ -30,8 +30,7 @@ use pulse_models::Profiler;
 use pulse_obs::{Record, RecordBuilder};
 use pulse_sim::policy::KeepAlivePolicy;
 use pulse_sim::recover::{
-    check_fingerprint, decode_ledger_row, encode_ledger, fingerprint_of, RecoverError,
-    SNAPSHOT_VERSION,
+    decode_ledger_row, encode_ledger, fingerprint_of, read_header, RecoverError, SNAPSHOT_VERSION,
 };
 use pulse_sim::PlanState;
 use rand::rngs::SmallRng;
@@ -209,7 +208,6 @@ fn summary_row(s: &RuntimeSummary) -> String {
         .u64("redispatched", s.redispatched_requests)
         .u64("node_loss_evictions", s.node_loss_evictions)
         .u64("placement_fail", s.placement_failures)
-        .u64("node_shed", s.node_shed_requests)
         .finish()
 }
 
@@ -244,7 +242,6 @@ fn decode_summary(rec: &Record) -> Result<RuntimeSummary, RecoverError> {
         redispatched_requests: rec.u64("redispatched").map_err(c)?,
         node_loss_evictions: rec.u64("node_loss_evictions").map_err(c)?,
         placement_failures: rec.u64("placement_fail").map_err(c)?,
-        node_shed_requests: rec.u64("node_shed").map_err(c)?,
         node_summaries: Vec::new(),
     })
 }
@@ -543,48 +540,16 @@ impl Runtime {
         let fleet: FleetConfig = fleet.into();
         let c = |e: pulse_obs::ParseError| RecoverError::corrupt(e);
         let n = self.families.len();
-        let mut lines = snapshot.lines().filter(|l| !l.trim().is_empty());
-        let head = lines
-            .next()
-            .ok_or_else(|| RecoverError::corrupt("empty snapshot"))?;
-        let head = Record::parse(head).map_err(c)?;
-        if head.kind() != "snapshot" {
-            return Err(RecoverError::corrupt(format!(
-                "expected a snapshot header, got {:?}",
-                head.kind()
-            )));
-        }
-        let version = head.u64("version").map_err(c)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(RecoverError::VersionSkew {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let engine = head.str("engine").map_err(c)?;
-        if engine != "rt" {
-            return Err(RecoverError::corrupt(format!(
-                "snapshot is for the {engine:?} engine, not \"rt\""
-            )));
-        }
-        check_fingerprint(
-            "workload",
-            head.u64("workload").map_err(c)?,
-            self.workload_fingerprint(),
+        let (head, lines) = read_header(
+            snapshot,
+            "rt",
+            &[
+                ("workload", self.workload_fingerprint()),
+                ("plan", fingerprint_of(plan)),
+                ("fleet", fingerprint_of(&fleet)),
+            ],
+            policy.name(),
         )?;
-        check_fingerprint("plan", head.u64("plan").map_err(c)?, fingerprint_of(plan))?;
-        check_fingerprint(
-            "fleet",
-            head.u64("fleet").map_err(c)?,
-            fingerprint_of(&fleet),
-        )?;
-        let expected_policy = head.str("policy").map_err(c)?;
-        if expected_policy != policy.name() {
-            return Err(RecoverError::PolicyMismatch {
-                expected: expected_policy.to_string(),
-                found: policy.name().to_string(),
-            });
-        }
 
         let mut sampler_rng = None;
         let mut injector = None;

@@ -210,16 +210,16 @@ proptest! {
         }
     }
 
-    /// Per-node capacity enforcement survives arbitrary node-fault plans:
-    /// no node ever bills over its own cap, the fleet never bills over the
-    /// sum of the caps, and the fleet-wide memory series is exactly the sum
+    /// Per-node capacity enforcement survives arbitrary node-fault plans on
+    /// fleets of unequal nodes: no node ever bills over its own cap, the
+    /// fleet never bills over the sum of the caps, and the fleet-wide memory series is exactly the sum
     /// of the per-node series (containers are conserved — a migrated
     /// container is never billed on two nodes, and warm state is never
     /// silently dropped from the ledger).
     #[test]
     fn fleet_keepalive_respects_node_caps_under_any_fault_plan(
         (trace, node_faults) in arb_faulted_fleet_trace(),
-        cap_frac in 0.1f64..0.9,
+        cap_fracs in (0.1f64..0.9, 0.1f64..0.9, 0.1f64..0.9),
         use_pulse in 0u8..2,
     ) {
         let fams = round_robin_assignment(
@@ -227,9 +227,13 @@ proptest! {
             trace.n_functions(),
         );
         let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
-        let cap = all_high * cap_frac;
-        let fleet = FleetConfig::uniform(3, NodeCapacity::mb(cap))
+        let caps = [cap_fracs.0, cap_fracs.1, cap_fracs.2].map(|frac| all_high * frac);
+        let mut fleet = FleetConfig::uniform(3, NodeCapacity::unlimited())
             .with_node_faults(node_faults);
+        for (node, &cap) in fleet.nodes.iter_mut().zip(&caps) {
+            node.capacity = NodeCapacity::mb(cap);
+        }
+        let cap_sum: f64 = caps.iter().sum();
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
         let mut fixed;
         let mut pulse;
@@ -242,7 +246,7 @@ proptest! {
         };
         let s = rt.session(policy, &FaultPlan::none(), fleet).finish();
         prop_assert_eq!(s.node_summaries.len(), 3);
-        for n in &s.node_summaries {
+        for (n, &cap) in s.node_summaries.iter().zip(&caps) {
             prop_assert_eq!(n.memory_at_tick_mb.len(), s.memory_at_tick_mb.len());
             for (t, &mb) in n.memory_at_tick_mb.iter().enumerate() {
                 prop_assert!(
@@ -254,9 +258,9 @@ proptest! {
         }
         for (t, &mb) in s.memory_at_tick_mb.iter().enumerate() {
             prop_assert!(
-                mb <= 3.0 * cap + 1e-9,
+                mb <= cap_sum + 1e-9,
                 "minute {}: fleet kept {} MB alive over the {} MB cap sum",
-                t, mb, 3.0 * cap
+                t, mb, cap_sum
             );
             let node_sum: f64 = s
                 .node_summaries

@@ -16,8 +16,8 @@
 use crate::metrics::RunMetrics;
 use crate::policy::KeepAlivePolicy;
 use crate::recover::{
-    check_fingerprint, decode_ledger_row, decode_metrics, encode_ledger, encode_metrics,
-    fingerprint_of, RecoverError, SNAPSHOT_VERSION,
+    decode_ledger_row, decode_metrics, encode_ledger, encode_metrics, fingerprint_of, read_header,
+    RecoverError, SNAPSHOT_VERSION,
 };
 use pulse_core::global::DowngradeAction;
 use pulse_core::schedule::{begins_keepalive_period, MinuteFootprint, ScheduleLedger};
@@ -117,42 +117,12 @@ impl Simulator {
         snapshot: &str,
     ) -> Result<SimSession<'a>, RecoverError> {
         let c = |e: pulse_obs::ParseError| RecoverError::corrupt(e);
-        let mut lines = snapshot.lines().filter(|l| !l.trim().is_empty());
-        let head = lines
-            .next()
-            .ok_or_else(|| RecoverError::corrupt("empty snapshot"))?;
-        let head = Record::parse(head).map_err(c)?;
-        if head.kind() != "snapshot" {
-            return Err(RecoverError::corrupt(format!(
-                "expected a snapshot header, got {:?}",
-                head.kind()
-            )));
-        }
-        let version = head.u64("version").map_err(c)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(RecoverError::VersionSkew {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let engine = head.str("engine").map_err(c)?;
-        if engine != "sim" {
-            return Err(RecoverError::corrupt(format!(
-                "snapshot is for the {engine:?} engine, not \"sim\""
-            )));
-        }
-        check_fingerprint(
-            "workload",
-            head.u64("workload").map_err(c)?,
-            self.workload_fingerprint(),
+        let (head, lines) = read_header(
+            snapshot,
+            "sim",
+            &[("workload", self.workload_fingerprint())],
+            policy.name(),
         )?;
-        let expected_policy = head.str("policy").map_err(c)?;
-        if expected_policy != policy.name() {
-            return Err(RecoverError::PolicyMismatch {
-                expected: expected_policy.to_string(),
-                found: policy.name().to_string(),
-            });
-        }
 
         let mut metrics = None;
         let mut demand_history = None;

@@ -23,7 +23,7 @@ use pulse_obs::{Record, RecordBuilder};
 
 /// Version stamped into every snapshot header; restore rejects any other
 /// value with [`RecoverError::VersionSkew`].
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Why a snapshot could not be restored. Every failure mode is typed and
 /// soft: restore never panics on foreign input.
@@ -142,6 +142,56 @@ pub fn check_fingerprint(
             found,
         })
     }
+}
+
+/// Parse and check the header line of a snapshot taken by `engine` under
+/// `policy`: the `snapshot` kind, the format version, the engine tag, each
+/// `(field, live value)` of `fingerprints` in order, then the policy name.
+/// The checks run in that order, so the first disagreement decides the
+/// error. Returns the header record and the snapshot's remaining non-blank
+/// rows.
+pub fn read_header<'s>(
+    snapshot: &'s str,
+    engine: &str,
+    fingerprints: &[(&'static str, u64)],
+    policy: &str,
+) -> Result<(Record, impl Iterator<Item = &'s str>), RecoverError> {
+    let c = RecoverError::corrupt;
+    let mut lines = snapshot.lines().filter(|l| !l.trim().is_empty());
+    let head = lines
+        .next()
+        .ok_or_else(|| RecoverError::corrupt("empty snapshot"))?;
+    let head = Record::parse(head).map_err(c)?;
+    if head.kind() != "snapshot" {
+        return Err(RecoverError::corrupt(format!(
+            "expected a snapshot header, got {:?}",
+            head.kind()
+        )));
+    }
+    let version = head.u64("version").map_err(c)?;
+    if version != SNAPSHOT_VERSION {
+        return Err(RecoverError::VersionSkew {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
+    let found = head.str("engine").map_err(c)?;
+    if found != engine {
+        return Err(RecoverError::corrupt(format!(
+            "snapshot is for the {found:?} engine, not {engine:?}"
+        )));
+    }
+    for &(what, live) in fingerprints {
+        check_fingerprint(what, head.u64(what).map_err(c)?, live)?;
+    }
+    let expected = head.str("policy").map_err(c)?;
+    if expected != policy {
+        return Err(RecoverError::PolicyMismatch {
+            expected: expected.to_string(),
+            found: policy.to_string(),
+        });
+    }
+    Ok((head, lines))
 }
 
 /// In-plan encoding of [`Slot::Hole`] inside a packed slot list (variants

@@ -64,9 +64,9 @@ pub mod prelude {
     pub use pulse_models::{CostModel, ModelFamily, VariantSpec};
     pub use pulse_obs::{JsonlSink, MemorySink, NullSink, ObsEvent, TraceSink};
     pub use pulse_runtime::{
-        AdmissionControl, ClusterConfig, FaultPlan, FaultRates, FleetConfig, MigrationConfig,
-        NodeCapacity, NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec, NodeSummary,
-        RetryPolicy, Runtime, RuntimeConfig,
+        AdmissionControl, ClusterConfig, FaultPlan, FaultRates, FleetConfig, NodeCapacity,
+        NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec, NodeSummary, RetryPolicy,
+        Runtime, RuntimeConfig,
     };
     pub use pulse_sim::policies::{
         FixedVariant, IdealOracle, IntelligentOracle, OpenWhiskFixed, PulsePolicy, RandomMix,

@@ -133,7 +133,6 @@ fn assert_summaries_bit_identical(
     assert_eq!(a.redispatched_requests, b.redispatched_requests, "{name}");
     assert_eq!(a.node_loss_evictions, b.node_loss_evictions, "{name}");
     assert_eq!(a.placement_failures, b.placement_failures, "{name}");
-    assert_eq!(a.node_shed_requests, b.node_shed_requests, "{name}");
     assert_eq!(a.node_summaries, b.node_summaries, "{name}");
 }
 
@@ -242,11 +241,10 @@ fn fleet_kill_restore_resume_is_bit_identical_for_every_policy() {
         },
     );
     // The full stack at once: capped nodes, rolling node crashes (warm
-    // migrations, redispatch), bounded per-node admission, request-level
-    // faults. A kill must lose none of it.
+    // migrations, redispatch), request-level faults. A kill must lose none
+    // of it.
     let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
     let fleet = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.45))
-        .with_node_admission(64)
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 200));
     let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
@@ -447,14 +445,31 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
         sim.restore(&mut other, &snap),
         Err(RecoverError::PolicyMismatch { .. })
     ));
-    // Wrong engine: a sim snapshot offered to the runtime (and the runtime
-    // stamps its own fingerprints, so even the header is rejected typed).
+    // Wrong engine, both ways: the engine tag is checked before any
+    // fingerprint, so each engine names the other's snapshot as corrupt.
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
     let cluster = ClusterConfig::unlimited();
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
-    assert!(rt
-        .restore(&mut p, &FaultPlan::none(), cluster, &snap)
-        .is_err());
+    assert_eq!(
+        rt.restore(&mut p, &FaultPlan::none(), cluster, &snap).err(),
+        Some(RecoverError::corrupt(
+            "snapshot is for the \"sim\" engine, not \"rt\""
+        ))
+    );
+    let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
+    let mut sess = rt.session(&mut p, &FaultPlan::none(), cluster);
+    for _ in 0..500 {
+        sess.step();
+    }
+    let rt_snap = sess.snapshot().expect("runtime snapshot");
+    drop(sess);
+    let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
+    assert_eq!(
+        sim.restore(&mut p, &rt_snap).err(),
+        Some(RecoverError::corrupt(
+            "snapshot is for the \"rt\" engine, not \"sim\""
+        ))
+    );
     // Garbage never panics.
     for garbage in [
         "",

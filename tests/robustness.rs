@@ -587,7 +587,6 @@ fn assert_summaries_bit_identical(
     assert_eq!(a.redispatched_requests, b.redispatched_requests, "{name}");
     assert_eq!(a.node_loss_evictions, b.node_loss_evictions, "{name}");
     assert_eq!(a.placement_failures, b.placement_failures, "{name}");
-    assert_eq!(a.node_shed_requests, b.node_shed_requests, "{name}");
     assert_eq!(a.node_summaries, b.node_summaries, "{name}");
 }
 
@@ -981,7 +980,6 @@ fn null_sink_fleet_run_is_bit_identical_for_every_policy() {
     // hook sits on every new fleet path and must not perturb any of them.
     let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
     let fleet = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.45))
-        .with_node_admission(64)
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 200));
     let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
@@ -994,11 +992,17 @@ fn null_sink_fleet_run_is_bit_identical_for_every_policy() {
     }
 }
 
+/// Three nominal nodes of 8, 4 and 4 GB under `node_faults`.
+fn unequal_fleet(node_faults: pulse::runtime::NodeFaultPlan) -> pulse::runtime::FleetConfig {
+    use pulse::runtime::{FleetConfig, NodeCapacity};
+    let mut fleet = FleetConfig::uniform(3, NodeCapacity::gb(4.0)).with_node_faults(node_faults);
+    fleet.nodes[0].capacity = NodeCapacity::gb(8.0);
+    fleet
+}
+
 #[test]
 fn fleet_scenarios_replay_identically_under_the_chaos_seed() {
-    use pulse::runtime::{
-        FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan, Runtime, RuntimeConfig,
-    };
+    use pulse::runtime::{FaultPlan, NodeFaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 150);
     let fams = zoo12();
@@ -1010,12 +1014,7 @@ fn fleet_scenarios_replay_identically_under_the_chaos_seed() {
             ..RuntimeConfig::default()
         },
     );
-    let fleet = FleetConfig::heterogeneous(vec![
-        pulse::runtime::NodeSpec::nominal("big", NodeCapacity::gb(8.0)),
-        pulse::runtime::NodeSpec::nominal("slow", NodeCapacity::gb(4.0)).with_speed_factor(1.5),
-        pulse::runtime::NodeSpec::nominal("cheap", NodeCapacity::gb(4.0)).with_price_factor(0.5),
-    ])
-    .with_node_faults(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 150));
+    let fleet = unequal_fleet(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 150));
     let plan = FaultPlan::uniform(0.1, 0.05, 0.05, seed);
     let run = || {
         let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
@@ -1083,24 +1082,19 @@ fn node_series_digest(s: &pulse::runtime::RuntimeSummary) -> u64 {
 #[test]
 fn capped_fleet_stages_produce_pinned_outputs() {
     use pulse::runtime::{
-        FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan, NodeSpec, Runtime, RuntimeConfig,
+        FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan, Runtime, RuntimeConfig,
     };
     // Exact outputs of capped multi-node runs, where the rebalancer and the
     // capacity enforcer both read the minute footprint every tick. Under
     // PULSE the uniform fleet stays below its caps (it pins the crash path
-    // and billing); the heterogeneous one migrates and downgrades.
+    // and billing); the unequal one migrates and downgrades.
     let trace = pulse::trace::synth::azure_like_12_with_horizon(7, 240);
     let fams = zoo12();
     let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
     let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
     let uniform = FleetConfig::uniform(3, NodeCapacity::mb(all_high * 0.45))
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 240));
-    let hetero = FleetConfig::heterogeneous(vec![
-        NodeSpec::nominal("big", NodeCapacity::gb(8.0)),
-        NodeSpec::nominal("slow", NodeCapacity::gb(4.0)).with_speed_factor(1.5),
-        NodeSpec::nominal("cheap", NodeCapacity::gb(4.0)).with_price_factor(0.5),
-    ])
-    .with_node_faults(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 240));
+    let unequal = unequal_fleet(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 240));
     // (name, fleet, cost bits, pressure downgrades, evictions, migrations,
     //  node-loss evictions, digest of every node's billed series)
     let pins = [
@@ -1115,14 +1109,14 @@ fn capped_fleet_stages_produce_pinned_outputs() {
             0x71e7_f54a_39ab_959a_u64,
         ),
         (
-            "hetero",
-            hetero,
-            0x3ffd_8248_94c4_47bd,
-            21,
+            "unequal",
+            unequal,
+            0x4001_29ee_cbfb_15b6,
+            16,
             14,
-            40,
+            15,
             0,
-            0x5fb6_2d89_eb8f_5704,
+            0xfd7d_cb84_b9a5_3507,
         ),
     ];
     let (mut pressure_downgrades, mut migrations) = (0, 0);
