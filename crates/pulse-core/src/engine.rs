@@ -138,6 +138,14 @@ impl PulseEngine {
         self.arrivals[f].record(t);
     }
 
+    /// The latest minute any function's invocation was recorded at.
+    pub fn last_invocation_minute(&self) -> Option<Minute> {
+        self.arrivals
+            .iter()
+            .filter_map(InterArrivalModel::last_arrival)
+            .max()
+    }
+
     /// Export the engine's mutable state for checkpointing: the per-function
     /// arrival minutes and the priority counts. The peak detector is a pure
     /// function of the configuration and carries no mutable state, so this

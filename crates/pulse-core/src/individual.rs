@@ -87,11 +87,6 @@ impl KeepAliveSchedule {
             .and_then(|m| self.slot_at_offset(m))
     }
 
-    /// Last minute covered by the window.
-    pub fn expires_at(&self) -> Minute {
-        self.invoked_at + len_to_u64(self.plan.len())
-    }
-
     /// Iterate `(absolute minute, slot)` pairs of the plan.
     pub fn iter(&self) -> impl Iterator<Item = (Minute, Slot)> + '_ {
         self.plan
@@ -192,7 +187,6 @@ mod tests {
         assert_eq!(s.variant_at(110), Some(0));
         assert_eq!(s.variant_at(111), None);
         assert_eq!(s.variant_at(99), None);
-        assert_eq!(s.expires_at(), 110);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl GapProbabilities {
     pub fn mass(&self) -> f64 {
         self.probs.iter().map(|p| p.value()).sum()
     }
-
-    /// True when no history informed this estimate.
-    pub fn is_uninformed(&self) -> bool {
-        self.probs.iter().all(|p| p.is_zero())
-    }
 }
 
 /// One gap length's count in a distribution, with the two totals the
@@ -369,7 +364,7 @@ mod tests {
     #[test]
     fn empty_model_is_uninformed() {
         let m = InterArrivalModel::new(10);
-        assert!(m.probabilities(100, 60).is_uninformed());
+        assert_eq!(m.probabilities(100, 60), GapProbabilities::zeros(10));
         assert!(m.is_empty());
         assert_eq!(m.last_arrival(), None);
     }
@@ -377,7 +372,7 @@ mod tests {
     #[test]
     fn single_arrival_has_no_gaps() {
         let m = model_with(&[5]);
-        assert!(m.probabilities(100, 60).is_uninformed());
+        assert_eq!(m.probabilities(100, 60), GapProbabilities::zeros(10));
     }
 
     #[test]

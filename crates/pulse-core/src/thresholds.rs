@@ -159,13 +159,6 @@ impl CustomThresholds {
         }
         Ok(Self { thresholds })
     }
-
-    /// A scheme biased toward cheap variants: the top rung is reserved for
-    /// near-certain invocations (`p > hi`), the bottom for `p ≤ lo`.
-    /// Rejects `lo`/`hi` that do not satisfy `0 < lo < hi < 1`.
-    pub fn conservative(lo: f64, hi: f64) -> Result<Self, ThresholdError> {
-        Self::new(vec![lo, hi])
-    }
 }
 
 impl ThresholdScheme for CustomThresholds {
@@ -312,13 +305,6 @@ mod tests {
         assert_eq!(s.select(p(0.99), 2), 1);
         assert_eq!(s.select(p(0.5), 2), 1);
         assert_eq!(s.select(p(0.1), 2), 0);
-    }
-
-    #[test]
-    fn conservative_scheme_reserves_top_rung() {
-        let s = CustomThresholds::conservative(0.3, 0.95).unwrap();
-        assert_eq!(s.select(p(0.9), 3), 1);
-        assert_eq!(s.select(p(0.96), 3), 2);
     }
 
     #[test]

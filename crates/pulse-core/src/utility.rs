@@ -19,7 +19,6 @@
 //! is downgraded first.
 
 use crate::probability::Probability;
-use pulse_models::{ModelFamily, VariantId};
 
 /// Equation 2: `Uv = Ai + Pr + Ip`.
 ///
@@ -33,22 +32,10 @@ pub fn utility_value(ai: f64, pr: Probability, ip: Probability) -> f64 {
     uv
 }
 
-/// Convenience: compute `Uv` for keeping `variant` of `family` alive, given
-/// the normalized priority and invocation probability.
-pub fn utility_for(
-    family: &ModelFamily,
-    variant: VariantId,
-    pr: Probability,
-    ip: Probability,
-) -> f64 {
-    utility_value(family.accuracy_improvement(variant), pr, ip)
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
 mod tests {
     use super::*;
-    use pulse_models::zoo;
 
     fn p(v: f64) -> Probability {
         Probability::new(v).unwrap()
@@ -74,40 +61,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lowest_variant_uses_own_accuracy_as_ai() {
-        // The paper's YOLO example: lowest variant accuracy 56.8 % ⇒ Ai = 0.568.
-        let yolo = zoo::yolo();
-        let uv = utility_for(&yolo, 0, Probability::ZERO, Probability::ZERO);
-        assert!((uv - 0.568).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gpt_bias_without_priority_component() {
-        // The motivating bias: GPT's lowest accuracy (87.65 %) beats YOLO's
-        // (56.8 %) on Ai alone, so GPT would never be downgraded first...
-        let gpt = zoo::gpt();
-        let yolo = zoo::yolo();
-        let zero = Probability::ZERO;
-        assert!(utility_for(&gpt, 0, zero, zero) > utility_for(&yolo, 0, zero, zero));
-        // ...until the priority structure compensates.
-        assert!(utility_for(&gpt, 0, zero, zero) < utility_for(&yolo, 0, Probability::ONE, zero));
-    }
-
-    #[test]
-    fn interior_variant_ai_is_step_gain() {
-        let gpt = zoo::gpt();
-        // GPT-Large over GPT-Medium: 93.45 − 92.35 = 1.10 points = 0.011.
-        let uv = utility_for(&gpt, 2, Probability::ZERO, Probability::ZERO);
-        assert!((uv - 0.011).abs() < 1e-9);
-    }
-
-    #[test]
-    fn higher_invocation_probability_protects_model() {
-        let bert = zoo::bert();
-        let zero = Probability::ZERO;
-        assert!(utility_for(&bert, 1, zero, p(0.9)) > utility_for(&bert, 1, zero, p(0.1)));
     }
 }

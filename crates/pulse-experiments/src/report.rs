@@ -29,11 +29,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as machine-readable CSV (header row + data rows; cells with
     /// commas are quoted).
     pub fn to_csv(&self) -> String {
@@ -167,7 +162,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         // header, separator, two rows, plus the title line
         assert_eq!(lines.len(), 5);
-        assert_eq!(t.n_rows(), 2);
     }
 
     #[test]

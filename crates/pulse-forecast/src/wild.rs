@@ -187,12 +187,6 @@ impl HybridHistogram {
         Some(model.forecast_one(xs))
     }
 
-    /// Back-compat alias for [`Self::ar_forecast`] (the fallback was a
-    /// lag-1 regression before the full Levinson–Durbin estimator landed).
-    pub fn ar1_forecast(&self) -> Option<f64> {
-        self.ar_forecast()
-    }
-
     /// Wild's decision after an invocation (call [`Self::record`] first).
     // Saturating cast of a finite AR forecast of at least one minute.
     #[allow(clippy::cast_possible_truncation)]
@@ -287,7 +281,7 @@ mod tests {
         }
         assert!(!h.is_representative());
         // AR forecast exists (gap series non-empty).
-        assert!(h.ar1_forecast().is_some());
+        assert!(h.ar_forecast().is_some());
     }
 
     #[test]
@@ -302,7 +296,7 @@ mod tests {
             t += if i % 2 == 0 { 2 } else { 10 };
             h.record(t);
         }
-        let pred = h.ar1_forecast().unwrap();
+        let pred = h.ar_forecast().unwrap();
         let last = *h.recent_gaps.last().unwrap();
         // Prediction moves to the opposite side of the mean from `last`.
         let mu = stats::mean(&h.recent_gaps);

@@ -28,16 +28,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (m2 / xs.len() as f64).sqrt()
 }
 
-/// Coefficient of variation (σ/μ). Returns 0.0 when the mean is 0.
-pub fn coeff_of_variation(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    if m == 0.0 {
-        0.0
-    } else {
-        std_dev(xs) / m
-    }
-}
-
 /// `numerator / denominator`, with the workspace-wide degenerate-input
 /// convention: exactly-zero denominators (empty runs, zero invocations)
 /// report 0.0 instead of NaN/∞. Near-zero denominators still divide — only
@@ -336,11 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn cv_of_constant_is_zero() {
-        assert_eq!(coeff_of_variation(&[5.0, 5.0, 5.0]), 0.0);
-    }
-
-    #[test]
     fn ratio_or_zero_conventions() {
         assert_eq!(ratio_or_zero(3.0, 4.0), 0.75);
         assert_eq!(ratio_or_zero(1.0, 0.0), 0.0);
@@ -348,7 +333,7 @@ mod tests {
         // Near-zero denominators are NOT special-cased: they divide.
         assert!(ratio_or_zero(1.0, 1e-300).is_finite());
         assert!(ratio_or_zero(1.0, 1e-300) > 0.0);
-        // Negative ratios pass through (improvement_pct sign convention).
+        // Negative ratios pass through (a worsening reads negative).
         assert_eq!(ratio_or_zero(-2.0, 4.0), -0.5);
     }
 }

@@ -92,12 +92,6 @@ impl VariantSpec {
     pub fn cold_service_time_s(&self) -> f64 {
         self.cold_start_s + self.warm_service_time_s
     }
-
-    /// Keep-alive memory in GB (the pricing unit).
-    #[inline]
-    pub fn memory_gb(&self) -> f64 {
-        self.memory_mb / 1024.0
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +107,6 @@ mod tests {
         let v = sample();
         assert!((v.accuracy_frac() - 0.9345).abs() < 1e-12);
         assert!((v.cold_service_time_s() - (23.4 + 23.66)).abs() < 1e-12);
-        assert!((v.memory_gb() - 7000.0 / 1024.0).abs() < 1e-12);
     }
 
     #[test]

@@ -111,25 +111,6 @@ pub fn standard() -> Vec<ModelFamily> {
     vec![bert(), yolo(), gpt(), resnet(), densenet()]
 }
 
-/// Table I re-derived from the zoo: `(variant name, warm service time s,
-/// keep-alive cents/hour, accuracy %)` for the three families the paper
-/// tabulates. Used by the Table I regeneration experiment.
-pub fn table_i_rows() -> Vec<(String, f64, f64, f64)> {
-    let cm = CostModel::aws_lambda();
-    [gpt(), bert(), densenet()]
-        .iter()
-        .flat_map(|f| f.variants.to_vec())
-        .map(|v| {
-            (
-                v.name.clone(),
-                v.warm_service_time_s,
-                cm.cents_per_hour(v.memory_mb),
-                v.accuracy_pct,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,38 +132,6 @@ mod tests {
         let counts: Vec<_> = z.iter().map(|f| f.n_variants()).collect();
         // BERT 2, YOLO 3, GPT 3, ResNet 3, DenseNet 3.
         assert_eq!(counts, [2, 3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn table_i_costs_reproduce_published_column() {
-        // Memory was calibrated from Table I's cost column, so re-deriving the
-        // cost must return the published numbers.
-        let rows = table_i_rows();
-        let published = [
-            ("GPT-Small", 11.7),
-            ("GPT-Medium", 22.57),
-            ("GPT-Large", 41.71),
-            ("BERT-Small", 4.392),
-            ("BERT-Large", 6.12),
-            ("DenseNet-121", 3.46),
-            ("DenseNet-169", 3.53),
-            ("DenseNet-201", 4.07),
-        ];
-        assert_eq!(rows.len(), published.len());
-        for ((name, _, cents, _), (pname, pcents)) in rows.iter().zip(published.iter()) {
-            assert_eq!(name, pname);
-            assert!((cents - pcents).abs() < 1e-9, "{name}: {cents} vs {pcents}");
-        }
-    }
-
-    #[test]
-    fn table_i_service_times_match_published() {
-        let rows = table_i_rows();
-        let by_name: std::collections::BTreeMap<_, _> =
-            rows.iter().map(|r| (r.0.as_str(), r.1)).collect();
-        assert!((by_name["GPT-Small"] - 12.90).abs() < 1e-12);
-        assert!((by_name["BERT-Large"] - 2.21).abs() < 1e-12);
-        assert!((by_name["DenseNet-201"] - 1.65).abs() < 1e-12);
     }
 
     #[test]

@@ -95,7 +95,6 @@ pub struct JsonlSink<W: Write> {
     writer: W,
     lines: u64,
     failed: bool,
-    flush_every: u64,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -105,20 +104,6 @@ impl<W: Write> JsonlSink<W> {
             writer,
             lines: 0,
             failed: false,
-            flush_every: 0,
-        }
-    }
-
-    /// Wrap a writer with a periodic durability point: the sink flushes
-    /// after every `n` lines written, bounding how many events a crash can
-    /// lose to `n` plus one possibly-torn line (journal replay tolerates
-    /// the latter). `n = 0` disables periodic flushing.
-    pub fn with_flush_every(writer: W, n: u64) -> Self {
-        Self {
-            writer,
-            lines: 0,
-            failed: false,
-            flush_every: n,
         }
     }
 
@@ -151,12 +136,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         let mut line = event.to_json();
         line.push('\n');
         match self.writer.write_all(line.as_bytes()) {
-            Ok(()) => {
-                self.lines += 1;
-                if self.flush_every > 0 && self.lines.is_multiple_of(self.flush_every) {
-                    let _ = self.writer.flush();
-                }
-            }
+            Ok(()) => self.lines += 1,
             Err(_) => self.failed = true,
         }
     }

@@ -100,11 +100,6 @@ impl ClusterConfig {
     pub fn unlimited() -> Self {
         Self::default()
     }
-
-    /// True when neither knob can ever act.
-    pub fn is_unlimited(&self) -> bool {
-        self.capacity.keepalive_mb.is_none() && self.admission.max_pending.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,6 @@ mod tests {
     #[test]
     fn unlimited_is_the_default_and_inert() {
         let c = ClusterConfig::default();
-        assert!(c.is_unlimited());
         assert_eq!(c, ClusterConfig::unlimited());
         assert_eq!(c.capacity, NodeCapacity::unlimited());
         assert_eq!(c.admission, AdmissionControl::unbounded());
@@ -125,20 +119,5 @@ mod tests {
         let c = NodeCapacity::gb(8.0);
         assert_eq!(c.keepalive_mb, Some(8192.0));
         assert_eq!(NodeCapacity::mb(512.0).keepalive_mb, Some(512.0));
-    }
-
-    #[test]
-    fn any_knob_makes_it_limited() {
-        let capped = ClusterConfig {
-            capacity: NodeCapacity::gb(4.0),
-            ..ClusterConfig::unlimited()
-        };
-        assert!(!capped.is_unlimited());
-        let bounded = ClusterConfig {
-            admission: AdmissionControl::bounded(64),
-            ..ClusterConfig::unlimited()
-        };
-        assert!(!bounded.is_unlimited());
-        assert_eq!(bounded.admission.max_pending, Some(64));
     }
 }

@@ -63,11 +63,6 @@ impl LiveContainer {
         matches!(self.state, ContainerState::Warm | ContainerState::Executing)
     }
 
-    /// Whether the container is dead (crashed or ladder-exhausted).
-    pub fn is_reaped(&self) -> bool {
-        matches!(self.state, ContainerState::Reaped)
-    }
-
     /// Begin executing one request.
     pub fn begin_exec(&mut self) {
         debug_assert!(self.is_warm(), "cannot execute on a cold container");
@@ -118,7 +113,6 @@ mod tests {
         let mut c = LiveContainer::warm(1, 0, 1);
         c.state = ContainerState::Reaped;
         assert!(!c.is_warm());
-        assert!(c.is_reaped());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`FaultPlan`] — a declarative, per-function fault configuration
 //!   (provisioning-failure / variant-load-failure / mid-execution-crash
-//!   rates, retry policy, optional per-request timeout) with its own seed;
+//!   rates, optional per-request timeout) with its own seed;
 //! * [`FaultInjector`] — the runtime-side sampler that draws fault outcomes
 //!   and backoff jitter from a dedicated seeded RNG, so fault sequences
 //!   replay bit-identically and never perturb the duration sampler's
@@ -82,36 +82,21 @@ impl Default for FaultRates {
     }
 }
 
-/// Retry policy for failed provisioning attempts and crashed executions:
-/// capped exponential backoff with seeded jitter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the initial failed attempt before falling one ladder
-    /// rung (provisioning) or failing the request (execution).
-    pub max_retries: u32,
-    /// Backoff before retry 1; doubles per retry.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling.
-    pub max_backoff_ms: u64,
-    /// Jitter as a fraction of the computed backoff, drawn uniformly in
-    /// `[0, jitter_frac · backoff]` from the fault RNG.
-    pub jitter_frac: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff_ms: 100,
-            max_backoff_ms: 5_000,
-            jitter_frac: 0.2,
-        }
-    }
-}
+/// Retries after the initial failed attempt before falling one ladder rung
+/// (provisioning) or failing the request (execution).
+pub(crate) const MAX_RETRIES: u32 = 3;
+/// Backoff before retry 1; doubles per retry.
+const BASE_BACKOFF_MS: u64 = 100;
+/// Backoff ceiling.
+const MAX_BACKOFF_MS: u64 = 5_000;
+/// Jitter as a fraction of the computed backoff, drawn uniformly in
+/// `[0, JITTER_FRAC · backoff]` from the fault RNG.
+const JITTER_FRAC: f64 = 0.2;
 
 /// A declarative fault-injection configuration: a default rate set, optional
-/// per-function overrides, a retry policy, an optional per-request timeout,
-/// and the seed of the dedicated fault RNG.
+/// per-function overrides, an optional per-request timeout, and the seed of
+/// the dedicated fault RNG. Failed attempts retry with capped exponential
+/// backoff and seeded jitter ([`FaultInjector::backoff_ms`]).
 ///
 /// The plan is pure data; [`FaultInjector`] turns it into a deterministic
 /// fault stream. Two runs with the same plan (and the same
@@ -125,8 +110,6 @@ pub struct FaultPlan {
     pub default_rates: FaultRates,
     /// Per-function rate overrides, keyed by function index.
     pub overrides: BTreeMap<usize, FaultRates>,
-    /// Retry/backoff parameters.
-    pub retry: RetryPolicy,
     /// When set, a request that has not completed within this budget of its
     /// arrival is failed and counted as a timeout (SLO accounting).
     pub request_timeout_ms: Option<u64>,
@@ -140,12 +123,11 @@ impl FaultPlan {
             seed: 0,
             default_rates: FaultRates::none(),
             overrides: BTreeMap::new(),
-            retry: RetryPolicy::default(),
             request_timeout_ms: None,
         }
     }
 
-    /// Uniform rates for every function, default retry policy.
+    /// Uniform rates for every function.
     pub fn uniform(provision: f64, variant_load: f64, exec_crash: f64, seed: u64) -> Self {
         Self {
             seed,
@@ -165,13 +147,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_timeout_ms(mut self, timeout_ms: u64) -> Self {
         self.request_timeout_ms = Some(timeout_ms);
-        self
-    }
-
-    /// Replace the retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -275,20 +250,16 @@ impl FaultInjector {
 
     /// Backoff before retry number `attempt` (1-based): capped exponential
     /// plus uniform jitter. All arithmetic is checked/saturating, so an
-    /// arbitrarily large attempt count saturates at `max_backoff_ms` rather
-    /// than overflowing `u64` before the cap applies.
+    /// arbitrarily large attempt count saturates at the cap rather than
+    /// overflowing `u64` before the cap applies.
     // The jitter cap is a fraction of a u64 backoff, so the cast cannot
     // exceed it.
     #[allow(clippy::cast_possible_truncation)]
     pub fn backoff_ms(&mut self, attempt: u32) -> u64 {
-        let p = self.plan.retry;
         let exp = attempt.saturating_sub(1);
         let factor = 1u64.checked_shl(exp).unwrap_or(u64::MAX);
-        let backoff = p
-            .base_backoff_ms
-            .saturating_mul(factor)
-            .min(p.max_backoff_ms);
-        let jitter_cap = (backoff as f64 * p.jitter_frac.clamp(0.0, 1.0)) as u64;
+        let backoff = BASE_BACKOFF_MS.saturating_mul(factor).min(MAX_BACKOFF_MS);
+        let jitter_cap = (backoff as f64 * JITTER_FRAC) as u64;
         if jitter_cap == 0 {
             backoff
         } else {
@@ -381,71 +352,49 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let plan = FaultPlan {
-            retry: RetryPolicy {
-                max_retries: 10,
-                base_backoff_ms: 100,
-                max_backoff_ms: 1_000,
-                jitter_frac: 0.0,
-            },
-            ..FaultPlan::none()
-        };
-        let mut inj = FaultInjector::new(&plan);
-        assert_eq!(inj.backoff_ms(1), 100);
-        assert_eq!(inj.backoff_ms(2), 200);
-        assert_eq!(inj.backoff_ms(3), 400);
-        assert_eq!(inj.backoff_ms(4), 800);
-        assert_eq!(inj.backoff_ms(5), 1_000);
-        assert_eq!(inj.backoff_ms(9), 1_000, "cap holds");
+        let mut inj = FaultInjector::new(&FaultPlan::uniform(0.0, 0.0, 1.0, 5));
+        for attempt in 1..=10u32 {
+            let want = (BASE_BACKOFF_MS << (attempt - 1)).min(MAX_BACKOFF_MS);
+            for _ in 0..200 {
+                let b = inj.backoff_ms(attempt);
+                let cap = want + (want as f64 * JITTER_FRAC) as u64;
+                assert!(
+                    (want..=cap).contains(&b),
+                    "retry {attempt}: backoff {b} outside {want}..={cap}"
+                );
+            }
+        }
+        assert_eq!(BASE_BACKOFF_MS, 100);
+        assert_eq!(MAX_BACKOFF_MS, 5_000);
+        assert_eq!(MAX_RETRIES, 3);
     }
 
     #[test]
     fn huge_attempt_counts_saturate_at_the_cap_without_overflow() {
-        let plan = FaultPlan {
-            retry: RetryPolicy {
-                max_retries: u32::MAX,
-                base_backoff_ms: 100,
-                max_backoff_ms: 5_000,
-                jitter_frac: 0.0,
-            },
-            ..FaultPlan::none()
-        };
-        let mut inj = FaultInjector::new(&plan);
+        let mut inj = FaultInjector::new(&FaultPlan::none());
+        let cap = MAX_BACKOFF_MS + (MAX_BACKOFF_MS as f64 * JITTER_FRAC) as u64;
         // attempt = 63 → shift of 62: the exponential alone is ~4.6e20 ms
         // and must saturate, not wrap.
-        assert_eq!(inj.backoff_ms(63), 5_000);
-        assert_eq!(inj.backoff_ms(64), 5_000, "shift of exactly 63");
-        assert_eq!(inj.backoff_ms(65), 5_000, "shift past the u64 width");
-        assert_eq!(inj.backoff_ms(u32::MAX), 5_000);
-        // Degenerate cap larger than any exponential: saturating, not
-        // wrapping, even when the product overflows u64.
-        let plan = FaultPlan {
-            retry: RetryPolicy {
-                max_retries: u32::MAX,
-                base_backoff_ms: u64::MAX / 2,
-                max_backoff_ms: u64::MAX,
-                jitter_frac: 0.0,
-            },
-            ..FaultPlan::none()
-        };
-        let mut inj = FaultInjector::new(&plan);
-        assert_eq!(inj.backoff_ms(63), u64::MAX);
+        for attempt in [63, 64, 65, u32::MAX] {
+            for _ in 0..200 {
+                let b = inj.backoff_ms(attempt);
+                assert!(
+                    (MAX_BACKOFF_MS..=cap).contains(&b),
+                    "attempt {attempt}: backoff {b} outside the cap band"
+                );
+            }
+        }
     }
 
     #[test]
-    fn backoff_jitter_stays_within_fraction() {
-        let plan = FaultPlan {
-            retry: RetryPolicy {
-                jitter_frac: 0.5,
-                ..RetryPolicy::default()
-            },
-            ..FaultPlan::none()
-        };
-        let mut inj = FaultInjector::new(&plan);
-        for _ in 0..500 {
-            let b = inj.backoff_ms(2); // nominal 200
-            assert!((200..=300).contains(&b), "jittered backoff {b}");
-        }
+    fn backoff_jitter_spans_its_fraction() {
+        let mut inj = FaultInjector::new(&FaultPlan::none());
+        let nominal = BASE_BACKOFF_MS * 2; // retry 2
+        let cap = nominal + (nominal as f64 * JITTER_FRAC) as u64;
+        let draws: Vec<u64> = (0..2_000).map(|_| inj.backoff_ms(2)).collect();
+        assert!(draws.iter().all(|b| (nominal..=cap).contains(b)));
+        assert_eq!(draws.iter().min(), Some(&nominal), "jitter reaches 0");
+        assert_eq!(draws.iter().max(), Some(&cap), "jitter reaches its cap");
     }
 
     #[test]

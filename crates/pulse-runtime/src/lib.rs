@@ -67,7 +67,7 @@ pub mod runtime;
 pub use cluster::{AdmissionControl, ClusterConfig, NodeCapacity};
 pub use container::{ContainerState, LiveContainer};
 pub use event::{Event, EventQueue};
-pub use fault::{FaultInjector, FaultPlan, FaultRates, RetryPolicy};
+pub use fault::{FaultInjector, FaultPlan, FaultRates};
 pub use fleet::FleetConfig;
 pub use metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 pub use node::{NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec};

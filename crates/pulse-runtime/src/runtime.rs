@@ -42,7 +42,7 @@
 //! * a **provisioning attempt** (cold start, retry, or a failed proactive
 //!   variant load) may fail after its full provisioning duration; failed
 //!   attempts are retried with capped exponential backoff + jitter, and
-//!   after `max_retries` retries the runtime **degrades one ladder rung**
+//!   after `MAX_RETRIES` (3) retries the runtime **degrades one ladder rung**
 //!   (re-pointing queued requests at the lower variant and recording the
 //!   accuracy penalty). Only when the cheapest variant also exhausts its
 //!   retries is the container reaped and its queued requests failed;
@@ -54,7 +54,7 @@
 //!   container is reaped, sibling in-flight executions run to completion
 //!   (their results were already materialized), queued requests wait for a
 //!   replacement container provisioned on the spot, and the crashed request
-//!   is retried with backoff up to `max_retries` times before failing;
+//!   is retried with backoff up to `MAX_RETRIES` times before failing;
 //! * with a **request timeout** configured, a request that has not
 //!   completed within its budget is failed and counted as a timeout; an
 //!   execution already in flight runs on (billing is unaffected) but its
@@ -70,7 +70,7 @@
 use crate::cluster::ClusterConfig;
 use crate::container::{ContainerState, LiveContainer};
 use crate::event::{Event, EventQueue};
-use crate::fault::{FaultInjector, FaultPlan};
+use crate::fault::{FaultInjector, FaultPlan, MAX_RETRIES};
 use crate::fleet::FleetConfig;
 use crate::metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 use crate::node::{NodeFaultKind, NodeHealth, NodeSpec};
@@ -97,13 +97,11 @@ const MIGRATION_PAUSE_MS: u64 = 200;
 mod snapshot;
 
 /// Runtime tunables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RuntimeConfig {
     /// Max in-flight requests per container; `None` = unbounded (the
     /// minute engine's implicit assumption).
     pub max_concurrency: Option<u32>,
-    /// Cost model for keep-alive billing.
-    pub cost: CostModel,
     /// When set, execution and provisioning durations are drawn from the
     /// calibrated lognormal profiler (seeded here) instead of being
     /// deterministic means — the measured-style jitter of real Lambda runs.
@@ -116,16 +114,6 @@ impl RuntimeConfig {
     pub(crate) fn concurrency_cap(&self) -> usize {
         self.max_concurrency
             .map_or(usize::MAX, |c| usize::try_from(c).unwrap_or(usize::MAX))
-    }
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            max_concurrency: None,
-            cost: CostModel::aws_lambda(),
-            stochastic_seed: None,
-        }
     }
 }
 
@@ -248,6 +236,9 @@ pub fn arrival_times_in_minute(minute: u64, count: u64) -> impl Iterator<Item = 
 /// it lets the fault handlers be methods instead of 10-argument functions.
 struct RunState<'a> {
     queue: EventQueue,
+    /// Time of the last processed event, ms: the kill point a snapshot
+    /// stamps. No queued event is earlier.
+    now_ms: u64,
     fns: Vec<FnState>,
     /// Keep-alive schedules, one per function — the shared billing/downgrade
     /// substrate (same semantics as the minute engine's ledger).
@@ -282,8 +273,6 @@ struct RunState<'a> {
     /// SLO violations (cold arrivals, terminal failures, sheds) since the
     /// last minute tick.
     minute_violations: u64,
-    /// Keep-alive memory billed at the last minute tick, MB.
-    last_billed_mb: f64,
     /// Watchdog state at the last tick (for transition events).
     prev_fallback: bool,
     /// Attached observer, if any. Disabled/absent sinks cost one branch per
@@ -500,7 +489,7 @@ impl RunState<'_> {
         self.summary.provision_failures += 1;
         self.fns[func].provision_attempts += 1;
         let attempts = self.fns[func].provision_attempts;
-        if attempts <= self.injector.plan().retry.max_retries {
+        if attempts <= MAX_RETRIES {
             self.summary.provision_retries += 1;
             let backoff = self.injector.backoff_ms(attempts);
             self.begin_provision(fam, func, v, now, backoff);
@@ -584,7 +573,7 @@ impl RunState<'_> {
         }
         if !self.req_done[req] {
             self.req_retries[req] += 1;
-            if self.req_retries[req] <= self.injector.plan().retry.max_retries {
+            if self.req_retries[req] <= MAX_RETRIES {
                 self.summary.request_retries += 1;
                 let backoff = self.injector.backoff_ms(self.req_retries[req]);
                 self.queue
@@ -719,6 +708,7 @@ impl Runtime {
             // Minute ticks take sequence numbers 0..minutes, ahead of every
             // event pushed below.
             queue: EventQueue::with_minute_ticks(minutes),
+            now_ms: 0,
             fns: (0..n)
                 .map(|_| FnState {
                     container: None,
@@ -747,7 +737,6 @@ impl Runtime {
             nodes: fleet.nodes.iter().cloned().map(NodeRt::new).collect(),
             minute_requests: 0,
             minute_violations: 0,
-            last_billed_mb: 0.0,
             prev_fallback: false,
             sink: None,
         };
@@ -890,7 +879,9 @@ impl<'a> RuntimeSession<'a> {
     /// [`Runtime::session`] on the binned trace (with a request
     /// timeout configured, timeout timers interleave with later admissions
     /// instead of following the whole arrival block, so exact-tie ordering
-    /// may differ there).
+    /// may differ there). `at_ms` should not precede the last processed
+    /// event: the run would step back in time, and [`Runtime::restore`]
+    /// rejects a snapshot that holds such an arrival.
     pub fn admit_at(&mut self, at_ms: u64, func: usize) -> usize {
         assert!(
             func < self.rt.families.len(),
@@ -913,6 +904,7 @@ impl<'a> RuntimeSession<'a> {
     /// or `None` once the queue is drained.
     pub fn step(&mut self) -> Option<(u64, Event)> {
         let (now, event) = self.rs.queue.pop()?;
+        self.rs.now_ms = now;
         match &event {
             Event::MinuteTick { minute } => self.on_minute_tick(now, *minute),
             Event::Arrival { func, req } => self.on_arrival(now, *func, *req),
@@ -995,7 +987,6 @@ impl<'a> RuntimeSession<'a> {
             minute: minute - 1,
             requests: std::mem::take(&mut self.rs.minute_requests),
             slo_violations: std::mem::take(&mut self.rs.minute_violations),
-            keepalive_mb: self.rs.last_billed_mb,
         };
         self.policy.observe_minute(&obs);
         let fb = self.policy.in_fallback();
@@ -1301,20 +1292,17 @@ impl<'a> RuntimeSession<'a> {
         }
         let mut billed = 0.0f64;
         let mut minute_cost = 0.0f64;
+        // Keep-alive is billed at AWS Lambda's rate, as in the simulator.
+        let cost = CostModel::aws_lambda();
         for (k, nd) in rs.nodes.iter_mut().enumerate() {
             billed += billed_node[k];
-            let node_cost = self
-                .rt
-                .config
-                .cost
-                .keepalive_cost_usd_per_minutes(billed_node[k], 1.0);
+            let node_cost = cost.keepalive_cost_usd_per_minutes(billed_node[k], 1.0);
             nd.cost_usd += node_cost;
             nd.billed_series.push(billed_node[k]);
             minute_cost += node_cost;
         }
         rs.summary.keepalive_cost_usd += minute_cost;
         rs.summary.memory_at_tick_mb.push(billed);
-        rs.last_billed_mb = billed;
         emit(&mut rs.sink, || ObsEvent::Bill {
             minute,
             keepalive_mb: billed,
@@ -1515,7 +1503,7 @@ impl<'a> RuntimeSession<'a> {
                     }
                     self.rs.summary.redispatched_requests += 1;
                     self.rs.req_retries[r] += 1;
-                    if self.rs.req_retries[r] <= self.rs.injector.plan().retry.max_retries {
+                    if self.rs.req_retries[r] <= MAX_RETRIES {
                         self.rs.summary.request_retries += 1;
                         let backoff = self.rs.injector.backoff_ms(self.rs.req_retries[r]);
                         self.rs
@@ -1581,7 +1569,7 @@ fn obs_fault_class(kind: NodeFaultKind) -> pulse_obs::NodeFaultClass {
 #[allow(clippy::float_cmp, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultRates, RetryPolicy};
+    use crate::fault::{FaultRates, MAX_RETRIES};
     use pulse_core::types::PulseConfig;
     use pulse_sim::assignment::round_robin_assignment;
     use pulse_sim::policies::{OpenWhiskFixed, PulsePolicy};
@@ -1774,10 +1762,6 @@ mod tests {
                 exec_crash: 0.0,
                 min_faulty_variant: Some(top),
             },
-            retry: RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            },
             ..FaultPlan::none()
         };
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
@@ -1790,12 +1774,14 @@ mod tests {
             .finish();
         assert_eq!(s.requests(), 1);
         assert_eq!(s.failed_requests(), 0, "one rung down, not failed");
-        // Every cycle at the faulty top rung is 1 initial attempt + 2
-        // retries, then a degradation (the keep-alive schedule re-demands
-        // the top variant each minute, so the cycle repeats per tick).
+        // Every cycle at the faulty top rung is 1 initial attempt +
+        // MAX_RETRIES retries, then a degradation (the keep-alive schedule
+        // re-demands the top variant each minute, so the cycle repeats per
+        // tick).
         assert!(s.degradations >= 1);
-        assert_eq!(s.provision_failures, 3 * s.degradations);
-        assert_eq!(s.provision_retries, 2 * s.degradations);
+        let retries = u64::from(MAX_RETRIES);
+        assert_eq!(s.provision_failures, (1 + retries) * s.degradations);
+        assert_eq!(s.provision_retries, retries * s.degradations);
         assert_eq!(s.degraded_requests, 1);
         let lower_acc = fams[0].variant(top - 1).accuracy_pct;
         assert_eq!(s.records[0].accuracy_pct, lower_acc);
@@ -1815,10 +1801,6 @@ mod tests {
                 exec_crash: 0.0,
                 min_faulty_variant: None,
             },
-            retry: RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            },
             ..FaultPlan::none()
         };
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
@@ -1833,8 +1815,9 @@ mod tests {
         assert_eq!(s.failed_requests(), 2, "no rung could provision");
         assert!(s.reaped >= 1);
         assert_eq!(s.availability(), 0.0);
-        // Every rung was tried: (1 initial + 1 retry) × 2 rungs at least.
-        assert!(s.provision_failures >= 4);
+        // Every rung was tried: (1 initial + MAX_RETRIES) × 2 rungs at
+        // least.
+        assert!(s.provision_failures >= 2 * (1 + u64::from(MAX_RETRIES)));
     }
 
     #[test]
@@ -1995,7 +1978,6 @@ mod tests {
             enter_after: 3,
             exit_after: 10,
             max_violation_rate: 0.5,
-            ..WatchdogConfig::default()
         };
         let mut wd = Watchdog::new(NeverKeep, &fams, cfg);
         let mut mem = MemorySink::new();
@@ -2429,21 +2411,18 @@ mod tests {
         // a *duplicate* completion — it must be dropped by the generation
         // check before the (debug-asserted) removal, and the run must
         // complete with the accounting intact.
-        // Seed 4 is pinned: the fault RNG's crash points leave request 8's
-        // crashing execution straddling the minute-1 tick, so the node crash
-        // aborts it (`redispatched_requests` below witnesses the abort).
+        // Seed 15 is pinned: under `MAX_RETRIES` the fault RNG's crash points
+        // and backoffs leave one crashing execution straddling the minute-1
+        // tick, so the node crash aborts it (`redispatched_requests` below
+        // witnesses the abort; seeds 0–14 leave none in flight).
         let (trace, fams) = one_func(&[40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         let plan = FaultPlan {
-            seed: 4,
+            seed: 15,
             default_rates: FaultRates {
                 provision_failure: 0.0,
                 variant_load_failure: 0.0,
                 exec_crash: 1.0,
                 min_faulty_variant: None,
-            },
-            retry: RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
             },
             ..FaultPlan::none()
         };

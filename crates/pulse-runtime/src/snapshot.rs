@@ -23,6 +23,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::fleet::FleetConfig;
 use crate::metrics::{RequestRecord, RuntimeSummary};
 use crate::node::NodeHealth;
+use crate::MS_PER_MINUTE;
 use pulse_core::global::FlattenScratch;
 use pulse_core::priority::PriorityStructure;
 use pulse_core::schedule::ScheduleLedger;
@@ -258,6 +259,51 @@ fn event_request(e: &Event) -> Option<(usize, usize)> {
     }
 }
 
+/// Every in-flight execution has exactly one live completion queued: an
+/// `ExecDone`/`ExecFailed` carrying its request's current generation names
+/// a request its function is executing, and no request twice. Stale
+/// completions (a node crash bumped the generation) are dropped by the run
+/// unread, so they are not checked.
+fn check_completions(
+    entries: &[(u64, u64, Event)],
+    fns: &[FnState],
+    req_gen: &[u64],
+) -> Result<(), RecoverError> {
+    let mut live = vec![0usize; fns.len()];
+    let mut completed = vec![false; req_gen.len()];
+    for (_, _, e) in entries {
+        let (func, req, gen) = match *e {
+            Event::ExecDone { func, req, gen } | Event::ExecFailed { func, req, gen, .. } => {
+                (func, req, gen)
+            }
+            _ => continue,
+        };
+        if gen != req_gen[req] {
+            continue;
+        }
+        if completed[req] || !fns[func].executing.contains(&req) {
+            return Err(RecoverError::corrupt(format!(
+                "a queued completion of request {req} names function {func}, \
+                 which is not executing it or already completes it"
+            )));
+        }
+        completed[req] = true;
+        live[func] += 1;
+    }
+    match fns
+        .iter()
+        .zip(&live)
+        .position(|(st, &k)| st.executing.len() != k)
+    {
+        Some(f) => Err(RecoverError::corrupt(format!(
+            "function {f} executes {} requests but {} live completions are queued",
+            fns[f].executing.len(),
+            live[f]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Decode one function's `"fn"` row; `rungs` is the length of its
 /// quality ladder.
 fn decode_fn(rec: &Record, rungs: usize, t: &Tables) -> Result<FnState, RecoverError> {
@@ -334,8 +380,8 @@ impl RuntimeSession<'_> {
             .bool("fallback", rs.prev_fallback)
             .u64("minute_requests", rs.minute_requests)
             .u64("minute_violations", rs.minute_violations)
-            .f64("last_billed", rs.last_billed_mb)
             .u64("next_seq", rs.queue.next_seq())
+            .u64("now", rs.now_ms)
             .finish();
         let push = |doc: &mut String, row: String| {
             doc.push('\n');
@@ -708,8 +754,17 @@ impl Runtime {
             nodes: fleet.nodes.len(),
             faults: fleet.node_faults.faults.len(),
         };
+        // The kill point: no queued event may precede it, or the resumed
+        // run would step back in time.
+        let now = head.u64("now").map_err(c)?;
         let mut entries = Vec::with_capacity(qt.len());
         for i in 0..qt.len() {
+            if qt[i] < now {
+                return Err(RecoverError::corrupt(format!(
+                    "a queued event at {} ms precedes the kill point at {now} ms",
+                    qt[i]
+                )));
+            }
             entries.push((
                 qt[i],
                 qs[i],
@@ -744,6 +799,7 @@ impl Runtime {
                 )));
             }
         }
+        check_completions(&entries, &fns, &gen)?;
         let queue = EventQueue::from_parts(
             entries,
             head.u64("next_seq").map_err(c)?,
@@ -767,9 +823,17 @@ impl Runtime {
         policy
             .restore_state(&state)
             .map_err(RecoverError::corrupt)?;
+        let kill_minute = now / MS_PER_MINUTE;
+        if let Some(m) = policy.last_invocation_minute().filter(|&m| m > kill_minute) {
+            return Err(RecoverError::corrupt(format!(
+                "the policy recorded an invocation at minute {m}, past the kill point's \
+                 minute {kill_minute}"
+            )));
+        }
 
         let rs = RunState {
             queue,
+            now_ms: now,
             fns,
             ledger,
             records,
@@ -789,7 +853,6 @@ impl Runtime {
             nodes,
             minute_requests: head.u64("minute_requests").map_err(c)?,
             minute_violations: head.u64("minute_violations").map_err(c)?,
-            last_billed_mb: head.f64("last_billed").map_err(c)?,
             prev_fallback: head.bool("fallback").map_err(c)?,
             sink: None,
         };
@@ -898,10 +961,10 @@ mod tests {
         let snap = sess.snapshot().unwrap();
         drop(sess);
 
-        // A future version and the previous one (which still carried an
-        // ops row) are both skew, never a half-read document.
+        // A future version and older ones (1 still carried an ops row, 3
+        // lacked the kill point) are all skew, never a half-read document.
         let current = format!("\"version\":{SNAPSHOT_VERSION}");
-        for found in [9, 1] {
+        for found in [9, 3, 1] {
             let skewed = snap.replacen(&current, &format!("\"version\":{found}"), 1);
             let mut p2 = pulse(&fams);
             assert!(matches!(
@@ -942,7 +1005,7 @@ mod tests {
     /// Rewrite the snapshot's queue row: `edit` sees each entry's columns
     /// `[t, s, kind, a, b, c, d]`, may change them, and returns whether to
     /// keep the entry.
-    fn with_queue_row(snap: &str, edit: impl Fn(&mut [u64]) -> bool) -> String {
+    fn with_queue_row(snap: &str, mut edit: impl FnMut(&mut [u64]) -> bool) -> String {
         const COLS: [&str; 7] = ["t", "s", "kind", "a", "b", "c", "d"];
         snap.lines()
             .map(|line| {
@@ -1045,10 +1108,10 @@ mod tests {
         format!("{}{value}{}", &line[..start], &line[end..])
     }
 
-    /// A snapshot of the fleet fixture after 200 events, and a restore of
-    /// `doc` against the same configuration that must fail as corrupt with
-    /// a message naming `what`.
-    fn assert_out_of_range(edit: impl Fn(&str) -> String, what: &str) {
+    /// Restore `edit` of the fleet fixture's snapshot after 200 events
+    /// against the same configuration; it must fail as corrupt, and the
+    /// message is returned.
+    fn corrupt_message(edit: impl Fn(&str) -> String) -> String {
         let (rt, fams, plan, fleet) = fixture();
         let mut p = pulse(&fams);
         let mut sess = rt.session(&mut p, &plan, fleet.clone());
@@ -1061,15 +1124,20 @@ mod tests {
         assert_ne!(doc, snap, "the edit must change the snapshot");
         let mut p2 = pulse(&fams);
         match rt.restore(&mut p2, &plan, fleet, &doc) {
-            Err(RecoverError::Corrupt { message }) => {
-                assert!(
-                    message.contains(what) && message.contains("out of range"),
-                    "{message}"
-                );
-            }
+            Err(RecoverError::Corrupt { message }) => message,
             Err(e) => panic!("expected Corrupt, got {e:?}"),
-            Ok(_) => panic!("an out-of-range {what} restored"),
+            Ok(_) => panic!("the edited snapshot restored"),
         }
+    }
+
+    /// The edited snapshot must fail as corrupt with a message naming
+    /// `what` as out of range.
+    fn assert_out_of_range(edit: impl Fn(&str) -> String, what: &str) {
+        let message = corrupt_message(edit);
+        assert!(
+            message.contains(what) && message.contains("out of range"),
+            "{message}"
+        );
     }
 
     #[test]
@@ -1129,5 +1197,65 @@ mod tests {
                 what,
             );
         }
+    }
+
+    /// The three ways an in-range snapshot can disagree with its own kill
+    /// point, each of which a resumed run would panic on, are rejected.
+    #[test]
+    fn restore_rejects_time_inconsistent_snapshots() {
+        const EXEC_DONE: u64 = 2;
+        const TICK: u64 = 7;
+        // Columns: [t, s, kind, a, b, c, d].
+        let early = corrupt_message(|snap| {
+            let mut moved = false;
+            with_queue_row(snap, |k| {
+                if !moved && k[2] != TICK {
+                    moved = true;
+                    k[0] = 0;
+                }
+                true
+            })
+        });
+        assert!(early.contains("precedes the kill point"), "{early}");
+
+        // Round-robin families repeat every 5 functions, so function
+        // f ± 5 has the same ladder and only the completion check can
+        // object to the move.
+        let foreign = corrupt_message(|snap| {
+            let mut moved = false;
+            let doc = with_queue_row(snap, |k| {
+                if !moved && k[2] == EXEC_DONE {
+                    moved = true;
+                    k[3] = if k[3] + 5 < 12 { k[3] + 5 } else { k[3] - 5 };
+                }
+                true
+            });
+            assert!(moved, "the kill point must leave an execution in flight");
+            doc
+        });
+        assert!(foreign.contains("completion of request"), "{foreign}");
+
+        let late = corrupt_message(|snap| {
+            with_row(snap, "policy", |line| {
+                let state = Record::parse(line)
+                    .unwrap()
+                    .str("state")
+                    .unwrap()
+                    .to_string();
+                let mut rows: Vec<String> = state.lines().map(str::to_string).collect();
+                let history = Record::parse(&rows[1])
+                    .unwrap()
+                    .u64_list("minutes")
+                    .unwrap();
+                let past: Vec<u64> = history.into_iter().chain([10 * HORIZON as u64]).collect();
+                rows[1] = RecordBuilder::new("arrivals")
+                    .u64_list("minutes", &past)
+                    .finish();
+                RecordBuilder::new("policy")
+                    .str("state", &rows.join("\n"))
+                    .finish()
+            })
+        });
+        assert!(late.contains("past the kill point"), "{late}");
     }
 }

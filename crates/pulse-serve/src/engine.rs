@@ -3,9 +3,8 @@
 //! Transport and policy logic are strictly split:
 //!
 //! * the **transport** is a bounded `std::sync::mpsc::sync_channel` between
-//!   an open-loop producer (the load generator, or the optional TCP ingress
-//!   behind the `tcp` feature) and the single consumer thread that owns the
-//!   engine. A full channel means arrivals are *dropped at the front door*
+//!   an open-loop producer (the load generator) and the single consumer
+//!   thread that owns the engine. A full channel means arrivals are *dropped at the front door*
 //!   and counted — the producer never blocks and nothing queues unbounded;
 //! * the **policy logic** is the untouched [`pulse_runtime::RuntimeSession`]:
 //!   every admitted request goes through [`RuntimeSession::admit_at`] into

@@ -22,16 +22,10 @@
 //!   bit-identical to a finished `Runtime::session` on the binned trace;
 //! * [`demo`] — the single-box throughput demo behind
 //!   `pulse-exp serve --demo`.
-//!
-//! With the `tcp` feature, the `tcp` module adds a thin length-prefixed
-//! framing so
-//! out-of-process producers can feed the same channel.
 
 pub mod demo;
 pub mod engine;
 pub mod loadgen;
-#[cfg(feature = "tcp")]
-pub mod tcp;
 
 pub use demo::{run_demo, DemoConfig};
 pub use engine::{replay, serve_live, LiveOptions, ServeConfig, ServeReport};

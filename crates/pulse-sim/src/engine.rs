@@ -153,6 +153,15 @@ impl Simulator {
         policy
             .restore_state(&state)
             .map_err(RecoverError::corrupt)?;
+        // Minutes before `next` ran; a history reaching `next` would have the
+        // resumed run hand the policy an earlier invocation.
+        let next = head.u64("next").map_err(c)?;
+        if let Some(m) = policy.last_invocation_minute().filter(|&m| m >= next) {
+            return Err(RecoverError::corrupt(format!(
+                "the policy recorded an invocation at minute {m}, past the kill point \
+                 before minute {next}"
+            )));
+        }
 
         Ok(SimSession {
             sim: self,
@@ -160,7 +169,7 @@ impl Simulator {
             metrics,
             ledger,
             plan: PlanState::new(demand_history, head.bool("invoked").map_err(c)?),
-            next: head.u64("next").map_err(c)?,
+            next,
             minutes: self.trace.minutes() as Minute,
             sink: None,
             prev_fallback: head.bool("fallback").map_err(c)?,
@@ -452,7 +461,6 @@ impl<'a> SimSession<'a> {
                 minute: t,
                 requests,
                 slo_violations: cold,
-                keepalive_mb: kam,
             });
         let fb = self.policy.in_fallback();
         if fb != self.prev_fallback {
@@ -883,5 +891,53 @@ mod tests {
         assert!(sim.restore(&mut q, "not json").is_err());
         let bare = format!("{{\"type\":\"snapshot\",\"version\":{SNAPSHOT_VERSION}}}");
         assert!(sim.restore(&mut q, &bare).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_policy_history_past_the_kill_point() {
+        use crate::recover::RecoverError;
+        use pulse_obs::{Record, RecordBuilder};
+        let trace = pulse_trace::synth::azure_like_12_with_horizon(5, 120);
+        let fams: Vec<ModelFamily> = (0..12).map(|i| zoo::standard()[i % 5].clone()).collect();
+        let sim = Simulator::new(trace, fams.clone());
+        let mut p = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let mut session = sim.session(&mut p);
+        for _ in 0..40 {
+            session.step_minute();
+        }
+        let snap = session.snapshot().unwrap();
+        drop(session);
+        // Function 0's history gains an invocation at minute 40, the first
+        // minute the resumed run has yet to serve.
+        let doc: Vec<String> = snap
+            .lines()
+            .map(|line| {
+                let rec = Record::parse(line).unwrap();
+                if rec.kind() != "policy" {
+                    return line.to_string();
+                }
+                let state = rec.str("state").unwrap();
+                let mut rows: Vec<String> = state.lines().map(str::to_string).collect();
+                let mut history = Record::parse(&rows[1])
+                    .unwrap()
+                    .u64_list("minutes")
+                    .unwrap();
+                history.push(40);
+                rows[1] = RecordBuilder::new("arrivals")
+                    .u64_list("minutes", &history)
+                    .finish();
+                RecordBuilder::new("policy")
+                    .str("state", &rows.join("\n"))
+                    .finish()
+            })
+            .collect();
+        let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        match sim.restore(&mut q, &doc.join("\n")) {
+            Err(RecoverError::Corrupt { message }) => {
+                assert!(message.contains("past the kill point"), "{message}");
+            }
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("a history past the kill point restored"),
+        }
     }
 }

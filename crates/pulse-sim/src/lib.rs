@@ -44,7 +44,7 @@
 //!   mean/σ aggregation;
 //! * [`watchdog`] — a guardrailed wrapper over any policy that falls back to
 //!   the fixed 10-minute baseline (with hysteresis) when the policy's
-//!   SLO-violation rate or keep-alive overspend goes bad;
+//!   SLO-violation rate goes bad;
 //! * [`recover`] — crash-consistent checkpointing: versioned snapshots
 //!   ([`SimSession::snapshot`] / [`Simulator::restore`]) with typed
 //!   soft-failure errors, shared with the event-driven runtime.

@@ -78,14 +78,6 @@ impl RunMetrics {
     pub fn avg_memory_mb(&self) -> f64 {
         stats::mean(&self.memory_series_mb)
     }
-
-    /// Percentage improvement of `self` over a `baseline` for a
-    /// lower-is-better quantity (cost, service time): positive means `self`
-    /// is cheaper/faster. A zero baseline reports 0.0 (nothing to improve
-    /// on), via the shared [`stats::ratio_or_zero`] convention.
-    pub fn improvement_pct(ours: f64, baseline: f64) -> f64 {
-        stats::ratio_or_zero(baseline - ours, baseline) * 100.0
-    }
 }
 
 /// Aggregate of many runs (the 1000-run simulation): streaming mean/σ of the
@@ -173,14 +165,6 @@ mod tests {
         assert_eq!(m.avg_accuracy_pct(), 0.0);
         assert_eq!(m.warm_fraction(), 0.0);
         assert_eq!(m.peak_memory_mb(), 0.0);
-    }
-
-    #[test]
-    fn improvement_sign_convention() {
-        // Ours cheaper than baseline → positive improvement.
-        assert!((RunMetrics::improvement_pct(60.0, 100.0) - 40.0).abs() < 1e-12);
-        assert!((RunMetrics::improvement_pct(120.0, 100.0) + 20.0).abs() < 1e-12);
-        assert_eq!(RunMetrics::improvement_pct(1.0, 0.0), 0.0);
     }
 
     #[test]

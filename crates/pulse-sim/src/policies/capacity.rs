@@ -233,6 +233,10 @@ impl KeepAlivePolicy for CapacityPulse {
         self.priority = PriorityStructure::from_counts(counts);
         Ok(())
     }
+
+    fn last_invocation_minute(&self) -> Option<Minute> {
+        self.engine.last_invocation_minute()
+    }
 }
 
 #[cfg(test)]

@@ -3,16 +3,16 @@
 //! These are the endpoints of the paper's quality/cost trade-off space
 //! (Tables II/III rows 1–2, the "Highest Quality" / "Lowest Quality" corners
 //! of Figure 5): keep the same rung of every function's quality ladder alive
-//! for the whole fixed window.
+//! for the provider's fixed 10-minute window.
 
-use crate::policy::KeepAlivePolicy;
+use crate::policy::{KeepAlivePolicy, PROVIDER_WINDOW};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::types::{FuncId, Minute};
 use pulse_models::{ModelFamily, VariantId};
 
 /// Which rung a [`FixedVariant`] policy pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rung {
+enum Rung {
     /// Every function keeps its lowest-accuracy variant.
     Lowest,
     /// Every function keeps its highest-accuracy variant.
@@ -23,24 +23,21 @@ pub enum Rung {
 #[derive(Debug, Clone)]
 pub struct FixedVariant {
     variants: Vec<VariantId>,
-    window: u32,
     name: &'static str,
 }
 
 impl FixedVariant {
     /// All-low strategy over a family assignment (10-minute window).
     pub fn all_low(families: &[ModelFamily]) -> Self {
-        Self::pinned(families, Rung::Lowest, 10)
+        Self::pinned(families, Rung::Lowest)
     }
 
     /// All-high strategy over a family assignment (10-minute window).
     pub fn all_high(families: &[ModelFamily]) -> Self {
-        Self::pinned(families, Rung::Highest, 10)
+        Self::pinned(families, Rung::Highest)
     }
 
-    /// A pinned strategy with a custom window.
-    pub fn pinned(families: &[ModelFamily], rung: Rung, window: u32) -> Self {
-        assert!(window >= 1);
+    fn pinned(families: &[ModelFamily], rung: Rung) -> Self {
         let variants = families
             .iter()
             .map(|f| match rung {
@@ -50,7 +47,6 @@ impl FixedVariant {
             .collect();
         Self {
             variants,
-            window,
             name: match rung {
                 Rung::Lowest => "all-low-quality",
                 Rung::Highest => "all-high-quality",
@@ -65,7 +61,7 @@ impl KeepAlivePolicy for FixedVariant {
     }
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        KeepAliveSchedule::constant(t, self.variants[f], self.window)
+        KeepAliveSchedule::constant(t, self.variants[f], PROVIDER_WINDOW)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
@@ -102,12 +98,5 @@ mod tests {
         assert_eq!(p.cold_start_variant(0, 0), 2);
         assert_eq!(p.cold_start_variant(1, 0), 1);
         assert_eq!(p.name(), "all-high-quality");
-    }
-
-    #[test]
-    fn custom_window_respected() {
-        let fams = vec![zoo::densenet()];
-        let mut p = FixedVariant::pinned(&fams, Rung::Highest, 4);
-        assert_eq!(p.schedule_on_invocation(0, 0).window(), 4);
     }
 }

@@ -7,7 +7,7 @@
 //! billed. It is unrealizable in practice (it requires perfect foresight)
 //! and serves purely as the denominator of the per-minute cost-error series.
 
-use crate::policy::KeepAlivePolicy;
+use crate::policy::{KeepAlivePolicy, PROVIDER_WINDOW};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::schedule::Slot;
 use pulse_core::types::{FuncId, Minute};
@@ -19,23 +19,15 @@ use pulse_trace::Trace;
 pub struct IdealOracle {
     trace: Trace,
     highest: Vec<VariantId>,
-    window: u32,
 }
 
 impl IdealOracle {
     /// Oracle over the trace it will be simulated against (10-minute window).
     pub fn new(families: &[ModelFamily], trace: Trace) -> Self {
-        Self::with_window(families, trace, 10)
-    }
-
-    /// As [`Self::new`] with a custom window.
-    pub fn with_window(families: &[ModelFamily], trace: Trace, window: u32) -> Self {
-        assert!(window >= 1);
         assert_eq!(families.len(), trace.n_functions());
         Self {
             trace,
             highest: crate::policy::highest_ids(families),
-            window,
         }
     }
 }
@@ -51,7 +43,8 @@ impl KeepAlivePolicy for IdealOracle {
         // between as a typed hole, trimming the plan at the last invocation
         // minute (the ledger bills only alive slots, so trailing holes would
         // be equivalent but pointless).
-        let last_inv = (1..=self.window as u64).rfind(|&m| self.trace.function(f).at(t + m) > 0);
+        let last_inv =
+            (1..=u64::from(PROVIDER_WINDOW)).rfind(|&m| self.trace.function(f).at(t + m) > 0);
         match last_inv {
             // No future invocation in the window: keep nothing alive.
             None => KeepAliveSchedule::new(t, Vec::new()),

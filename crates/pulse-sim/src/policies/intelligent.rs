@@ -7,7 +7,7 @@
 //! rank functions — the motivation-section upper bound PULSE approximates
 //! with predictions.
 
-use crate::policy::KeepAlivePolicy;
+use crate::policy::{KeepAlivePolicy, PROVIDER_WINDOW};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::types::{FuncId, Minute};
 use pulse_models::{ModelFamily, VariantId};
@@ -20,18 +20,11 @@ use pulse_trace::Trace;
 pub struct IntelligentOracle {
     trace: Trace,
     highest: Vec<VariantId>,
-    window: u32,
 }
 
 impl IntelligentOracle {
     /// Oracle over the trace it will be simulated against (10-minute window).
     pub fn new(families: &[ModelFamily], trace: Trace) -> Self {
-        Self::with_window(families, trace, 10)
-    }
-
-    /// As [`Self::new`] with a custom window.
-    pub fn with_window(families: &[ModelFamily], trace: Trace, window: u32) -> Self {
-        assert!(window >= 1);
         assert_eq!(
             families.len(),
             trace.n_functions(),
@@ -40,13 +33,12 @@ impl IntelligentOracle {
         Self {
             trace,
             highest: crate::policy::highest_ids(families),
-            window,
         }
     }
 
     /// Future invocation volume of `f` in `(t, t + window]`.
     fn future_volume(&self, f: FuncId, t: Minute) -> u64 {
-        (1..=self.window as u64)
+        (1..=u64::from(PROVIDER_WINDOW))
             .map(|m| self.trace.function(f).at(t + m) as u64)
             .sum()
     }
@@ -76,7 +68,7 @@ impl KeepAlivePolicy for IntelligentOracle {
         } else {
             0
         };
-        KeepAliveSchedule::constant(t, v, self.window)
+        KeepAliveSchedule::constant(t, v, PROVIDER_WINDOW)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, t: Minute) -> VariantId {

@@ -22,7 +22,7 @@ impl OpenWhiskFixed {
     /// Baseline over the given family assignment with the provider-standard
     /// 10-minute window.
     pub fn new(families: &[ModelFamily]) -> Self {
-        Self::with_window(families, 10)
+        Self::with_window(families, crate::policy::PROVIDER_WINDOW)
     }
 
     /// Baseline with a custom window (the paper notes the design generalizes

@@ -148,6 +148,10 @@ impl KeepAlivePolicy for PulsePolicy {
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
         decode_engine_state(&mut self.engine, state)
     }
+
+    fn last_invocation_minute(&self) -> Option<Minute> {
+        self.engine.last_invocation_minute()
+    }
 }
 
 #[cfg(test)]

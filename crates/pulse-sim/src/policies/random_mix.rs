@@ -7,7 +7,7 @@
 //! of functions with high-quality and low-quality models kept-alive was
 //! balanced."
 
-use crate::policy::KeepAlivePolicy;
+use crate::policy::{KeepAlivePolicy, PROVIDER_WINDOW};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::types::{FuncId, Minute};
 use pulse_models::{ModelFamily, VariantId};
@@ -19,23 +19,12 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct RandomMix {
     variants: Vec<VariantId>,
-    window: u32,
 }
 
 impl RandomMix {
     /// Assign exactly half the functions (rounded up) their highest variant
     /// and the rest their lowest, uniformly at random.
     pub fn new<R: Rng + ?Sized>(families: &[ModelFamily], rng: &mut R) -> Self {
-        Self::with_window(families, 10, rng)
-    }
-
-    /// As [`Self::new`] with a custom window length.
-    pub fn with_window<R: Rng + ?Sized>(
-        families: &[ModelFamily],
-        window: u32,
-        rng: &mut R,
-    ) -> Self {
-        assert!(window >= 1);
         let n = families.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(rng);
@@ -47,7 +36,7 @@ impl RandomMix {
                 0
             };
         }
-        Self { variants, window }
+        Self { variants }
     }
 
     /// The per-function choices (testing/inspection).
@@ -62,7 +51,7 @@ impl KeepAlivePolicy for RandomMix {
     }
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        KeepAliveSchedule::constant(t, self.variants[f], self.window)
+        KeepAliveSchedule::constant(t, self.variants[f], PROVIDER_WINDOW)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {

@@ -19,8 +19,6 @@ pub struct MinuteObservation {
     /// Requests that violated the SLO during the minute (cold starts in the
     /// minute engine; cold starts + failures + sheds in the runtime).
     pub slo_violations: u64,
-    /// Keep-alive memory billed for the minute, MB.
-    pub keepalive_mb: f64,
 }
 
 /// A keep-alive policy: decides which variant container (if any) each
@@ -78,8 +76,8 @@ pub trait KeepAlivePolicy: Send {
         Vec::new()
     }
 
-    /// Feedback after a minute completes: request count, SLO violations and
-    /// billed keep-alive memory. Default: ignore it.
+    /// Feedback after a minute completes: request count and SLO
+    /// violations. Default: ignore it.
     fn observe_minute(&mut self, _obs: &MinuteObservation) {}
 
     /// Whether the policy is currently serving from a safety fallback (see
@@ -106,6 +104,14 @@ pub trait KeepAlivePolicy: Send {
     /// checkpointing (the default) or the state does not fit this policy.
     fn restore_state(&mut self, _state: &str) -> Result<(), String> {
         Err(format!("policy {:?} is not checkpointable", self.name()))
+    }
+
+    /// The latest minute the policy recorded an invocation at, for policies
+    /// that keep an invocation history (`None`, the default, otherwise).
+    /// Restores reject a state whose history runs past the snapshot's kill
+    /// point: the resumed run would hand the policy an earlier invocation.
+    fn last_invocation_minute(&self) -> Option<Minute> {
+        None
     }
 }
 
@@ -157,7 +163,15 @@ impl<P: KeepAlivePolicy + ?Sized> KeepAlivePolicy for Box<P> {
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
         (**self).restore_state(state)
     }
+
+    fn last_invocation_minute(&self) -> Option<Minute> {
+        (**self).last_invocation_minute()
+    }
 }
+
+/// The provider-default keep-alive window, minutes: the paper's baseline
+/// keeps a container alive for 10 minutes after each invocation.
+pub(crate) const PROVIDER_WINDOW: u32 = 10;
 
 /// Shared helper: the highest variant id of each family, used by several
 /// policies as the provider-default cold-start choice.
@@ -204,7 +218,6 @@ mod tests {
             minute: 3,
             requests: 10,
             slo_violations: 10,
-            keepalive_mb: 1e9,
         });
         assert!(!p.in_fallback());
     }

@@ -23,7 +23,7 @@ use pulse_obs::{Record, RecordBuilder};
 
 /// Version stamped into every snapshot header; restore rejects any other
 /// value with [`RecoverError::VersionSkew`].
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Why a snapshot could not be restored. Every failure mode is typed and
 /// soft: restore never panics on foreign input.

@@ -7,24 +7,23 @@
 //! guarded fallback to the provider default; [`Watchdog`] is that guard for
 //! any [`KeepAlivePolicy`].
 //!
-//! The wrapper tracks a rolling window of per-minute observations (requests,
-//! SLO violations, billed keep-alive memory — fed by both engines through
-//! [`KeepAlivePolicy::observe_minute`]) and compares two rolling statistics
-//! against guardrails:
+//! The wrapper tracks a rolling window of per-minute observations (requests
+//! and SLO violations, fed by both engines through
+//! [`KeepAlivePolicy::observe_minute`]) and compares the window's
+//! **SLO-violation rate** (violations ÷ requests) against
+//! [`WatchdogConfig::max_violation_rate`]. The rate can exceed 1: one
+//! request can count both a cold start and a failure in the same minute.
 //!
-//! * the **SLO-violation rate** (violations ÷ requests over the window);
-//! * the **keep-alive overspend** (mean billed MB over the window).
-//!
-//! A minute that breaches either guardrail feeds an *enter* streak; a clean
-//! minute feeds an *exit* streak. Only [`WatchdogConfig::enter_after`]
+//! A minute whose window breaches the guardrail feeds an *enter* streak; a
+//! clean minute feeds an *exit* streak. Only [`WatchdogConfig::enter_after`]
 //! consecutive breached minutes switch the wrapper to the fixed 10-minute
 //! OpenWhisk baseline, and only [`WatchdogConfig::exit_after`] consecutive
 //! healthy minutes switch it back — the enter/exit hysteresis that keeps a
 //! single transient spike from flapping the policy.
 //!
-//! With [`WatchdogConfig::disabled`] the wrapper is a pure pass-through: it
-//! never evaluates the guardrails, never falls back, and adds no events —
-//! runs are bit-identical to driving the inner policy directly.
+//! With `max_violation_rate: f64::INFINITY` the window never breaches, so
+//! the wrapper never falls back and adds no events: runs are bit-identical
+//! to driving the inner policy directly.
 
 use crate::policies::OpenWhiskFixed;
 use crate::policy::{KeepAlivePolicy, MinuteObservation};
@@ -38,40 +37,24 @@ use std::collections::VecDeque;
 /// Guardrails and hysteresis for [`Watchdog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
-    /// Master switch. When false the wrapper is a pure pass-through.
-    pub enabled: bool,
     /// Rolling-window length, minutes.
     pub window: usize,
-    /// Breach when the window's SLO-violation rate exceeds this fraction.
+    /// Breach when the window's SLO violations per request exceed this
+    /// (`f64::INFINITY` never breaches).
     pub max_violation_rate: f64,
-    /// Breach when the window's mean keep-alive memory exceeds this, MB
-    /// (`f64::INFINITY` disables the overspend guardrail).
-    pub max_keepalive_mb: f64,
     /// Consecutive breached minutes before falling back.
     pub enter_after: u32,
     /// Consecutive healthy minutes before recovering.
     pub exit_after: u32,
 }
 
-impl WatchdogConfig {
-    /// A disabled watchdog: pure pass-through, never falls back.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
-
 impl Default for WatchdogConfig {
-    /// Enabled, 30-minute window, 50% violation rate, no memory guardrail,
-    /// enter after 3 breached minutes, exit after 10 healthy ones.
+    /// 30-minute window, 50% violation rate, enter after 3 breached
+    /// minutes, exit after 10 healthy ones.
     fn default() -> Self {
         Self {
-            enabled: true,
             window: 30,
             max_violation_rate: 0.5,
-            max_keepalive_mb: f64::INFINITY,
             enter_after: 3,
             exit_after: 10,
         }
@@ -87,11 +70,10 @@ pub struct Watchdog<P> {
     fallback: OpenWhiskFixed,
     cfg: WatchdogConfig,
     name: String,
-    /// Rolling window of (requests, violations, keepalive_mb).
-    window: VecDeque<(u64, u64, f64)>,
+    /// Rolling window of (requests, violations).
+    window: VecDeque<(u64, u64)>,
     sum_requests: u64,
     sum_violations: u64,
-    sum_keepalive_mb: f64,
     streak_breached: u32,
     streak_healthy: u32,
     in_fallback: bool,
@@ -111,7 +93,6 @@ impl<P: KeepAlivePolicy> Watchdog<P> {
             window: VecDeque::new(),
             sum_requests: 0,
             sum_violations: 0,
-            sum_keepalive_mb: 0.0,
             streak_breached: 0,
             streak_healthy: 0,
             in_fallback: false,
@@ -129,18 +110,14 @@ impl<P: KeepAlivePolicy> Watchdog<P> {
         self.fallback_minutes
     }
 
-    /// Whether the rolling window currently breaches a guardrail.
+    /// Whether the rolling window's violation rate breaches the guardrail.
     fn window_breached(&self) -> bool {
-        if self.window.is_empty() {
-            return false;
-        }
         let rate = if self.sum_requests == 0 {
             0.0
         } else {
             self.sum_violations as f64 / self.sum_requests as f64
         };
-        let mean_mb = self.sum_keepalive_mb / self.window.len() as f64;
-        rate > self.cfg.max_violation_rate || mean_mb > self.cfg.max_keepalive_mb
+        rate > self.cfg.max_violation_rate
     }
 }
 
@@ -195,19 +172,13 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
 
     fn observe_minute(&mut self, obs: &MinuteObservation) {
         self.inner.observe_minute(obs);
-        if !self.cfg.enabled {
-            return;
-        }
-        self.window
-            .push_back((obs.requests, obs.slo_violations, obs.keepalive_mb));
+        self.window.push_back((obs.requests, obs.slo_violations));
         self.sum_requests += obs.requests;
         self.sum_violations += obs.slo_violations;
-        self.sum_keepalive_mb += obs.keepalive_mb;
         while self.window.len() > self.cfg.window.max(1) {
-            if let Some((r, v, mb)) = self.window.pop_front() {
+            if let Some((r, v)) = self.window.pop_front() {
                 self.sum_requests -= r;
                 self.sum_violations -= v;
-                self.sum_keepalive_mb -= mb;
             }
         }
 
@@ -235,22 +206,14 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
 
     fn checkpoint_state(&self) -> Option<String> {
         let inner = self.inner.checkpoint_state()?;
-        let mut win_requests = Vec::with_capacity(self.window.len());
-        let mut win_violations = Vec::with_capacity(self.window.len());
-        let mut win_keepalive = Vec::with_capacity(self.window.len());
-        for &(r, v, mb) in &self.window {
-            win_requests.push(r);
-            win_violations.push(v);
-            win_keepalive.push(mb);
-        }
+        let (win_requests, win_violations): (Vec<u64>, Vec<u64>) =
+            self.window.iter().copied().unzip();
         Some(
             RecordBuilder::new("watchdog")
                 .u64_list("win_requests", &win_requests)
                 .u64_list("win_violations", &win_violations)
-                .f64_list("win_keepalive_mb", &win_keepalive)
                 .u64("sum_requests", self.sum_requests)
                 .u64("sum_violations", self.sum_violations)
-                .f64("sum_keepalive_mb", self.sum_keepalive_mb)
                 .u64("streak_breached", u64::from(self.streak_breached))
                 .u64("streak_healthy", u64::from(self.streak_healthy))
                 .bool("in_fallback", self.in_fallback)
@@ -268,8 +231,7 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
         let err = |e: pulse_obs::ParseError| e.to_string();
         let win_requests = rec.u64_list("win_requests").map_err(err)?;
         let win_violations = rec.u64_list("win_violations").map_err(err)?;
-        let win_keepalive = rec.f64_list("win_keepalive_mb").map_err(err)?;
-        if win_requests.len() != win_violations.len() || win_requests.len() != win_keepalive.len() {
+        if win_requests.len() != win_violations.len() {
             return Err("watchdog window series lengths differ".to_string());
         }
         let streak_breached = u32::try_from(rec.u64("streak_breached").map_err(err)?)
@@ -277,20 +239,18 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
         let streak_healthy = u32::try_from(rec.u64("streak_healthy").map_err(err)?)
             .map_err(|_| "streak_healthy overflows u32".to_string())?;
         self.inner.restore_state(rec.str("inner").map_err(err)?)?;
-        self.window = win_requests
-            .iter()
-            .zip(&win_violations)
-            .zip(&win_keepalive)
-            .map(|((&r, &v), &mb)| (r, v, mb))
-            .collect();
+        self.window = win_requests.into_iter().zip(win_violations).collect();
         self.sum_requests = rec.u64("sum_requests").map_err(err)?;
         self.sum_violations = rec.u64("sum_violations").map_err(err)?;
-        self.sum_keepalive_mb = rec.f64("sum_keepalive_mb").map_err(err)?;
         self.streak_breached = streak_breached;
         self.streak_healthy = streak_healthy;
         self.in_fallback = rec.bool("in_fallback").map_err(err)?;
         self.fallback_minutes = rec.u64("fallback_minutes").map_err(err)?;
         Ok(())
+    }
+
+    fn last_invocation_minute(&self) -> Option<Minute> {
+        self.inner.last_invocation_minute()
     }
 }
 
@@ -305,10 +265,8 @@ mod tests {
 
     fn cfg() -> WatchdogConfig {
         WatchdogConfig {
-            enabled: true,
             window: 5,
             max_violation_rate: 0.5,
-            max_keepalive_mb: f64::INFINITY,
             enter_after: 3,
             exit_after: 4,
         }
@@ -319,7 +277,6 @@ mod tests {
             minute: t,
             requests: 10,
             slo_violations: 10,
-            keepalive_mb: 100.0,
         }
     }
 
@@ -328,7 +285,6 @@ mod tests {
             minute: t,
             requests: 10,
             slo_violations: 0,
-            keepalive_mb: 100.0,
         }
     }
 
@@ -402,38 +358,40 @@ mod tests {
     }
 
     #[test]
-    fn memory_overspend_guardrail_trips_too() {
+    fn a_minute_can_report_more_violations_than_requests() {
+        // A cold start that then fails counts twice: 2 violations for 1
+        // request is a rate of 2, so a bound of 1.0 still trips and only
+        // an infinite bound never does.
         let f = fams();
-        let mut w = Watchdog::new(
+        let double = |t| MinuteObservation {
+            minute: t,
+            requests: 1,
+            slo_violations: 2,
+        };
+        let mut at_one = Watchdog::new(
             OpenWhiskFixed::new(&f),
             &f,
             WatchdogConfig {
-                max_violation_rate: 1.0, // violation guardrail off
-                max_keepalive_mb: 500.0,
+                max_violation_rate: 1.0,
                 ..cfg()
             },
         );
-        for t in 0..3 {
-            w.observe_minute(&MinuteObservation {
-                minute: t,
-                requests: 1,
-                slo_violations: 0,
-                keepalive_mb: 10_000.0,
-            });
-        }
-        assert!(w.in_fallback(), "overspend must trip the watchdog");
-    }
-
-    #[test]
-    fn disabled_watchdog_never_falls_back() {
-        let f = fams();
-        let mut w = Watchdog::new(OpenWhiskFixed::new(&f), &f, WatchdogConfig::disabled());
+        let mut never = Watchdog::new(
+            OpenWhiskFixed::new(&f),
+            &f,
+            WatchdogConfig {
+                max_violation_rate: f64::INFINITY,
+                ..cfg()
+            },
+        );
         for t in 0..100 {
-            w.observe_minute(&bad_minute(t));
+            at_one.observe_minute(&double(t));
+            never.observe_minute(&double(t));
         }
-        assert!(!w.in_fallback());
-        assert_eq!(w.fallback_minutes(), 0);
-        assert_eq!(w.name(), "watchdog(openwhisk-fixed-10min)");
+        assert!(at_one.in_fallback(), "a rate of 2 breaches a bound of 1");
+        assert!(!never.in_fallback());
+        assert_eq!(never.fallback_minutes(), 0);
+        assert_eq!(never.name(), "watchdog(openwhisk-fixed-10min)");
     }
 
     #[test]
@@ -445,7 +403,6 @@ mod tests {
                 minute: t,
                 requests: 0,
                 slo_violations: 0,
-                keepalive_mb: 0.0,
             });
         }
         assert!(!w.in_fallback(), "an idle platform is not a breach");

@@ -4,7 +4,7 @@
 //! large number of concurrent functions". Reproducing that needs workloads
 //! bigger than 12 functions; this module replicates a base trace with
 //! deterministic phase shifts (so the copies are neither identical nor
-//! synchronized), merges traces, and resamples horizons.
+//! synchronized) and merges traces.
 
 use crate::trace::{FunctionTrace, Trace};
 
@@ -48,22 +48,6 @@ pub fn merge(traces: &[Trace]) -> Trace {
     Trace::new(functions)
 }
 
-/// Tile a trace in time until it covers `minutes` (truncating the last
-/// repetition), e.g. to stretch a one-day fixture to two weeks.
-pub fn tile_to(trace: &Trace, minutes: usize) -> Trace {
-    assert!(minutes >= 1);
-    let base = trace.minutes();
-    let functions = trace
-        .functions()
-        .iter()
-        .map(|f| {
-            let counts: Vec<u32> = (0..minutes).map(|t| f.per_minute[t % base]).collect();
-            FunctionTrace::new(f.name.clone(), counts)
-        })
-        .collect();
-    Trace::new(functions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,8 +70,9 @@ mod tests {
     #[test]
     fn replicas_are_phase_shifted() {
         let t = replicate(&base(), 2, 2);
-        let orig = t.by_name("a").unwrap();
-        let copy = t.by_name("a#1").unwrap();
+        // Copies follow their original: "a", "a#1", "b", "b#1".
+        let (orig, copy) = (t.function(0), t.function(1));
+        assert_eq!(copy.name, "a#1");
         assert_ne!(orig.per_minute, copy.per_minute);
         // Rotation by 2: [1,0,0,2,0,0] → [0,2,0,0,1,0].
         assert_eq!(copy.per_minute, vec![0, 2, 0, 0, 1, 0]);
@@ -104,10 +89,7 @@ mod tests {
     #[test]
     fn zero_phase_step_clones_exactly() {
         let t = replicate(&base(), 2, 0);
-        assert_eq!(
-            t.by_name("a").unwrap().per_minute,
-            t.by_name("a#1").unwrap().per_minute
-        );
+        assert_eq!(t.function(0).per_minute, t.function(1).per_minute);
     }
 
     #[test]
@@ -122,22 +104,5 @@ mod tests {
     fn merge_rejects_mismatched_horizons() {
         let other = Trace::new(vec![FunctionTrace::new("c", vec![1, 1])]);
         merge(&[base(), other]);
-    }
-
-    #[test]
-    fn tile_extends_and_truncates() {
-        let t = tile_to(&base(), 15);
-        assert_eq!(t.minutes(), 15);
-        let a = t.by_name("a").unwrap();
-        assert_eq!(a.per_minute[6], 1); // second repetition starts
-        assert_eq!(a.per_minute[9], 2);
-        assert_eq!(a.per_minute[14], 0); // truncated mid-repetition
-    }
-
-    #[test]
-    fn tile_shorter_than_base_truncates() {
-        let t = tile_to(&base(), 3);
-        assert_eq!(t.minutes(), 3);
-        assert_eq!(t.by_name("a").unwrap().per_minute, vec![1, 0, 0]);
     }
 }

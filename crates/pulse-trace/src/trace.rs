@@ -113,11 +113,6 @@ impl Trace {
         &self.functions[i]
     }
 
-    /// Function by name.
-    pub fn by_name(&self, name: &str) -> Option<&FunctionTrace> {
-        self.functions.iter().find(|f| f.name == name)
-    }
-
     /// Total invocations across all functions.
     pub fn total_invocations(&self) -> u64 {
         self.functions.iter().map(|f| f.total_invocations()).sum()
@@ -176,8 +171,6 @@ mod tests {
         assert_eq!(t.n_functions(), 2);
         assert_eq!(t.minutes(), 3);
         assert_eq!(t.total_invocations(), 6);
-        assert_eq!(t.by_name("b").unwrap().total_invocations(), 3);
-        assert!(t.by_name("zzz").is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use pulse_trace::csv;
 use pulse_trace::interarrival::gap_percentages;
-use pulse_trace::scale::{merge, replicate, tile_to};
+use pulse_trace::scale::{merge, replicate};
 use pulse_trace::{FunctionTrace, Trace};
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -63,14 +63,6 @@ proptest! {
         prop_assert_eq!(r.n_functions(), trace.n_functions() * factor);
         prop_assert_eq!(r.total_invocations(), trace.total_invocations() * factor as u64);
         prop_assert_eq!(r.minutes(), trace.minutes());
-    }
-
-    #[test]
-    fn tile_preserves_rate(trace in arb_trace(), reps in 1usize..4) {
-        let minutes = trace.minutes() * reps;
-        let t = tile_to(&trace, minutes);
-        prop_assert_eq!(t.minutes(), minutes);
-        prop_assert_eq!(t.total_invocations(), trace.total_invocations() * reps as u64);
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub mod prelude {
     pub use pulse_obs::{JsonlSink, MemorySink, NullSink, ObsEvent, TraceSink};
     pub use pulse_runtime::{
         AdmissionControl, ClusterConfig, FaultPlan, FaultRates, FleetConfig, NodeCapacity,
-        NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec, NodeSummary, RetryPolicy,
-        Runtime, RuntimeConfig,
+        NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec, NodeSummary, Runtime,
+        RuntimeConfig,
     };
     pub use pulse_sim::policies::{
         FixedVariant, IdealOracle, IntelligentOracle, OpenWhiskFixed, PulsePolicy, RandomMix,

@@ -293,7 +293,6 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
         max_violation_rate: 0.1,
         enter_after: 2,
         exit_after: 3,
-        ..WatchdogConfig::default()
     };
     let make = || {
         Watchdog::new(

@@ -382,7 +382,11 @@ fn disabled_watchdog_is_bitwise_transparent_for_every_policy() {
         let bare = rt
             .session(make().as_mut(), &plan, ClusterConfig::unlimited())
             .finish();
-        let mut wrapped = Watchdog::new(make(), &fams, WatchdogConfig::disabled());
+        let never_trips = WatchdogConfig {
+            max_violation_rate: f64::INFINITY,
+            ..WatchdogConfig::default()
+        };
+        let mut wrapped = Watchdog::new(make(), &fams, never_trips);
         let watched = rt
             .session(&mut wrapped, &plan, ClusterConfig::unlimited())
             .finish();
