@@ -35,8 +35,8 @@ fn bench(c: &mut Criterion) {
     let day = synth::azure_like_12_with_horizon(42, 1440);
     c.bench_function("csv_round_trip_one_day", |b| {
         b.iter(|| {
-            let s = csv::to_simple_csv(&day);
-            csv::from_simple_csv(&s).unwrap()
+            let s = csv::to_azure_day_csv(&day, 0);
+            csv::parse_azure_day(&s).unwrap()
         })
     });
 }

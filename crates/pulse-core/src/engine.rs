@@ -20,7 +20,6 @@ use crate::individual::KeepAliveSchedule;
 use crate::interarrival::{GapProbabilities, InterArrivalModel};
 use crate::peak::PeakDetector;
 use crate::priority::PriorityStructure;
-use crate::thresholds::{SchemeT1, SchemeT2, ThresholdScheme};
 use crate::types::{ConfigError, FuncId, Minute, PulseConfig, SchemeKind};
 use pulse_models::ModelFamily;
 use std::fmt;
@@ -208,25 +207,17 @@ impl PulseEngine {
     ///
     /// Call [`Self::record_invocation`] first so the plan reflects the
     /// just-observed arrival.
+    ///
+    /// Each minute's combined gap probability selects its variant in place,
+    /// so the plan is the only allocation. The scheme is matched once per
+    /// window, so each arm's per-minute closure inlines a fixed scheme.
     pub fn schedule_after_invocation(&self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        match self.config.scheme {
-            SchemeKind::T1 => self.schedule_with_scheme(f, t, &SchemeT1),
-            SchemeKind::T2 => self.schedule_with_scheme(f, t, &SchemeT2),
-        }
-    }
-
-    /// Plan a window with an explicit threshold scheme (for ablations): each
-    /// minute's combined gap probability selects its variant in place, so
-    /// the plan is the only allocation.
-    pub fn schedule_with_scheme(
-        &self,
-        f: FuncId,
-        t: Minute,
-        scheme: &(impl ThresholdScheme + ?Sized),
-    ) -> KeepAliveSchedule {
         let n = self.families[f].n_variants();
-        let plan =
-            self.arrivals[f].map_combined(t, self.config.local_window, |p| scheme.select(p, n));
+        let (model, window) = (&self.arrivals[f], self.config.local_window);
+        let plan = match self.config.scheme {
+            SchemeKind::T1 => model.map_combined(t, window, |p| SchemeKind::T1.select(p, n)),
+            SchemeKind::T2 => model.map_combined(t, window, |p| SchemeKind::T2.select(p, n)),
+        };
         KeepAliveSchedule::new(t, plan)
     }
 
@@ -431,17 +422,6 @@ mod tests {
         // Under T2, P(5)=1 → highest; zero-probability minutes → lowest.
         assert_eq!(s.variant_at_offset(5), Some(2));
         assert_eq!(s.variant_at_offset(1), Some(0));
-    }
-
-    #[test]
-    fn schedule_with_explicit_scheme_matches_config_dispatch() {
-        let mut e = engine();
-        for t in [0u64, 2, 4] {
-            e.record_invocation(2, t);
-        }
-        let a = e.schedule_after_invocation(2, 4);
-        let b = e.schedule_with_scheme(2, 4, &SchemeT1);
-        assert_eq!(a, b);
     }
 
     #[test]

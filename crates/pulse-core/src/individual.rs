@@ -16,8 +16,7 @@
 use crate::convert::{gap_to_index, len_to_u32, len_to_u64, window_to_len};
 use crate::interarrival::GapProbabilities;
 use crate::schedule::Slot;
-use crate::thresholds::ThresholdScheme;
-use crate::types::Minute;
+use crate::types::{Minute, SchemeKind};
 use pulse_models::VariantId;
 use serde::{Deserialize, Serialize};
 
@@ -132,7 +131,7 @@ impl IndividualOptimizer {
         invoked_at: Minute,
         probs: &GapProbabilities,
         n_variants: usize,
-        scheme: &dyn ThresholdScheme,
+        scheme: SchemeKind,
     ) -> KeepAliveSchedule {
         let plan = (1..=u64::from(self.window))
             .map(|m| scheme.select(probs.prob(m), n_variants))
@@ -145,7 +144,6 @@ impl IndividualOptimizer {
 mod tests {
     use super::*;
     use crate::interarrival::InterArrivalModel;
-    use crate::thresholds::{SchemeT1, SchemeT2};
 
     fn probs_for(arrivals: &[Minute], now: Minute) -> GapProbabilities {
         let mut m = InterArrivalModel::new(10);
@@ -159,7 +157,7 @@ mod tests {
     fn tight_cadence_warms_high_variant_at_the_right_minute() {
         let probs = probs_for(&[0, 2, 4, 6, 8, 10], 10);
         let opt = IndividualOptimizer::new(10);
-        let s = opt.schedule(10, &probs, 3, &SchemeT1);
+        let s = opt.schedule(10, &probs, 3, SchemeKind::T1);
         // P(gap=2)=1 → highest variant at offset 2; all other offsets have
         // probability 0 → lowest variant (but still alive).
         assert_eq!(s.variant_at_offset(2), Some(2));
@@ -171,7 +169,7 @@ mod tests {
     #[test]
     fn uninformed_history_keeps_lowest_variant_alive_everywhere() {
         let probs = GapProbabilities::zeros(10);
-        let s = IndividualOptimizer::new(10).schedule(50, &probs, 3, &SchemeT1);
+        let s = IndividualOptimizer::new(10).schedule(50, &probs, 3, SchemeKind::T1);
         for m in 1..=10u64 {
             assert_eq!(s.variant_at_offset(m), Some(0));
         }
@@ -181,7 +179,7 @@ mod tests {
     #[test]
     fn absolute_minute_lookup() {
         let probs = GapProbabilities::zeros(10);
-        let s = IndividualOptimizer::new(10).schedule(100, &probs, 2, &SchemeT1);
+        let s = IndividualOptimizer::new(10).schedule(100, &probs, 2, SchemeKind::T1);
         assert_eq!(s.variant_at(100), None); // invocation minute itself
         assert_eq!(s.variant_at(101), Some(0));
         assert_eq!(s.variant_at(110), Some(0));
@@ -194,7 +192,7 @@ mod tests {
         // Gaps {3,100,3,100,3}: P(3)=0.6. Evaluated at now=400, the local
         // window is empty, so the global distribution is used alone.
         let probs = probs_for(&[0, 3, 103, 106, 206, 209], 400);
-        let s = IndividualOptimizer::new(10).schedule(400, &probs, 3, &SchemeT1);
+        let s = IndividualOptimizer::new(10).schedule(400, &probs, 3, SchemeKind::T1);
         // P(3) = 0.6 → middle variant at offset 3 (band [1/3, 2/3)).
         assert_eq!(s.variant_at_offset(3), Some(1));
         assert_eq!(s.variant_at_offset(1), Some(0));
@@ -203,7 +201,7 @@ mod tests {
     #[test]
     fn t2_uninformed_also_keeps_lowest() {
         let probs = GapProbabilities::zeros(10);
-        let s = IndividualOptimizer::new(10).schedule(0, &probs, 3, &SchemeT2);
+        let s = IndividualOptimizer::new(10).schedule(0, &probs, 3, SchemeKind::T2);
         for m in 1..=10u64 {
             assert_eq!(s.variant_at_offset(m), Some(0));
         }
@@ -257,7 +255,7 @@ mod tests {
     #[test]
     fn window_of_one_minute() {
         let probs = GapProbabilities::zeros(1);
-        let s = IndividualOptimizer::new(1).schedule(0, &probs, 3, &SchemeT1);
+        let s = IndividualOptimizer::new(1).schedule(0, &probs, 3, SchemeKind::T1);
         assert_eq!(s.window(), 1);
         assert_eq!(s.variant_at_offset(1), Some(0));
         assert_eq!(s.variant_at_offset(2), None);

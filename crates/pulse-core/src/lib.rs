@@ -5,7 +5,7 @@
 //! to balance keep-alive cost, accuracy and service time, in two layers:
 //!
 //! 1. **Individual (function-centric) optimization** ([`individual`],
-//!    [`interarrival`], [`thresholds`]): per function, the probability of each
+//!    [`interarrival`], [`types::SchemeKind`]): per function, the probability of each
 //!    inter-arrival gap (1–10 minutes) is estimated over a sliding *local
 //!    window* and over the full history, averaged, and mapped through greedy
 //!    probability thresholds to a per-minute variant schedule for the
@@ -57,7 +57,6 @@ pub mod peak;
 pub mod priority;
 pub mod probability;
 pub mod schedule;
-pub mod thresholds;
 pub mod types;
 pub mod utility;
 
@@ -68,6 +67,5 @@ pub use peak::PeakDetector;
 pub use priority::PriorityStructure;
 pub use probability::{Probability, ProbabilityError};
 pub use schedule::{MinuteFootprint, ScheduleLedger, Slot};
-pub use thresholds::{CustomThresholds, SchemeT1, SchemeT2, ThresholdError, ThresholdScheme};
 pub use types::{ConfigError, FuncId, Minute, PulseConfig};
 pub use utility::utility_value;

@@ -145,15 +145,13 @@ mod tests {
     #[test]
     fn probability_math_is_typed_at_its_boundaries() {
         use crate::interarrival::InterArrivalModel;
-        use crate::thresholds::ThresholdScheme;
-        use crate::types::Minute;
+        use crate::types::{Minute, SchemeKind};
         use pulse_models::VariantId;
 
         let ip: fn(&InterArrivalModel, Minute, u32) -> Probability =
             InterArrivalModel::invocation_probability_at;
         let uv: fn(f64, Probability, Probability) -> f64 = crate::utility::utility_value;
-        let select: fn(&(dyn ThresholdScheme + 'static), Probability, usize) -> VariantId =
-            <dyn ThresholdScheme>::select;
+        let select: fn(SchemeKind, Probability, usize) -> VariantId = SchemeKind::select;
 
         let mut model = InterArrivalModel::new(10);
         for t in [0, 2, 4, 6] {
@@ -162,7 +160,7 @@ mod tests {
         let p = ip(&model, 8, 60);
         assert!((0.0..=1.0).contains(&p.value()));
         assert!(uv(0.5, p, Probability::ZERO) <= 3.0);
-        assert!(select(&crate::thresholds::SchemeT1, p, 3) < 3);
+        assert!(select(SchemeKind::T1, p, 3) < 3);
     }
 
     #[test]

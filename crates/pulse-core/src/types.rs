@@ -1,5 +1,8 @@
 //! Shared types and tunables of the PULSE policy.
 
+use crate::convert::{count_to_f64, floor_index};
+use crate::probability::Probability;
+use pulse_models::VariantId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -11,15 +14,46 @@ pub type Minute = u64;
 /// Identifier of a serverless function within a deployment (dense index).
 pub type FuncId = usize;
 
-/// Probability-threshold scheme selector (Figure 10's T1 vs T2).
+/// Greedy probability-threshold scheme (Section III-A, Figure 10's T1 vs
+/// T2): maps the invocation probability of one keep-alive minute to the
+/// quality variant kept alive during it. Both schemes follow the paper's
+/// "general principle of keeping alive the variant with the highest
+/// accuracy at higher invocation probabilities".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchemeKind {
-    /// T1: divide the probability space `[0, 1]` into `N` equal areas
-    /// (`N − 1` thresholds at `1/N, 2/N, …`), lowest area → lowest variant.
+    /// T1, the paper's main design: divide the probability space `[0, 1]`
+    /// into `N` equal areas (`N − 1` thresholds at `1/N, 2/N, …`), lowest
+    /// area → lowest variant, highest area → highest variant.
     T1,
-    /// T2: reserve the lowest-accuracy variant for probability exactly 0 and
-    /// divide `(0, 1]` into `N − 1` areas (`N − 2` thresholds).
+    /// T2, Figure 10's ablation: reserve the lowest-accuracy variant for
+    /// probability exactly 0 and divide `(0, 1]` into `N − 1` equal areas
+    /// over the remaining variants (`N − 2` thresholds). A single-variant
+    /// family always gets variant 0.
     T2,
+}
+
+impl SchemeKind {
+    /// Select a variant index in `0..n_variants` for probability `p`;
+    /// index 0 is the lowest-accuracy variant. Probabilities arrive as the
+    /// validated [`Probability`] newtype, so no NaN or out-of-range input
+    /// reaches the bands.
+    #[inline]
+    pub fn select(self, p: Probability, n_variants: usize) -> VariantId {
+        assert!(n_variants >= 1, "a family has at least one variant");
+        let v = match self {
+            Self::T1 => floor_index(p.value() * count_to_f64(n_variants)).min(n_variants - 1),
+            Self::T2 if p.is_zero() || n_variants == 1 => 0,
+            Self::T2 if n_variants == 2 => 1,
+            Self::T2 => {
+                1 + floor_index(p.value() * count_to_f64(n_variants - 1)).min(n_variants - 2)
+            }
+        };
+        debug_assert!(
+            v < n_variants,
+            "scheme selected rung {v} outside ladder of {n_variants}"
+        );
+        v
+    }
 }
 
 /// All tunables of PULSE, with the paper's defaults.
@@ -136,6 +170,85 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(nan.validate(), Err(ConfigError::InvalidKmThreshold));
+    }
+
+    fn p(v: f64) -> Probability {
+        Probability::new(v).unwrap()
+    }
+
+    #[test]
+    fn t1_three_variants_bands() {
+        let s = SchemeKind::T1;
+        // thresholds at 1/3 and 2/3
+        assert_eq!(s.select(p(0.0), 3), 0);
+        assert_eq!(s.select(p(0.2), 3), 0);
+        assert_eq!(s.select(p(1.0 / 3.0 + 1e-9), 3), 1);
+        assert_eq!(s.select(p(0.5), 3), 1);
+        assert_eq!(s.select(p(2.0 / 3.0 + 1e-9), 3), 2);
+        assert_eq!(s.select(p(1.0), 3), 2);
+    }
+
+    #[test]
+    fn t1_two_variants_bands() {
+        let s = SchemeKind::T1;
+        assert_eq!(s.select(p(0.49), 2), 0);
+        assert_eq!(s.select(p(0.51), 2), 1);
+    }
+
+    #[test]
+    fn t1_single_variant_always_zero() {
+        for v in [0.0, 0.3, 1.0] {
+            assert_eq!(SchemeKind::T1.select(p(v), 1), 0);
+        }
+    }
+
+    #[test]
+    fn t2_zero_probability_reserves_lowest() {
+        let s = SchemeKind::T2;
+        assert_eq!(s.select(Probability::ZERO, 3), 0);
+        // Any nonzero probability skips the lowest variant.
+        assert_eq!(s.select(p(1e-6), 3), 1);
+    }
+
+    #[test]
+    fn t2_three_variants_bands() {
+        let s = SchemeKind::T2;
+        // (0,1] split into 2 areas; threshold at 1/2.
+        assert_eq!(s.select(p(0.3), 3), 1);
+        assert_eq!(s.select(p(0.6), 3), 2);
+        assert_eq!(s.select(p(1.0), 3), 2);
+    }
+
+    #[test]
+    fn t2_two_variants() {
+        let s = SchemeKind::T2;
+        assert_eq!(s.select(Probability::ZERO, 2), 0);
+        assert_eq!(s.select(p(0.2), 2), 1);
+        assert_eq!(s.select(p(1.0), 2), 1);
+    }
+
+    #[test]
+    fn both_schemes_monotone_in_probability() {
+        for n in 1..=5usize {
+            for scheme in [SchemeKind::T1, SchemeKind::T2] {
+                let mut prev = 0usize;
+                for i in 0..=100u32 {
+                    let prob = p(f64::from(i) / 100.0);
+                    let v = scheme.select(prob, n);
+                    assert!(v >= prev, "{scheme:?} not monotone at p={prob}, n={n}");
+                    assert!(v < n);
+                    prev = v;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_probability_selects_highest() {
+        for n in 1..=5usize {
+            assert_eq!(SchemeKind::T1.select(Probability::ONE, n), n - 1);
+            assert_eq!(SchemeKind::T2.select(Probability::ONE, n), n - 1);
+        }
     }
 
     #[test]

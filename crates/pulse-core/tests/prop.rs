@@ -9,7 +9,6 @@ use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::peak::PeakDetector;
 use pulse_core::priority::PriorityStructure;
 use pulse_core::probability::Probability;
-use pulse_core::thresholds::{CustomThresholds, ThresholdScheme};
 use pulse_core::types::{PulseConfig, SchemeKind};
 use pulse_models::zoo;
 
@@ -153,47 +152,6 @@ proptest! {
     ) {
         let p = Probability::saturating(x);
         prop_assert!((0.0..=1.0).contains(&p.value()), "{x} -> {p}");
-    }
-
-    /// `CustomThresholds::new` accepts exactly the strictly-increasing
-    /// ladders inside the open interval `(0, 1)` and rejects everything else
-    /// with a typed error — never a panic.
-    #[test]
-    fn custom_thresholds_accept_iff_strictly_increasing(
-        cuts in proptest::collection::vec(0.0f64..=1.0, 1..8),
-    ) {
-        let valid = cuts.windows(2).all(|w| w[0] < w[1])
-            && cuts.iter().all(|&t| t > 0.0 && t < 1.0);
-        match CustomThresholds::new(cuts.clone()) {
-            Ok(scheme) => {
-                prop_assert!(valid, "accepted invalid ladder {cuts:?}");
-                // A valid ladder must produce monotone in-range selections.
-                let n = cuts.len() + 1;
-                let mut last = 0;
-                for i in 0..=50 {
-                    let p = Probability::new(f64::from(i) / 50.0).unwrap();
-                    let v = scheme.select(p, n);
-                    prop_assert!(v < n);
-                    prop_assert!(v >= last, "selection not monotone in p");
-                    last = v;
-                }
-            }
-            Err(_) => prop_assert!(!valid, "rejected valid {cuts:?}"),
-        }
-    }
-
-    /// Non-monotone ladders are always rejected (directed generator: shuffle
-    /// guarantees at least one inversion whenever duplicates exist or order
-    /// is broken).
-    #[test]
-    fn custom_thresholds_reject_non_monotone(
-        a in 0.0f64..=1.0,
-        rest in proptest::collection::vec(0.0f64..=1.0, 1..6),
-    ) {
-        // Construct a ladder with a guaranteed non-increase: repeat `a`.
-        let mut cuts = vec![a, a];
-        cuts.extend(rest);
-        prop_assert!(CustomThresholds::new(cuts).is_err());
     }
 }
 

@@ -1,9 +1,16 @@
 //! Shared experiment plumbing: workload/zoo construction, multi-run
-//! campaigns, and improvement arithmetic.
+//! campaigns, the robustness sweeps' policy runs, and improvement
+//! arithmetic.
 
+use pulse_core::types::PulseConfig;
 use pulse_models::{zoo, ModelFamily};
+use pulse_obs::{JsonlSink, ObsEvent, TraceSink};
+use pulse_runtime::{FaultPlan, FleetConfig, Runtime, RuntimeConfig, RuntimeSummary};
+use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::metrics::Aggregate;
+use pulse_sim::policies::{IntelligentOracle, OpenWhiskFixed, PulsePolicy};
 use pulse_sim::runner::{self, MultiRunConfig, PolicyFactory};
+use pulse_sim::{KeepAlivePolicy, Watchdog, WatchdogConfig};
 use pulse_trace::{synth, Trace};
 
 /// Scale knobs for the live serving experiment (`serve`).
@@ -116,6 +123,71 @@ impl ExpConfig {
     }
 }
 
+/// One scenario of a robustness sweep (`chaos`, `overload`, `fleet`): run
+/// openwhisk, intelligent and pulse — then pulse wrapped in the default
+/// watchdog when `watchdog` is set — on `trace` under `plan` and `fleet`,
+/// each on a runtime seeded with the configuration's seed. Each traced run
+/// is one segment of `sink`: a `run_start` line labelled
+/// `{label}/{policy}`, then that run's event stream. Returns every
+/// policy's summary in run order.
+pub fn sweep_policies(
+    cfg: &ExpConfig,
+    label: &str,
+    trace: &Trace,
+    plan: &FaultPlan,
+    fleet: &FleetConfig,
+    watchdog: bool,
+    sink: &mut Option<JsonlSink<std::fs::File>>,
+) -> Vec<(&'static str, RuntimeSummary)> {
+    let fams = round_robin_assignment(&cfg.zoo(), trace.n_functions());
+    let rt = Runtime::new(
+        trace.clone(),
+        fams.clone(),
+        RuntimeConfig {
+            stochastic_seed: Some(cfg.seed),
+            ..RuntimeConfig::default()
+        },
+    );
+    let mut policies: Vec<(&'static str, Box<dyn KeepAlivePolicy>)> = vec![
+        ("openwhisk", Box::new(OpenWhiskFixed::new(&fams))),
+        (
+            "intelligent",
+            Box::new(IntelligentOracle::new(&fams, trace.clone())),
+        ),
+        (
+            "pulse",
+            Box::new(PulsePolicy::new(fams.clone(), PulseConfig::default())),
+        ),
+    ];
+    if watchdog {
+        policies.push((
+            "pulse+watchdog",
+            Box::new(Watchdog::new(
+                PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &fams,
+                WatchdogConfig::default(),
+            )),
+        ));
+    }
+    policies
+        .iter_mut()
+        .map(|(policy, p)| {
+            let session = rt.session(p.as_mut(), plan, fleet.clone());
+            let s = match sink.as_mut() {
+                Some(js) => {
+                    js.record(&ObsEvent::RunStart {
+                        label: format!("{label}/{policy}"),
+                    });
+                    session.traced(js)
+                }
+                None => session,
+            }
+            .finish();
+            (*policy, s)
+        })
+        .collect()
+}
+
 /// Percentage improvement of `ours` over `baseline` for lower-is-better
 /// quantities (positive = we're cheaper/faster).
 pub fn improvement_lower_better(ours: f64, baseline: f64) -> f64 {
@@ -136,10 +208,54 @@ pub fn improvement_higher_better(ours: f64, baseline: f64) -> f64 {
     }
 }
 
+/// Unit tests, and the trace-reading helper the sweep experiments' tests
+/// share.
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests compare exact constructed values
-mod tests {
+pub mod tests {
     use super::*;
+
+    /// One run's slice of a JSONL trace: its `run_start` label and the
+    /// events after it.
+    pub(crate) type Segment = (String, Vec<ObsEvent>);
+
+    /// Run `sweep` under `cfg` with `--trace-out` pointing at a fresh
+    /// temporary file named after `name`, then re-parse the file and split
+    /// it into per-run segments at its `run_start` lines.
+    pub(crate) fn traced_segments<T>(
+        cfg: &ExpConfig,
+        name: &str,
+        sweep: impl FnOnce(&ExpConfig, &mut Option<JsonlSink<std::fs::File>>) -> T,
+    ) -> (T, Vec<Segment>) {
+        let path = std::env::temp_dir().join(format!(
+            "pulse-{name}-trace-{}-{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::File::create(&path).expect("truncate trace file");
+        let cfg = ExpConfig {
+            trace_out: Some(path.clone()),
+            ..cfg.clone()
+        };
+        let mut sink = cfg.open_trace();
+        let out = sweep(&cfg, &mut sink);
+        assert!(!sink.expect("sink opens").had_error());
+
+        let text = std::fs::read_to_string(&path).expect("trace file exists");
+        let _ = std::fs::remove_file(&path);
+        let mut segments: Vec<Segment> = Vec::new();
+        for line in text.lines() {
+            match ObsEvent::from_json(line).expect("every line is a valid event") {
+                ObsEvent::RunStart { label } => segments.push((label, Vec::new())),
+                ev => segments
+                    .last_mut()
+                    .expect("run_start precedes events")
+                    .1
+                    .push(ev),
+            }
+        }
+        (out, segments)
+    }
 
     #[test]
     fn configs_have_expected_scales() {

@@ -15,14 +15,9 @@
 //! before a provisioning outage turns into failed requests, so accuracy
 //! should degrade gracefully where a single-variant policy goes unavailable.
 
-use crate::common::ExpConfig;
+use crate::common::{sweep_policies, ExpConfig};
 use crate::report::{fmt, Table};
-use pulse_core::types::PulseConfig;
-use pulse_obs::{JsonlSink, ObsEvent, TraceSink};
-use pulse_runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig, RuntimeSummary};
-use pulse_sim::assignment::round_robin_assignment;
-use pulse_sim::policies::{IntelligentOracle, OpenWhiskFixed, PulsePolicy};
-use pulse_sim::KeepAlivePolicy;
+use pulse_runtime::{ClusterConfig, FaultPlan, FleetConfig};
 
 /// SLO used for the goodput column, ms (generous: cold start + headroom).
 const SLO_MS: u64 = 60_000;
@@ -36,67 +31,9 @@ const LEVELS: &[(&str, f64, f64, f64)] = &[
     ("high", 0.50, 0.30, 0.15),
 ];
 
-fn run_one(
-    cfg: &ExpConfig,
-    label: &str,
-    plan: &FaultPlan,
-    table: &mut Table,
-    sink: &mut Option<JsonlSink<std::fs::File>>,
-) -> Vec<(String, RuntimeSummary)> {
-    let trace = cfg.trace();
-    let fams = round_robin_assignment(&cfg.zoo(), trace.n_functions());
-    let rt = Runtime::new(
-        trace.clone(),
-        fams.clone(),
-        RuntimeConfig {
-            stochastic_seed: Some(cfg.seed),
-            ..RuntimeConfig::default()
-        },
-    );
-
-    let mut policies: Vec<(&str, Box<dyn KeepAlivePolicy>)> = vec![
-        ("openwhisk", Box::new(OpenWhiskFixed::new(&fams))),
-        (
-            "intelligent",
-            Box::new(IntelligentOracle::new(&fams, trace.clone())),
-        ),
-        (
-            "pulse",
-            Box::new(PulsePolicy::new(fams.clone(), PulseConfig::default())),
-        ),
-    ];
-
-    let mut out = Vec::new();
-    for (policy, p) in &mut policies {
-        // One labelled segment per traced run: a `run_start` header line,
-        // then that run's event stream.
-        let session = rt.session(p.as_mut(), plan, ClusterConfig::unlimited());
-        let s = match sink.as_mut() {
-            Some(js) => {
-                js.record(&ObsEvent::RunStart {
-                    label: format!("chaos/{label}/{policy}"),
-                });
-                session.traced(js)
-            }
-            None => session,
-        }
-        .finish();
-        let policy = *policy;
-        table.row(vec![
-            label.into(),
-            policy.into(),
-            fmt(s.keepalive_cost_usd, 4),
-            fmt(s.availability() * 100.0, 2),
-            fmt(s.goodput(SLO_MS) * 100.0, 2),
-            fmt(s.avg_accuracy_pct(), 2),
-            s.degradations.to_string(),
-            (s.provision_retries + s.request_retries).to_string(),
-            s.timeouts.to_string(),
-            fmt(s.latency_p99_ms(), 0),
-        ]);
-        out.push((policy.to_string(), s));
-    }
-    out
+/// The fault plan of one swept level.
+fn level_plan(cfg: &ExpConfig, prov: f64, load: f64, crash: f64) -> FaultPlan {
+    FaultPlan::uniform(prov, load, crash, cfg.seed ^ 0x000C_4A05).with_timeout_ms(120_000)
 }
 
 /// Run the chaos sweep and render the comparison table.
@@ -118,14 +55,36 @@ pub fn run(cfg: &ExpConfig) -> String {
     );
 
     let mut sink = cfg.open_trace();
+    let trace = cfg.trace();
+    let fleet = FleetConfig::from(ClusterConfig::unlimited());
     let mut clean_cost = f64::NAN;
-    let mut worst: Vec<(String, RuntimeSummary)> = Vec::new();
+    let mut worst = Vec::new();
     for (i, &(label, prov, load, crash)) in LEVELS.iter().enumerate() {
-        let plan =
-            FaultPlan::uniform(prov, load, crash, cfg.seed ^ 0x000C_4A05).with_timeout_ms(120_000);
-        let out = run_one(cfg, label, &plan, &mut table, &mut sink);
+        let out = sweep_policies(
+            cfg,
+            &format!("chaos/{label}"),
+            &trace,
+            &level_plan(cfg, prov, load, crash),
+            &fleet,
+            false,
+            &mut sink,
+        );
+        for (policy, s) in &out {
+            table.row(vec![
+                label.into(),
+                (*policy).into(),
+                fmt(s.keepalive_cost_usd, 4),
+                fmt(s.availability() * 100.0, 2),
+                fmt(s.goodput(SLO_MS) * 100.0, 2),
+                fmt(s.avg_accuracy_pct(), 2),
+                s.degradations.to_string(),
+                (s.provision_retries + s.request_retries).to_string(),
+                s.timeouts.to_string(),
+                fmt(s.latency_p99_ms(), 0),
+            ]);
+        }
         if i == 0 {
-            if let Some((_, s)) = out.iter().find(|(p, _)| p == "pulse") {
+            if let Some((_, s)) = out.iter().find(|(p, _)| *p == "pulse") {
                 clean_cost = s.keepalive_cost_usd;
             }
         }
@@ -134,7 +93,7 @@ pub fn run(cfg: &ExpConfig) -> String {
 
     let pulse_worst = worst
         .iter()
-        .find(|(p, _)| p == "pulse")
+        .find(|(p, _)| *p == "pulse")
         .map(|(_, s)| (s.availability(), s.keepalive_cost_usd));
     let note = match pulse_worst {
         Some((avail, cost)) => format!(
@@ -182,41 +141,14 @@ mod tests {
 
     #[test]
     fn trace_out_event_counts_match_summary_counters() {
-        use pulse_obs::ActionSource;
-        let path = std::env::temp_dir().join(format!(
-            "pulse-chaos-trace-{}-{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        std::fs::File::create(&path).expect("truncate trace file");
-        let cfg = ExpConfig {
-            trace_out: Some(path.clone()),
-            ..tiny()
-        };
-        let plan =
-            FaultPlan::uniform(0.20, 0.10, 0.05, cfg.seed ^ 0x000C_4A05).with_timeout_ms(120_000);
-        let mut table = Table::new("t", &["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]);
-        let mut sink = cfg.open_trace();
-        let out = run_one(&cfg, "mid", &plan, &mut table, &mut sink);
-        assert!(!sink.expect("sink opens").had_error());
-
-        // Re-parse the JSONL and split it into per-run segments at the
-        // `run_start` header lines.
-        let text = std::fs::read_to_string(&path).expect("trace file exists");
-        let mut segments: Vec<(String, Vec<ObsEvent>)> = Vec::new();
-        for line in text.lines() {
-            let ev = ObsEvent::from_json(line).expect("every line is a valid event");
-            match ev {
-                ObsEvent::RunStart { label } => segments.push((label, Vec::new())),
-                ev => segments
-                    .last_mut()
-                    .expect("run_start precedes events")
-                    .1
-                    .push(ev),
-            }
-        }
-        let _ = std::fs::remove_file(&path);
+        use crate::common::tests::traced_segments;
+        use pulse_obs::{ActionSource, ObsEvent};
+        let (out, segments) = traced_segments(&tiny(), "chaos", |cfg, sink| {
+            let (_, prov, load, crash) = LEVELS[2];
+            let plan = level_plan(cfg, prov, load, crash);
+            let fleet = ClusterConfig::unlimited().into();
+            sweep_policies(cfg, "chaos/mid", &cfg.trace(), &plan, &fleet, false, sink)
+        });
 
         assert_eq!(segments.len(), out.len(), "one segment per policy run");
         for ((label, events), (policy, s)) in segments.iter().zip(&out) {

@@ -20,17 +20,11 @@
 //! ≥ 99% available under rolling crashes, and the total migration pause is
 //! strictly cheaper than re-provisioning the same containers cold.
 
-use crate::common::ExpConfig;
+use crate::common::{sweep_policies, ExpConfig};
 use crate::report::{fmt, Table};
-use pulse_core::types::PulseConfig;
 use pulse_models::ModelFamily;
-use pulse_obs::{JsonlSink, ObsEvent, TraceSink};
-use pulse_runtime::{
-    FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan, Runtime, RuntimeConfig, RuntimeSummary,
-};
+use pulse_runtime::{FaultPlan, FleetConfig, NodeCapacity, NodeFaultPlan};
 use pulse_sim::assignment::round_robin_assignment;
-use pulse_sim::policies::{IntelligentOracle, OpenWhiskFixed, PulsePolicy};
-use pulse_sim::KeepAlivePolicy;
 
 /// Fraction of the all-high footprint each node's cap gets. Three nodes at
 /// 45% hold the fleet comfortably when healthy but force pressure (and
@@ -75,75 +69,10 @@ fn scenarios(horizon: usize, cap: f64) -> Vec<Scenario> {
     ]
 }
 
-fn run_one(
-    cfg: &ExpConfig,
-    scenario: &Scenario,
-    table: &mut Table,
-    sink: &mut Option<JsonlSink<std::fs::File>>,
-) -> Vec<(String, RuntimeSummary)> {
-    let trace = cfg.trace();
-    let fams = round_robin_assignment(&cfg.zoo(), trace.n_functions());
-    let rt = Runtime::new(
-        trace.clone(),
-        fams.clone(),
-        RuntimeConfig {
-            stochastic_seed: Some(cfg.seed),
-            ..RuntimeConfig::default()
-        },
-    );
-    let plan = FaultPlan::none();
-
-    let mut policies: Vec<(&str, Box<dyn KeepAlivePolicy>)> = vec![
-        ("openwhisk", Box::new(OpenWhiskFixed::new(&fams))),
-        (
-            "intelligent",
-            Box::new(IntelligentOracle::new(&fams, trace.clone())),
-        ),
-        (
-            "pulse",
-            Box::new(PulsePolicy::new(fams.clone(), PulseConfig::default())),
-        ),
-    ];
-
-    let mut out = Vec::new();
-    for (policy, p) in &mut policies {
-        let session = rt.session(p.as_mut(), &plan, scenario.fleet.clone());
-        let s = match sink.as_mut() {
-            Some(js) => {
-                js.record(&ObsEvent::RunStart {
-                    label: format!("fleet/{}/{policy}", scenario.name),
-                });
-                session.traced(js)
-            }
-            None => session,
-        }
-        .finish();
-        let policy = *policy;
-        let faults = s.node_crashes + s.node_partitions + s.node_stragglers;
-        table.row(vec![
-            scenario.name.into(),
-            policy.into(),
-            fmt(s.keepalive_cost_usd, 4),
-            fmt(s.availability() * 100.0, 2),
-            faults.to_string(),
-            s.migrations.to_string(),
-            s.migration_pause_ms.to_string(),
-            s.redispatched_requests.to_string(),
-            s.node_summaries
-                .iter()
-                .map(|n| n.minutes_down)
-                .sum::<u64>()
-                .to_string(),
-            fmt(s.latency_p99_ms(), 0),
-        ]);
-        out.push((policy.to_string(), s));
-    }
-    out
-}
-
 /// Run the fleet-robustness sweep and render the comparison table.
 pub fn run(cfg: &ExpConfig) -> String {
-    let fams = round_robin_assignment(&cfg.zoo(), cfg.trace().n_functions());
+    let trace = cfg.trace();
+    let fams = round_robin_assignment(&cfg.zoo(), trace.n_functions());
     let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
     let cap = all_high * CAP_FRAC;
     let cold_bar = min_cold_ms(&fams);
@@ -167,7 +96,34 @@ pub fn run(cfg: &ExpConfig) -> String {
     let mut sink = cfg.open_trace();
     let mut notes = Vec::new();
     for scenario in scenarios(cfg.horizon, cap) {
-        let out = run_one(cfg, &scenario, &mut table, &mut sink);
+        let out = sweep_policies(
+            cfg,
+            &format!("fleet/{}", scenario.name),
+            &trace,
+            &FaultPlan::none(),
+            &scenario.fleet,
+            false,
+            &mut sink,
+        );
+        for (policy, s) in &out {
+            let faults = s.node_crashes + s.node_partitions + s.node_stragglers;
+            table.row(vec![
+                scenario.name.into(),
+                (*policy).into(),
+                fmt(s.keepalive_cost_usd, 4),
+                fmt(s.availability() * 100.0, 2),
+                faults.to_string(),
+                s.migrations.to_string(),
+                s.migration_pause_ms.to_string(),
+                s.redispatched_requests.to_string(),
+                s.node_summaries
+                    .iter()
+                    .map(|n| n.minutes_down)
+                    .sum::<u64>()
+                    .to_string(),
+                fmt(s.latency_p99_ms(), 0),
+            ]);
+        }
         let migrations: u64 = out.iter().map(|(_, s)| s.migrations).sum();
         let pause: u64 = out.iter().map(|(_, s)| s.migration_pause_ms).sum();
         let worst_avail = out
@@ -235,8 +191,8 @@ mod tests {
         let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
         let cold_bar = min_cold_ms(&fams);
         let scenario = &scenarios(cfg.horizon, all_high * CAP_FRAC)[0];
-        let mut table = Table::new("t", &["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]);
-        let out = run_one(&cfg, scenario, &mut table, &mut None);
+        let plan = FaultPlan::none();
+        let out = sweep_policies(&cfg, "t", &trace, &plan, &scenario.fleet, false, &mut None);
         for (policy, s) in &out {
             assert!(
                 s.availability() >= 0.99,

@@ -20,17 +20,11 @@
 //! rate past the guardrail, the watchdog benches it for the fixed
 //! 10-minute baseline and the fallback-minutes column records the stay.
 
-use crate::common::ExpConfig;
+use crate::common::{sweep_policies, ExpConfig};
 use crate::report::{fmt, Table};
-use pulse_core::types::PulseConfig;
-use pulse_obs::{JsonlSink, ObsEvent, TraceSink};
-use pulse_runtime::{
-    AdmissionControl, ClusterConfig, FaultPlan, NodeCapacity, Runtime, RuntimeConfig,
-    RuntimeSummary,
-};
+use pulse_obs::JsonlSink;
+use pulse_runtime::{AdmissionControl, ClusterConfig, FaultPlan, NodeCapacity, RuntimeSummary};
 use pulse_sim::assignment::round_robin_assignment;
-use pulse_sim::policies::{IntelligentOracle, OpenWhiskFixed, PulsePolicy};
-use pulse_sim::{KeepAlivePolicy, Watchdog, WatchdogConfig};
 use pulse_trace::{FunctionTrace, Trace};
 
 /// Backlog bound for the storm scenario: past this many waiting requests,
@@ -69,61 +63,30 @@ fn storm_trace(n_functions: usize, minutes: usize) -> Trace {
     )
 }
 
-fn run_policies(
+/// Every policy, `pulse+watchdog` included, on `trace` under `cluster`,
+/// one table row each.
+fn run_scenario(
+    cfg: &ExpConfig,
     scenario: &str,
     trace: &Trace,
-    cfg: &ExpConfig,
-    cluster: &ClusterConfig,
+    cluster: ClusterConfig,
     table: &mut Table,
     sink: &mut Option<JsonlSink<std::fs::File>>,
-) -> Vec<(String, RuntimeSummary)> {
-    let fams = round_robin_assignment(&cfg.zoo(), trace.n_functions());
-    let rt = Runtime::new(
-        trace.clone(),
-        fams.clone(),
-        RuntimeConfig {
-            stochastic_seed: Some(cfg.seed),
-            ..RuntimeConfig::default()
-        },
+) -> Vec<(&'static str, RuntimeSummary)> {
+    let label = format!("overload/{scenario}");
+    let out = sweep_policies(
+        cfg,
+        &label,
+        trace,
+        &FaultPlan::none(),
+        &cluster.into(),
+        true,
+        sink,
     );
-    let plan = FaultPlan::none();
-
-    let mut policies: Vec<(&str, Box<dyn KeepAlivePolicy>)> = vec![
-        ("openwhisk", Box::new(OpenWhiskFixed::new(&fams))),
-        (
-            "intelligent",
-            Box::new(IntelligentOracle::new(&fams, trace.clone())),
-        ),
-        (
-            "pulse",
-            Box::new(PulsePolicy::new(fams.clone(), PulseConfig::default())),
-        ),
-        (
-            "pulse+watchdog",
-            Box::new(Watchdog::new(
-                PulsePolicy::new(fams.clone(), PulseConfig::default()),
-                &fams,
-                WatchdogConfig::default(),
-            )),
-        ),
-    ];
-
-    let mut out = Vec::new();
-    for (name, policy) in &mut policies {
-        let session = rt.session(policy.as_mut(), &plan, *cluster);
-        let s = match sink.as_mut() {
-            Some(js) => {
-                js.record(&ObsEvent::RunStart {
-                    label: format!("overload/{scenario}/{name}"),
-                });
-                session.traced(js)
-            }
-            None => session,
-        }
-        .finish();
+    for (policy, s) in &out {
         table.row(vec![
             scenario.into(),
-            (*name).into(),
+            (*policy).into(),
             fmt(s.keepalive_cost_usd, 4),
             fmt(s.availability() * 100.0, 2),
             s.shed_requests.to_string(),
@@ -134,7 +97,6 @@ fn run_policies(
             fmt(s.avg_accuracy_pct(), 2),
             fmt(s.latency_p99_ms(), 0),
         ]);
-        out.push((name.to_string(), s));
     }
     out
 }
@@ -167,7 +129,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         admission: AdmissionControl::bounded(STORM_MAX_PENDING),
         ..ClusterConfig::unlimited()
     };
-    let storm_out = run_policies("storm", &storm, cfg, &storm_cluster, &mut table, &mut sink);
+    let storm_out = run_scenario(cfg, "storm", &storm, storm_cluster, &mut table, &mut sink);
 
     // Crunch: unbounded backlog, a node far smaller than the all-high plan.
     let trace = cfg.trace();
@@ -177,14 +139,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         capacity: NodeCapacity::mb(all_high * CRUNCH_CAP_FRAC),
         ..ClusterConfig::unlimited()
     };
-    let crunch_out = run_policies(
-        "crunch",
-        &trace,
-        cfg,
-        &crunch_cluster,
-        &mut table,
-        &mut sink,
-    );
+    let crunch_out = run_scenario(cfg, "crunch", &trace, crunch_cluster, &mut table, &mut sink);
 
     let shed_note = storm_out
         .iter()
@@ -247,43 +202,20 @@ mod tests {
 
     #[test]
     fn trace_out_reconciles_sheds_per_policy_segment() {
-        let path = std::env::temp_dir().join(format!(
-            "pulse-overload-trace-{}-{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        std::fs::File::create(&path).expect("truncate trace file");
-        let cfg = ExpConfig {
-            trace_out: Some(path.clone()),
-            ..tiny()
-        };
-        let mut table = Table::new(
-            "t",
-            &["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"],
-        );
-        let mut sink = cfg.open_trace();
-        let storm = storm_trace(12, cfg.horizon);
-        let storm_cluster = ClusterConfig {
-            admission: AdmissionControl::bounded(STORM_MAX_PENDING),
-            ..ClusterConfig::unlimited()
-        };
-        let out = run_policies("storm", &storm, &cfg, &storm_cluster, &mut table, &mut sink);
-        assert!(!sink.expect("sink opens").had_error());
-
-        let text = std::fs::read_to_string(&path).expect("trace file exists");
-        let mut segments: Vec<(String, Vec<ObsEvent>)> = Vec::new();
-        for line in text.lines() {
-            match ObsEvent::from_json(line).expect("every line is a valid event") {
-                ObsEvent::RunStart { label } => segments.push((label, Vec::new())),
-                ev => segments
-                    .last_mut()
-                    .expect("run_start precedes events")
-                    .1
-                    .push(ev),
-            }
-        }
-        let _ = std::fs::remove_file(&path);
+        use crate::common::tests::traced_segments;
+        use pulse_obs::ObsEvent;
+        let (out, segments) = traced_segments(&tiny(), "overload", |cfg, sink| {
+            let mut table = Table::new(
+                "t",
+                &["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"],
+            );
+            let storm = storm_trace(12, cfg.horizon);
+            let storm_cluster = ClusterConfig {
+                admission: AdmissionControl::bounded(STORM_MAX_PENDING),
+                ..ClusterConfig::unlimited()
+            };
+            run_scenario(cfg, "storm", &storm, storm_cluster, &mut table, sink)
+        });
 
         assert_eq!(segments.len(), out.len(), "one segment per policy run");
         for ((label, events), (policy, s)) in segments.iter().zip(&out) {

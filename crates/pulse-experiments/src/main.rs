@@ -19,7 +19,7 @@
 //!   override).
 //! * `--trace-out FILE`: write a structured JSONL event trace (see
 //!   `pulse-obs`) for the experiments that support it (`chaos`,
-//!   `overload`, `serve`; `recover` writes a checkpointed journal
+//!   `overload`, `fleet`, `serve`; `recover` writes a checkpointed journal
 //!   instead). The file is truncated once per invocation.
 //! * experiments: `table1 fig1 fig2 table2 fig4 fig5 fig6a fig6b fig7 fig8
 //!   fig9 fig10 fig11 fig12`, extensions such as `validate`, `chaos`
@@ -27,9 +27,10 @@
 //!   capacity + watchdog), `recover` (crash-recovery matrix) and `serve`
 //!   (live open-loop serving), or `all`.
 //!
-//! Every flag accepts both `--flag value` and `--flag=value`. Parse errors
-//! name the offending flag — and for malformed values, the value — then
-//! exit with status 2.
+//! Every flag accepts both `--flag value` and `--flag=value`. `--runs`,
+//! `--horizon`, `--rps` and `--duration` take counts of at least 1. Parse
+//! errors name the offending flag — and for malformed or zero values, the
+//! value — then exit with status 2.
 
 use pulse_experiments::{run_experiment, ExpConfig, ServeOptions, EXPERIMENTS};
 
@@ -127,16 +128,16 @@ fn parse_args(raw: &[String]) -> Result<Cli, String> {
             "--full" => cli.cfg = ExpConfig::full(),
             "--seed" => cli.cfg.seed = parse_num(take_value(&mut it, "--seed")?, "--seed")?,
             "--runs" => {
-                cli.cfg.n_runs = parse_num(take_value(&mut it, "--runs")?, "--runs")?;
+                cli.cfg.n_runs = parse_count(take_value(&mut it, "--runs")?, "--runs")?;
             }
             "--horizon" => {
-                cli.cfg.horizon = parse_num(take_value(&mut it, "--horizon")?, "--horizon")?;
+                cli.cfg.horizon = parse_count(take_value(&mut it, "--horizon")?, "--horizon")?;
             }
             "--demo" => cli.cfg.serve = ServeOptions::demo(),
-            "--rps" => cli.cfg.serve.rps = parse_num(take_value(&mut it, "--rps")?, "--rps")?,
+            "--rps" => cli.cfg.serve.rps = parse_count(take_value(&mut it, "--rps")?, "--rps")?,
             "--duration" => {
                 cli.cfg.serve.seconds =
-                    parse_num(take_value(&mut it, "--duration")?, "--duration")?;
+                    parse_count(take_value(&mut it, "--duration")?, "--duration")?;
             }
             "--trace-out" => {
                 cli.cfg.trace_out = Some(std::path::PathBuf::from(take_value(
@@ -169,6 +170,21 @@ fn take_value<'a>(
 fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
     v.parse()
         .map_err(|_| format!("invalid value for {flag}: {v:?} is not a number"))
+}
+
+/// [`parse_num`] for a count that must be at least 1 (runs, minutes,
+/// requests per second, seconds); zero is an error naming flag and value.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    v: &str,
+    flag: &str,
+) -> Result<T, String> {
+    let n: T = parse_num(v, flag)?;
+    if n == T::default() {
+        return Err(format!(
+            "invalid value for {flag}: {v:?} must be at least 1"
+        ));
+    }
+    Ok(n)
 }
 
 fn print_usage() {
@@ -220,6 +236,19 @@ mod tests {
         assert!(e.contains("--horizon") && e.contains("soon"), "{e}");
         let e = parse(&["--rps=fast"]).unwrap_err();
         assert!(e.contains("--rps") && e.contains("fast"), "{e}");
+    }
+
+    #[test]
+    fn zero_counts_are_rejected_naming_flag_and_value() {
+        for (args, flag, value) in [
+            (&["--runs", "0", "fig6a"][..], "--runs", "\"0\""),
+            (&["--horizon=0", "fig4"], "--horizon", "\"0\""),
+            (&["--rps", "0", "serve"], "--rps", "\"0\""),
+            (&["--duration", "00", "serve"], "--duration", "\"00\""),
+        ] {
+            let e = parse(args).unwrap_err();
+            assert!(e.contains(flag) && e.contains(value), "{e}");
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::wild::{HybridHistogram, WildConfig};
 use pulse_core::global::{AliveModel, DowngradeAction};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::schedule::Slot;
-use pulse_core::thresholds::{SchemeT1, ThresholdScheme};
-use pulse_core::types::{FuncId, Minute, PulseConfig};
+use pulse_core::types::{FuncId, Minute, PulseConfig, SchemeKind};
 use pulse_core::PulseEngine;
 use pulse_models::{ModelFamily, VariantId};
 use pulse_sim::policy::KeepAlivePolicy;
@@ -119,7 +118,7 @@ impl KeepAlivePolicy for WildPulsePolicy {
             t,
             d.keepalive_min,
             |m| d.covers(m),
-            |m| SchemeT1.select(probs.prob(m), n),
+            |m| SchemeKind::T1.select(probs.prob(m), n),
         )
     }
 
@@ -260,7 +259,7 @@ impl KeepAlivePolicy for IceBreakerPulsePolicy {
             t,
             horizon,
             |m| active.contains(&m),
-            |m| SchemeT1.select(probs.prob(m), n),
+            |m| SchemeKind::T1.select(probs.prob(m), n),
         )
     }
 

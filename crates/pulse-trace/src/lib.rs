@@ -8,10 +8,9 @@
 //!
 //! * [`trace`] — the in-memory representation: per-function, per-minute
 //!   invocation counts over a common horizon;
-//! * [`csv`] — parsing/serialization, including the Azure day-file schema
-//!   (`HashOwner,HashApp,HashFunction,Trigger,1,…,1440`) so the real trace
-//!   can be dropped in when available, plus a simple one-row-per-function
-//!   format for fixtures;
+//! * [`csv`] — parsing/serialization of the Azure day-file schema
+//!   (`HashOwner,HashApp,HashFunction,Trigger,1,…,1440`), so the real trace
+//!   can be dropped in when available;
 //! * [`synth`] — a calibrated synthetic generator reproducing the statistical
 //!   archetypes the paper's Figures 1–2 illustrate (steady periodic, bursty,
 //!   diurnal, nocturnal, drifting-period, heavy-tailed, Poisson, on/off) and

@@ -1,7 +1,6 @@
 //! Property tests for the trace substrate.
 
 use proptest::prelude::*;
-use pulse_trace::csv;
 use pulse_trace::interarrival::gap_percentages;
 use pulse_trace::scale::{merge, replicate};
 use pulse_trace::{FunctionTrace, Trace};
@@ -24,13 +23,6 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 }
 
 proptest! {
-    #[test]
-    fn simple_csv_round_trip(trace in arb_trace()) {
-        let s = csv::to_simple_csv(&trace);
-        let back = csv::from_simple_csv(&s).unwrap();
-        prop_assert_eq!(trace, back);
-    }
-
     #[test]
     fn gap_percentages_are_bounded(trace in arb_trace(), window in 1u32..20) {
         for f in trace.functions() {

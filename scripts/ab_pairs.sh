@@ -12,7 +12,10 @@
 # how many pairs B won (ties count for neither side), whether B meets the
 # gain rule (it wins at least nine tenths of the pairs, and its median
 # beats A's by more than the distance between A's quartiles), and whether
-# B's median is worse than A's by more than the metric's bound.
+# B's median is worse than A's by more than the metric's bound. When the
+# distance between A's quartiles, relative to A's median, exceeds that
+# bound, the runs spread too widely to tell and the bound check reads
+# `unresolved`, unless every B run beats every A run.
 #
 # Exits 1 when any run exits non-zero or reports `correct: false`, and 2 on
 # a usage or build error. Claim a gain only from ten pairs or more. To
@@ -120,13 +123,19 @@ jq -rs --argjson ms "$metrics" '
         | ($av | q(0.5) // 0) as $ma
         | (($bv | q(0.5) // 0) - $ma) as $diff
         | (if $ma == 0 then 0 else -$sign * $diff / $ma end) as $worse
+        | (if $ma == 0 then 0 else $iqr / (if $ma < 0 then -$ma else $ma end) end) as $spread
+        | (($av | length) > 0 and ($bv | length) > 0
+           and (if $sign > 0 then ($bv | min) > ($av | max) else ($bv | max) < ($av | min) end))
+          as $b_beats_all
         | "\($m.name)  \($m.better)  A  \($av | q(0.25) | fmt)  \($av | q(0.5) | fmt)  \($av | q(0.75) | fmt)",
           "\($m.name)  \($m.better)  B  \($bv | q(0.25) | fmt)  \($bv | q(0.5) | fmt)  \($bv | q(0.75) | fmt)",
           "\($m.name)  B won \($wins)/\($full | length) pairs (\($ties) ties); median B-A \($diff); gain rule "
             + (if ($full | length) > 0 and $wins * 10 >= 9 * ($full | length)
                   and $sign * $diff > $iqr then "met" else "not met" end)
             + "; B worse by \($worse * 100 | . * 10 | round / 10)% (negative is better; bound \($m.bound * 100 | round)%): "
-            + (if $worse > $m.bound then "BEYOND BOUND" else "within bound" end) )
+            + (if $spread > $m.bound and ($b_beats_all | not)
+                  then "unresolved (A quartile spread \($spread * 100 | . * 10 | round / 10)% of its median exceeds the bound)"
+               elif $worse > $m.bound then "BEYOND BOUND" else "within bound" end) )
 ' "$runs"
 
 if ((failed)); then
