@@ -137,66 +137,6 @@ impl PulseEngine {
         self.arrivals[f].record(t);
     }
 
-    /// The latest minute any function's invocation was recorded at.
-    pub fn last_invocation_minute(&self) -> Option<Minute> {
-        self.arrivals
-            .iter()
-            .filter_map(InterArrivalModel::last_arrival)
-            .max()
-    }
-
-    /// Export the engine's mutable state for checkpointing: the per-function
-    /// arrival minutes and the priority counts. The peak detector is a pure
-    /// function of the configuration and carries no mutable state, so this
-    /// pair is the engine's complete resumable state.
-    pub fn export_state(&self) -> (Vec<Vec<Minute>>, Vec<u64>) {
-        (
-            self.arrivals
-                .iter()
-                .map(|m| m.arrivals().to_vec())
-                .collect(),
-            self.priority.counts().to_vec(),
-        )
-    }
-
-    /// Restore state previously captured with [`Self::export_state`] into an
-    /// engine built with the same families and configuration.
-    ///
-    /// # Errors
-    /// Returns a description of the mismatch when either vector's length
-    /// differs from [`Self::n_functions`], or when any arrival history is not
-    /// strictly ascending.
-    pub fn import_state(
-        &mut self,
-        arrivals: Vec<Vec<Minute>>,
-        counts: Vec<u64>,
-    ) -> Result<(), String> {
-        let n = self.n_functions();
-        if arrivals.len() != n {
-            return Err(format!(
-                "expected {n} arrival histories, got {}",
-                arrivals.len()
-            ));
-        }
-        if counts.len() != n {
-            return Err(format!(
-                "expected {n} priority counts, got {}",
-                counts.len()
-            ));
-        }
-        let window = self.config.keepalive_minutes;
-        let mut models = Vec::with_capacity(n);
-        for (f, a) in arrivals.into_iter().enumerate() {
-            models.push(
-                InterArrivalModel::from_arrivals(a, window)
-                    .map_err(|e| format!("function {f}: {e}"))?,
-            );
-        }
-        self.arrivals = models;
-        self.priority = PriorityStructure::from_counts(counts);
-        Ok(())
-    }
-
     /// Current combined gap-probability estimate for function `f` at `t`.
     pub fn probabilities(&self, f: FuncId, t: Minute) -> GapProbabilities {
         self.arrivals[f].probabilities(t, self.config.local_window)
@@ -434,47 +374,6 @@ mod tests {
                 ..Default::default()
             },
         );
-    }
-
-    #[test]
-    fn state_export_import_round_trips() {
-        let mut e = engine();
-        for t in [0u64, 3, 6, 9, 12] {
-            e.record_invocation(0, t);
-        }
-        e.record_invocation(2, 4);
-        let history = vec![1000.0; 20];
-        let mut alive = vec![AliveModel {
-            func: 0,
-            variant: 2,
-            invocation_probability: 0.0,
-        }];
-        e.check_and_flatten(&history, false, 9000.0, &mut alive);
-        let (arrivals, counts) = e.export_state();
-
-        let mut fresh = engine();
-        fresh
-            .import_state(arrivals, counts)
-            .expect("state import should succeed");
-        assert_eq!(
-            fresh.schedule_after_invocation(0, 12),
-            e.schedule_after_invocation(0, 12)
-        );
-        assert_eq!(fresh.priority().counts(), e.priority().counts());
-        assert_eq!(fresh.export_state(), e.export_state());
-    }
-
-    #[test]
-    fn state_import_rejects_mismatched_shapes() {
-        let mut e = engine();
-        assert!(e.import_state(vec![vec![]; 2], vec![0; 3]).is_err());
-        assert!(e.import_state(vec![vec![]; 3], vec![0; 2]).is_err());
-        // Non-ascending arrival history is rejected with the offending
-        // function named.
-        let err = e
-            .import_state(vec![vec![5, 5], vec![], vec![]], vec![0; 3])
-            .unwrap_err();
-        assert!(err.contains("function 0"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! query costs O(local_window + window) however long the history grows; a
 //! plan allocates one buffer (`map_combined`), a single gap none
 //! ([`InterArrivalModel::invocation_probability_at`]). The log itself is
-//! kept because it is the model's checkpoint format.
+//! kept because the local side re-reads it: each query takes its slice
+//! inside the local window (`local_slice`).
 //!
 //! Every estimate is carried as the validated [`Probability`] newtype from
 //! the moment it leaves the count ratios, so downstream policy code never
@@ -217,30 +218,6 @@ impl InterArrivalModel {
             self.global.add(t - last);
         }
         self.arrivals.push(t);
-    }
-
-    /// The recorded invocation minutes, strictly ascending. Exposed for
-    /// checkpointing: together with [`Self::from_arrivals`] it round-trips
-    /// the model's full state.
-    pub fn arrivals(&self) -> &[Minute] {
-        &self.arrivals
-    }
-
-    /// Rebuild a model over a `window`-minute keep-alive window from a
-    /// previously captured [`Self::arrivals`] slice.
-    ///
-    /// # Errors
-    /// Returns a description of the violation when the minutes are not
-    /// strictly ascending — the invariant [`Self::record`] maintains.
-    pub fn from_arrivals(arrivals: Vec<Minute>, window: u32) -> Result<Self, String> {
-        if let Some(w) = arrivals.windows(2).find(|w| w[1] <= w[0]) {
-            return Err(format!(
-                "arrival minutes must be strictly ascending (got {} after {})",
-                w[1], w[0]
-            ));
-        }
-        let global = GapCounts::over(&arrivals, window);
-        Ok(Self { arrivals, global })
     }
 
     /// Number of distinct invocation minutes recorded.

@@ -23,8 +23,11 @@
 //!
 //! The [`engine::PulseEngine`] ties both layers together behind a small API
 //! that the `pulse-sim` simulator (or a real platform shim) drives:
-//! `on_invocation` returns a variant schedule, `flatten_peak` returns the
-//! downgrade actions for the current minute.
+//! [`engine::PulseEngine::record_invocation`] feeds an arrival,
+//! [`engine::PulseEngine::schedule_after_invocation`] returns the variant
+//! schedule for the window that follows, and
+//! [`engine::PulseEngine::flatten_minute`] returns the downgrade actions for
+//! the current minute when Algorithm 1 flags a peak.
 //!
 //! ```
 //! use pulse_core::{engine::PulseEngine, PulseConfig};

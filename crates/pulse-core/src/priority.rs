@@ -18,8 +18,7 @@ use crate::convert::u64_to_f64;
 use pulse_models::stats::normalize_min_max;
 
 /// Downgrade-count array with Equation 1 normalization. Only the counts are
-/// state (checkpoints carry [`Self::counts`]); the maintained bounds are
-/// derived from them.
+/// state; the maintained bounds are derived from them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityStructure {
     counts: Vec<u64>,
@@ -38,14 +37,13 @@ impl PriorityStructure {
         Self::from_counts(vec![0; n_models])
     }
 
-    /// The raw downgrade counts, one per model. Exposed for checkpointing:
-    /// together with [`Self::from_counts`] it round-trips the structure.
+    /// The raw downgrade counts, one per model.
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Rebuild a structure from a previously captured [`Self::counts`] slice
-    /// (the restore path): recomputes the maintained bounds in `O(n)`.
+    /// A structure over the given per-model counts: computes the maintained
+    /// bounds in `O(n)`.
     pub fn from_counts(counts: Vec<u64>) -> Self {
         let lo = counts.iter().copied().min().unwrap_or(0);
         let hi = counts.iter().copied().max().unwrap_or(0);

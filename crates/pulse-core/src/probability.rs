@@ -19,10 +19,10 @@
 //!   [`Probability::and`], [`Probability::complement`]) debug-assert their
 //!   results, so invariant breakage is caught where it happens.
 //!
-//! The probability-bearing modules (`interarrival`, `thresholds`,
-//! `utility`) route their values through this type; the
-//! `probability_math_is_typed_at_its_boundaries` test pins their entry
-//! points' signatures.
+//! The probability-bearing code (`interarrival`, the threshold schemes'
+//! `SchemeKind::select` in `types`, `utility`) routes its values through
+//! this type; the `probability_math_is_typed_at_its_boundaries` test pins
+//! their entry points' signatures.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

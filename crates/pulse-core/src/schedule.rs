@@ -48,8 +48,8 @@
 //! [`ScheduleLedger::minute_footprint`]. The index holds no totals: every
 //! footprint is summed when it is read.
 //!
-//! Snapshots never carry the index, so both forms restore from the same
-//! rows.
+//! Checkpoints carry no ledger at all: a restore replays a fresh session,
+//! which builds its ledger (and any index) as every session does.
 
 use crate::global::{AliveModel, DowngradeAction};
 use crate::individual::KeepAliveSchedule;

@@ -181,23 +181,27 @@ proptest! {
     ) {
         let zoo = zoo::standard();
         let fams: Vec<_> = (0..fns.len()).map(|f| zoo[f % zoo.len()].clone()).collect();
-        let mut arrivals = Vec::new();
-        let mut counts = Vec::new();
+        let cfg = PulseConfig { km_threshold, ..Default::default() };
+        let mut lazy = PulseEngine::new(fams.clone(), cfg);
         let mut alive = Vec::new();
         let mut last = 0u64;
         for (f, (gaps, is_alive, variant, ip, count)) in fns.iter().enumerate() {
-            let mut log = Vec::new();
             if !gaps.is_empty() {
                 let mut t = 0u64;
-                log.push(t);
+                lazy.record_invocation(f, t);
                 for g in gaps {
                     t += g;
-                    log.push(t);
+                    lazy.record_invocation(f, t);
                 }
                 last = last.max(t);
             }
-            arrivals.push(log);
-            counts.push(*count);
+            // Each forced peak over `f` alone at its lowest rung evicts it,
+            // one priority bump per call.
+            while lazy.priority().count(f) < *count {
+                let mut lone = vec![AliveModel { func: f, variant: 0, invocation_probability: 0.0 }];
+                lazy.check_and_flatten(&[1.0; 4], false, 1e9, &mut lone);
+            }
+            prop_assert_eq!(lazy.priority().count(f), *count);
             if *is_alive {
                 alive.push(AliveModel {
                     func: f,
@@ -207,9 +211,6 @@ proptest! {
             }
         }
         let now = last + since_last;
-        let cfg = PulseConfig { km_threshold, ..Default::default() };
-        let mut lazy = PulseEngine::new(fams, cfg);
-        lazy.import_state(arrivals, counts).expect("ascending histories");
         let mut eager = lazy.clone();
 
         let mut lazy_alive = alive.clone();
@@ -341,8 +342,7 @@ proptest! {
     /// bit for bit: arbitrary and dense logs (gaps longer than the window
     /// included), windows, local windows and query times, including queries at or
     /// before the last arrival. The single-gap `Ip` query equals the full
-    /// estimate at `t − last`, and a model rebuilt from its log equals the
-    /// one recorded arrival by arrival.
+    /// estimate at `t − last`.
     #[test]
     fn interarrival_model_matches_whole_log_oracle_bitwise(
         start in 0u64..400,
@@ -367,32 +367,32 @@ proptest! {
         }
         let mut queries = queries;
         queries.push((true, 0)); // exactly at the last arrival
-        let mut recorded = InterArrivalModel::new(window);
+        let mut model = InterArrivalModel::new(window);
         let mut t = start;
-        recorded.record(t);
+        model.record(t);
+        let mut log = vec![t];
         for &g in &gaps {
-            t += g; // a zero gap is a same-minute duplicate
-            recorded.record(t);
+            t += g; // a zero gap is a same-minute duplicate, not logged
+            model.record(t);
+            if g > 0 {
+                log.push(t);
+            }
         }
-        let log = recorded.arrivals().to_vec();
-        let rebuilt = InterArrivalModel::from_arrivals(log.clone(), window).unwrap();
         for (near, q) in queries {
             // Half the queries land in the 40 minutes from the last arrival,
             // where the single-gap query does its work; the rest anywhere
             // up to it.
             let now = if near { t + q % 40 } else { q % (t + 1) };
             let expect = oracle_probabilities(&log, now, local_window, window);
-            for model in [&recorded, &rebuilt] {
-                let got = model.probabilities(now, local_window);
-                prop_assert_eq!(got.window(), u64::from(window));
-                for (k, &e) in expect.iter().enumerate() {
-                    let g = got.at(k as u64);
-                    prop_assert_eq!(g.to_bits(), e.to_bits(), "gap {} at now {}: {} vs oracle {}", k, now, g, e);
-                }
-                let ip = model.invocation_probability_at(now, local_window).value();
-                let want = if now > t { got.at(now - t) } else { 0.0 };
-                prop_assert_eq!(ip.to_bits(), want.to_bits(), "Ip at now {}", now);
+            let got = model.probabilities(now, local_window);
+            prop_assert_eq!(got.window(), u64::from(window));
+            for (k, &e) in expect.iter().enumerate() {
+                let g = got.at(k as u64);
+                prop_assert_eq!(g.to_bits(), e.to_bits(), "gap {} at now {}: {} vs oracle {}", k, now, g, e);
             }
+            let ip = model.invocation_probability_at(now, local_window).value();
+            let want = if now > t { got.at(now - t) } else { 0.0 };
+            prop_assert_eq!(ip.to_bits(), want.to_bits(), "Ip at now {}", now);
         }
     }
 }

@@ -22,7 +22,7 @@ use pulse_core::interarrival::InterArrivalModel;
 use pulse_core::peak::PeakDetector;
 use pulse_core::priority::PriorityStructure;
 use pulse_core::probability::Probability;
-use pulse_core::types::{FuncId, Minute, PulseConfig, SchemeKind};
+use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::utility::utility_value;
 use pulse_models::ModelFamily;
 use pulse_sim::assignment::round_robin_assignment;
@@ -128,7 +128,7 @@ impl KeepAlivePolicy for AblationPolicy {
         self.arrivals[f].record(t);
         let probs = self.arrivals[f].probabilities(t, self.config.local_window);
         self.optimizer
-            .schedule(t, &probs, self.families[f].n_variants(), SchemeKind::T1)
+            .schedule(t, &probs, self.families[f].n_variants(), self.config.scheme)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> usize {
@@ -273,7 +273,7 @@ impl KeepAlivePolicy for ProbSourcePolicy {
             ProbSource::Averaged => self.arrivals[f].probabilities(t, lw),
         };
         self.optimizer
-            .schedule(t, &probs, self.families[f].n_variants(), SchemeKind::T1)
+            .schedule(t, &probs, self.families[f].n_variants(), self.config.scheme)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> usize {

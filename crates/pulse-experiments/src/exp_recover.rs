@@ -17,10 +17,13 @@
 //! 2. the final summary (cost, availability, accuracy, every counter and
 //!    per-minute series) is bit-identical to the run that was never killed.
 //!
-//! Checkpoints here are taken by the segmented drive loop (snapshot → drop
-//! the session → journal the snapshot → restore and continue), so every
-//! checkpoint boundary *itself* exercises the restore path — the journaled
-//! run is a chain of recoveries even before the kill.
+//! A checkpoint carries no run state: it is a one-line header of input
+//! fingerprints and a cursor, and restore replays a fresh session to the
+//! cursor. Checkpoints here are taken by the segmented drive loop
+//! (checkpoint → drop the session and its policy → journal the checkpoint
+//! → restore into a freshly built policy and continue), so every checkpoint
+//! boundary *itself* exercises the restore path — the journaled run is a
+//! chain of recoveries even before the kill.
 
 use crate::common::ExpConfig;
 use crate::report::Table;
@@ -83,11 +86,13 @@ fn sim_recover(
     every: u64,
 ) -> Result<Outcome, String> {
     let mut journal = JournalSink::new(Vec::new());
-    let mut policy = pulse(fams);
     let mut last_ckpt: Option<String> = None;
     let mut cur = 0u64;
     while cur < kill_minute {
         let seg_end = (cur + every).min(kill_minute);
+        // Replay rebuilds the policy's state, so each segment starts from
+        // a freshly built one.
+        let mut policy = pulse(fams);
         let mut sess = match &last_ckpt {
             None => sim.session(&mut policy),
             Some(snap) => sim
@@ -97,7 +102,7 @@ fn sim_recover(
         .traced(&mut journal);
         while sess.next_minute() < seg_end && sess.step_minute().is_some() {}
         if seg_end < kill_minute {
-            let snap = sess.snapshot().map_err(|e| e.to_string())?;
+            let snap = sess.snapshot();
             drop(sess);
             journal.checkpoint(&snap);
             last_ckpt = Some(snap);
@@ -156,11 +161,13 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
         whole_dbg,
     } = *case;
     let mut journal = JournalSink::new(Vec::new());
-    let mut policy = pulse(fams);
     let mut last_ckpt: Option<String> = None;
     let mut cur = 0u64;
     while cur < kill_minute {
         let seg_end = (cur + every).min(kill_minute);
+        // Replay rebuilds the policy's state, so each segment starts from
+        // a freshly built one.
+        let mut policy = pulse(fams);
         let mut sess = match &last_ckpt {
             None => rt.session(&mut policy, plan, fleet.clone()),
             Some(snap) => rt
@@ -171,7 +178,7 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
         let boundary = seg_end * MS_PER_MINUTE;
         while sess.peek_time().is_some_and(|t| t < boundary) && sess.step().is_some() {}
         if seg_end < kill_minute {
-            let snap = sess.snapshot().map_err(|e| e.to_string())?;
+            let snap = sess.snapshot();
             drop(sess);
             journal.checkpoint(&snap);
             last_ckpt = Some(snap);
@@ -231,7 +238,8 @@ pub fn run(cfg: &ExpConfig) -> String {
     }
 
     // Event-driven runtime, cluster-compatible path, with request-level
-    // faults and the stochastic sampler on (the RNG cursors must survive).
+    // faults and the stochastic sampler on (replay must redraw both RNG
+    // streams).
     let rt = Runtime::new(
         trace.clone(),
         fams.clone(),
@@ -326,11 +334,11 @@ fn fleet_journal(
     journal.record(&ObsEvent::RunStart {
         label: "recover/fleet-journal".into(),
     });
-    let mut policy = pulse(fams);
     let mut last_ckpt: Option<String> = None;
     let mut cur = 0u64;
     while cur < horizon {
         let seg_end = (cur + every).min(horizon);
+        let mut policy = pulse(fams);
         let mut sess = match &last_ckpt {
             None => rt.session(&mut policy, plan, fleet.clone()),
             Some(snap) => rt
@@ -341,7 +349,7 @@ fn fleet_journal(
         if seg_end < horizon {
             let boundary = seg_end * MS_PER_MINUTE;
             while sess.peek_time().is_some_and(|t| t < boundary) && sess.step().is_some() {}
-            let snap = sess.snapshot().map_err(|e| e.to_string())?;
+            let snap = sess.snapshot();
             drop(sess);
             journal.checkpoint(&snap);
             last_ckpt = Some(snap);

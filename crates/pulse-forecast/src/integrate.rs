@@ -13,7 +13,7 @@ use crate::wild::{HybridHistogram, WildConfig};
 use pulse_core::global::{AliveModel, DowngradeAction};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::schedule::Slot;
-use pulse_core::types::{FuncId, Minute, PulseConfig, SchemeKind};
+use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::PulseEngine;
 use pulse_models::{ModelFamily, VariantId};
 use pulse_sim::policy::KeepAlivePolicy;
@@ -114,11 +114,12 @@ impl KeepAlivePolicy for WildPulsePolicy {
         let d = self.histograms[f].decide();
         let probs = self.engine.probabilities(f, t);
         let n = self.engine.family(f).n_variants();
+        let scheme = self.engine.config().scheme;
         holed_schedule(
             t,
             d.keepalive_min,
             |m| d.covers(m),
-            |m| SchemeKind::T1.select(probs.prob(m), n),
+            |m| scheme.select(probs.prob(m), n),
         )
     }
 
@@ -223,8 +224,8 @@ impl KeepAlivePolicy for IceBreakerPolicy {
 }
 
 /// IceBreaker + PULSE: FFT-predicted warm minutes, PULSE's variant choice at
-/// those minutes, lowest-variant coverage of the unpredicted remainder of
-/// the keep-alive window (PULSE's cold-start guard), and global flattening.
+/// those minutes, and global flattening. The unpredicted minutes of the
+/// window stay holes (no container), exactly as in [`IceBreakerPolicy`].
 pub struct IceBreakerPulsePolicy {
     core: IceBreakerCore,
     engine: PulseEngine,
@@ -250,6 +251,7 @@ impl KeepAlivePolicy for IceBreakerPulsePolicy {
         let active = self.core.predicted(f, t);
         let probs = self.engine.probabilities(f, t);
         let n = self.engine.family(f).n_variants();
+        let scheme = self.engine.config().scheme;
         let horizon = self.core.horizon;
         // Same predicted warm minutes as IceBreaker, but PULSE picks the
         // variant from the invocation probability instead of always warming
@@ -259,7 +261,7 @@ impl KeepAlivePolicy for IceBreakerPulsePolicy {
             t,
             horizon,
             |m| active.contains(&m),
-            |m| SchemeKind::T1.select(probs.prob(m), n),
+            |m| scheme.select(probs.prob(m), n),
         )
     }
 
@@ -324,6 +326,32 @@ mod tests {
         let s = s.unwrap();
         // Probability mass is all at gap 6 → highest variant there.
         assert_eq!(s.variant_at_offset(6), Some(fams[0].highest_id()));
+    }
+
+    #[test]
+    fn wild_pulse_plans_with_the_configured_scheme() {
+        use pulse_core::types::SchemeKind;
+        let fams = vec![zoo::gpt()];
+        assert_eq!(fams[0].n_variants(), 3);
+        let plan = |scheme| {
+            let config = PulseConfig {
+                scheme,
+                ..PulseConfig::default()
+            };
+            let mut wp = WildPulsePolicy::new(fams.clone(), config);
+            let mut t = 0;
+            let mut s = wp.schedule_on_invocation(0, t);
+            for i in 0..41u64 {
+                t += if i % 2 == 0 { 3 } else { 6 };
+                s = wp.schedule_on_invocation(0, t);
+            }
+            s
+        };
+        // Alternating gaps of 3 and 6 minutes, ending on a 3, put P just
+        // above 0.5 on gap 3 (21 of 41 gaps overall, 7 of the last hour's
+        // 13): T1's middle third, T2's upper half of (0, 1].
+        assert_eq!(plan(SchemeKind::T1).variant_at_offset(3), Some(1));
+        assert_eq!(plan(SchemeKind::T2).variant_at_offset(3), Some(2));
     }
 
     #[test]

@@ -292,7 +292,7 @@ pub enum ObsEvent {
     Checkpoint {
         /// Checkpoint sequence number within the run, starting at 0.
         seq: u64,
-        /// The serialized snapshot document.
+        /// The engine's checkpoint: its one-line header.
         snapshot: String,
     },
 }

@@ -6,8 +6,9 @@
 //!
 //! * [`crate::ObsEvent::JournalEpoch`] headers — epoch 0 opens the file,
 //!   and every checkpoint closes the current epoch and opens the next;
-//! * [`crate::ObsEvent::Checkpoint`] records — a full serialized engine
-//!   snapshot, flushed to the OS before the epoch advances.
+//! * [`crate::ObsEvent::Checkpoint`] records — an engine checkpoint (the
+//!   one-line header an engine restores from by replay), flushed to the OS
+//!   before the epoch advances.
 //!
 //! Recovery reads the journal back with [`replay_journal`], restores the
 //! last intact snapshot, and replays the run from there; the *tail* (the

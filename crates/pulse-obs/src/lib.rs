@@ -16,9 +16,9 @@
 //!   commutative [`Histogram::merge`], which the live serving loop records
 //!   its wall-clock decision and tick times into;
 //! * [`JournalSink`] / [`replay_journal`] — the write-ahead journal for
-//!   crash-consistent checkpointing: epoch headers, embedded snapshot
-//!   records ([`RecordBuilder`]/[`Record`] is the open-schema flat-record
-//!   codec snapshots are written in), torn-tail-tolerant replay, and
+//!   crash-consistent checkpointing: epoch headers, embedded checkpoint
+//!   headers ([`RecordBuilder`]/[`Record`] is the open-schema flat-record
+//!   codec they are written in), torn-tail-tolerant replay, and
 //!   [`first_divergence`] for pinpointing replay mismatches.
 //!
 //! The crate is deliberately free of dependencies (not even the vendored

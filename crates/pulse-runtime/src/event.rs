@@ -249,75 +249,6 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.next_minute == self.minutes
     }
-
-    /// The pending events as `(time_ms, seq, event)` triples sorted by
-    /// their `(time, seq)` keys, pending minute ticks included, for
-    /// checkpointing. Together with [`Self::next_seq`] and
-    /// [`Self::from_parts`] this round-trips the queue: the key multiset
-    /// and sequence counter fully determine every future pop.
-    pub fn snapshot_entries(&self) -> Vec<(u64, u64, Event)> {
-        let ticks = (self.next_minute..self.minutes)
-            .map(|m| (m * MS_PER_MINUTE, m, Event::MinuteTick { minute: m }));
-        let mut entries: Vec<(u64, u64, Event)> = self
-            .heap
-            .iter()
-            .map(|e| (e.t, e.s, e.event.clone()))
-            .chain(ticks)
-            .collect();
-        entries.sort_by_key(|&(t, s, _)| (t, s));
-        entries
-    }
-
-    /// The sequence number the next [`Self::push`] will stamp.
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Rebuild the queue of a `minutes`-tick session from a previously
-    /// captured [`Self::snapshot_entries`] list and [`Self::next_seq`]
-    /// counter. The [`Event::MinuteTick`] entries go back into the run, so
-    /// they must be its tail `k..minutes` for some `k`, each keyed
-    /// `(m · MS_PER_MINUTE, m)`; anything else is an error naming the
-    /// offending tick.
-    pub fn from_parts(
-        entries: Vec<(u64, u64, Event)>,
-        next_seq: u64,
-        minutes: u64,
-    ) -> Result<Self, String> {
-        let mut ticks = Vec::new();
-        let mut heap = Vec::with_capacity(entries.len());
-        for (t, s, e) in entries {
-            match e {
-                Event::MinuteTick { minute } => ticks.push((t, s, minute)),
-                event => heap.push(Entry { t, s, event }),
-            }
-        }
-        ticks.sort_unstable_by_key(|&(_, _, m)| m);
-        let first = u64::try_from(ticks.len())
-            .ok()
-            .and_then(|n| minutes.checked_sub(n))
-            .ok_or_else(|| {
-                format!(
-                    "{} pending minute ticks in a {minutes}-minute session",
-                    ticks.len()
-                )
-            })?;
-        for (due, &(t, s, minute)) in (first..).zip(&ticks) {
-            if minute != due || s != minute || t != minute * MS_PER_MINUTE {
-                return Err(format!(
-                    "pending minute ticks must be minutes {first}..{minutes}, each at \
-                     minute * {MS_PER_MINUTE} ms with seq = minute; found minute {minute} \
-                     at {t} ms with seq {s} where minute {due} was due"
-                ));
-            }
-        }
-        Ok(Self {
-            heap: heap.into(),
-            seq: next_seq,
-            next_minute: first,
-            minutes,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -379,26 +310,6 @@ mod tests {
         fn peek_time(&self) -> Option<u64> {
             self.heap.peek().map(|Reverse((t, ..))| *t)
         }
-
-        fn snapshot_entries(&self) -> Vec<(u64, u64, Event)> {
-            let mut entries: Vec<(u64, u64, Event)> = self
-                .heap
-                .iter()
-                .map(|Reverse((t, s, e))| (*t, *s, e.0.clone()))
-                .collect();
-            entries.sort_by_key(|&(t, s, _)| (t, s));
-            entries
-        }
-
-        fn from_parts(entries: Vec<(u64, u64, Event)>, next_seq: u64) -> Self {
-            Self {
-                heap: entries
-                    .into_iter()
-                    .map(|(t, s, e)| Reverse((t, s, EventKeyed(e))))
-                    .collect(),
-                seq: next_seq,
-            }
-        }
     }
 
     /// The events a session pushes at minute boundaries, plus arrivals.
@@ -422,8 +333,8 @@ mod tests {
         /// Random pushes (a third of them exactly on a minute boundary),
         /// pushes at `u64::MAX` (a saturated request timeout) and bursts
         /// sharing one timestamp across many sequence numbers, interleaved
-        /// with pops, peeks, length checks and snapshot round-trips, pop in
-        /// exactly the all-heap tuple queue's order.
+        /// with pops, peeks and length checks, pop in exactly the all-heap
+        /// tuple queue's order.
         #[test]
         fn tick_run_pops_exactly_like_the_all_heap_queue(
             minutes in 0u64..8,
@@ -455,20 +366,12 @@ mod tests {
                             oracle.push(at, event(kind, x));
                         }
                     }
-                    7 | 8 => prop_assert_eq!(q.pop(), oracle.pop()),
-                    9 => {
+                    7..=9 => prop_assert_eq!(q.pop(), oracle.pop()),
+                    _ => {
                         prop_assert_eq!(q.peek_time(), oracle.peek_time());
                         prop_assert_eq!(q.peek(), oracle.peek());
                         prop_assert_eq!(q.len(), oracle.heap.len());
                         prop_assert_eq!(q.is_empty(), oracle.heap.is_empty());
-                    }
-                    _ => {
-                        let entries = q.snapshot_entries();
-                        prop_assert_eq!(&entries, &oracle.snapshot_entries());
-                        prop_assert_eq!(q.next_seq(), oracle.seq);
-                        q = EventQueue::from_parts(entries.clone(), q.next_seq(), minutes)
-                            .map_err(TestCaseError::fail)?;
-                        oracle = HeapQueue::from_parts(entries, oracle.seq);
                     }
                 }
             }
@@ -542,72 +445,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.peek(), None);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_pop_order() {
-        let mut q = EventQueue::with_minute_ticks(3);
-        q.push(5, Event::Arrival { func: 1, req: 1 });
-        q.push(5, Event::Arrival { func: 2, req: 2 });
-        q.push(MS_PER_MINUTE, Event::NodeDown { node: 1, fault: 0 });
-        q.pop(); // drop the first tick so seq and contents diverge
-        let entries = q.snapshot_entries();
-        assert_eq!(entries.len(), 5);
-        let mut rebuilt = EventQueue::from_parts(entries, q.next_seq(), 3).unwrap();
-        rebuilt.push(5, Event::Arrival { func: 9, req: 9 });
-        q.push(5, Event::Arrival { func: 9, req: 9 });
-        loop {
-            let (a, b) = (q.pop(), rebuilt.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn restore_rejects_tick_runs_that_are_not_the_keyed_tail() {
-        let mut q = EventQueue::with_minute_ticks(5);
-        q.push(7, Event::Arrival { func: 0, req: 0 });
-        q.pop(); // tick 0
-        let entries = q.snapshot_entries();
-        let tick_at = |m: u64| {
-            entries
-                .iter()
-                .position(|e| e.2 == Event::MinuteTick { minute: m })
-                .unwrap()
-        };
-        let next = q.next_seq();
-        assert!(EventQueue::from_parts(entries.clone(), next, 5).is_ok());
-
-        let mut gapped = entries.clone();
-        gapped.remove(tick_at(2));
-        let mut headless = entries.clone();
-        headless.remove(tick_at(1));
-        let mut tailless = entries.clone();
-        tailless.remove(tick_at(4));
-        let mut misseq = entries.clone();
-        misseq[tick_at(3)].1 = next;
-        let mut mistimed = entries.clone();
-        mistimed[tick_at(3)].0 += 1;
-        let mut extra = entries.clone();
-        extra.push((0, 0, Event::MinuteTick { minute: 0 }));
-        let mut duplicated = entries.clone();
-        duplicated.push(entries[tick_at(4)].clone());
-        for (what, bad) in [
-            ("gapped", gapped),
-            ("misseq", misseq),
-            ("mistimed", mistimed),
-            ("duplicated", duplicated),
-            ("tailless", tailless),
-        ] {
-            let err = EventQueue::from_parts(bad, next, 5).unwrap_err();
-            assert!(err.contains("minute"), "{what}: {err}");
-        }
-        // Dropping the run's head leaves a valid (shorter) tail.
-        assert!(EventQueue::from_parts(headless, next, 5).is_ok());
-        // More ticks than the session has minutes.
-        assert!(EventQueue::from_parts(extra, next, 4).is_err());
     }
 
     #[test]

@@ -195,20 +195,6 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// The fault RNG's current cursor, for checkpointing.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Rebuild an injector over `plan` with its RNG positioned at a
-    /// previously captured [`Self::rng_state`] cursor.
-    pub fn from_state(plan: &FaultPlan, rng_state: [u64; 4]) -> Self {
-        Self {
-            plan: plan.clone(),
-            rng: SmallRng::from_state(rng_state),
-        }
-    }
-
     fn draw(&mut self, rate: f64) -> bool {
         if rate <= 0.0 {
             false

@@ -81,6 +81,7 @@ use pulse_core::schedule::ScheduleLedger;
 use pulse_models::{CostModel, ModelFamily, VariantId};
 use pulse_obs::{emit, ActionSource, ObsEvent, TraceSink};
 use pulse_sim::policy::{KeepAlivePolicy, MinuteObservation};
+use pulse_sim::recover::{fingerprint_of, read_header, write_header, RecoverError};
 use pulse_sim::PlanState;
 use pulse_trace::Trace;
 use std::collections::VecDeque;
@@ -90,11 +91,6 @@ use std::collections::VecDeque;
 /// pause elapses; at ~10–100× below the model zoo's cold starts, a
 /// migration pays off against the eviction it replaces.
 const MIGRATION_PAUSE_MS: u64 = 200;
-
-// Checkpoint/restore lives in a child module so it can reach the private run
-// state without widening any visibility (`src/snapshot.rs`, remapped here).
-#[path = "snapshot.rs"]
-mod snapshot;
 
 /// Runtime tunables.
 #[derive(Debug, Clone, Copy, Default)]
@@ -236,9 +232,10 @@ pub fn arrival_times_in_minute(minute: u64, count: u64) -> impl Iterator<Item = 
 /// it lets the fault handlers be methods instead of 10-argument functions.
 struct RunState<'a> {
     queue: EventQueue,
-    /// Time of the last processed event, ms: the kill point a snapshot
-    /// stamps. No queued event is earlier.
+    /// Time of the last processed event, ms. No queued event is earlier.
     now_ms: u64,
+    /// Events processed so far: with `now_ms`, a checkpoint's cursor.
+    steps: u64,
     fns: Vec<FnState>,
     /// Keep-alive schedules, one per function — the shared billing/downgrade
     /// substrate (same semantics as the minute engine's ledger).
@@ -709,6 +706,7 @@ impl Runtime {
             // event pushed below.
             queue: EventQueue::with_minute_ticks(minutes),
             now_ms: 0,
+            steps: 0,
             fns: (0..n)
                 .map(|_| FnState {
                     container: None,
@@ -793,9 +791,71 @@ impl Runtime {
             policy,
             fleet,
             rs,
-            plan: PlanState::new(Vec::with_capacity(self.trace.minutes()), false),
+            plan: PlanState::new(self.trace.minutes()),
             flatten_scratch: FlattenScratch::default(),
         }
+    }
+
+    /// Fingerprint of this runtime's workload identity (trace + families +
+    /// config) — stamped into checkpoints and checked on restore.
+    fn workload_fingerprint(&self) -> u64 {
+        fingerprint_of(&(&self.trace, &self.families, &self.config))
+    }
+
+    /// Resume a run killed after [`RuntimeSession::snapshot`]: build a
+    /// fresh [`Self::session`] and replay it, untraced, through the
+    /// checkpoint's count of events, so that driving it to completion is
+    /// bit-identical to the uninterrupted run. `plan` and `fleet` must equal
+    /// the checkpointed configuration (checked by fingerprint; a
+    /// [`ClusterConfig`] converts to its one-node fleet exactly as in
+    /// [`Self::session`]) and `policy` must be freshly constructed with the
+    /// same arguments: replay rebuilds its learned state by driving it
+    /// again, so a policy that has already run gets the prefix twice
+    /// (PULSE's history assert panics on that). Restoring emits nothing, so
+    /// [`RuntimeSession::traced`]
+    /// continues the event stream exactly where the killed run's journal
+    /// left off. Fails soft with a typed [`RecoverError`] on skew,
+    /// corruption or any mismatch, and when replay drains the queue before
+    /// the cursor or stops at a time other than the checkpoint's.
+    ///
+    /// Only trace-seeded runs replay: arrivals fed in by
+    /// [`RuntimeSession::admit_at`] are not in the checkpoint.
+    pub fn restore<'a>(
+        &'a self,
+        policy: &'a mut dyn KeepAlivePolicy,
+        plan: &FaultPlan,
+        fleet: impl Into<FleetConfig>,
+        snapshot: &str,
+    ) -> Result<RuntimeSession<'a>, RecoverError> {
+        let fleet: FleetConfig = fleet.into();
+        let head = read_header(
+            snapshot,
+            "rt",
+            &[
+                ("workload", self.workload_fingerprint()),
+                ("plan", fingerprint_of(plan)),
+                ("fleet", fingerprint_of(&fleet)),
+            ],
+            policy.name(),
+        )?;
+        let steps = head.u64("steps").map_err(RecoverError::corrupt)?;
+        let now = head.u64("now").map_err(RecoverError::corrupt)?;
+        let mut session = self.session(policy, plan, fleet);
+        while session.rs.steps < steps {
+            if session.step().is_none() {
+                return Err(RecoverError::corrupt(format!(
+                    "the cursor at event {steps} is past the run's {} events",
+                    session.rs.steps
+                )));
+            }
+        }
+        if session.rs.now_ms != now {
+            return Err(RecoverError::corrupt(format!(
+                "replaying {steps} events reached {} ms, not the checkpoint's {now} ms",
+                session.rs.now_ms
+            )));
+        }
+        Ok(session)
     }
 }
 
@@ -810,7 +870,7 @@ pub struct RuntimeSession<'a> {
     /// also serves the fleet stages, which refill it before reading.
     plan: PlanState,
     /// Victim-heap scratch for the capacity enforcer. Pure scratch: carries
-    /// no state across calls, so it is deliberately absent from checkpoints.
+    /// no state across calls.
     flatten_scratch: FlattenScratch,
 }
 
@@ -880,8 +940,8 @@ impl<'a> RuntimeSession<'a> {
     /// timeout configured, timeout timers interleave with later admissions
     /// instead of following the whole arrival block, so exact-tie ordering
     /// may differ there). `at_ms` should not precede the last processed
-    /// event: the run would step back in time, and [`Runtime::restore`]
-    /// rejects a snapshot that holds such an arrival.
+    /// event: the run would step back in time. A checkpoint does not record
+    /// admitted arrivals, so [`Runtime::restore`] cannot replay them.
     pub fn admit_at(&mut self, at_ms: u64, func: usize) -> usize {
         assert!(
             func < self.rt.families.len(),
@@ -905,6 +965,7 @@ impl<'a> RuntimeSession<'a> {
     pub fn step(&mut self) -> Option<(u64, Event)> {
         let (now, event) = self.rs.queue.pop()?;
         self.rs.now_ms = now;
+        self.rs.steps += 1;
         match &event {
             Event::MinuteTick { minute } => self.on_minute_tick(now, *minute),
             Event::Arrival { func, req } => self.on_arrival(now, *func, *req),
@@ -935,6 +996,27 @@ impl<'a> RuntimeSession<'a> {
             Event::MigrationDone { func, epoch } => self.on_provision_done(now, *func, *epoch),
         }
         Some((now, event))
+    }
+
+    /// Checkpoint this run: a one-line versioned header naming the
+    /// workload, fault plan, fleet and policy, and the cursor (events
+    /// processed, and the time of the last). Restoring it with
+    /// [`Runtime::restore`] (same workload/plan/fleet, a fresh same-seeded
+    /// policy) replays the run to that event, and stepping on to completion
+    /// is bit-identical to never having stopped — counters, cost,
+    /// per-request records and the emitted observability stream all
+    /// included.
+    pub fn snapshot(&self) -> String {
+        write_header(
+            "rt",
+            &[
+                ("workload", self.rt.workload_fingerprint()),
+                ("plan", fingerprint_of(self.rs.injector.plan())),
+                ("fleet", fingerprint_of(&self.fleet)),
+            ],
+            self.policy.name(),
+            &[("steps", self.rs.steps), ("now", self.rs.now_ms)],
+        )
     }
 
     /// Drain any remaining events and return the summary. Every request is
@@ -2460,5 +2542,154 @@ mod tests {
             s.records.iter().filter(|r| r.failed).count() as u64,
             s.failed_requests()
         );
+    }
+
+    /// A 3-node fleet under rolling crashes, request-level faults and the
+    /// stochastic sampler: every piece of state replay must rebuild.
+    fn restore_fixture() -> (Runtime, Vec<ModelFamily>, FaultPlan, FleetConfig) {
+        use crate::cluster::NodeCapacity;
+        use crate::node::NodeFaultPlan;
+        const HORIZON: usize = 240;
+        let trace = pulse_trace::synth::azure_like_12_with_horizon(23, HORIZON);
+        let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
+        let rt = Runtime::new(
+            trace,
+            fams.clone(),
+            RuntimeConfig {
+                stochastic_seed: Some(5),
+                ..Default::default()
+            },
+        );
+        let plan = FaultPlan::uniform(0.05, 0.05, 0.03, 42);
+        let fleet = FleetConfig::uniform(3, NodeCapacity::gb(6.0))
+            .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, HORIZON as u64));
+        (rt, fams, plan, fleet)
+    }
+
+    fn pulse(fams: &[ModelFamily]) -> PulsePolicy {
+        PulsePolicy::new(fams.to_vec(), PulseConfig::default())
+    }
+
+    /// The checkpoint of the fixture run after `events` events.
+    fn checkpoint_after(events: usize) -> String {
+        let (rt, fams, plan, fleet) = restore_fixture();
+        let mut p = pulse(&fams);
+        let mut sess = rt.session(&mut p, &plan, fleet);
+        for _ in 0..events {
+            sess.step();
+        }
+        sess.snapshot()
+    }
+
+    #[test]
+    fn restore_resumes_bit_identically_under_fleet_faults() {
+        let (rt, fams, plan, fleet) = restore_fixture();
+        let mut whole_policy = pulse(&fams);
+        let whole = rt.session(&mut whole_policy, &plan, fleet.clone()).finish();
+
+        let mut probe_policy = pulse(&fams);
+        let mut probe = rt.session(&mut probe_policy, &plan, fleet.clone());
+        let mut total = 0usize;
+        while probe.step().is_some() {
+            total += 1;
+        }
+        drop(probe);
+
+        for kill_after in [0, total / 7, (total * 4) / 5, total] {
+            let snap = checkpoint_after(kill_after);
+            let mut p2 = pulse(&fams);
+            let resumed = rt
+                .restore(&mut p2, &plan, fleet.clone(), &snap)
+                .unwrap()
+                .finish();
+            assert_eq!(
+                whole.keepalive_cost_usd.to_bits(),
+                resumed.keepalive_cost_usd.to_bits(),
+                "cost diverged for kill point {kill_after}"
+            );
+            assert_eq!(
+                format!("{whole:?}"),
+                format!("{resumed:?}"),
+                "summary diverged for kill point {kill_after}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_fails_soft_on_skew_mismatch_and_garbage() {
+        let (rt, fams, plan, fleet) = restore_fixture();
+        let snap = checkpoint_after(200);
+
+        // A future version and every older one (which serialized the run
+        // state row by row) are skew, never a half-read document.
+        let current = format!("\"version\":{}", pulse_sim::SNAPSHOT_VERSION);
+        for found in [9, 4, 3, 1] {
+            let skewed = snap.replacen(&current, &format!("\"version\":{found}"), 1);
+            let mut p2 = pulse(&fams);
+            assert!(matches!(
+                rt.restore(&mut p2, &plan, fleet.clone(), &skewed),
+                Err(RecoverError::VersionSkew { found: f, .. }) if f == found
+            ));
+        }
+
+        let mut other = OpenWhiskFixed::new(&fams);
+        assert!(matches!(
+            rt.restore(&mut other, &plan, fleet.clone(), &snap),
+            Err(RecoverError::PolicyMismatch { .. })
+        ));
+
+        let mut p3 = pulse(&fams);
+        let other_plan = FaultPlan::uniform(0.05, 0.05, 0.03, 43);
+        assert!(matches!(
+            rt.restore(&mut p3, &other_plan, fleet.clone(), &snap),
+            Err(RecoverError::ConfigMismatch { what: "plan", .. })
+        ));
+
+        let mut p4 = pulse(&fams);
+        let other_fleet = FleetConfig::uniform(2, crate::cluster::NodeCapacity::gb(6.0));
+        assert!(matches!(
+            rt.restore(&mut p4, &plan, other_fleet, &snap),
+            Err(RecoverError::ConfigMismatch { what: "fleet", .. })
+        ));
+
+        for garbage in ["", "nonsense", "{\"type\":\"snapshot\"}"] {
+            let mut p5 = pulse(&fams);
+            assert!(
+                rt.restore(&mut p5, &plan, fleet.clone(), garbage).is_err(),
+                "garbage {garbage:?} must fail soft"
+            );
+        }
+    }
+
+    /// Restore the fixture's checkpoint after 200 events with its cursor
+    /// field `key` set to `value`; it must fail as corrupt, and the message
+    /// is returned.
+    fn corrupt_cursor_message(key: &str, value: u64) -> String {
+        let (rt, fams, plan, fleet) = restore_fixture();
+        let snap = checkpoint_after(200);
+        let head = pulse_obs::Record::parse(&snap).unwrap();
+        let old = format!("\"{key}\":{}", head.u64(key).unwrap());
+        let doc = snap.replacen(&old, &format!("\"{key}\":{value}"), 1);
+        assert_ne!(doc, snap, "the edit must change the checkpoint");
+        let mut p = pulse(&fams);
+        match rt.restore(&mut p, &plan, fleet, &doc) {
+            Err(RecoverError::Corrupt { message }) => message,
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("the edited checkpoint restored"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_cursor_past_the_end_of_the_run() {
+        let message = corrupt_cursor_message("steps", 10_000_000);
+        assert!(message.contains("past the run's"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_a_replay_that_misses_the_checkpoint_time() {
+        // 200 events in, the run is past its first minute tick, so a kill
+        // point at 0 ms cannot be where replay stops.
+        let message = corrupt_cursor_message("now", 0);
+        assert!(message.contains("not the checkpoint's 0 ms"), "{message}");
     }
 }

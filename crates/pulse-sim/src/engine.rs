@@ -15,15 +15,12 @@
 
 use crate::metrics::RunMetrics;
 use crate::policy::KeepAlivePolicy;
-use crate::recover::{
-    decode_ledger_row, decode_metrics, encode_ledger, encode_metrics, fingerprint_of, read_header,
-    RecoverError, SNAPSHOT_VERSION,
-};
+use crate::recover::{fingerprint_of, read_header, write_header, RecoverError};
 use pulse_core::global::DowngradeAction;
 use pulse_core::schedule::{begins_keepalive_period, MinuteFootprint, ScheduleLedger};
 use pulse_core::types::Minute;
 use pulse_models::{CostModel, ModelFamily};
-use pulse_obs::{emit, ActionSource, ObsEvent, Record, RecordBuilder, TraceSink};
+use pulse_obs::{emit, ActionSource, ObsEvent, TraceSink};
 use pulse_trace::Trace;
 
 /// Trace-driven serverless platform simulator.
@@ -72,7 +69,7 @@ impl Simulator {
             metrics: RunMetrics::new(policy.name(), minutes),
             policy,
             ledger: ScheduleLedger::new(self.families.len()),
-            plan: PlanState::new(Vec::with_capacity(minutes), false),
+            plan: PlanState::new(minutes),
             next: 0,
             minutes: minutes as Minute,
             sink: None,
@@ -96,84 +93,46 @@ impl Simulator {
     }
 
     /// Fingerprint of this simulator's workload identity (trace + families
-    /// + cost model) — stamped into snapshots and checked on restore.
+    /// + cost model) — stamped into checkpoints and checked on restore.
     fn workload_fingerprint(&self) -> u64 {
         fingerprint_of(&(&self.trace, &self.families, &self.cost))
     }
 
-    /// Resume a run killed after [`SimSession::snapshot`]: rebuild the
-    /// session so that driving it to completion is bit-identical to the
-    /// uninterrupted run. `policy` must be freshly constructed with the same
-    /// arguments as the snapshotted one (same seeds/config); its learned
-    /// state is re-injected through
-    /// [`KeepAlivePolicy::restore_state`]. Restoring emits nothing, so
+    /// Resume a run killed after [`SimSession::snapshot`]: build a fresh
+    /// session and replay it, untraced, to the checkpoint's next minute, so
+    /// that driving it to completion is bit-identical to the uninterrupted
+    /// run. `policy` must be freshly constructed with the same arguments as
+    /// the checkpointed one (same seeds/config): replay rebuilds its learned
+    /// state by driving it again, so a policy that has already run gets the
+    /// prefix twice (PULSE's history assert panics on that). Restoring
+    /// emits nothing, so
     /// [`SimSession::traced`] continues the event stream exactly where the
     /// killed run's journal left off. Fails soft with a typed
-    /// [`RecoverError`] on version skew, corruption, or a workload/policy
-    /// mismatch.
+    /// [`RecoverError`] on version skew, corruption, a workload/policy
+    /// mismatch, or a cursor past the end of the trace.
     pub fn restore<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         snapshot: &str,
     ) -> Result<SimSession<'a>, RecoverError> {
-        let c = |e: pulse_obs::ParseError| RecoverError::corrupt(e);
-        let (head, lines) = read_header(
+        let head = read_header(
             snapshot,
             "sim",
             &[("workload", self.workload_fingerprint())],
             policy.name(),
         )?;
-
-        let mut metrics = None;
-        let mut demand_history = None;
-        let mut ledger = ScheduleLedger::new(self.families.len());
-        let mut policy_state = None;
-        for line in lines {
-            let rec = Record::parse(line).map_err(c)?;
-            match rec.kind() {
-                "metrics" => metrics = Some(decode_metrics(&rec)?),
-                "demand" => {
-                    demand_history = Some(rec.f64_list("history").map_err(c)?);
-                }
-                "policy" => policy_state = Some(rec.str("state").map_err(c)?.to_string()),
-                "sched" => decode_ledger_row(&mut ledger, &self.families, &rec)?,
-                other => {
-                    return Err(RecoverError::corrupt(format!(
-                        "unknown snapshot row kind {other:?}"
-                    )))
-                }
-            }
-        }
-        let metrics =
-            metrics.ok_or_else(|| RecoverError::corrupt("snapshot lacks a metrics row"))?;
-        let demand_history =
-            demand_history.ok_or_else(|| RecoverError::corrupt("snapshot lacks a demand row"))?;
-        let state =
-            policy_state.ok_or_else(|| RecoverError::corrupt("snapshot lacks a policy row"))?;
-        policy
-            .restore_state(&state)
-            .map_err(RecoverError::corrupt)?;
-        // Minutes before `next` ran; a history reaching `next` would have the
-        // resumed run hand the policy an earlier invocation.
-        let next = head.u64("next").map_err(c)?;
-        if let Some(m) = policy.last_invocation_minute().filter(|&m| m >= next) {
+        let next = head.u64("next").map_err(RecoverError::corrupt)?;
+        let mut session = self.session(policy);
+        if next > session.minutes {
             return Err(RecoverError::corrupt(format!(
-                "the policy recorded an invocation at minute {m}, past the kill point \
-                 before minute {next}"
+                "the cursor at minute {next} is past the {}-minute trace",
+                session.minutes
             )));
         }
-
-        Ok(SimSession {
-            sim: self,
-            policy,
-            metrics,
-            ledger,
-            plan: PlanState::new(demand_history, head.bool("invoked").map_err(c)?),
-            next,
-            minutes: self.trace.minutes() as Minute,
-            sink: None,
-            prev_fallback: head.bool("fallback").map_err(c)?,
-        })
+        while session.next < next {
+            session.step_minute();
+        }
+        Ok(session)
     }
 }
 
@@ -203,11 +162,12 @@ pub struct PlanState {
 }
 
 impl PlanState {
-    /// Plan state resuming from `demand_history` and the `invoked` flag.
-    pub fn new(demand_history: Vec<f64>, invoked: bool) -> Self {
+    /// Plan state of a fresh `minutes`-minute run: an empty demand history
+    /// with room for every minute.
+    pub fn new(minutes: usize) -> Self {
         Self {
-            demand_history,
-            invoked,
+            demand_history: Vec::with_capacity(minutes),
+            invoked: false,
             fp: MinuteFootprint::default(),
         }
     }
@@ -341,40 +301,18 @@ impl<'a> SimSession<'a> {
         self.metrics
     }
 
-    /// Capture the full resumable state of this run as a versioned snapshot
-    /// document. Restoring it with [`Simulator::restore`] (same
-    /// workload, a fresh same-seeded policy) and stepping to completion is
-    /// bit-identical to never having stopped. Fails with
-    /// [`RecoverError::NotCheckpointable`] when the policy cannot export its
-    /// state.
-    pub fn snapshot(&self) -> Result<String, RecoverError> {
-        let state =
-            self.policy
-                .checkpoint_state()
-                .ok_or_else(|| RecoverError::NotCheckpointable {
-                    policy: self.policy.name().to_string(),
-                })?;
-        let mut doc = RecordBuilder::new("snapshot")
-            .u64("version", SNAPSHOT_VERSION)
-            .str("engine", "sim")
-            .u64("workload", self.sim.workload_fingerprint())
-            .str("policy", self.policy.name())
-            .u64("next", self.next)
-            .bool("invoked", self.plan.invoked)
-            .bool("fallback", self.prev_fallback)
-            .finish();
-        doc.push('\n');
-        doc.push_str(&encode_metrics(&self.metrics));
-        doc.push('\n');
-        doc.push_str(
-            &RecordBuilder::new("demand")
-                .f64_list("history", &self.plan.demand_history)
-                .finish(),
-        );
-        doc.push('\n');
-        doc.push_str(&RecordBuilder::new("policy").str("state", &state).finish());
-        encode_ledger(&mut doc, &self.ledger);
-        Ok(doc)
+    /// Checkpoint this run: a one-line versioned header naming the
+    /// workload, the policy and the next minute to simulate. Restoring it
+    /// with [`Simulator::restore`] (same workload, a fresh same-seeded
+    /// policy) replays the run to that minute, and stepping on to
+    /// completion is bit-identical to never having stopped.
+    pub fn snapshot(&self) -> String {
+        write_header(
+            "sim",
+            &[("workload", self.sim.workload_fingerprint())],
+            self.policy.name(),
+            &[("next", self.next)],
+        )
     }
 
     /// Stage 1: cross-function adjustment on the pre-invocation alive set
@@ -478,6 +416,7 @@ impl<'a> SimSession<'a> {
 mod tests {
     use super::*;
     use crate::policies::{FixedVariant, IdealOracle, OpenWhiskFixed, PulsePolicy};
+    use crate::recover::SNAPSHOT_VERSION;
     use pulse_core::global::AliveModel;
     use pulse_core::individual::KeepAliveSchedule;
     use pulse_core::types::PulseConfig;
@@ -821,7 +760,7 @@ mod tests {
         for _ in 0..317 {
             session.step_minute();
         }
-        let snap = session.snapshot().unwrap();
+        let snap = session.snapshot();
         drop(session); // the "kill"
 
         let mut fresh = PulsePolicy::new(fams.clone(), PulseConfig::default());
@@ -855,7 +794,7 @@ mod tests {
         for _ in 0..40 {
             session.step_minute();
         }
-        let snap = session.snapshot().unwrap();
+        let snap = session.snapshot();
         drop(session);
 
         // Version skew is detected before anything else is trusted.
@@ -894,50 +833,27 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_policy_history_past_the_kill_point() {
+    fn restore_rejects_a_cursor_past_the_end_of_the_trace() {
         use crate::recover::RecoverError;
-        use pulse_obs::{Record, RecordBuilder};
         let trace = pulse_trace::synth::azure_like_12_with_horizon(5, 120);
         let fams: Vec<ModelFamily> = (0..12).map(|i| zoo::standard()[i % 5].clone()).collect();
         let sim = Simulator::new(trace, fams.clone());
         let mut p = PulsePolicy::new(fams.clone(), PulseConfig::default());
-        let mut session = sim.session(&mut p);
-        for _ in 0..40 {
-            session.step_minute();
-        }
-        let snap = session.snapshot().unwrap();
+        let session = sim.session(&mut p);
+        let snap = session.snapshot();
         drop(session);
-        // Function 0's history gains an invocation at minute 40, the first
-        // minute the resumed run has yet to serve.
-        let doc: Vec<String> = snap
-            .lines()
-            .map(|line| {
-                let rec = Record::parse(line).unwrap();
-                if rec.kind() != "policy" {
-                    return line.to_string();
-                }
-                let state = rec.str("state").unwrap();
-                let mut rows: Vec<String> = state.lines().map(str::to_string).collect();
-                let mut history = Record::parse(&rows[1])
-                    .unwrap()
-                    .u64_list("minutes")
-                    .unwrap();
-                history.push(40);
-                rows[1] = RecordBuilder::new("arrivals")
-                    .u64_list("minutes", &history)
-                    .finish();
-                RecordBuilder::new("policy")
-                    .str("state", &rows.join("\n"))
-                    .finish()
-            })
-            .collect();
+        // The end of the trace is a valid cursor: a finished run.
+        let done = snap.replacen("\"next\":0", "\"next\":120", 1);
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
-        match sim.restore(&mut q, &doc.join("\n")) {
+        assert_eq!(sim.restore(&mut q, &done).unwrap().next_minute(), 120);
+        let past = snap.replacen("\"next\":0", "\"next\":121", 1);
+        let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        match sim.restore(&mut q, &past) {
             Err(RecoverError::Corrupt { message }) => {
-                assert!(message.contains("past the kill point"), "{message}");
+                assert!(message.contains("past the 120-minute trace"), "{message}");
             }
             Err(e) => panic!("expected Corrupt, got {e:?}"),
-            Ok(_) => panic!("a history past the kill point restored"),
+            Ok(_) => panic!("a cursor past the trace restored"),
         }
     }
 }

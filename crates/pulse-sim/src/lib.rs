@@ -45,8 +45,9 @@
 //! * [`watchdog`] — a guardrailed wrapper over any policy that falls back to
 //!   the fixed 10-minute baseline (with hysteresis) when the policy's
 //!   SLO-violation rate goes bad;
-//! * [`recover`] — crash-consistent checkpointing: versioned snapshots
-//!   ([`SimSession::snapshot`] / [`Simulator::restore`]) with typed
+//! * [`recover`] — crash-consistent checkpointing by deterministic replay:
+//!   a checkpoint is a versioned header of input fingerprints and a cursor
+//!   ([`SimSession::snapshot`] / [`Simulator::restore`]), with typed
 //!   soft-failure errors, shared with the event-driven runtime.
 
 pub mod assignment;

@@ -21,7 +21,6 @@
 //! victim selection — the quantified version of the paper's motivating
 //! argument.
 
-use super::pulse::{decode_engine_state, encode_engine_state};
 use crate::policy::KeepAlivePolicy;
 use pulse_core::global::{flatten_peak, AliveModel, DowngradeAction};
 use pulse_core::individual::KeepAliveSchedule;
@@ -29,7 +28,6 @@ use pulse_core::priority::PriorityStructure;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::PulseEngine;
 use pulse_models::{ModelFamily, VariantId};
-use pulse_obs::{Record, RecordBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,34 +103,6 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for CapacityRandom<P> {
         }
         actions
     }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        let inner = self.inner.checkpoint_state()?;
-        Some(
-            RecordBuilder::new("capacity-random")
-                .u64_list("rng", &self.rng.state())
-                .str("inner", &inner)
-                .finish(),
-        )
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let rec = Record::parse(state).map_err(|e| e.to_string())?;
-        if rec.kind() != "capacity-random" {
-            return Err(format!(
-                "expected capacity-random state, got {:?}",
-                rec.kind()
-            ));
-        }
-        let words = rec.u64_list("rng").map_err(|e| e.to_string())?;
-        let words: [u64; 4] = words
-            .try_into()
-            .map_err(|_| "rng cursor must be 4 words".to_string())?;
-        self.inner
-            .restore_state(rec.str("inner").map_err(|e| e.to_string())?)?;
-        self.rng = SmallRng::from_state(words);
-        Ok(())
-    }
 }
 
 /// PULSE under a hard memory cap: the cap replaces the relative peak
@@ -141,7 +111,7 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for CapacityRandom<P> {
 /// victim selection stays unbiased over time.
 pub struct CapacityPulse {
     engine: PulseEngine,
-    priority: pulse_core::priority::PriorityStructure,
+    priority: PriorityStructure,
     capacity_mb: f64,
 }
 
@@ -152,13 +122,13 @@ impl CapacityPulse {
         let n = families.len();
         Self {
             engine: PulseEngine::new(families, config),
-            priority: pulse_core::priority::PriorityStructure::new(n),
+            priority: PriorityStructure::new(n),
             capacity_mb,
         }
     }
 
     /// The per-function downgrade counts accrued so far.
-    pub fn priority(&self) -> &pulse_core::priority::PriorityStructure {
+    pub fn priority(&self) -> &PriorityStructure {
         &self.priority
     }
 }
@@ -199,43 +169,6 @@ impl KeepAlivePolicy for CapacityPulse {
             self.capacity_mb,
         )
         .actions
-    }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        Some(
-            RecordBuilder::new("capacity-pulse")
-                .u64_list("priority", self.priority.counts())
-                .str("engine", &encode_engine_state(&self.engine))
-                .finish(),
-        )
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let rec = Record::parse(state).map_err(|e| e.to_string())?;
-        if rec.kind() != "capacity-pulse" {
-            return Err(format!(
-                "expected capacity-pulse state, got {:?}",
-                rec.kind()
-            ));
-        }
-        let counts = rec.u64_list("priority").map_err(|e| e.to_string())?;
-        if counts.len() != self.priority.len() {
-            return Err(format!(
-                "expected {} priority counts, got {}",
-                self.priority.len(),
-                counts.len()
-            ));
-        }
-        decode_engine_state(
-            &mut self.engine,
-            rec.str("engine").map_err(|e| e.to_string())?,
-        )?;
-        self.priority = PriorityStructure::from_counts(counts);
-        Ok(())
-    }
-
-    fn last_invocation_minute(&self) -> Option<Minute> {
-        self.engine.last_invocation_minute()
     }
 }
 

@@ -64,14 +64,6 @@ impl KeepAlivePolicy for IdealOracle {
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
         self.highest[f]
     }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        Some(String::new()) // stateless after construction
-    }
-
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Ok(()) // stateless after construction
-    }
 }
 
 #[cfg(test)]

@@ -78,14 +78,6 @@ impl KeepAlivePolicy for IntelligentOracle {
             0
         }
     }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        Some(String::new()) // stateless after construction
-    }
-
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Ok(()) // stateless after construction
-    }
 }
 
 #[cfg(test)]

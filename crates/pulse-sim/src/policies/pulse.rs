@@ -12,57 +12,6 @@ use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::PulseEngine;
 use pulse_models::{ModelFamily, VariantId};
-use pulse_obs::{Record, RecordBuilder};
-
-/// Serialize a [`PulseEngine`]'s mutable state — per-function arrival
-/// histories and the priority counts — as a multi-line flat-record document
-/// (shared by every policy that embeds an engine).
-pub(crate) fn encode_engine_state(engine: &PulseEngine) -> String {
-    let (arrivals, counts) = engine.export_state();
-    let mut doc = RecordBuilder::new("engine")
-        .usize("functions", arrivals.len())
-        .u64_list("priority", &counts)
-        .finish();
-    for a in &arrivals {
-        doc.push('\n');
-        doc.push_str(
-            &RecordBuilder::new("arrivals")
-                .u64_list("minutes", a)
-                .finish(),
-        );
-    }
-    doc
-}
-
-/// Restore a document written by [`encode_engine_state`] into an engine
-/// built with the same families and configuration.
-pub(crate) fn decode_engine_state(engine: &mut PulseEngine, state: &str) -> Result<(), String> {
-    let mut lines = state.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| "empty engine state".to_string())?;
-    let head = Record::parse(head).map_err(|e| e.to_string())?;
-    if head.kind() != "engine" {
-        return Err(format!("expected engine state, got {:?}", head.kind()));
-    }
-    let n = head.usize("functions").map_err(|e| e.to_string())?;
-    let counts = head.u64_list("priority").map_err(|e| e.to_string())?;
-    let mut arrivals = Vec::with_capacity(n);
-    for line in lines {
-        let rec = Record::parse(line).map_err(|e| e.to_string())?;
-        if rec.kind() != "arrivals" {
-            return Err(format!("expected arrivals record, got {:?}", rec.kind()));
-        }
-        arrivals.push(rec.u64_list("minutes").map_err(|e| e.to_string())?);
-    }
-    if arrivals.len() != n {
-        return Err(format!(
-            "engine state declares {n} functions but carries {} histories",
-            arrivals.len()
-        ));
-    }
-    engine.import_state(arrivals, counts)
-}
 
 /// The PULSE keep-alive policy.
 #[derive(Debug, Clone)]
@@ -139,18 +88,6 @@ impl KeepAlivePolicy for PulsePolicy {
             )
             .map(|o| o.actions)
             .unwrap_or_default()
-    }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        Some(encode_engine_state(&self.engine))
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        decode_engine_state(&mut self.engine, state)
-    }
-
-    fn last_invocation_minute(&self) -> Option<Minute> {
-        self.engine.last_invocation_minute()
     }
 }
 

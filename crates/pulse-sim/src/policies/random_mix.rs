@@ -57,16 +57,6 @@ impl KeepAlivePolicy for RandomMix {
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
         self.variants[f]
     }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        // The random assignment is fixed at construction; a rebuild with the
-        // same seed reproduces it, so no state needs to travel.
-        Some(String::new())
-    }
-
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Ok(()) // stateless after construction
-    }
 }
 
 #[cfg(test)]

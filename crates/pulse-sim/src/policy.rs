@@ -85,34 +85,6 @@ pub trait KeepAlivePolicy: Send {
     fn in_fallback(&self) -> bool {
         false
     }
-
-    /// Serialize the policy's mutable state for checkpointing, or `None`
-    /// when the policy does not support checkpoint/restore (the default).
-    /// Stateless policies return an empty string. The format is
-    /// policy-private: it only needs to round-trip through
-    /// [`Self::restore_state`] on a policy rebuilt with the same constructor
-    /// arguments (including seeds).
-    fn checkpoint_state(&self) -> Option<String> {
-        None
-    }
-
-    /// Restore state captured by [`Self::checkpoint_state`] into a policy
-    /// rebuilt with the same constructor arguments.
-    ///
-    /// # Errors
-    /// Returns a description of the problem when the policy does not support
-    /// checkpointing (the default) or the state does not fit this policy.
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Err(format!("policy {:?} is not checkpointable", self.name()))
-    }
-
-    /// The latest minute the policy recorded an invocation at, for policies
-    /// that keep an invocation history (`None`, the default, otherwise).
-    /// Restores reject a state whose history runs past the snapshot's kill
-    /// point: the resumed run would hand the policy an earlier invocation.
-    fn last_invocation_minute(&self) -> Option<Minute> {
-        None
-    }
 }
 
 /// Boxed policies forward everything, so wrappers generic over
@@ -154,18 +126,6 @@ impl<P: KeepAlivePolicy + ?Sized> KeepAlivePolicy for Box<P> {
 
     fn in_fallback(&self) -> bool {
         (**self).in_fallback()
-    }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        (**self).checkpoint_state()
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        (**self).restore_state(state)
-    }
-
-    fn last_invocation_minute(&self) -> Option<Minute> {
-        (**self).last_invocation_minute()
     }
 }
 

@@ -31,7 +31,6 @@ use pulse_core::global::{AliveModel, DowngradeAction};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::types::{FuncId, Minute};
 use pulse_models::{ModelFamily, VariantId};
-use pulse_obs::{Record, RecordBuilder};
 use std::collections::VecDeque;
 
 /// Guardrails and hysteresis for [`Watchdog`].
@@ -202,55 +201,6 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for Watchdog<P> {
 
     fn in_fallback(&self) -> bool {
         self.in_fallback
-    }
-
-    fn checkpoint_state(&self) -> Option<String> {
-        let inner = self.inner.checkpoint_state()?;
-        let (win_requests, win_violations): (Vec<u64>, Vec<u64>) =
-            self.window.iter().copied().unzip();
-        Some(
-            RecordBuilder::new("watchdog")
-                .u64_list("win_requests", &win_requests)
-                .u64_list("win_violations", &win_violations)
-                .u64("sum_requests", self.sum_requests)
-                .u64("sum_violations", self.sum_violations)
-                .u64("streak_breached", u64::from(self.streak_breached))
-                .u64("streak_healthy", u64::from(self.streak_healthy))
-                .bool("in_fallback", self.in_fallback)
-                .u64("fallback_minutes", self.fallback_minutes)
-                .str("inner", &inner)
-                .finish(),
-        )
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let rec = Record::parse(state).map_err(|e| e.to_string())?;
-        if rec.kind() != "watchdog" {
-            return Err(format!("expected watchdog state, got {:?}", rec.kind()));
-        }
-        let err = |e: pulse_obs::ParseError| e.to_string();
-        let win_requests = rec.u64_list("win_requests").map_err(err)?;
-        let win_violations = rec.u64_list("win_violations").map_err(err)?;
-        if win_requests.len() != win_violations.len() {
-            return Err("watchdog window series lengths differ".to_string());
-        }
-        let streak_breached = u32::try_from(rec.u64("streak_breached").map_err(err)?)
-            .map_err(|_| "streak_breached overflows u32".to_string())?;
-        let streak_healthy = u32::try_from(rec.u64("streak_healthy").map_err(err)?)
-            .map_err(|_| "streak_healthy overflows u32".to_string())?;
-        self.inner.restore_state(rec.str("inner").map_err(err)?)?;
-        self.window = win_requests.into_iter().zip(win_violations).collect();
-        self.sum_requests = rec.u64("sum_requests").map_err(err)?;
-        self.sum_violations = rec.u64("sum_violations").map_err(err)?;
-        self.streak_breached = streak_breached;
-        self.streak_healthy = streak_healthy;
-        self.in_fallback = rec.bool("in_fallback").map_err(err)?;
-        self.fallback_minutes = rec.u64("fallback_minutes").map_err(err)?;
-        Ok(())
-    }
-
-    fn last_invocation_minute(&self) -> Option<Minute> {
-        self.inner.last_invocation_minute()
     }
 }
 

@@ -208,9 +208,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-recovery properties: snapshot at *any* point, restore, resume —
-// bit-identical to the uninterrupted run for arbitrary workloads and fault
-// plans; corrupt or stale snapshots fail with typed errors, never a panic.
+// Crash-recovery properties: checkpoint at *any* point, restore by replay,
+// resume — bit-identical to the uninterrupted run for arbitrary workloads
+// and fault plans; corrupt or stale checkpoints fail with typed errors,
+// never a panic.
 // ---------------------------------------------------------------------------
 
 /// Build an arbitrary small trace + matching families from proptest counts.
@@ -253,7 +254,7 @@ proptest! {
         let mut p1 = make();
         let mut sess = sim.session(&mut p1);
         while sess.next_minute() < kill && sess.step_minute().is_some() {}
-        let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let snap = sess.snapshot();
         drop(sess);
         let mut p2 = make();
         let resumed = sim
@@ -268,7 +269,7 @@ proptest! {
     }
 
     /// Event-driven runtime: kill after an arbitrary number of events under
-    /// an arbitrary fault plan (both RNG cursors live), restore, resume —
+    /// an arbitrary fault plan (both RNG streams live), restore, resume —
     /// equal to never stopping.
     #[test]
     fn runtime_snapshot_at_any_event_resumes_identically(
@@ -304,7 +305,7 @@ proptest! {
                 break;
             }
         }
-        let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let snap = sess.snapshot();
         drop(sess);
         let mut p2 = make();
         let resumed = rt
@@ -339,7 +340,7 @@ proptest! {
         for _ in 0..4 {
             sess.step_minute();
         }
-        let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let snap = sess.snapshot();
         drop(sess);
         let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
         let cluster = ClusterConfig::unlimited();
@@ -348,7 +349,7 @@ proptest! {
         for _ in 0..6 {
             sess.step();
         }
-        let rt_snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let rt_snap = sess.snapshot();
         drop(sess);
         let garbage = String::from_utf8_lossy(&garbage_bytes).into_owned();
         let splice = String::from_utf8_lossy(&splice_bytes).into_owned();
@@ -383,7 +384,9 @@ proptest! {
             // a successful parse that then runs to completion — but never a
             // panic.
             let mut p = make();
-            let _ = sim.restore(&mut p, doc);
+            if let Ok(resumed) = sim.restore(&mut p, doc) {
+                resumed.finish();
+            }
             let mut p = make();
             if let Ok(resumed) = rt.restore(&mut p, &FaultPlan::none(), cluster, doc) {
                 resumed.finish();

@@ -1,6 +1,7 @@
-//! Crash-consistent recovery: kill at any point → restore → resume must be
-//! bit-identical to the uninterrupted run, for every policy, on both
-//! engines, including the multi-node fleet path under node faults.
+//! Crash-consistent recovery: kill at any point → restore (replay to the
+//! checkpoint's cursor) → resume must be bit-identical to the uninterrupted
+//! run, for every policy, on both engines, including the multi-node fleet
+//! path under node faults.
 //!
 //! CI's recovery job re-runs these under several seeds via PULSE_CHAOS_SEED.
 
@@ -25,7 +26,7 @@ fn chaos_seed() -> u64 {
 
 /// Builds a fresh instance of a named policy (same factories as the
 /// robustness suite): restore requires a same-constructed policy, whose
-/// learned state the snapshot then re-injects.
+/// learned state replay then rebuilds.
 type PolicyFactory = Box<dyn Fn() -> Box<dyn KeepAlivePolicy>>;
 
 fn policy_factories(fams: &[ModelFamily], trace: &Trace) -> Vec<(&'static str, PolicyFactory)> {
@@ -148,9 +149,7 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
             let mut p1 = make();
             let mut sess = sim.session(p1.as_mut());
             while sess.next_minute() < kill_minute && sess.step_minute().is_some() {}
-            let snap = sess
-                .snapshot()
-                .unwrap_or_else(|e| panic!("{name}: snapshot at {kill_minute}: {e}"));
+            let snap = sess.snapshot();
             drop(sess);
 
             let mut p2 = make();
@@ -181,6 +180,69 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
     }
 }
 
+/// Fig. 8's forecaster policies keep learned state (Wild's histograms,
+/// IceBreaker's FFT history, the PULSE engine of the integrated ones) that
+/// no checkpoint hook ever exported; replay rebuilds it like any other.
+#[test]
+fn sim_kill_restore_resume_is_bit_identical_for_forecast_policies() {
+    use pulse::forecast::integrate::{
+        IceBreakerPolicy, IceBreakerPulsePolicy, WildPolicy, WildPulsePolicy,
+    };
+    let seed = chaos_seed();
+    let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
+    let fams = zoo12();
+    let sim = Simulator::new(trace.clone(), fams.clone());
+    let factories: Vec<(&str, PolicyFactory)> = vec![
+        ("wild", {
+            let f = fams.clone();
+            Box::new(move || Box::new(WildPolicy::new(&f)))
+        }),
+        ("wild+pulse", {
+            let f = fams.clone();
+            Box::new(move || Box::new(WildPulsePolicy::new(f.clone(), PulseConfig::default())))
+        }),
+        ("icebreaker", {
+            let (f, t) = (fams.clone(), trace.clone());
+            Box::new(move || Box::new(IceBreakerPolicy::new(&f, t.clone())))
+        }),
+        ("icebreaker+pulse", {
+            let (f, t) = (fams.clone(), trace.clone());
+            Box::new(move || {
+                Box::new(IceBreakerPulsePolicy::new(
+                    f.clone(),
+                    t.clone(),
+                    PulseConfig::default(),
+                ))
+            })
+        }),
+    ];
+    for (name, make) in &factories {
+        let whole = sim.run(make().as_mut());
+        for kill_minute in [1u64, 67, 199] {
+            let mut p1 = make();
+            let mut sess = sim.session(p1.as_mut());
+            while sess.next_minute() < kill_minute && sess.step_minute().is_some() {}
+            let snap = sess.snapshot();
+            drop(sess);
+
+            let mut p2 = make();
+            let resumed = sim
+                .restore(p2.as_mut(), &snap)
+                .unwrap_or_else(|e| panic!("{name}: restore at {kill_minute}: {e}"))
+                .finish();
+            assert_eq!(
+                whole, resumed,
+                "{name}: metrics diverged at kill {kill_minute}"
+            );
+            assert_eq!(
+                whole.keepalive_cost_usd.to_bits(),
+                resumed.keepalive_cost_usd.to_bits(),
+                "{name}: cost not bitwise equal at kill {kill_minute}"
+            );
+        }
+    }
+}
+
 #[test]
 fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
     use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
@@ -195,8 +257,8 @@ fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
             ..RuntimeConfig::default()
         },
     );
-    // Request-level faults + stochastic durations: both RNG cursors must
-    // survive the kill. The cluster-compatible single-node path.
+    // Request-level faults + stochastic durations: replay must redraw both
+    // RNG streams. The cluster-compatible single-node path.
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed).with_timeout_ms(120_000);
     let cluster = ClusterConfig::unlimited();
     for (name, make) in &policy_factories(&fams, &trace) {
@@ -210,9 +272,7 @@ fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
                     break;
                 }
             }
-            let snap = sess
-                .snapshot()
-                .unwrap_or_else(|e| panic!("{name}: snapshot: {e}"));
+            let snap = sess.snapshot();
             drop(sess);
 
             let mut p2 = make();
@@ -256,9 +316,7 @@ fn fleet_kill_restore_resume_is_bit_identical_for_every_policy() {
                 break;
             }
         }
-        let snap = sess
-            .snapshot()
-            .unwrap_or_else(|e| panic!("{name}: snapshot: {e}"));
+        let snap = sess.snapshot();
         drop(sess);
 
         let mut p2 = make();
@@ -287,7 +345,7 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
     let fleet = FleetConfig::uniform(1, NodeCapacity::unlimited());
     // Guardrails tight enough that the faulted run trips before the kill
     // point under every CI seed (the default ones never trip at seed 21),
-    // so the snapshot carries a watchdog that has already switched.
+    // so replay must rebuild a watchdog that has already switched.
     let cfg = WatchdogConfig {
         window: 5,
         max_violation_rate: 0.1,
@@ -330,7 +388,7 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
             break;
         }
     }
-    let snap = sess.snapshot().expect("watchdog snapshot");
+    let snap = sess.snapshot();
     drop(sess);
     let head = switches(&head_sink);
     assert!(
@@ -370,9 +428,11 @@ fn journal_replay_recovers_both_engines_after_torn_write() {
     let mut journal = JournalSink::new(Vec::new());
     let mut sess = sim.session(&mut policy).traced(&mut journal);
     while sess.next_minute() < 40 && sess.step_minute().is_some() {}
-    let snap = sess.snapshot().expect("checkpoint snapshot");
+    let snap = sess.snapshot();
     drop(sess);
     journal.checkpoint(&snap);
+    // Continue the way a restarted process would: a fresh policy, restored.
+    let mut policy = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     let mut sess = sim
         .restore(&mut policy, &snap)
         .expect("continue after checkpoint")
@@ -427,17 +487,20 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     for _ in 0..20 {
         sess.step_minute();
     }
-    let snap = sess.snapshot().expect("snapshot");
+    let snap = sess.snapshot();
     drop(sess);
 
-    // Version skew.
+    // Version skew: a future version, and version 4, which serialized the
+    // run state instead of a replay cursor.
     let current = format!("\"version\":{}", pulse::sim::recover::SNAPSHOT_VERSION);
-    let skewed = snap.replacen(&current, "\"version\":77", 1);
-    let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
-    assert!(matches!(
-        sim.restore(&mut p, &skewed),
-        Err(RecoverError::VersionSkew { found: 77, .. })
-    ));
+    for found in [77, 4] {
+        let skewed = snap.replacen(&current, &format!("\"version\":{found}"), 1);
+        let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
+        assert!(matches!(
+            sim.restore(&mut p, &skewed),
+            Err(RecoverError::VersionSkew { found: f, .. }) if f == found
+        ));
+    }
     // Wrong policy.
     let mut other = pulse::sim::policies::OpenWhiskFixed::new(&fams);
     assert!(matches!(
@@ -460,7 +523,7 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     for _ in 0..500 {
         sess.step();
     }
-    let rt_snap = sess.snapshot().expect("runtime snapshot");
+    let rt_snap = sess.snapshot();
     drop(sess);
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     assert_eq!(
@@ -489,7 +552,7 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
 }
 
 /// Assert that two ledgers (one possibly carrying a warm incremental index,
-/// one freshly rebuilt by restore) fill every minute footprint
+/// one rebuilt by restore's replay) fill every minute footprint
 /// bit-identically to the full sweep, and so to each other.
 fn assert_ledgers_equivalent(
     fams: &[ModelFamily],
@@ -522,11 +585,11 @@ fn assert_ledgers_equivalent(
     }
 }
 
-/// Restore rebuilds the ledger deterministically: after a mid-run snapshot,
-/// the restored session's footprint reads are bit-identical to the
-/// uninterrupted session's and to the full sweep, on both engines. The
+/// Restore rebuilds the ledger deterministically: after a mid-run
+/// checkpoint, the restored session's footprint reads are bit-identical to
+/// the uninterrupted session's and to the full sweep, on both engines. The
 /// simulator meters by sweep; the runtime's ledger carries the incremental
-/// index (per-minute alive sets), which restore must rebuild.
+/// index (per-minute alive sets), which replay must rebuild.
 #[test]
 fn restored_ledger_rebuilds_incremental_cache_deterministically() {
     use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
@@ -540,7 +603,7 @@ fn restored_ledger_rebuilds_incremental_cache_deterministically() {
     let mut p1 = make();
     let mut sess = sim.session(&mut p1);
     while sess.next_minute() < 60 && sess.step_minute().is_some() {}
-    let snap = sess.snapshot().expect("sim snapshot");
+    let snap = sess.snapshot();
     let live = sess.ledger().clone();
     drop(sess);
     let mut p2 = make();
@@ -557,7 +620,7 @@ fn restored_ledger_rebuilds_incremental_cache_deterministically() {
             break;
         }
     }
-    let snap = sess.snapshot().expect("runtime snapshot");
+    let snap = sess.snapshot();
     let live = sess.ledger().clone();
     drop(sess);
     let mut p2 = make();
