@@ -3,9 +3,11 @@
 //! layer makes for every alive model each minute, and the per-invocation
 //! schedule construction — PULSE's per-invocation overhead.
 //!
-//! Every case goes through `PulseEngine`'s public API and queries three
-//! minutes after the last arrival, inside the keep-alive window where the
-//! engine's own queries land.
+//! The distribution case times `InterArrivalModel::probabilities`, which
+//! the probability-source ablation plans from; every other case goes
+//! through `PulseEngine`'s public API. Queries land three minutes after the
+//! last arrival, inside the keep-alive window where the engine's own
+//! queries land.
 //!
 //! Run with `PULSE_BENCH_JSON=BENCH_individual.json cargo bench --bench individual`
 //! to append machine-readable points to the trajectory file.
@@ -13,28 +15,40 @@
 #![allow(missing_docs)] // criterion_group! generates an undocumented pub fn
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pulse_core::interarrival::InterArrivalModel;
 use pulse_core::types::{Minute, PulseConfig};
 use pulse_core::PulseEngine;
 use pulse_models::zoo;
 
-/// A one-function engine with `n` recorded arrivals at gaps cycling through
-/// 1..=9 minutes, and the minute of its last arrival.
+/// `n` arrival minutes at gaps cycling through 1..=9 minutes.
+fn arrivals(n: usize) -> impl Iterator<Item = Minute> {
+    (0..n).scan(0u64, |t, i| {
+        *t += 1 + (i % 9) as u64;
+        Some(*t)
+    })
+}
+
+/// A one-function engine with [`arrivals`]`(n)` recorded, and the minute of
+/// its last arrival.
 fn history(n: usize) -> (PulseEngine, Minute) {
     let mut e = PulseEngine::new(vec![zoo::gpt()], PulseConfig::default());
-    let mut t = 0u64;
-    for i in 0..n {
-        t += 1 + (i % 9) as u64;
+    let mut last = 0;
+    for t in arrivals(n) {
         e.record_invocation(0, t);
+        last = t;
     }
-    (e, t)
+    (e, last)
 }
 
 fn bench(c: &mut Criterion) {
+    let config = PulseConfig::default();
     let mut group = c.benchmark_group("interarrival_probabilities");
     for &n in &[100usize, 1000, 10_000] {
-        let (e, last) = history(n);
+        let mut model = InterArrivalModel::new(config.keepalive_minutes);
+        arrivals(n).for_each(|t| model.record(t));
+        let last = model.last_arrival().unwrap_or(0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| e.probabilities(0, last + 3))
+            b.iter(|| model.probabilities(last + 3, config.local_window))
         });
     }
     group.finish();

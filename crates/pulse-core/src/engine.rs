@@ -6,20 +6,23 @@
 //! 1. [`PulseEngine::record_invocation`] whenever a function is invoked;
 //! 2. [`PulseEngine::schedule_after_invocation`] to obtain the per-minute
 //!    variant plan for the next keep-alive window (individual optimization);
+//!    a forecaster passes its own warm window to [`PulseEngine::plan_window`];
 //! 3. once per minute, [`PulseEngine::flatten_minute`] with the current
 //!    keep-alive memory and the set of alive containers — if Algorithm 1
 //!    flags a peak, the engine fills each alive model's `Ip` and returns
 //!    Algorithm 2's downgrade actions for the platform to apply
-//!    (cross-function optimization). Off-peak minutes cost one prior.
-//!    [`PulseEngine::check_and_flatten`] is the same step for callers that
+//!    (cross-function optimization). Off-peak minutes cost one prior. A
+//!    policy with its own flattener hands it to [`PulseEngine::peak_step`];
+//!    [`PulseEngine::check_and_flatten`] is the step for callers that
 //!    supply `Ip` themselves.
 
 use crate::convert::window_to_len;
 use crate::global::{flatten_peak_scratch, AliveModel, FlattenOutcome, FlattenScratch};
 use crate::individual::KeepAliveSchedule;
-use crate::interarrival::{GapProbabilities, InterArrivalModel};
+use crate::interarrival::InterArrivalModel;
 use crate::peak::PeakDetector;
 use crate::priority::PriorityStructure;
+use crate::schedule::Slot;
 use crate::types::{ConfigError, FuncId, Minute, PulseConfig, SchemeKind};
 use pulse_models::ModelFamily;
 use std::fmt;
@@ -60,7 +63,7 @@ pub struct PulseEngine {
     config: PulseConfig,
     /// Reused by Algorithm 2 so repeated peaks allocate no
     /// per-pass victim-selection state. Pure scratch: carries no state
-    /// across calls, so it is deliberately absent from export/import.
+    /// across calls.
     scratch: FlattenScratch,
 }
 
@@ -102,11 +105,6 @@ impl PulseEngine {
         })
     }
 
-    /// Number of functions managed.
-    pub fn n_functions(&self) -> usize {
-        self.families.len()
-    }
-
     /// The family assigned to function `f`.
     pub fn family(&self, f: FuncId) -> &ModelFamily {
         &self.families[f]
@@ -115,11 +113,6 @@ impl PulseEngine {
     /// All family assignments.
     pub fn families(&self) -> &[ModelFamily] {
         &self.families
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PulseConfig {
-        &self.config
     }
 
     /// The downgrade-priority structure (inspection/testing).
@@ -137,28 +130,41 @@ impl PulseEngine {
         self.arrivals[f].record(t);
     }
 
-    /// Current combined gap-probability estimate for function `f` at `t`.
-    pub fn probabilities(&self, f: FuncId, t: Minute) -> GapProbabilities {
-        self.arrivals[f].probabilities(t, self.config.local_window)
-    }
-
     /// Individual optimization: the variant plan for the keep-alive window
-    /// following an invocation of `f` at minute `t`.
+    /// following an invocation of `f` at minute `t` — [`Self::plan_window`]
+    /// over every minute of the window.
     ///
     /// Call [`Self::record_invocation`] first so the plan reflects the
     /// just-observed arrival.
-    ///
-    /// Each minute's combined gap probability selects its variant in place,
-    /// so the plan is the only allocation. The scheme is matched once per
-    /// window, so each arm's per-minute closure inlines a fixed scheme.
     pub fn schedule_after_invocation(&self, f: FuncId, t: Minute) -> KeepAliveSchedule {
+        self.plan_window(f, t, self.config.keepalive_minutes, |_| true)
+    }
+
+    /// The plan for minutes `1..=len` after an invocation of `f` at `t`: a
+    /// minute `m` with `covers(m)` keeps the variant the configured scheme
+    /// selects from gap `m`'s combined estimate (zero, so rung 0, past the
+    /// keep-alive window), any other a [`Slot::Hole`]. The plan is mapped in
+    /// one buffer, with the scheme matched once per window.
+    pub fn plan_window(
+        &self,
+        f: FuncId,
+        t: Minute,
+        len: u32,
+        covers: impl Fn(u64) -> bool,
+    ) -> KeepAliveSchedule {
         let n = self.families[f].n_variants();
         let (model, window) = (&self.arrivals[f], self.config.local_window);
-        let plan = match self.config.scheme {
+        let mut plan = match self.config.scheme {
             SchemeKind::T1 => model.map_combined(t, window, |p| SchemeKind::T1.select(p, n)),
             SchemeKind::T2 => model.map_combined(t, window, |p| SchemeKind::T2.select(p, n)),
         };
-        KeepAliveSchedule::new(t, plan)
+        plan.resize(window_to_len(len), 0);
+        for (m, slot) in (1..).zip(&mut plan) {
+            if !covers(m) {
+                *slot = Slot::Hole.into_raw();
+            }
+        }
+        KeepAliveSchedule::from_raw(t, plan)
     }
 
     /// `Ip` — the probability that function `f` is invoked at minute `t`,
@@ -172,13 +178,9 @@ impl PulseEngine {
             .value()
     }
 
-    /// Cross-function optimization for minute `t`, paying for Algorithm 2's
-    /// inputs only on a peak: Algorithm 1's prior is computed once, and on a
-    /// non-peak the call returns `None` without touching `alive`. On a peak
-    /// it fills each alive model's `invocation_probability` with
-    /// [`Self::invocation_probability_at`] and flattens exactly as
-    /// [`Self::check_and_flatten`] would after the caller filled `Ip` for
-    /// every model. Arguments are those of [`Self::check_and_flatten`].
+    /// Cross-function optimization for minute `t`: [`Self::peak_step`]
+    /// with the production victim heap ([`Peak::flatten`]). Arguments are
+    /// those of [`Self::check_and_flatten`].
     pub fn flatten_minute(
         &mut self,
         t: Minute,
@@ -187,14 +189,29 @@ impl PulseEngine {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Option<FlattenOutcome> {
-        let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
-        if !self.detector.is_peak(current_kam_mb, prior) {
-            return None;
-        }
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.invocation_probability_at(m.func, t);
-        }
-        Some(self.flatten_from_prior(prior, current_kam_mb, alive))
+        let (history, first) = (mem_history, first_minute_of_period);
+        self.peak_step(t, history, first, current_kam_mb, alive, |p| p.flatten())
+    }
+
+    /// The peak step of minute `t`, paying for Algorithm 2's inputs only on
+    /// a peak: Algorithm 1's prior is computed once, and a non-peak returns
+    /// `None` without touching `alive`. On a peak it fills each alive
+    /// model's `invocation_probability` with
+    /// [`Self::invocation_probability_at`] and returns what `flatten` makes
+    /// of the [`Peak`]. Other arguments are those of
+    /// [`Self::check_and_flatten`].
+    pub fn peak_step<R>(
+        &mut self,
+        t: Minute,
+        mem_history: &[f64],
+        first_minute_of_period: bool,
+        current_kam_mb: f64,
+        alive: &mut Vec<AliveModel>,
+        flatten: impl FnOnce(Peak<'_>) -> R,
+    ) -> Option<R> {
+        let (history, first) = (mem_history, first_minute_of_period);
+        self.peak(Some(t), history, first, current_kam_mb, alive)
+            .map(flatten)
     }
 
     /// Cross-function optimization for one minute, with `Ip` supplied by
@@ -218,28 +235,70 @@ impl PulseEngine {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Option<FlattenOutcome> {
+        let (history, first) = (mem_history, first_minute_of_period);
+        self.peak(None, history, first, current_kam_mb, alive)
+            .map(|p| p.flatten())
+    }
+
+    /// Algorithm 1 on this minute: `None` on a non-peak, otherwise the
+    /// [`Peak`] over the engine's own state, with `Ip` filled at `ip_at`
+    /// when it is given.
+    fn peak<'a>(
+        &'a mut self,
+        ip_at: Option<Minute>,
+        mem_history: &[f64],
+        first_minute_of_period: bool,
+        current_kam_mb: f64,
+        alive: &'a mut Vec<AliveModel>,
+    ) -> Option<Peak<'a>> {
         let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
         if !self.detector.is_peak(current_kam_mb, prior) {
             return None;
         }
-        Some(self.flatten_from_prior(prior, current_kam_mb, alive))
-    }
-
-    /// Algorithm 2 on a minute Algorithm 1 flagged against `prior`.
-    fn flatten_from_prior(
-        &mut self,
-        prior: f64,
-        current_kam_mb: f64,
-        alive: &mut Vec<AliveModel>,
-    ) -> FlattenOutcome {
-        let target = self.detector.flatten_target(prior);
-        flatten_peak_scratch(
-            &mut self.scratch,
+        if let Some(t) = ip_at {
+            for m in alive.iter_mut() {
+                m.invocation_probability = self.invocation_probability_at(m.func, t);
+            }
+        }
+        Some(Peak {
             alive,
-            &self.families,
-            &mut self.priority,
+            families: &self.families,
+            priority: &mut self.priority,
             current_kam_mb,
-            target,
+            target_kam_mb: self.detector.flatten_target(prior),
+            scratch: &mut self.scratch,
+        })
+    }
+}
+
+/// A minute Algorithm 1 flagged, as [`PulseEngine::peak_step`] hands it to
+/// a flattener: Algorithm 2's inputs, with `Ip` filled.
+pub struct Peak<'a> {
+    /// The alive models; the flattener removes or downgrades its victims.
+    pub alive: &'a mut Vec<AliveModel>,
+    /// The engine's families, indexed by function.
+    pub families: &'a [ModelFamily],
+    /// The engine's downgrade-priority structure; the flattener bumps each
+    /// victim.
+    pub priority: &'a mut PriorityStructure,
+    /// Keep-alive memory at this minute, MB.
+    pub current_kam_mb: f64,
+    /// Algorithm 1's flatten target, MB.
+    pub target_kam_mb: f64,
+    scratch: &'a mut FlattenScratch,
+}
+
+impl Peak<'_> {
+    /// Algorithm 2 with the production victim heap and the engine's
+    /// scratch.
+    pub fn flatten(self) -> FlattenOutcome {
+        flatten_peak_scratch(
+            self.scratch,
+            self.alive,
+            self.families,
+            self.priority,
+            self.current_kam_mb,
+            self.target_kam_mb,
         )
     }
 }
@@ -260,7 +319,7 @@ mod tests {
     #[test]
     fn construction_sizes_state_per_function() {
         let e = engine();
-        assert_eq!(e.n_functions(), 3);
+        assert_eq!(e.families().len(), 3);
         assert_eq!(e.priority().len(), 3);
         assert_eq!(e.family(1).name, "BERT");
     }
@@ -275,6 +334,68 @@ mod tests {
         assert_eq!(s.variant_at_offset(3), Some(2), "P(3)=1 → highest variant");
         assert_eq!(s.variant_at_offset(5), Some(0));
         assert_eq!(s.window(), 10);
+    }
+
+    #[test]
+    fn tight_cadence_warms_high_variant_at_the_right_minute() {
+        let mut e = engine();
+        for t in [0u64, 2, 4, 6, 8, 10] {
+            e.record_invocation(0, t);
+        }
+        let s = e.schedule_after_invocation(0, 10);
+        // P(gap=2)=1 → highest variant at offset 2; all other offsets have
+        // probability 0 → lowest variant (but still alive).
+        assert_eq!(s.variant_at_offset(2), Some(2));
+        for m in [1u64, 3, 4, 5, 6, 7, 8, 9, 10] {
+            assert_eq!(s.variant_at_offset(m), Some(0), "offset {m}");
+        }
+    }
+
+    #[test]
+    fn uninformed_history_keeps_lowest_variant_alive_under_both_schemes() {
+        for scheme in [SchemeKind::T1, SchemeKind::T2] {
+            let cfg = PulseConfig {
+                scheme,
+                ..Default::default()
+            };
+            let mut e = PulseEngine::new(vec![zoo::gpt()], cfg);
+            e.record_invocation(0, 50);
+            let s = e.schedule_after_invocation(0, 50);
+            assert_eq!(s.window(), 10);
+            for m in 1..=10u64 {
+                assert_eq!(s.variant_at_offset(m), Some(0), "{scheme:?} offset {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_of_one_minute() {
+        let cfg = PulseConfig {
+            keepalive_minutes: 1,
+            ..Default::default()
+        };
+        let mut e = PulseEngine::new(vec![zoo::gpt()], cfg);
+        e.record_invocation(0, 0);
+        let s = e.schedule_after_invocation(0, 0);
+        assert_eq!(s.window(), 1);
+        assert_eq!(s.variant_at_offset(1), Some(0));
+        assert_eq!(s.variant_at_offset(2), None);
+    }
+
+    #[test]
+    fn forecast_window_holes_uncovered_minutes_and_extends_past_keepalive() {
+        let mut e = engine();
+        for t in [0u64, 3, 6, 9, 12] {
+            e.record_invocation(0, t);
+        }
+        let s = e.plan_window(0, 12, 14, |m| m % 3 == 0);
+        assert_eq!(s.window(), 14);
+        assert_eq!(s.slot_at_offset(3), Some(Slot::Alive(2)), "P(3)=1");
+        assert_eq!(s.slot_at_offset(4), Some(Slot::Hole));
+        // Past the keep-alive window the estimate is zero: rung 0.
+        assert_eq!(s.slot_at_offset(12), Some(Slot::Alive(0)));
+        assert_eq!(s.slot_at_offset(13), Some(Slot::Hole));
+        assert_eq!(e.plan_window(0, 12, 2, |_| true).window(), 2);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Individual (function-centric) optimization (Section III-A).
+//! The plan type of individual (function-centric) optimization
+//! (Section III-A).
 //!
 //! After every invocation, PULSE plans the next `keepalive_minutes` minutes
 //! for that function: for each minute offset `m`, the estimated probability
 //! of an inter-arrival gap of exactly `m` minutes is pushed through the
 //! threshold scheme to pick the quality variant to keep alive during that
-//! minute. Two properties the paper relies on:
+//! minute. [`crate::PulseEngine::plan_window`] is the planner; this module
+//! holds the plan it returns. Two properties the paper relies on:
 //!
 //! * there is *always* a container alive during the window — "PULSE ensures
 //!   that at least the container with low-quality model is kept alive every
@@ -14,9 +16,8 @@
 //!   threshold principle).
 
 use crate::convert::{gap_to_index, len_to_u32, len_to_u64, window_to_len};
-use crate::interarrival::GapProbabilities;
 use crate::schedule::Slot;
-use crate::types::{Minute, SchemeKind};
+use crate::types::Minute;
 use pulse_models::VariantId;
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +40,11 @@ impl KeepAliveSchedule {
             plan.iter().all(|&v| !Slot::from_raw(v).is_hole()),
             "KeepAliveSchedule::new takes alive variants; plan holes with from_slots"
         );
+        Self { invoked_at, plan }
+    }
+
+    /// Build from a raw plan that may hold holes (the planner's buffer).
+    pub(crate) fn from_raw(invoked_at: Minute, plan: Vec<VariantId>) -> Self {
         Self { invoked_at, plan }
     }
 
@@ -109,102 +115,18 @@ impl KeepAliveSchedule {
     }
 }
 
-/// The function-centric optimizer over a precomputed distribution (the
-/// ablations' path; [`crate::PulseEngine`] plans in one buffer instead).
-#[derive(Debug, Clone, Copy)]
-pub struct IndividualOptimizer {
-    /// Keep-alive window length, minutes.
-    pub window: u32,
-}
-
-impl IndividualOptimizer {
-    /// Optimizer for a `window`-minute keep-alive period.
-    pub fn new(window: u32) -> Self {
-        assert!(window >= 1);
-        Self { window }
-    }
-
-    /// Plan the window after an invocation at `invoked_at`, given the gap
-    /// probabilities and the family's variant count.
-    pub fn schedule(
-        &self,
-        invoked_at: Minute,
-        probs: &GapProbabilities,
-        n_variants: usize,
-        scheme: SchemeKind,
-    ) -> KeepAliveSchedule {
-        let plan = (1..=u64::from(self.window))
-            .map(|m| scheme.select(probs.prob(m), n_variants))
-            .collect();
-        KeepAliveSchedule::new(invoked_at, plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interarrival::InterArrivalModel;
-
-    fn probs_for(arrivals: &[Minute], now: Minute) -> GapProbabilities {
-        let mut m = InterArrivalModel::new(10);
-        for &t in arrivals {
-            m.record(t);
-        }
-        m.probabilities(now, 60)
-    }
-
-    #[test]
-    fn tight_cadence_warms_high_variant_at_the_right_minute() {
-        let probs = probs_for(&[0, 2, 4, 6, 8, 10], 10);
-        let opt = IndividualOptimizer::new(10);
-        let s = opt.schedule(10, &probs, 3, SchemeKind::T1);
-        // P(gap=2)=1 → highest variant at offset 2; all other offsets have
-        // probability 0 → lowest variant (but still alive).
-        assert_eq!(s.variant_at_offset(2), Some(2));
-        for m in [1u64, 3, 4, 5, 6, 7, 8, 9, 10] {
-            assert_eq!(s.variant_at_offset(m), Some(0), "offset {m}");
-        }
-    }
-
-    #[test]
-    fn uninformed_history_keeps_lowest_variant_alive_everywhere() {
-        let probs = GapProbabilities::zeros(10);
-        let s = IndividualOptimizer::new(10).schedule(50, &probs, 3, SchemeKind::T1);
-        for m in 1..=10u64 {
-            assert_eq!(s.variant_at_offset(m), Some(0));
-        }
-        assert_eq!(s.window(), 10);
-    }
 
     #[test]
     fn absolute_minute_lookup() {
-        let probs = GapProbabilities::zeros(10);
-        let s = IndividualOptimizer::new(10).schedule(100, &probs, 2, SchemeKind::T1);
+        let s = KeepAliveSchedule::constant(100, 0, 10);
         assert_eq!(s.variant_at(100), None); // invocation minute itself
         assert_eq!(s.variant_at(101), Some(0));
         assert_eq!(s.variant_at(110), Some(0));
         assert_eq!(s.variant_at(111), None);
         assert_eq!(s.variant_at(99), None);
-    }
-
-    #[test]
-    fn mixed_probabilities_produce_mixed_plan() {
-        // Gaps {3,100,3,100,3}: P(3)=0.6. Evaluated at now=400, the local
-        // window is empty, so the global distribution is used alone.
-        let probs = probs_for(&[0, 3, 103, 106, 206, 209], 400);
-        let s = IndividualOptimizer::new(10).schedule(400, &probs, 3, SchemeKind::T1);
-        // P(3) = 0.6 → middle variant at offset 3 (band [1/3, 2/3)).
-        assert_eq!(s.variant_at_offset(3), Some(1));
-        assert_eq!(s.variant_at_offset(1), Some(0));
-    }
-
-    #[test]
-    fn t2_uninformed_also_keeps_lowest() {
-        let probs = GapProbabilities::zeros(10);
-        let s = IndividualOptimizer::new(10).schedule(0, &probs, 3, SchemeKind::T2);
-        for m in 1..=10u64 {
-            assert_eq!(s.variant_at_offset(m), Some(0));
-        }
     }
 
     #[test]
@@ -250,14 +172,5 @@ mod tests {
             got,
             vec![(21, Slot::Alive(0)), (22, Slot::Hole), (23, Slot::Alive(2))]
         );
-    }
-
-    #[test]
-    fn window_of_one_minute() {
-        let probs = GapProbabilities::zeros(1);
-        let s = IndividualOptimizer::new(1).schedule(0, &probs, 3, SchemeKind::T1);
-        assert_eq!(s.window(), 1);
-        assert_eq!(s.variant_at_offset(1), Some(0));
-        assert_eq!(s.variant_at_offset(2), None);
     }
 }

@@ -27,7 +27,9 @@
 //! [`engine::PulseEngine::schedule_after_invocation`] returns the variant
 //! schedule for the window that follows, and
 //! [`engine::PulseEngine::flatten_minute`] returns the downgrade actions for
-//! the current minute when Algorithm 1 flags a peak.
+//! the current minute when Algorithm 1 flags a peak. These are the only
+//! planner ([`engine::PulseEngine::plan_window`]) and the only peak step
+//! ([`engine::PulseEngine::peak_step`]) that every PULSE policy shares.
 //!
 //! ```
 //! use pulse_core::{engine::PulseEngine, PulseConfig};
@@ -63,8 +65,8 @@ pub mod schedule;
 pub mod types;
 pub mod utility;
 
-pub use engine::{PulseEngine, PulseInitError};
-pub use individual::{IndividualOptimizer, KeepAliveSchedule};
+pub use engine::{Peak, PulseEngine, PulseInitError};
+pub use individual::KeepAliveSchedule;
 pub use interarrival::{GapProbabilities, InterArrivalModel};
 pub use peak::PeakDetector;
 pub use priority::PriorityStructure;

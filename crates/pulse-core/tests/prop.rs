@@ -397,6 +397,70 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The planner against its definition: over arbitrary histories, both
+    /// schemes, warm windows of 1..=240 minutes (Wild's cap) and arbitrary
+    /// covers, `plan_window` keeps at each covered minute `m` the rung
+    /// `SchemeKind::select` picks from `InterArrivalModel::probabilities`'
+    /// gap `m` (rung 0 past the keep-alive window) and a hole at every
+    /// other minute. `schedule_after_invocation` is the all-minutes case.
+    #[test]
+    fn plan_window_matches_distribution_and_scheme_oracle(
+        gaps in proptest::collection::vec(0u64..40, 0..60),
+        scheme in prop_oneof![Just(SchemeKind::T1), Just(SchemeKind::T2)],
+        keepalive in 1u32..=30,
+        local_window in 1u32..200,
+        family in 0usize..5,
+        len in 1u32..=240,
+        cover in proptest::collection::vec(any::<bool>(), 240),
+        delay in 0u64..30,
+    ) {
+        use pulse_core::interarrival::InterArrivalModel;
+        use pulse_core::schedule::Slot;
+
+        let cfg = PulseConfig {
+            scheme,
+            keepalive_minutes: keepalive,
+            local_window,
+            ..Default::default()
+        };
+        let fam = zoo::standard()[family].clone();
+        let n = fam.n_variants();
+        let mut e = PulseEngine::new(vec![fam], cfg);
+        let mut model = InterArrivalModel::new(keepalive);
+        let mut t = 0u64;
+        for g in std::iter::once(0).chain(gaps) {
+            t += g;
+            e.record_invocation(0, t);
+            model.record(t);
+        }
+        let now = t + delay;
+        let probs = model.probabilities(now, local_window);
+        let covers = |m: u64| usize::try_from(m - 1).is_ok_and(|i| cover[i]);
+        let expect = |m: u64| {
+            if !covers(m) {
+                Slot::Hole
+            } else if m > u64::from(keepalive) {
+                Slot::Alive(0)
+            } else {
+                Slot::Alive(scheme.select(probs.prob(m), n))
+            }
+        };
+        let s = e.plan_window(0, now, len, covers);
+        prop_assert_eq!(s.window(), len);
+        prop_assert_eq!(s.invoked_at, now);
+        for m in 1..=u64::from(len) {
+            prop_assert_eq!(s.slot_at_offset(m), Some(expect(m)), "offset {}", m);
+        }
+        let all = e.schedule_after_invocation(0, now);
+        prop_assert_eq!(&all, &e.plan_window(0, now, keepalive, |_| true));
+        for m in 1..=u64::from(keepalive) {
+            let want = scheme.select(probs.prob(m), n);
+            prop_assert_eq!(all.variant_at_offset(m), Some(want), "offset {}", m);
+        }
+    }
+}
+
 /// Whole-log oracle for the inter-arrival estimate: rescans every arrival
 /// per query and follows the paper's definition literally. Returns the
 /// combined probability of each gap `0..=window` at `now`.

@@ -17,13 +17,12 @@
 use crate::common::ExpConfig;
 use crate::report::{fmt, Table};
 use pulse_core::global::{flatten_peak_with, AliveModel, DowngradeAction};
-use pulse_core::individual::{IndividualOptimizer, KeepAliveSchedule};
+use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::interarrival::InterArrivalModel;
-use pulse_core::peak::PeakDetector;
-use pulse_core::priority::PriorityStructure;
 use pulse_core::probability::Probability;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::utility::utility_value;
+use pulse_core::PulseEngine;
 use pulse_models::ModelFamily;
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{CapacityPulse, CapacityRandom, OpenWhiskFixed};
@@ -69,14 +68,11 @@ impl UtilityMode {
     }
 }
 
-/// PULSE with a configurable flatten score — the ablation vehicle.
+/// PULSE with a configurable flatten score — the ablation vehicle. It
+/// plans and detects peaks through a [`PulseEngine`]; only the victim
+/// score its peak step hands to `flatten_peak_with` differs from PULSE.
 pub struct AblationPolicy {
-    families: Vec<ModelFamily>,
-    arrivals: Vec<InterArrivalModel>,
-    priority: PriorityStructure,
-    detector: PeakDetector,
-    optimizer: IndividualOptimizer,
-    config: PulseConfig,
+    engine: PulseEngine,
     mode: UtilityMode,
     rng: SmallRng,
 }
@@ -89,14 +85,8 @@ impl AblationPolicy {
         mode: UtilityMode,
         seed: u64,
     ) -> Self {
-        let n = families.len();
         Self {
-            detector: PeakDetector::new(config.km_threshold, config.local_window as usize),
-            optimizer: IndividualOptimizer::new(config.keepalive_minutes),
-            arrivals: vec![InterArrivalModel::new(config.keepalive_minutes); n],
-            priority: PriorityStructure::new(n),
-            families,
-            config,
+            engine: PulseEngine::new(families, config),
             mode,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -105,17 +95,13 @@ impl AblationPolicy {
     /// Largest share of total downgrades absorbed by a single function
     /// (1.0 = one function takes everything; ~1/n = perfectly spread).
     pub fn victim_concentration(&self) -> f64 {
-        let total: u64 = (0..self.families.len())
-            .map(|f| self.priority.count(f))
-            .sum();
+        let priority = self.engine.priority();
+        let counts = (0..priority.len()).map(|f| priority.count(f));
+        let total: u64 = counts.clone().sum();
         if total == 0 {
             return 0.0;
         }
-        let max = (0..self.families.len())
-            .map(|f| self.priority.count(f))
-            .max()
-            .unwrap_or(0);
-        max as f64 / total as f64
+        counts.max().unwrap_or(0) as f64 / total as f64
     }
 }
 
@@ -125,14 +111,12 @@ impl KeepAlivePolicy for AblationPolicy {
     }
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        self.arrivals[f].record(t);
-        let probs = self.arrivals[f].probabilities(t, self.config.local_window);
-        self.optimizer
-            .schedule(t, &probs, self.families[f].n_variants(), self.config.scheme)
+        self.engine.record_invocation(f, t);
+        self.engine.schedule_after_invocation(f, t)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> usize {
-        self.families[f].highest_id()
+        self.engine.family(f).highest_id()
     }
 
     fn adjust_minute(
@@ -143,49 +127,48 @@ impl KeepAlivePolicy for AblationPolicy {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
-        if !self.detector.is_peak(current_kam_mb, prior) {
-            return Vec::new();
+        let (mode, rng) = (self.mode, &mut self.rng);
+        self.engine
+            .peak_step(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+                |p| {
+                    // Random mode needs per-peak randomness; draw a salt
+                    // outside the score (which is Fn, not FnMut).
+                    let salt: u64 = rng.gen();
+                    let score = move |m: &_, fam: &_, pr| score(mode, salt, m, fam, pr);
+                    let (kam, target) = (p.current_kam_mb, p.target_kam_mb);
+                    flatten_peak_with(p.alive, p.families, p.priority, kam, target, score).actions
+                },
+            )
+            .unwrap_or_default()
+    }
+}
+
+/// The victim score of `mode`: the lowest-scoring alive model is
+/// downgraded first.
+fn score(mode: UtilityMode, salt: u64, m: &AliveModel, fam: &ModelFamily, pr: f64) -> f64 {
+    let ai = fam.accuracy_improvement(m.variant);
+    let ip = m.invocation_probability.clamp(0.0, 1.0);
+    match mode {
+        UtilityMode::Full => {
+            utility_value(ai, Probability::saturating(pr), Probability::saturating(ip))
         }
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.arrivals[m.func]
-                .invocation_probability_at(t, self.config.local_window)
-                .value();
+        UtilityMode::NoPriority => ai + ip,
+        UtilityMode::NoProbability => ai + pr,
+        UtilityMode::AccuracyOnly => ai,
+        UtilityMode::Random => {
+            // Deterministic hash of (salt, func, variant) → [0,1).
+            let mut h = salt ^ (m.func as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            h ^= (m.variant as u64).wrapping_mul(0xD1B54A32D192ED03);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+            h ^= h >> 33;
+            (h >> 11) as f64 / (1u64 << 53) as f64
         }
-        let target = self.detector.flatten_target(prior);
-        let mode = self.mode;
-        // Random mode needs per-call randomness; draw a salt outside the
-        // closure (the closure is Fn, not FnMut).
-        let salt: u64 = self.rng.gen();
-        let outcome = flatten_peak_with(
-            alive,
-            &self.families,
-            &mut self.priority,
-            current_kam_mb,
-            target,
-            move |m, fam, pr| {
-                let ai = fam.accuracy_improvement(m.variant);
-                let ip = m.invocation_probability.clamp(0.0, 1.0);
-                match mode {
-                    UtilityMode::Full => {
-                        utility_value(ai, Probability::saturating(pr), Probability::saturating(ip))
-                    }
-                    UtilityMode::NoPriority => ai + ip,
-                    UtilityMode::NoProbability => ai + pr,
-                    UtilityMode::AccuracyOnly => ai,
-                    UtilityMode::Random => {
-                        // Deterministic hash of (salt, func, variant) → [0,1).
-                        let mut h = salt ^ (m.func as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                        h ^= (m.variant as u64).wrapping_mul(0xD1B54A32D192ED03);
-                        h ^= h >> 33;
-                        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-                        h ^= h >> 33;
-                        (h >> 11) as f64 / (1u64 << 53) as f64
-                    }
-                }
-            },
-        );
-        outcome.actions
     }
 }
 
@@ -232,11 +215,11 @@ pub enum ProbSource {
 }
 
 /// PULSE's individual layer with a selectable probability source (global
-/// layer off, to isolate the effect).
+/// layer off, to isolate the effect), planned from that distribution of
+/// [`InterArrivalModel`]'s.
 pub struct ProbSourcePolicy {
     families: Vec<ModelFamily>,
     arrivals: Vec<InterArrivalModel>,
-    optimizer: IndividualOptimizer,
     config: PulseConfig,
     source: ProbSource,
 }
@@ -247,7 +230,6 @@ impl ProbSourcePolicy {
         let n = families.len();
         Self {
             arrivals: vec![InterArrivalModel::new(config.keepalive_minutes); n],
-            optimizer: IndividualOptimizer::new(config.keepalive_minutes),
             families,
             config,
             source,
@@ -272,8 +254,11 @@ impl KeepAlivePolicy for ProbSourcePolicy {
             ProbSource::GlobalOnly => self.arrivals[f].global_distribution(),
             ProbSource::Averaged => self.arrivals[f].probabilities(t, lw),
         };
-        self.optimizer
-            .schedule(t, &probs, self.families[f].n_variants(), self.config.scheme)
+        let n = self.families[f].n_variants();
+        let plan = (1..=u64::from(self.config.keepalive_minutes))
+            .map(|m| self.config.scheme.select(probs.prob(m), n))
+            .collect();
+        KeepAliveSchedule::new(t, plan)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> usize {

@@ -5,23 +5,24 @@
 //! exact multiple-choice-knapsack MILP picks the levels. This is the
 //! apples-to-apples baseline the paper benchmarks: same inputs, same
 //! flatten target, different optimizer — so the overhead and accuracy
-//! deltas isolate the optimizer choice.
+//! deltas isolate the optimizer choice. The engine's
+//! [`PulseEngine::peak_step`] runs Algorithm 1 and fills `Ip`; the MILP is
+//! the flattener it hands the peak to.
 
 use pulse_core::global::{AliveModel, DowngradeAction};
 use pulse_core::individual::KeepAliveSchedule;
-use pulse_core::priority::PriorityStructure;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
-use pulse_core::PulseEngine;
+use pulse_core::{Peak, PulseEngine};
 use pulse_milp::MilpDowngrader;
 use pulse_models::{ModelFamily, VariantId};
 use pulse_sim::policy::KeepAlivePolicy;
+use std::time::Duration;
 
 /// PULSE with MILP-based peak flattening.
 pub struct MilpPolicy {
     engine: PulseEngine,
-    priority: PriorityStructure,
     /// Cumulative time spent inside the MILP solver.
-    pub solver_time: std::time::Duration,
+    pub solver_time: Duration,
     /// Number of peaks flattened.
     pub peaks: u64,
 }
@@ -29,11 +30,9 @@ pub struct MilpPolicy {
 impl MilpPolicy {
     /// Build over a family assignment.
     pub fn new(families: Vec<ModelFamily>, config: PulseConfig) -> Self {
-        let n = families.len();
         Self {
             engine: PulseEngine::new(families, config),
-            priority: PriorityStructure::new(n),
-            solver_time: std::time::Duration::ZERO,
+            solver_time: Duration::ZERO,
             peaks: 0,
         }
     }
@@ -53,8 +52,6 @@ impl KeepAlivePolicy for MilpPolicy {
         self.engine.family(f).highest_id()
     }
 
-    // Solver wall time is reported for Fig. 9a; the plan does not depend on it.
-    #[allow(clippy::disallowed_methods)]
     fn adjust_minute(
         &mut self,
         t: Minute,
@@ -63,57 +60,70 @@ impl KeepAlivePolicy for MilpPolicy {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        let detector = *self.engine.detector();
-        let prior = detector.prior_kam(mem_history, first_minute_of_period);
-        if !detector.is_peak(current_kam_mb, prior) {
-            return Vec::new();
-        }
-        self.peaks += 1;
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
-        let target = detector.flatten_target(prior);
-        let start = std::time::Instant::now();
-        let plan = MilpDowngrader.solve(alive, self.engine.families(), &self.priority, target);
-        self.solver_time += start.elapsed();
+        let (peaks, solver_time) = (&mut self.peaks, &mut self.solver_time);
+        self.engine
+            .peak_step(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+                |peak| {
+                    *peaks += 1;
+                    flatten_with_milp(peak, solver_time)
+                },
+            )
+            .unwrap_or_default()
+    }
+}
 
-        // Translate the exact plan into the engine's action vocabulary and
-        // update the alive set + priority structure accordingly.
-        let mut actions = Vec::new();
-        let mut keep: Vec<AliveModel> = Vec::with_capacity(alive.len());
-        for (i, m) in alive.iter().enumerate() {
-            match plan.levels[i] {
-                Some(level) if level == m.variant => keep.push(m.clone()),
-                Some(level) => {
-                    // The MILP may jump several rungs at once; emit one
-                    // single-rung action per step so the engine's clamping
-                    // semantics stay uniform.
-                    let mut from = m.variant;
-                    while from > level {
-                        actions.push(DowngradeAction::Downgrade {
-                            func: m.func,
-                            from,
-                            to: from - 1,
-                        });
-                        from -= 1;
-                    }
-                    self.priority.bump(m.func);
-                    let mut kept = m.clone();
-                    kept.variant = level;
-                    keep.push(kept);
-                }
-                None => {
-                    actions.push(DowngradeAction::Evict {
+/// Flatten a peak with the exact MILP and translate its plan into the
+/// engine's action vocabulary, updating the alive set and the priority
+/// structure accordingly. Adds the solve's wall time to `solver_time`.
+// Solver wall time is reported for Fig. 9a; the plan does not depend on it.
+#[allow(clippy::disallowed_methods)]
+fn flatten_with_milp(peak: Peak<'_>, solver_time: &mut Duration) -> Vec<DowngradeAction> {
+    let Peak {
+        alive, priority, ..
+    } = peak;
+    let start = std::time::Instant::now();
+    let plan = MilpDowngrader.solve(alive, peak.families, priority, peak.target_kam_mb);
+    *solver_time += start.elapsed();
+
+    let mut actions = Vec::new();
+    let mut keep: Vec<AliveModel> = Vec::with_capacity(alive.len());
+    for (i, m) in alive.iter().enumerate() {
+        match plan.levels[i] {
+            Some(level) if level == m.variant => keep.push(m.clone()),
+            Some(level) => {
+                // The MILP may jump several rungs at once; emit one
+                // single-rung action per step so the engine's clamping
+                // semantics stay uniform.
+                let mut from = m.variant;
+                while from > level {
+                    actions.push(DowngradeAction::Downgrade {
                         func: m.func,
-                        from: 0,
+                        from,
+                        to: from - 1,
                     });
-                    self.priority.bump(m.func);
+                    from -= 1;
                 }
+                priority.bump(m.func);
+                let mut kept = m.clone();
+                kept.variant = level;
+                keep.push(kept);
+            }
+            None => {
+                actions.push(DowngradeAction::Evict {
+                    func: m.func,
+                    from: 0,
+                });
+                priority.bump(m.func);
             }
         }
-        *alive = keep;
-        actions
     }
+    *alive = keep;
+    actions
 }
 
 #[cfg(test)]

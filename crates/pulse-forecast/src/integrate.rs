@@ -7,6 +7,16 @@
 //! times of functions, PULSE takes the lead in determining which model
 //! variant should be kept active and for how long" — plus PULSE's global
 //! peak flattening.
+//!
+//! A technique is a [`Forecaster`]: after each invocation it yields the
+//! warm window that follows, a length and the minutes it covers.
+//! [`Forecast`] warms the highest-quality container at the covered
+//! minutes; [`ForecastPulse`] adds no planner of its own, but hands the
+//! window to [`PulseEngine::plan_window`], which picks each covered
+//! minute's variant with the configured threshold scheme exactly as PULSE
+//! plans its own window, and flattens peaks with
+//! [`PulseEngine::flatten_minute`]. A further forecaster plugs in the same
+//! way, as a window.
 
 use crate::icebreaker::FftPredictor;
 use crate::wild::{HybridHistogram, WildConfig};
@@ -16,50 +26,46 @@ use pulse_core::schedule::Slot;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::PulseEngine;
 use pulse_models::{ModelFamily, VariantId};
-use pulse_sim::policy::KeepAlivePolicy;
+use pulse_sim::policy::{highest_ids, KeepAlivePolicy};
 use pulse_trace::Trace;
 
 /// Cap on how long a predicted warm window may extend (Wild's histogram
 /// bound).
 const MAX_WINDOW: u32 = 240;
 
-// ---------------------------------------------------------------------------
-// Serverless in the Wild
-// ---------------------------------------------------------------------------
+/// A warm-up technique's forecast of each function's next warm window.
+pub trait Forecaster: Send {
+    /// Policy name of the published technique.
+    const NAME: &'static str;
+    /// Policy name of its PULSE integration.
+    const PULSE_NAME: &'static str;
 
-/// Wild as published: hybrid-histogram windows, highest-quality containers.
-pub struct WildPolicy {
-    histograms: Vec<HybridHistogram>,
+    /// Observe an invocation of `f` at `t` and forecast the window that
+    /// follows: minutes `1..=len`, warm at minute `m` iff `covers(m)`.
+    fn forecast(&mut self, f: FuncId, t: Minute) -> (u32, impl Fn(u64) -> bool);
+}
+
+/// A published technique as-is: its forecast windows, highest-quality
+/// containers.
+pub struct Forecast<F> {
+    forecaster: F,
     highest: Vec<VariantId>,
 }
 
-impl WildPolicy {
-    /// Wild over a family assignment.
-    pub fn new(families: &[ModelFamily]) -> Self {
-        Self {
-            histograms: families
-                .iter()
-                .map(|_| HybridHistogram::new(WildConfig::default()))
-                .collect(),
-            highest: pulse_sim::policy::highest_ids(families),
-        }
-    }
-}
-
-/// Build a holed schedule covering `1..=window` where minute `m` is alive
-/// (with `variant_of(m)`) iff `covers(m)`.
+/// Build a holed schedule covering `1..=window` where minute `m` keeps
+/// `variant` alive iff `covers(m)` — the published techniques' plan.
 fn holed_schedule(
     t: Minute,
     window: u32,
     covers: impl Fn(u64) -> bool,
-    variant_of: impl Fn(u64) -> VariantId,
+    variant: VariantId,
 ) -> KeepAliveSchedule {
     let window = window.min(MAX_WINDOW);
     KeepAliveSchedule::from_slots(
         t,
         (1..=window as u64).map(|m| {
             if covers(m) {
-                Slot::Alive(variant_of(m))
+                Slot::Alive(variant)
             } else {
                 Slot::Hole
             }
@@ -67,15 +73,14 @@ fn holed_schedule(
     )
 }
 
-impl KeepAlivePolicy for WildPolicy {
+impl<F: Forecaster> KeepAlivePolicy for Forecast<F> {
     fn name(&self) -> &str {
-        "wild"
+        F::NAME
     }
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        self.histograms[f].record(t);
-        let d = self.histograms[f].decide();
-        holed_schedule(t, d.keepalive_min, |m| d.covers(m), |_| self.highest[f])
+        let (len, covers) = self.forecaster.forecast(f, t);
+        holed_schedule(t, len, covers, self.highest[f])
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
@@ -83,44 +88,25 @@ impl KeepAlivePolicy for WildPolicy {
     }
 }
 
-/// Wild + PULSE: Wild's predicted warm window, PULSE's variant choice inside
-/// it and PULSE's global peak flattening on top.
-pub struct WildPulsePolicy {
-    histograms: Vec<HybridHistogram>,
+/// A technique + PULSE: the same forecast windows, PULSE's variant choice
+/// inside them and PULSE's global peak flattening on top. PULSE picks each
+/// warm minute's variant from the invocation probability instead of always
+/// warming the highest — cheaper warm minutes, slightly lower accuracy,
+/// faster warm service (the paper's Figure 8 shape).
+pub struct ForecastPulse<F> {
+    forecaster: F,
     engine: PulseEngine,
 }
 
-impl WildPulsePolicy {
-    /// Integration over a family assignment.
-    pub fn new(families: Vec<ModelFamily>, config: PulseConfig) -> Self {
-        Self {
-            histograms: families
-                .iter()
-                .map(|_| HybridHistogram::new(WildConfig::default()))
-                .collect(),
-            engine: PulseEngine::new(families, config),
-        }
-    }
-}
-
-impl KeepAlivePolicy for WildPulsePolicy {
+impl<F: Forecaster> KeepAlivePolicy for ForecastPulse<F> {
     fn name(&self) -> &str {
-        "wild+pulse"
+        F::PULSE_NAME
     }
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        self.histograms[f].record(t);
         self.engine.record_invocation(f, t);
-        let d = self.histograms[f].decide();
-        let probs = self.engine.probabilities(f, t);
-        let n = self.engine.family(f).n_variants();
-        let scheme = self.engine.config().scheme;
-        holed_schedule(
-            t,
-            d.keepalive_min,
-            |m| d.covers(m),
-            |m| scheme.select(probs.prob(m), n),
-        )
+        let (len, covers) = self.forecaster.forecast(f, t);
+        self.engine.plan_window(f, t, len.min(MAX_WINDOW), covers)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
@@ -130,21 +116,67 @@ impl KeepAlivePolicy for WildPulsePolicy {
     fn adjust_minute(
         &mut self,
         t: Minute,
-        mem_history: &[f64],
-        first_minute_of_period: bool,
-        current_kam_mb: f64,
+        history: &[f64],
+        first: bool,
+        kam: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        self.engine
-            .flatten_minute(
-                t,
-                mem_history,
-                first_minute_of_period,
-                current_kam_mb,
-                alive,
-            )
-            .map(|o| o.actions)
-            .unwrap_or_default()
+        let step = self.engine.flatten_minute(t, history, first, kam, alive);
+        step.map(|o| o.actions).unwrap_or_default()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Serverless in the Wild
+// ---------------------------------------------------------------------------
+
+/// Serverless in the Wild's forecaster: a hybrid histogram per function.
+pub struct Wild {
+    histograms: Vec<HybridHistogram>,
+}
+
+impl Wild {
+    fn new(n_functions: usize) -> Self {
+        let histograms = vec![HybridHistogram::new(WildConfig::default()); n_functions];
+        Self { histograms }
+    }
+}
+
+impl Forecaster for Wild {
+    const NAME: &'static str = "wild";
+    const PULSE_NAME: &'static str = "wild+pulse";
+
+    fn forecast(&mut self, f: FuncId, t: Minute) -> (u32, impl Fn(u64) -> bool) {
+        self.histograms[f].record(t);
+        let d = self.histograms[f].decide();
+        (d.keepalive_min, move |m| d.covers(m))
+    }
+}
+
+/// Wild as published: hybrid-histogram windows, highest-quality containers.
+pub type WildPolicy = Forecast<Wild>;
+
+/// Wild + PULSE: Wild's predicted warm window, PULSE's variant choice inside
+/// it and PULSE's global peak flattening on top.
+pub type WildPulsePolicy = ForecastPulse<Wild>;
+
+impl WildPolicy {
+    /// Wild over a family assignment.
+    pub fn new(families: &[ModelFamily]) -> Self {
+        Self {
+            forecaster: Wild::new(families.len()),
+            highest: highest_ids(families),
+        }
+    }
+}
+
+impl WildPulsePolicy {
+    /// Integration over a family assignment.
+    pub fn new(families: Vec<ModelFamily>, config: PulseConfig) -> Self {
+        Self {
+            forecaster: Wild::new(families.len()),
+            engine: PulseEngine::new(families, config),
+        }
     }
 }
 
@@ -152,16 +184,16 @@ impl KeepAlivePolicy for WildPulsePolicy {
 // IceBreaker
 // ---------------------------------------------------------------------------
 
-/// Shared plumbing of the two IceBreaker policies: per-function FFT
-/// predictors fed from the (past of the) trace.
-struct IceBreakerCore {
+/// IceBreaker's forecaster: per-function FFT predictors fed from the (past
+/// of the) trace, warm at the predicted-active minutes of the horizon.
+pub struct IceBreaker {
     trace: Trace,
     predictors: Vec<FftPredictor>,
     cursors: Vec<u64>,
     horizon: u32,
 }
 
-impl IceBreakerCore {
+impl IceBreaker {
     fn new(n_functions: usize, trace: Trace, horizon: u32) -> Self {
         assert_eq!(trace.n_functions(), n_functions);
         Self {
@@ -189,104 +221,44 @@ impl IceBreakerCore {
     }
 }
 
+impl Forecaster for IceBreaker {
+    const NAME: &'static str = "icebreaker";
+    const PULSE_NAME: &'static str = "icebreaker+pulse";
+
+    fn forecast(&mut self, f: FuncId, t: Minute) -> (u32, impl Fn(u64) -> bool) {
+        let active = self.predicted(f, t);
+        (self.horizon, move |m| active.contains(&m))
+    }
+}
+
 /// IceBreaker as published (single node type): FFT-predicted warm minutes,
 /// highest-quality containers.
-pub struct IceBreakerPolicy {
-    core: IceBreakerCore,
-    highest: Vec<VariantId>,
-}
+pub type IceBreakerPolicy = Forecast<IceBreaker>;
+
+/// IceBreaker + PULSE: FFT-predicted warm minutes, PULSE's variant choice at
+/// those minutes, and global flattening. The unpredicted minutes of the
+/// window stay holes (no container), exactly as in [`IceBreakerPolicy`].
+pub type IceBreakerPulsePolicy = ForecastPulse<IceBreaker>;
 
 impl IceBreakerPolicy {
     /// IceBreaker over a family assignment and the workload it will face
     /// (only the past of the trace is ever read).
     pub fn new(families: &[ModelFamily], trace: Trace) -> Self {
         Self {
-            core: IceBreakerCore::new(families.len(), trace, 10),
-            highest: pulse_sim::policy::highest_ids(families),
+            forecaster: IceBreaker::new(families.len(), trace, 10),
+            highest: highest_ids(families),
         }
     }
-}
-
-impl KeepAlivePolicy for IceBreakerPolicy {
-    fn name(&self) -> &str {
-        "icebreaker"
-    }
-
-    fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        let active = self.core.predicted(f, t);
-        let horizon = self.core.horizon;
-        holed_schedule(t, horizon, |m| active.contains(&m), |_| self.highest[f])
-    }
-
-    fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
-        self.highest[f]
-    }
-}
-
-/// IceBreaker + PULSE: FFT-predicted warm minutes, PULSE's variant choice at
-/// those minutes, and global flattening. The unpredicted minutes of the
-/// window stay holes (no container), exactly as in [`IceBreakerPolicy`].
-pub struct IceBreakerPulsePolicy {
-    core: IceBreakerCore,
-    engine: PulseEngine,
 }
 
 impl IceBreakerPulsePolicy {
     /// Integration over a family assignment and the workload.
     pub fn new(families: Vec<ModelFamily>, trace: Trace, config: PulseConfig) -> Self {
+        let horizon = config.keepalive_minutes;
         Self {
-            core: IceBreakerCore::new(families.len(), trace, config.keepalive_minutes),
+            forecaster: IceBreaker::new(families.len(), trace, horizon),
             engine: PulseEngine::new(families, config),
         }
-    }
-}
-
-impl KeepAlivePolicy for IceBreakerPulsePolicy {
-    fn name(&self) -> &str {
-        "icebreaker+pulse"
-    }
-
-    fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        self.engine.record_invocation(f, t);
-        let active = self.core.predicted(f, t);
-        let probs = self.engine.probabilities(f, t);
-        let n = self.engine.family(f).n_variants();
-        let scheme = self.engine.config().scheme;
-        let horizon = self.core.horizon;
-        // Same predicted warm minutes as IceBreaker, but PULSE picks the
-        // variant from the invocation probability instead of always warming
-        // the highest — strictly cheaper warm minutes, slightly lower
-        // accuracy, faster warm service (the paper's Figure 8 shape).
-        holed_schedule(
-            t,
-            horizon,
-            |m| active.contains(&m),
-            |m| scheme.select(probs.prob(m), n),
-        )
-    }
-
-    fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
-        self.engine.family(f).highest_id()
-    }
-
-    fn adjust_minute(
-        &mut self,
-        t: Minute,
-        mem_history: &[f64],
-        first_minute_of_period: bool,
-        current_kam_mb: f64,
-        alive: &mut Vec<AliveModel>,
-    ) -> Vec<DowngradeAction> {
-        self.engine
-            .flatten_minute(
-                t,
-                mem_history,
-                first_minute_of_period,
-                current_kam_mb,
-                alive,
-            )
-            .map(|o| o.actions)
-            .unwrap_or_default()
     }
 }
 
@@ -417,9 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn icebreaker_core_never_reads_the_future() {
+    fn icebreaker_never_reads_the_future() {
         let trace = synth::azure_like_12_with_horizon(23, 500);
-        let mut core = IceBreakerCore::new(12, trace, 10);
+        let mut core = IceBreaker::new(12, trace, 10);
         core.observe_up_to(0, 100);
         assert_eq!(core.cursors[0], 101);
         assert_eq!(
@@ -432,7 +404,7 @@ mod tests {
 
     #[test]
     fn holed_schedule_shape() {
-        let s = holed_schedule(100, 5, |m| m % 2 == 0, |_| 7);
+        let s = holed_schedule(100, 5, |m| m % 2 == 0, 7);
         assert_eq!(s.slot_at_offset(1), Some(Slot::Hole));
         assert_eq!(s.slot_at_offset(2), Some(Slot::Alive(7)));
         assert_eq!(s.slot_at_offset(5), Some(Slot::Hole));
@@ -441,7 +413,7 @@ mod tests {
 
     #[test]
     fn window_cap_enforced() {
-        let s = holed_schedule(0, 10_000, |_| true, |_| 0);
+        let s = holed_schedule(0, 10_000, |_| true, 0);
         assert_eq!(s.window(), MAX_WINDOW);
     }
 }

@@ -25,9 +25,9 @@
 //!
 //! Neither original is model-variant aware: both keep the *highest-quality*
 //! container alive in their predicted windows. [`integrate`] provides the
-//! four simulator policies — `Wild`, `Wild+PULSE`, `IceBreaker`,
-//! `IceBreaker+PULSE` — where the `+PULSE` versions let PULSE pick the
-//! variant inside the predicted window and run its global peak flattening.
+//! four simulator policies: each technique is an [`integrate::Forecaster`]
+//! of warm windows, run as published or `+PULSE`, where PULSE picks the
+//! variant inside the predicted window and runs its global peak flattening.
 
 pub mod ar;
 pub mod fft;

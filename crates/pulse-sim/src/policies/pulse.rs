@@ -56,38 +56,25 @@ impl KeepAlivePolicy for PulsePolicy {
         self.engine.schedule_after_invocation(f, t)
     }
 
-    fn cold_start_variant(&mut self, f: FuncId, t: Minute) -> VariantId {
-        // A cold start means the individual optimizer had no container alive;
-        // the paper's accounting launches the variant the probability model
-        // would pick right now, defaulting to the provider-standard highest
-        // when the probability of this very minute was high (it wasn't, or
-        // we would be warm) — i.e. the honest choice is the highest variant,
-        // matching OpenWhisk semantics so accuracy comparisons are fair.
-        let _ = t;
+    fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> VariantId {
+        // A cold start launches the highest variant, as OpenWhisk does, so
+        // accuracy comparisons across policies are fair.
         self.engine.family(f).highest_id()
     }
 
     fn adjust_minute(
         &mut self,
         t: Minute,
-        mem_history: &[f64],
-        first_minute_of_period: bool,
-        current_kam_mb: f64,
+        history: &[f64],
+        first: bool,
+        kam: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
         if !self.global_enabled {
             return Vec::new();
         }
-        self.engine
-            .flatten_minute(
-                t,
-                mem_history,
-                first_minute_of_period,
-                current_kam_mb,
-                alive,
-            )
-            .map(|o| o.actions)
-            .unwrap_or_default()
+        let step = self.engine.flatten_minute(t, history, first, kam, alive);
+        step.map(|o| o.actions).unwrap_or_default()
     }
 }
 

@@ -60,10 +60,12 @@ pub trait KeepAlivePolicy: Send {
     ///   refills it before reading it again.
     ///
     /// The PULSE policies fill `Ip` for the alive models only when they
-    /// act: [`crate::policies::PulsePolicy`] and the forecast-integrated
-    /// ones run Algorithm 1 first
-    /// ([`pulse_core::PulseEngine::flatten_minute`]), so an off-peak minute
-    /// costs one prior, not one `Ip` query per alive model;
+    /// act. Every policy built on [`pulse_core::PulseEngine`] —
+    /// [`crate::policies::PulsePolicy`], the forecast-integrated ones, and
+    /// the MILP and ablation policies of the experiments — goes through the
+    /// engine's one peak step ([`pulse_core::PulseEngine::peak_step`]),
+    /// which runs Algorithm 1 first, so an off-peak minute costs one prior,
+    /// not one `Ip` query per alive model;
     /// [`crate::policies::CapacityPulse`] fills it only above its cap.
     fn adjust_minute(
         &mut self,

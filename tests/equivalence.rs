@@ -14,12 +14,12 @@
 use proptest::prelude::*;
 use pulse::core::global::{flatten_peak_scan, AliveModel, DowngradeAction};
 use pulse::core::individual::KeepAliveSchedule;
-use pulse::core::peak::PeakDetector;
-use pulse::core::priority::PriorityStructure;
 use pulse::core::types::{FuncId, Minute};
 use pulse::models::VariantId;
 use pulse::prelude::*;
 use pulse::sim::assignment::round_robin_assignment;
+use pulse::sim::RunMetrics;
+use pulse_experiments::exp_ablation::{AblationPolicy, ProbSource, ProbSourcePolicy, UtilityMode};
 
 /// A trace of `1..=3` functions over `30..120` minutes with at most
 /// `max_per_minute` invocations per function-minute. The downgrade-exercising
@@ -268,25 +268,19 @@ fn sim_sweep_and_runtime_index_agree_bitwise_under_pulse_peaks() {
 }
 
 /// PULSE with Algorithm 2 run by the linear-scan oracle: a `PulseEngine`
-/// records invocations, plans windows and supplies `Ip`, while this
-/// policy's own detector and priority structure run Algorithms 1 and 2
-/// with `flatten_peak_scan`. `PulsePolicy` flattens with the production
-/// victim heap, so the two runs differ only in how victims are selected.
+/// records invocations, plans windows, runs Algorithm 1 and supplies `Ip`,
+/// and its peak step hands each peak to `flatten_peak_scan`. `PulsePolicy`
+/// flattens with the production victim heap, so the two runs differ only in
+/// how victims are selected.
 struct ScanPulse {
     engine: PulseEngine,
-    detector: PeakDetector,
-    priority: PriorityStructure,
     peaks: u64,
 }
 
 impl ScanPulse {
     fn new(families: Vec<ModelFamily>) -> Self {
-        let cfg = PulseConfig::default();
-        let n = families.len();
         Self {
-            detector: PeakDetector::new(cfg.km_threshold, cfg.local_window as usize),
-            engine: PulseEngine::new(families, cfg),
-            priority: PriorityStructure::new(n),
+            engine: PulseEngine::new(families, PulseConfig::default()),
             peaks: 0,
         }
     }
@@ -314,22 +308,21 @@ impl KeepAlivePolicy for ScanPulse {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
-        if !self.detector.is_peak(current_kam_mb, prior) {
-            return Vec::new();
-        }
-        self.peaks += 1;
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
-        flatten_peak_scan(
-            alive,
-            self.engine.families(),
-            &mut self.priority,
-            current_kam_mb,
-            self.detector.flatten_target(prior),
-        )
-        .actions
+        let peaks = &mut self.peaks;
+        self.engine
+            .peak_step(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+                |p| {
+                    *peaks += 1;
+                    let (kam, target) = (p.current_kam_mb, p.target_kam_mb);
+                    flatten_peak_scan(p.alive, p.families, p.priority, kam, target).actions
+                },
+            )
+            .unwrap_or_default()
     }
 }
 
@@ -353,19 +346,72 @@ fn pulse_victim_heap_matches_scan_oracle_end_to_end() {
         let scan = sim.run(&mut oracle);
         assert!(oracle.peaks > 0, "{n} functions: no peak fired");
         assert!(scan.downgrades > 0, "{n} functions: no victim selected");
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(heap.policy, scan.policy);
-        assert_eq!(heap.downgrades, scan.downgrades, "{n} functions");
-        assert_eq!(heap.warm_starts, scan.warm_starts, "{n} functions");
-        assert_eq!(heap.cold_starts, scan.cold_starts, "{n} functions");
-        for (name, a, b) in [
-            ("cost", heap.keepalive_cost_usd, scan.keepalive_cost_usd),
-            ("service", heap.service_time_s, scan.service_time_s),
-            ("accuracy", heap.accuracy_sum_pct, scan.accuracy_sum_pct),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits(), "{n} functions: {name} {a} vs {b}");
-        }
-        assert_eq!(bits(&heap.memory_series_mb), bits(&scan.memory_series_mb));
-        assert_eq!(bits(&heap.cost_series_usd), bits(&scan.cost_series_usd));
+        assert_runs_bitwise_equal(&heap, &scan, &format!("{n} functions"));
     }
+}
+
+/// Every field of two runs except `policy`, floats compared bit for bit.
+fn assert_runs_bitwise_equal(a: &RunMetrics, b: &RunMetrics, what: &str) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.downgrades, b.downgrades, "{what}: downgrades");
+    assert_eq!(a.warm_starts, b.warm_starts, "{what}: warm starts");
+    assert_eq!(a.cold_starts, b.cold_starts, "{what}: cold starts");
+    for (name, x, y) in [
+        ("cost", a.keepalive_cost_usd, b.keepalive_cost_usd),
+        ("service", a.service_time_s, b.service_time_s),
+        ("accuracy", a.accuracy_sum_pct, b.accuracy_sum_pct),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: {name} {x} vs {y}");
+    }
+    assert_eq!(
+        bits(&a.memory_series_mb),
+        bits(&b.memory_series_mb),
+        "{what}: memory series"
+    );
+    assert_eq!(
+        bits(&a.cost_series_usd),
+        bits(&b.cost_series_usd),
+        "{what}: cost series"
+    );
+}
+
+/// The utility ablation's paper row measures PULSE itself: `AblationPolicy`
+/// under the full `Uv` score flattens with `flatten_peak_with` where
+/// `PulsePolicy` uses the production victim heap, and the two runs agree bit
+/// for bit.
+#[test]
+fn full_utility_ablation_row_is_pulse() {
+    let trace = pulse::trace::synth::azure_like_12_with_horizon(1, 2160);
+    let fams = round_robin_assignment(&pulse::models::zoo::standard(), trace.n_functions());
+    let sim = Simulator::new(trace, fams.clone());
+    let pulse = sim.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
+    let mut ablation = AblationPolicy::new(fams, PulseConfig::default(), UtilityMode::Full, 1);
+    let full = sim.run(&mut ablation);
+    assert!(full.downgrades > 0, "no peak was flattened");
+    assert_runs_bitwise_equal(&pulse, &full, "full-utility ablation vs pulse");
+}
+
+/// The probability-source ablation's averaged row is PULSE without the
+/// global layer: the paper's combined estimate through the configured
+/// scheme, and no peak flattening.
+#[test]
+fn averaged_probability_ablation_row_is_individual_only_pulse() {
+    let trace = pulse::trace::synth::azure_like_12_with_horizon(1, 2160);
+    let fams = round_robin_assignment(&pulse::models::zoo::standard(), trace.n_functions());
+    let sim = Simulator::new(trace, fams.clone());
+    let pulse = sim.run(&mut PulsePolicy::without_global(
+        fams.clone(),
+        PulseConfig::default(),
+    ));
+    let averaged = sim.run(&mut ProbSourcePolicy::new(
+        fams,
+        PulseConfig::default(),
+        ProbSource::Averaged,
+    ));
+    assert_runs_bitwise_equal(
+        &pulse,
+        &averaged,
+        "averaged ablation vs individual-only pulse",
+    );
 }
